@@ -6,18 +6,20 @@ characteristic polynomial, and a truncated Euler product over prime walks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import factorial
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .linalg import BlockMatrix, Matrix, block_product, det_oracle, walk_trace
-from .ring import Poly, Symbols, int_div, is_exact, lift, to_complex
+from .ring import Poly, int_div, is_exact, to_complex, z_power
 from .walks import (
     candidate_walks,
     enumerate_walk_multisets,
     min_rotation,
     permutations_with_cycles,
+    shifted_visit_sum,
+    visit_exponential,
+    visit_sum,
 )
 from . import taudet
 
@@ -143,42 +145,23 @@ def det_trace_formal(bm):
     return int_div(value, denom)
 
 
-def _walk_factor(sd, walk, memo):
+def _walk_factor(sd, walk):
     """(-1)^(len-1) W / val for one cyclic walk, fraction-free inputs kept
     exact by integer division."""
-    got = memo.get(walk.seq)
-    if got is None:
-        w = walk_trace(sd.block, walk.seq)
-        sign = 1 if len(walk.seq) % 2 else -1
-        got = int_div(sign * w, walk.valuation)
-        memo[walk.seq] = got
-    return got
+    sign = 1 if len(walk.seq) % 2 else -1
+    return int_div(sign * walk_trace(sd.block, walk.seq), walk.valuation)
 
 
-def _z_power(zs, exponents):
-    acc = 1
-    for z, e in zip(zs, exponents):
-        if e:
-            acc = acc * z ** e
-    return acc
+def _walk_series(sd):
+    factor = lambda w: _walk_factor(sd, w)
+    return visit_exponential(candidate_walks(sd.p, sd.part), sd.p, sd.part, factor)
 
 
 def det_scalar_diag(sd):
     """Cycle-multiset expansion for a block matrix with scalar diagonal:
-    sum over multisets of z^(n-v)/C! times the product of walk factors."""
-    part = sd.part
-    p = sd.p
-    memo = {}
-    total = 0
-    for ms in enumerate_walk_multisets(p, part):
-        visits = ms.visits(p)
-        term = _z_power(sd.z, tuple(n - v for n, v in zip(part, visits)))
-        for walk, mult in ms:
-            f = _walk_factor(sd, walk, memo)
-            for _ in range(mult):
-                term = term * f
-        total = total + int_div(term, ms.multiplicity_factorial())
-    return total
+    sum over multisets of z^(n-v)/C! times the product of walk factors,
+    folded as the truncated exponential of the walk factors."""
+    return visit_sum(_walk_series(sd), sd.z, sd.part)
 
 
 def det_scalar_diag_integral(sd):
@@ -199,7 +182,7 @@ def det_scalar_diag_integral(sd):
                 f"coefficient {nfact}/{denom} is not an integer for {ms!r}"
             )
         visits = ms.visits(p)
-        term = _z_power(sd.z, tuple(n - v for n, v in zip(part, visits)))
+        term = z_power(sd.z, tuple(n - v for n, v in zip(part, visits)))
         for walk, mult in ms:
             w = walk_trace(sd.block, walk.seq)
             f = (1 if len(walk.seq) % 2 else -1) * w
@@ -209,58 +192,11 @@ def det_scalar_diag_integral(sd):
     return int_div(total, nfact)
 
 
-def _binom(n, k):
-    return math.comb(n, k)
-
-
 def charpoly_block(sd, t_names=None):
-    """det(T + A) as a polynomial in per-block shift symbols, via the
-    binomially weighted cycle-multiset expansion."""
-    part = sd.part
-    p = sd.p
-    if t_names is None:
-        t_names = tuple(f"t{a + 1}" for a in range(p))
-    t_names = tuple(t_names)
-    if len(t_names) != p:
-        raise HolodetError(f"need {p} shift symbols, got {len(t_names)}")
-
-    base_syms = None
-    for x in sd.block.base.data:
-        if isinstance(x, Poly):
-            base_syms = x.syms
-            break
-    if base_syms is not None:
-        clash = [t for t in t_names if t in base_syms]
-        if clash:
-            raise HolodetError(
-                f"shift symbol '{clash[0]}' already names an indeterminate"
-            )
-    syms = (base_syms or Symbols(())).extended(t_names)
-    tvars = [Poly.variable(syms, name) for name in t_names]
-
-    memo = {}
-    total = Poly(syms)
-    for ms in enumerate_walk_multisets(p, part):
-        visits = ms.visits(p)
-        walk_part = 1
-        for walk, mult in ms:
-            f = _walk_factor(sd, walk, memo)
-            for _ in range(mult):
-                walk_part = walk_part * f
-        walk_part = int_div(walk_part, ms.multiplicity_factorial())
-        free = tuple(n - v for n, v in zip(part, visits))
-        import itertools
-        for kvec in itertools.product(*(range(f + 1) for f in free)):
-            coeff = 1
-            for fa, ka in zip(free, kvec):
-                coeff *= _binom(fa, ka)
-            zpow = _z_power(sd.z, tuple(f - k for f, k in zip(free, kvec)))
-            tmono = Poly.const(syms, 1)
-            for tv, ka in zip(tvars, kvec):
-                if ka:
-                    tmono = tmono * tv ** ka
-            total = total + tmono * lift(coeff * (zpow * walk_part), syms)
-    return total
+    """det(T + A) as a polynomial in per-block shift symbols: the walk
+    expansion with every z_a replaced by z_a + t_a."""
+    series = _walk_series(sd)
+    return shifted_visit_sum(series, sd.z, sd.part, sd.block.base.data, t_names)
 
 
 @dataclass(frozen=True)
@@ -301,7 +237,7 @@ def block_euler_truncated(sd, max_total_visits, tol=1e-9, probe_extra=2):
     ]
     walks.sort(key=lambda w: w.sort_key)
 
-    value = _z_power(sd.z, part)
+    value = z_power(sd.z, part)
     probe = 1
     for w in walks:
         factor = _prime_walk_factor(sd, w)

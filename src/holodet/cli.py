@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -21,23 +22,28 @@ from .quiver import (
     Representation,
     gen_example,
     haar_like_unitary,
-    instance_from_json,
     instance_to_json,
     load_instance,
     validate,
+    vertex_z,
 )
 from .laplacian import (
     build_laplacian,
     charpoly_laplacian,
     det_laplacian_cycles,
     hol_trace,
-    weight_product,
+    multiset_weight,
     wilson_moment,
 )
 from .blockdet import det_block_perm, det_perm_traces, det_trace_formal
 from .vectorfields import det_vector_fields, term_budget
 from .euler import det_euler_finite, det_euler_truncated
-from .walks import enumerate_gcycle_multisets, prime_cycles, prime_finiteness
+from .walks import (
+    candidate_gcycles,
+    enumerate_gcycle_multisets,
+    prime_cycles,
+    prime_finiteness,
+)
 
 DET_METHODS = (
     "oracle",
@@ -109,8 +115,8 @@ def _run_method(method, lap, args):
     if method == "trace-formal":
         return det_trace_formal(lap.block), None
     if method == "cycles":
-        terms = sum(1 for _ in enumerate_gcycle_multisets(lap.quiver, lap.ranks))
-        return det_laplacian_cycles(lap), terms
+        cycles = candidate_gcycles(lap.quiver, lap.ranks)
+        return det_laplacian_cycles(lap, cycles), len(cycles)
     if method == "vector-fields":
         return det_vector_fields(lap, budget=args.budget), None
     if method == "euler-finite":
@@ -127,7 +133,13 @@ def _run_method(method, lap, args):
 def _parse_kappa(args, p):
     if not args.kappa:
         return (0.0,) * p
-    parts = [float(x) for x in args.kappa.split(",")]
+    try:
+        parts = [float(x) for x in args.kappa.split(",")]
+    except ValueError:
+        msg = f"--kappa {args.kappa!r} is not a list of numbers"
+        raise ValidationError([msg]) from None
+    if not all(math.isfinite(x) and x >= 0 for x in parts):
+        raise ValidationError(["--kappa values must be finite and nonnegative"])
     if len(parts) == 1:
         return (parts[0],) * p
     if len(parts) != p:
@@ -223,8 +235,7 @@ def _applicable_methods(lap, args):
     stacks = 1
     for a in range(lap.quiver.p):
         stacks *= max(1, lap.quiver.outdeg(a)) ** lap.ranks[a]
-    import math as _math
-    if stacks * _math.factorial(n) <= (args.budget or term_budget()):
+    if stacks * math.factorial(n) <= (args.budget or term_budget()):
         methods.append("vector-fields")
     if prime_finiteness(lap.quiver).finite:
         methods.append("euler-finite")
@@ -372,7 +383,7 @@ def cmd_moments(args):
 
 
 def _moments_monte_carlo(args, q, rep, w):
-    import math
+    import itertools
     import random
 
     if args.mode != "float":
@@ -382,28 +393,9 @@ def _moments_monte_carlo(args, q, rep, w):
     for e in q.edges:
         if ranks[e.src] != ranks[e.tgt]:
             raise MethodRefusal("Monte Carlo sampling needs equal ranks per edge")
-    from .walks import enumerate_gcycle_multisets as _ems
-
-    multisets = list(_ems(q, tuple(ranks)))
-    from .quiver import vertex_z
-
+    multisets = list(enumerate_gcycle_multisets(q, tuple(ranks)))
     z = vertex_z(q, w)
-    p = q.p
-
-    def comb_weight(ms):
-        visits = ms.visits(p)
-        term = 1
-        for za, na, va in zip(z, ranks, visits):
-            term = term * to_complex(za) ** (na - va)
-        for cyc, mult in ms:
-            f = -to_complex(weight_product(w, cyc)) / cyc.valuation
-            for _ in range(mult):
-                term = term * f
-        return term / ms.multiplicity_factorial()
-
-    import itertools
-
-    weights_by_ms = [comb_weight(ms) for ms in multisets]
+    weights_by_ms = [to_complex(multiset_weight(ms, z, ranks, w)) for ms in multisets]
     tuples = list(itertools.product(range(len(multisets)), repeat=args.k))
 
     lhs_samples = []
@@ -499,8 +491,6 @@ def _add_common(sp):
     sp.add_argument("--kappa", help="per-vertex shift list, e.g. 1.0 or 1,0.5,2")
     sp.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in reports")
-    sp.add_argument("--parallel", action="store_true",
-                    help="evaluate compare methods in worker processes (exact modes)")
 
 
 def build_parser():
@@ -550,8 +540,6 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "parallel", False) and args.command == "compare":
-            return _compare_parallel(args)
         return args.func(args)
     except ValidationError as exc:
         print(_error_json("validation", exc), file=sys.stderr)
@@ -565,63 +553,6 @@ def main(argv=None):
     except HolodetError as exc:
         print(_error_json("error", exc), file=sys.stderr)
         return 1
-
-
-def _method_worker(payload):
-    doc, mode, method, budget, tol, kappa = payload
-    q, rep, w = instance_from_json(doc, mode=mode)
-    lap = build_laplacian(q, rep, w)
-    ns = argparse.Namespace(mode=mode, budget=budget, tol=tol, kappa=kappa)
-    try:
-        value, terms = _run_method(method, lap, ns)
-        return method, scalar_str(value) if mode != "float" else to_complex(value), terms, None
-    except MethodRefusal as exc:
-        return method, None, None, str(exc)
-
-
-def _compare_parallel(args):
-    if args.mode == "float":
-        raise MethodRefusal("--parallel compare supports exact modes only")
-    import multiprocessing
-
-    q, rep, w = _load(args)
-    bad = validate(q, rep, w)
-    if bad:
-        raise ValidationError(bad)
-    lap = build_laplacian(q, rep, w)
-    doc = instance_to_json(q, rep, w)
-    methods = args.methods.split(",") if args.methods else _applicable_methods(lap, args)
-    payloads = [
-        (doc, args.mode, m, args.budget, args.tol, args.kappa) for m in methods
-    ]
-    with multiprocessing.Pool(min(len(payloads), 4)) as pool:
-        results = pool.map(_method_worker, payloads)
-    rows = []
-    values = []
-    for method, value, terms, skip in results:
-        if skip is not None:
-            rows.append({"method": method, "skipped": skip})
-            continue
-        row = {"method": method, "value": value}
-        if terms is not None:
-            row["terms"] = terms
-        rows.append(row)
-        values.append(value)
-    agree = all(v == values[0] for v in values) if values else True
-    payload = {
-        "command": "compare",
-        "mode": args.mode,
-        "methods": rows,
-        "max_discrepancy": 0 if agree else "nonzero",
-        "agree": agree,
-    }
-    lines = [
-        f"{r['method']}: {r.get('value', 'skipped')}" for r in rows
-    ] + [f"agree: {agree}"]
-    _emit(args, payload, lines)
-    if not agree:
-        raise InvariantViolation("determinant methods disagree")
-    return 0
 
 
 if __name__ == "__main__":

@@ -93,9 +93,9 @@ class SubMarkovData:
     p_edges: dict          # edge id -> float transition weight
     transition: Matrix     # block matrix P with P[ab] = sum p_e U_e
     rho: float             # certified upper bound on the Perron root of
-                           # the vertex-level chain (dominates the tail)
+                           # the norm-weighted vertex-level chain, which
+                           # dominates the tail
     reachable: bool        # every vertex reaches killing mass or a sink
-    edge_norm_ok: bool     # every |U_e|_2 within 1 + 1e-10
 
 
 def _spectral_norm_complex(m, iters=4000, tol=1e-15):
@@ -208,16 +208,15 @@ def build_submarkov(lap, kappa):
                 changed = True
     reachable = len(reach) == quiver.p
 
-    edge_norm_ok = all(
-        _spectral_norm_complex(lap.rep.matrices[e.id].to_complex()) <= 1.0 + 1e-10
-        for e in quiver.edges
-    )
-    # vertex-level collapse of the chain drives the tail bound: the sum
-    # over closed length-k edge walks of their p-weight is Tr(collapse^k),
-    # which is at most p times the Perron root to the k-th power
+    # the vertex-level collapse of the chain, each edge weighted by
+    # p_e ||U_e||_2, drives the tail bound: a closed length-k edge walk
+    # has |Tr hol| at most n times the product of its edge norms, so the
+    # sum of |p-weight Tr hol| over such walks is at most n Tr(collapse^k),
+    # hence at most n p rho^k, whatever the norms of the edge maps
     vrows = [[0.0] * quiver.p for _ in range(quiver.p)]
     for e in quiver.edges:
-        vrows[e.src][e.tgt] += p_edges[e.id]
+        norm = _spectral_norm_complex(lap.rep.matrices[e.id].to_complex())
+        vrows[e.src][e.tgt] += p_edges[e.id] * norm
     rho = _perron_upper_bound(vrows)
     return SubMarkovData(
         kappa=kappa,
@@ -225,7 +224,6 @@ def build_submarkov(lap, kappa):
         transition=transition,
         rho=rho,
         reachable=reachable,
-        edge_norm_ok=edge_norm_ok,
     )
 
 
@@ -240,8 +238,8 @@ class TruncatedEuler:
 
 def _tail_bound(n, p, rho, length):
     # dropped log terms of total length k are bounded by n/k times the
-    # trace of the k-th power of the vertex-level chain, hence by
-    # (n p / k) rho^k; summing k > length gives the closed form below
+    # trace of the k-th power of the norm-weighted vertex-level chain,
+    # hence by (n p / k) rho^k; summing k > length gives the closed form
     return n * p * rho ** (length + 1) / ((length + 1) * (1.0 - rho))
 
 
@@ -264,7 +262,7 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
             raise MethodRefusal(
                 "spectral-radius bound is not below 1; the sub-Markov "
                 f"assumptions fail (reachability={data.reachable}, "
-                f"edge norms ok={data.edge_norm_ok}, rho={data.rho:.6f})"
+                f"rho={data.rho:.6f})"
             )
         length = 2
         while _tail_bound(n, p, data.rho, length) >= tol and length <= max_len_cap:

@@ -7,15 +7,19 @@ into edge-subset terms.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from math import factorial
 
 from .errors import HolodetError, MethodRefusal, ValidationError
 from .linalg import BlockMatrix, Matrix, det_oracle
 from .quiver import validate, vertex_z
-from .ring import Poly, Symbols, int_div, lift
-from .walks import enumerate_gcycle_multisets
+from .ring import int_div, z_power
+from .walks import (
+    candidate_gcycles,
+    enumerate_gcycle_multisets,
+    shifted_visit_sum,
+    visit_exponential,
+    visit_sum,
+)
 
 CAUCHY_BINET_CAP = 6
 
@@ -83,88 +87,42 @@ def weight_product(weights, gcycle):
     return acc
 
 
-def _cycle_factor(lap, gcycle, memo):
+def _cycle_factor(lap, gcycle):
     """-(x^e(c) Tr hol(c)) / val(c) for one cycle on the quiver."""
-    got = memo.get(gcycle.edges)
-    if got is None:
-        term = -(weight_product(lap.weights, gcycle) * hol_trace(lap.rep, gcycle))
-        got = int_div(term, gcycle.valuation)
-        memo[gcycle.edges] = got
-    return got
+    term = -(weight_product(lap.weights, gcycle) * hol_trace(lap.rep, gcycle))
+    return int_div(term, gcycle.valuation)
 
 
-def _z_power(zs, exponents):
-    acc = 1
-    for z, e in zip(zs, exponents):
-        if e:
-            acc = acc * z ** e
-    return acc
+def _cycle_series(lap, cycles=None):
+    if cycles is None:
+        cycles = candidate_gcycles(lap.quiver, lap.ranks)
+    factor = lambda c: _cycle_factor(lap, c)
+    return visit_exponential(cycles, lap.quiver.p, lap.ranks, factor)
 
 
-def det_laplacian_cycles(lap):
-    """Cycle-multiset expansion of the Laplacian determinant: the empty
-    multiset contributes z^n, every other multiset a z-cofactor times the
-    product of its cycle factors."""
-    p = lap.quiver.p
-    ranks = lap.ranks
-    memo = {}
-    total = 0
-    for ms in enumerate_gcycle_multisets(lap.quiver, ranks):
-        visits = ms.visits(p)
-        term = _z_power(lap.z, tuple(n - v for n, v in zip(ranks, visits)))
-        for cyc, mult in ms:
-            f = _cycle_factor(lap, cyc, memo)
-            for _ in range(mult):
-                term = term * f
-        total = total + int_div(term, ms.multiplicity_factorial())
-    return total
+def det_laplacian_cycles(lap, cycles=None):
+    """Cycle-multiset expansion of the Laplacian determinant: the sum over
+    multisets of z^(n-v)/C! times the product of their cycle factors, folded
+    as the truncated exponential of the cycle factors by visit vector.
+    cycles, when given, is candidate_gcycles(lap.quiver, lap.ranks)."""
+    return visit_sum(_cycle_series(lap, cycles), lap.z, lap.ranks)
 
 
 def charpoly_laplacian(lap, t_names=None):
     """det(T + Laplacian) as a polynomial in per-vertex shift symbols."""
-    p = lap.quiver.p
-    ranks = lap.ranks
-    if t_names is None:
-        t_names = tuple(f"t{a + 1}" for a in range(p))
-    t_names = tuple(t_names)
-    if len(t_names) != p:
-        raise HolodetError(f"need {p} shift symbols, got {len(t_names)}")
-    base_syms = None
-    for x in lap.matrix.data:
-        if isinstance(x, Poly):
-            base_syms = x.syms
-            break
-    if base_syms is not None:
-        clash = [t for t in t_names if t in base_syms]
-        if clash:
-            raise HolodetError(
-                f"shift symbol '{clash[0]}' already names an indeterminate"
-            )
-    syms = (base_syms or Symbols(())).extended(t_names)
-    tvars = [Poly.variable(syms, name) for name in t_names]
+    series = _cycle_series(lap)
+    return shifted_visit_sum(series, lap.z, lap.ranks, lap.matrix.data, t_names)
 
-    memo = {}
-    total = Poly(syms)
-    for ms in enumerate_gcycle_multisets(lap.quiver, ranks):
-        visits = ms.visits(p)
-        cyc_part = 1
-        for cyc, mult in ms:
-            f = _cycle_factor(lap, cyc, memo)
-            for _ in range(mult):
-                cyc_part = cyc_part * f
-        cyc_part = int_div(cyc_part, ms.multiplicity_factorial())
-        free = tuple(n - v for n, v in zip(ranks, visits))
-        for kvec in itertools.product(*(range(f + 1) for f in free)):
-            coeff = 1
-            for fa, ka in zip(free, kvec):
-                coeff *= math.comb(fa, ka)
-            zpow = _z_power(lap.z, tuple(f - k for f, k in zip(free, kvec)))
-            tmono = Poly.const(syms, 1)
-            for tv, ka in zip(tvars, kvec):
-                if ka:
-                    tmono = tmono * tv ** ka
-            total = total + tmono * lift(coeff * (zpow * cyc_part), syms)
-    return total
+
+def multiset_weight(ms, z, ranks, weights):
+    """z^(n-v)/C! times prod -x^e(c)/val(c) over a cycle multiset: its
+    weight in the cycle expansion with the holonomy traces left out."""
+    term = z_power(z, [n - v for n, v in zip(ranks, ms.visits(len(ranks)))])
+    for cyc, mult in ms:
+        f = int_div(-weight_product(weights, cyc), cyc.valuation)
+        for _ in range(mult):
+            term = term * f
+    return int_div(term, ms.multiplicity_factorial())
 
 
 @dataclass(frozen=True)
@@ -212,7 +170,6 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
         lap = build_laplacian(quiver, rep, weights)
         lhs = lhs + prob * det_oracle(lap.matrix) ** k
 
-    p = quiver.p
     z = vertex_z(quiver, weights)
     multisets = list(enumerate_gcycle_multisets(quiver, tuple(ranks)))
 
@@ -225,16 +182,7 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
                     per[cyc.edges] = hol_trace(rep, cyc)
         trace_cache.append(per)
 
-    def comb_weight(ms):
-        visits = ms.visits(p)
-        term = _z_power(z, tuple(n - v for n, v in zip(ranks, visits)))
-        for cyc, mult in ms:
-            f = int_div(-weight_product(weights, cyc), cyc.valuation)
-            for _ in range(mult):
-                term = term * f
-        return int_div(term, ms.multiplicity_factorial())
-
-    weights_by_ms = [comb_weight(ms) for ms in multisets]
+    weights_by_ms = [multiset_weight(ms, z, ranks, weights) for ms in multisets]
 
     rhs = 0
     rows = []

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HolodetError
+from .errors import HolodetError, ValidationError
 from .linalg import Matrix
 from .ring import GaussianRational, Poly, Symbols
 
@@ -365,19 +365,30 @@ def instance_to_json(quiver, rep, weights):
     return doc
 
 
+def _need(ok, message):
+    if not ok:
+        raise ValidationError([message])
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_number(x, mode):
     if isinstance(x, str):
-        val = Fraction(x)
-    elif isinstance(x, bool):
-        raise HolodetError("boolean is not a number")
-    elif isinstance(x, int):
+        try:
+            val = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError([f"cannot parse number {x!r}"]) from None
+    elif _is_int(x):
         val = Fraction(x)
     elif isinstance(x, float):
+        _need(math.isfinite(x), f"number {x!r} is not finite")
         if mode == "float":
             return x
         val = Fraction(str(x))
     else:
-        raise HolodetError(f"cannot parse number {x!r}")
+        raise ValidationError([f"cannot parse number {x!r}"])
     return float(val) if mode == "float" else val
 
 
@@ -394,34 +405,75 @@ def _parse_entry(x, mode):
     return GaussianRational(re, im)
 
 
+def _parse_edge(rec, p, mode):
+    _need(
+        isinstance(rec, dict)
+        and all(k in rec for k in ("id", "src", "tgt", "weight", "matrix")),
+        "every edge needs 'id', 'src', 'tgt', 'weight' and 'matrix'",
+    )
+    eid, rows = rec["id"], rec["matrix"]
+    if not isinstance(eid, str):
+        raise ValidationError([f"edge id {eid!r} is not a string"])
+    for end in ("src", "tgt"):
+        v = rec[end]
+        if not (_is_int(v) and 1 <= v <= p):
+            raise ValidationError([f"edge '{eid}' {end} {v!r} is not in 1..{p}"])
+    if not (isinstance(rows, list) and rows and all(
+        isinstance(r, list) and r and len(r) == len(rows[0]) for r in rows
+    )):
+        raise ValidationError(
+            [f"edge '{eid}' matrix is not a nonempty list of equal-length rows"]
+        )
+    mat = Matrix.from_rows([[_parse_entry(x, mode) for x in row] for row in rows])
+    w = rec["weight"]
+    if isinstance(w, dict) and "sym" in w:
+        _need(isinstance(w["sym"], str), f"edge '{eid}' symbol is not a string")
+        _need(
+            mode == "symbolic",
+            f"edge '{eid}' has a symbolic weight; use symbolic mode",
+        )
+        weight = ("sym", w["sym"])
+    else:
+        weight = ("num", _parse_number(w, mode))
+    return Edge(eid, rec["src"] - 1, rec["tgt"] - 1), mat, weight
+
+
 def instance_from_json(doc, mode="exact"):
+    """Parse an instance document; malformed documents raise
+    ValidationError, so no parsing failure escapes as another error."""
     if mode not in ("float", "exact", "symbolic"):
         raise HolodetError(f"unknown scalar mode '{mode}'")
-    p = doc["p"]
-    ranks = tuple(doc["ranks"])
+    _need(isinstance(doc, dict), "instance is not a JSON object")
+    for key in ("p", "ranks", "edges"):
+        _need(key in doc, f"instance has no '{key}'")
+    p, ranks = doc["p"], doc["ranks"]
+    _need(_is_int(p), f"p {p!r} is not an integer")
+    _need(
+        isinstance(ranks, list) and all(_is_int(r) for r in ranks),
+        "ranks is not a list of integers",
+    )
+    _need(len(ranks) == p, f"expected {p} ranks, got {len(ranks)}")
+    _need(isinstance(doc["edges"], list), "edges is not a list")
+    involution = doc.get("involution")
+    _need(
+        involution is None or isinstance(involution, list) and all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(x, str) for x in pair)
+            for pair in involution
+        ),
+        "involution is not a list of edge id pairs",
+    )
     edges = []
     mats = {}
     raw_weights = {}
-    sym_names = []
     for rec in doc["edges"]:
-        e = Edge(rec["id"], rec["src"] - 1, rec["tgt"] - 1)
+        e, mat, weight = _parse_edge(rec, p, mode)
         edges.append(e)
-        rows = rec["matrix"]
-        mats[e.id] = Matrix.from_rows(
-            [[_parse_entry(x, mode) for x in row] for row in rows]
-        )
-        w = rec["weight"]
-        if isinstance(w, dict) and "sym" in w:
-            if mode != "symbolic":
-                raise HolodetError(
-                    f"edge '{e.id}' has a symbolic weight; use symbolic mode"
-                )
-            sym_names.append(w["sym"])
-            raw_weights[e.id] = ("sym", w["sym"])
-        else:
-            raw_weights[e.id] = ("num", _parse_number(w, mode))
+        mats[e.id] = mat
+        raw_weights[e.id] = weight
     weights = {}
     if mode == "symbolic":
+        sym_names = [val for kind, val in raw_weights.values() if kind == "sym"]
         syms = Symbols(tuple(dict.fromkeys(sym_names)))
         for eid, (kind, val) in raw_weights.items():
             weights[eid] = (
@@ -430,11 +482,16 @@ def instance_from_json(doc, mode="exact"):
     else:
         for eid, (_, val) in raw_weights.items():
             weights[eid] = val
-    involution = doc.get("involution")
     q = Quiver(p, edges, involution=involution)
-    return q, Representation(ranks, mats), weights
+    return q, Representation(tuple(ranks), mats), weights
 
 
 def load_instance(path, mode="exact"):
-    with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh), mode=mode)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ValidationError([f"cannot read '{path}': {exc.strerror}"]) from None
+    except ValueError as exc:
+        raise ValidationError([f"'{path}' is not valid JSON: {exc}"]) from None
+    return instance_from_json(doc, mode=mode)

@@ -374,6 +374,15 @@ def int_div(s, k):
     raise TypeError(f"unsupported scalar {type(s).__name__}")
 
 
+def z_power(zs, exponents):
+    """prod_a zs_a^exponents_a, leaving out the zero exponents."""
+    acc = 1
+    for z, e in zip(zs, exponents):
+        if e:
+            acc = acc * z ** e
+    return acc
+
+
 def is_exact(s):
     if isinstance(s, (int, Fraction, GaussianRational)):
         return True

@@ -4,7 +4,9 @@ Canonical form everywhere is the lexicographically minimal rotation; the
 valuation of a walk is the order of its rotation stabiliser.  Multiset
 streams are lazy and deterministic: candidates are fixed in sorted order
 and multiplicities are chosen in nondecreasing candidate order, so every
-multiset within the visit bound appears exactly once.
+multiset within the visit bound appears exactly once.  The generating
+series of those multisets, graded by visit vector, is the truncated
+exponential computed by ``visit_exponential`` without listing them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import HolodetError
+from .ring import Poly, Symbols, int_div, lift
 
 
 def min_rotation(seq):
@@ -256,13 +259,13 @@ def candidate_walks(p, bound, total_cap=None):
 
 
 def _multiset_stream(candidates, p, bound):
-    fits = lambda visits, remaining: all(v <= r for v, r in zip(visits, remaining))
+    visits = [c.visits(p) for c in candidates]
+    fits = lambda v, remaining: all(x <= r for x, r in zip(v, remaining))
 
     def rec(start, remaining):
         yield ()
         for j in range(start, len(candidates)):
-            c = candidates[j]
-            v = c.visits(p)
+            v = visits[j]
             if not fits(v, remaining):
                 continue
             rem = list(remaining)
@@ -272,10 +275,77 @@ def _multiset_stream(candidates, p, bound):
                     rem[a] -= v[a]
                 m += 1
                 for rest in rec(j + 1, tuple(rem)):
-                    yield ((c, m),) + rest
+                    yield ((candidates[j], m),) + rest
 
     for items in rec(0, tuple(bound)):
         yield CycleMultiset(items)
+
+
+def visit_exponential(candidates, p, bound, factor):
+    """Coefficients G_v of exp(sum_c factor(c) y^visits(c)) over the visit
+    box prod_a [0, bound_a], keyed by visit vector v; a v that no multiset
+    of candidates reaches has no key.
+
+    G_v is the sum, over the multisets of candidates with visit total v,
+    of the product of their factors divided by the multiplicity
+    factorials.  With F_u the factor sum over candidates visiting u, the
+    Euler operator gives |v| G_v = sum_{0 < u <= v} |u| F_u G_(v-u), so
+    each candidate is visited once and no multiset is listed."""
+    fsum = {}
+    for c in candidates:
+        u = c.visits(p)
+        fsum[u] = fsum.get(u, 0) + factor(c)
+    scaled = [(u, sum(u) * f) for u, f in fsum.items()]
+    out = {}
+    acc = {(0,) * p: 1}
+    # the box is walked in lexicographic order, so every v - u comes before
+    # v and has pushed its term into acc[v] by the time v is reached
+    for v in itertools.product(*(range(b + 1) for b in bound)):
+        if v not in acc:
+            continue
+        g = out[v] = int_div(acc.pop(v), max(sum(v), 1))
+        for u, f in scaled:
+            w = tuple(a + b for a, b in zip(u, v))
+            if all(a <= b for a, b in zip(w, bound)):
+                acc[w] = acc.get(w, 0) + f * g
+    return out
+
+
+def visit_sum(series, zs, bound):
+    """sum_v G_v prod_a z_a^(bound_a - v_a) over a visit_exponential."""
+    powers = [[1] for _ in zs]
+    for pw, z, n in zip(powers, zs, bound):
+        while len(pw) <= n:
+            pw.append(pw[-1] * z)
+    total = 0
+    for v, g in series.items():
+        for pw, n, a in zip(powers, bound, v):
+            if n > a:
+                g = g * pw[n - a]
+        total = total + g
+    return total
+
+
+def shifted_visit_sum(series, zs, bound, entries, t_names=None):
+    """visit_sum with every z_a replaced by z_a + t_a, as a polynomial in
+    fresh per-vertex shift symbols over the indeterminates of entries."""
+    p = len(zs)
+    if t_names is None:
+        t_names = tuple(f"t{a + 1}" for a in range(p))
+    t_names = tuple(t_names)
+    if len(t_names) != p:
+        raise HolodetError(f"need {p} shift symbols, got {len(t_names)}")
+    base_syms = next((x.syms for x in entries if isinstance(x, Poly)), None)
+    if base_syms is not None:
+        clash = [t for t in t_names if t in base_syms]
+        if clash:
+            raise HolodetError(
+                f"shift symbol '{clash[0]}' already names an indeterminate"
+            )
+    syms = (base_syms or Symbols(())).extended(t_names)
+    shifted = [lift(z, syms) + Poly.variable(syms, t) for z, t in zip(zs, t_names)]
+    lifted = {v: lift(g, syms) for v, g in series.items()}
+    return visit_sum(lifted, shifted, bound)
 
 
 def enumerate_walk_multisets(p, bound):

@@ -269,12 +269,27 @@ def test_submarkov_data_checks():
     lap = build_laplacian(q, rep, w)
     data = build_submarkov(lap, (1.0, 0.0))
     assert data.reachable
-    assert data.edge_norm_ok
     assert data.rho < 1.0
+    # unit edge maps leave the chain as it is: p_e = 1/2 and 1
+    assert abs(data.rho - math.sqrt(0.5)) < 1e-6
     data0 = build_submarkov(lap, (0.0, 0.0))
     assert not data0.reachable
     with pytest.raises(HolodetError):
         build_submarkov(lap, (-1.0, 0.0))
+
+
+def test_truncated_euler_refuses_non_contraction_edges():
+    # U_e = 2 on every edge: the plain chain has rho = 1/sqrt(3), but the
+    # product does not converge (det(kappa + L) = -2); weighting the chain
+    # by the edge norms gives rho = sqrt(4/3) and a refusal
+    q = Quiver(2, [Edge("a", 0, 1), Edge("b", 0, 1), Edge("c", 1, 0)])
+    rep = Representation((1, 1), {k: Matrix(1, 1, [2.0 + 0j]) for k in "abc"})
+    w = {k: 1.0 for k in "abc"}
+    lap = build_laplacian(q, rep, w)
+    data = build_submarkov(lap, (1.0, 1.0))
+    assert abs(data.rho - math.sqrt(4.0 / 3.0)) < 1e-6
+    with pytest.raises(MethodRefusal, match="sub-Markov"):
+        det_euler_truncated(lap, (1.0, 1.0))
 
 
 def test_unitary_comparison_identity_representation():
