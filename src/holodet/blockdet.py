@@ -7,16 +7,17 @@ characteristic polynomial, and a truncated Euler product over prime walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .linalg import BlockMatrix, Matrix, block_product, det_oracle, walk_trace
 from .ring import Poly, int_div, is_exact, to_complex, z_power
 from .walks import (
     candidate_walks,
+    cycle_types,
     enumerate_walk_multisets,
     min_rotation,
-    permutations_with_cycles,
+    permutations_within,
     shifted_visit_sum,
     visit_exponential,
     visit_sum,
@@ -24,7 +25,6 @@ from .walks import (
 from . import taudet
 
 PERM_SUM_CAP = 8
-TRACE_FORMAL_CAP = 7
 SCALAR_DIAG_FLOAT_TOL = 1e-12
 
 
@@ -77,7 +77,7 @@ class ScalarDiagBlockMatrix:
 
 def det_perm_traces(m):
     """Average over permutations of sign times the product of Tr(M^len)
-    over the permutation's cycles."""
+    over the permutation's cycles, summed by cycle type."""
     if not m.is_square:
         raise HolodetError("square matrix required")
     n = m.rows
@@ -90,17 +90,18 @@ def det_perm_traces(m):
         acc = acc * m
         powers[k] = acc.trace()
     total = 0
-    for _, cycles, sign in permutations_with_cycles(n):
+    for lengths, count in cycle_types(n):
         term = 1
-        for cyc in cycles:
-            term = term * powers[len(cyc)]
-        total = total + (term if sign > 0 else -term)
+        for k in lengths:
+            term = term * powers[k]
+        total = total + count * term
     return int_div(total, factorial(n))
 
 
 def det_block_perm(bm):
     """Permutation sum with each cycle contributing the trace of the block
-    product it traverses, normalized by the block-size factorials."""
+    product it traverses, normalized by the block-size factorials; only
+    permutations through nonzero blocks are visited."""
     n = bm.n
     if n > PERM_SUM_CAP:
         raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
@@ -114,35 +115,28 @@ def det_block_perm(bm):
             memo[key] = got
         return got
 
+    allowed = [
+        [j for j in range(n) if not bm.is_zero_block(bm.bl(i), bm.bl(j))]
+        for i in range(n)
+    ]
     total = 0
-    for _, cycles, sign in permutations_with_cycles(n):
+    for _, cycles, sign in permutations_within(allowed):
         term = 1
         for cyc in cycles:
             term = term * wtrace(tuple(bm.bl(i) for i in cyc))
             if term == 0:
                 break
         total = total + (term if sign > 0 else -term)
-    denom = 1
-    for na in bm.part:
-        denom *= factorial(na)
-    return int_div(total, denom)
+    return int_div(total, prod(map(factorial, bm.part)))
 
 
 def det_trace_formal(bm):
     """Trace-determinant of the block-symbol word matrix divided by the
     block-size factorials."""
-    n = bm.n
-    if n > TRACE_FORMAL_CAP:
-        raise MethodRefusal(
-            f"trace-determinant route capped at n<={TRACE_FORMAL_CAP}, got {n}"
-        )
     ctx = taudet.block_tau_context(bm)
     entries = taudet.block_word_matrix(bm)
     value = taudet.det_tau(entries, ctx)
-    denom = 1
-    for na in bm.part:
-        denom *= factorial(na)
-    return int_div(value, denom)
+    return int_div(value, prod(map(factorial, bm.part)))
 
 
 def _walk_factor(sd, walk):

@@ -35,8 +35,9 @@ from .laplacian import (
     multiset_weight,
     wilson_moment,
 )
-from .blockdet import det_block_perm, det_perm_traces, det_trace_formal
-from .vectorfields import det_vector_fields, term_budget
+from .blockdet import PERM_SUM_CAP, det_block_perm, det_perm_traces, det_trace_formal
+from .taudet import TAU_DET_CAP
+from .vectorfields import DEFAULT_TERM_BUDGET, det_vector_fields, stack_cost
 from .euler import det_euler_finite, det_euler_truncated
 from .walks import (
     candidate_gcycles,
@@ -227,15 +228,15 @@ def _applicable_methods(lap, args):
         methods.remove("oracle")
     # permutation sums over polynomial entries blow up well before the
     # numeric size caps, so gate them tighter in symbolic mode
-    perm_cap, formal_cap = (5, 5) if args.mode == "symbolic" else (8, 7)
+    if args.mode == "symbolic":
+        perm_cap, formal_cap = 5, 5
+    else:
+        perm_cap, formal_cap = PERM_SUM_CAP, TAU_DET_CAP
     if n <= perm_cap:
         methods += ["perm", "block-perm"]
     if n <= formal_cap:
         methods.append("trace-formal")
-    stacks = 1
-    for a in range(lap.quiver.p):
-        stacks *= max(1, lap.quiver.outdeg(a)) ** lap.ranks[a]
-    if stacks * math.factorial(n) <= (args.budget or term_budget()):
+    if stack_cost(lap) <= (args.budget or DEFAULT_TERM_BUDGET):
         methods.append("vector-fields")
     if prime_finiteness(lap.quiver).finite:
         methods.append("euler-finite")
@@ -486,7 +487,7 @@ def _add_common(sp):
     sp.add_argument("--max-edges", type=int, default=None)
     sp.add_argument("--max-rank", type=int, default=None)
     sp.add_argument("--budget", type=int, default=None,
-                    help="term budget override (env HOLODET_BUDGET)")
+                    help=f"term budget of the stack sums (default {DEFAULT_TERM_BUDGET})")
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--kappa", help="per-vertex shift list, e.g. 1.0 or 1,0.5,2")
     sp.add_argument("--timing", action="store_true",

@@ -22,6 +22,10 @@ from .walks import (
 )
 
 CAUCHY_BINET_CAP = 6
+# the dense Laplacian has n^2 entries and the oracle's elimination costs
+# n^3 ring operations, which at n = 512 is already far beyond any route's
+# reach in pure Python; larger documents are refused before allocating
+LAPLACIAN_SIZE_CAP = 512
 
 
 @dataclass
@@ -48,6 +52,10 @@ def build_laplacian(quiver, rep, weights):
     if bad:
         raise ValidationError(bad)
     ranks = tuple(rep.ranks)
+    if sum(ranks) > LAPLACIAN_SIZE_CAP:
+        raise MethodRefusal(
+            f"Laplacian size capped at n<={LAPLACIAN_SIZE_CAP}, got {sum(ranks)}"
+        )
     z = vertex_z(quiver, weights)
     offsets = [0]
     for r in ranks:

@@ -351,6 +351,9 @@ class BlockMatrix:
             self._blocks[key] = got
         return got
 
+    def is_zero_block(self, a, b):
+        return all(x == 0 for x in self.block(a, b).data)
+
 
 def block_product(bm, seq):
     """Product of blocks along a closed sequence of block indices."""

@@ -78,14 +78,14 @@ def validate(quiver, rep, weights):
     if quiver.p < 1:
         bad.append("quiver has no vertices")
     seen = set()
+    in_range = lambda e: 0 <= e.src < quiver.p and 0 <= e.tgt < quiver.p
     for e in quiver.edges:
         if e.id in seen:
             bad.append(f"duplicate edge id '{e.id}'")
         seen.add(e.id)
-        if not (0 <= e.src < quiver.p) or not (0 <= e.tgt < quiver.p):
+        if not in_range(e):
             bad.append(f"edge '{e.id}' endpoint out of range")
-            continue
-        if e.src == e.tgt:
+        elif e.src == e.tgt:
             bad.append(f"edge '{e.id}' is a self-loop")
     if len(rep.ranks) != quiver.p:
         bad.append(f"expected {quiver.p} ranks, got {len(rep.ranks)}")
@@ -97,7 +97,7 @@ def validate(quiver, rep, weights):
         m = rep.matrices.get(e.id)
         if m is None:
             bad.append(f"edge '{e.id}' has no matrix")
-        elif (m.rows, m.cols) != (rep.ranks[e.src], rep.ranks[e.tgt]):
+        elif in_range(e) and (m.rows, m.cols) != (rep.ranks[e.src], rep.ranks[e.tgt]):
             bad.append(
                 f"edge '{e.id}' shape mismatch: matrix is {m.rows}x{m.cols}, "
                 f"ranks demand {rep.ranks[e.src]}x{rep.ranks[e.tgt]}"

@@ -14,7 +14,7 @@ from math import factorial
 
 from .errors import MethodRefusal
 from .linalg import Matrix
-from .walks import min_rotation, permutations_with_cycles
+from .walks import min_rotation, permutations_within, vertex_fields
 
 TAU_DET_CAP = 7
 
@@ -70,42 +70,37 @@ def word_concat(*words):
 
 def det_tau(entries, ctx):
     """Sum over permutations of sign times tau of the entry word
-    multiplied along each cycle."""
+    multiplied along each cycle; only permutations through non-None
+    entries are visited, since None is the zero word."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise MethodRefusal("tau-determinant needs a square array")
     if n > TAU_DET_CAP:
         raise MethodRefusal(f"tau-determinant capped at n<={TAU_DET_CAP}, got {n}")
+    allowed = [[j for j in range(n) if entries[i][j] is not None] for i in range(n)]
     total = 0
-    for _, cycles, sign in permutations_with_cycles(n):
+    for _, cycles, sign in permutations_within(allowed):
         term = 1
-        dead = False
         for cyc in cycles:
             word = ()
             for pos, i in enumerate(cyc):
-                j = cyc[(pos + 1) % len(cyc)]
-                word = word_concat(word, entries[i][j])
-                if word is None:
-                    dead = True
-                    break
-            if dead:
-                break
+                word = word_concat(word, entries[i][cyc[(pos + 1) % len(cyc)]])
             term = term * ctx.tau(word)
             if term == 0:
-                dead = True
                 break
-        if dead:
-            continue
-        total = total + (term if sign > 0 else -term)
+        else:
+            total = total + (term if sign > 0 else -term)
     return total
 
 
 def block_word_matrix(block_matrix):
     """The size-n array whose (i, j) entry is the single-symbol word naming
-    the block containing position (i, j)."""
+    the block containing position (i, j), or None when that block is zero."""
     n = block_matrix.n
+    bl = block_matrix.bl
     return [
-        [((block_matrix.bl(i), block_matrix.bl(j)),) for j in range(n)]
+        [None if block_matrix.is_zero_block(bl(i), bl(j)) else ((bl(i), bl(j)),)
+         for j in range(n)]
         for i in range(n)
     ]
 
@@ -153,16 +148,15 @@ def appendixA_special_check(quiver, rep, weights, N):
     entries = [[((a, b),) for b in range(m)] for a in range(m)]
     det_tau_blocks = det_tau(entries, ctx)
 
-    fields = _vertex_fields(quiver)
     corrected_rhs = 0
     field_sum = 0
-    for field_choice in fields:
+    for field_choice, cycles in vertex_fields(quiver):
         xw = 1
         for e in field_choice:
             xw = xw * weights[e.id]
         corr = 1
         plain = 1
-        for cyc in _field_cycles(quiver, field_choice):
+        for cyc in cycles:
             hol = _cycle_holonomy(rep, cyc)
             tr = hol.trace()
             corr = corr * (1 - int_div(tr, N ** len(cyc)))
@@ -190,39 +184,6 @@ def appendixA_special_check(quiver, rep, weights, N):
         corrected_agrees=same(det_tau_blocks, corrected_rhs),
         corollary_agrees=same(scaled_det, field_sum),
     )
-
-
-def _vertex_fields(quiver):
-    """All assignments of one outgoing edge to every vertex; empty if some
-    vertex has no outgoing edge."""
-    import itertools
-
-    per_vertex = [quiver.out_edges(v) for v in range(quiver.p)]
-    if any(not es for es in per_vertex):
-        return []
-    return [list(choice) for choice in itertools.product(*per_vertex)]
-
-
-def _field_cycles(quiver, field_choice):
-    """Limit cycles of the functional graph defined by one out-edge per
-    vertex; each cycle is the list of edges traversed."""
-    nxt = {e.src: e for e in field_choice}
-    done = set()
-    cycles = []
-    for start in range(quiver.p):
-        if start in done:
-            continue
-        path = []
-        on_path = {}
-        v = start
-        while v not in done and v not in on_path:
-            on_path[v] = len(path)
-            path.append(nxt[v])
-            v = nxt[v].tgt
-        if v in on_path:
-            cycles.append(path[on_path[v]:])
-        done.update(on_path)
-    return cycles
 
 
 def _cycle_holonomy(rep, cycle_edges):

@@ -6,42 +6,27 @@ factor, and the classical rank-one vector-field sum.
 from __future__ import annotations
 
 import itertools
-import os
-from math import factorial
+from math import factorial, prod
 
 from .errors import HolodetError, MethodRefusal
 from .ring import int_div
-from .walks import min_rotation, permutations_with_cycles
+from .walks import min_rotation, permutations_within, vertex_fields
 
 DEFAULT_TERM_BUDGET = 10_000_000
 
 
-def term_budget(default=DEFAULT_TERM_BUDGET):
-    env = os.environ.get("HOLODET_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise HolodetError(f"HOLODET_BUDGET must be an integer, got {env!r}")
-    return default
-
-
 def _slot_layout(lap):
-    ranks = lap.ranks
-    bl = []
-    for a, r in enumerate(ranks):
-        bl.extend([a] * r)
-    return tuple(bl)
+    return tuple(a for a, r in enumerate(lap.ranks) for _ in range(r))
 
 
-def _estimate_stack_cost(lap):
-    n = sum(lap.ranks)
+def stack_cost(lap):
+    """Stacks of outgoing edges times n!, the elementary terms of the stack
+    sum; 0 when some vertex has no outgoing edge, since then there is no
+    stack and the sum is 0."""
     stacks = 1
     for a in range(lap.quiver.p):
-        stacks *= max(1, lap.quiver.outdeg(a)) ** lap.ranks[a]
-        if lap.quiver.outdeg(a) == 0:
-            return 0, n
-    return stacks, n
+        stacks *= lap.quiver.outdeg(a) ** lap.ranks[a]
+    return stacks * factorial(sum(lap.ranks))
 
 
 def _hol_trace_for_slot_cycle(lap, edge_ids, memo):
@@ -56,120 +41,105 @@ def _hol_trace_for_slot_cycle(lap, edge_ids, memo):
     return got
 
 
-def _stacks(lap, bl):
-    out_ids = [tuple(e.id for e in lap.quiver.out_edges(a)) for a in range(lap.quiver.p)]
-    return itertools.product(*(out_ids[bl[i]] for i in range(len(bl))))
+def _chained_images(bl, targets):
+    """Slot i stays or moves into the block its stack edge points to."""
+    return [[i] + [j for j, b in enumerate(bl) if b == t]
+            for i, t in enumerate(targets)]
 
 
-def det_vector_fields(lap, budget=None):
-    """Sum over stacks of outgoing edges and well-chained permutations,
-    with stationary freedom counted by factorials of unmoved slots."""
-    budget = term_budget() if budget is None else budget
-    stacks_count, n = _estimate_stack_cost(lap)
-    cost = stacks_count * factorial(n)
+def _sigma_prime_images(bl, targets):
+    """Slot i moves within its own block or into its edge's target block."""
+    return [
+        [j for j, b in enumerate(bl) if b == bl[i] or b == t]
+        for i, t in enumerate(targets)
+    ]
+
+
+def _stack_sum(lap, cost, budget, images, inner):
+    """Sum over stacks xi of outgoing edges of the weight monomial times
+    inner(xi, targets, perms), divided by the block-size factorials; perms
+    are the permutations within images(bl, targets), where targets[i] is
+    the block that xi[i] points to, listed once per target vector."""
+    budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if cost > budget:
         raise MethodRefusal(
             f"stack sum needs about {cost} elementary terms, budget is {budget}"
         )
-    bl = _slot_layout(lap)
-    ranks = lap.ranks
-    tgt = {e.id: e.tgt for e in lap.quiver.edges}
-    perms = permutations_with_cycles(n)
-    memo = {}
-    total = 0
-    if stacks_count == 0:
+    if cost == 0:
         return 0
-    for xi in _stacks(lap, bl):
+    bl = _slot_layout(lap)
+    tgt = {e.id: e.tgt for e in lap.quiver.edges}
+    out_ids = [[e.id for e in lap.quiver.out_edges(a)] for a in range(lap.quiver.p)]
+    perms_by_targets = {}
+    total = 0
+    for xi in itertools.product(*(out_ids[b] for b in bl)):
         xw = 1
         for eid in xi:
             xw = xw * lap.weights[eid]
-        inner = 0
-        for perm, cycles, _sign in perms:
-            ok = True
-            for i in range(n):
-                j = perm[i]
-                if j != i and tgt[xi[i]] != bl[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            moved = [0] * lap.quiver.p
-            term = 1
-            for cyc in cycles:
-                if len(cyc) == 1:
-                    continue
-                for i in cyc:
-                    moved[bl[i]] += 1
-                tr = _hol_trace_for_slot_cycle(
-                    lap, [xi[i] for i in cyc], memo
-                )
-                term = term * -tr
-            stat = 1
-            for a, r in enumerate(ranks):
-                stat *= factorial(r - moved[a])
-            inner = inner + stat * term
-        total = total + xw * inner
-    denom = 1
-    for r in ranks:
-        denom *= factorial(r)
-    return int_div(total, denom)
+        targets = tuple(tgt[eid] for eid in xi)
+        perms = perms_by_targets.get(targets)
+        if perms is None:
+            perms = list(permutations_within(images(bl, targets)))
+            perms_by_targets[targets] = perms
+        total = total + xw * inner(xi, targets, perms)
+    return int_div(total, prod(map(factorial, lap.ranks)))
 
 
-def _sigma_prime_inner(lap, xi, bl, tgt, perms, memo):
-    """Permutations whose cycles are each either stationary within one
-    block or step blocks at every move; moving cycles contribute traces,
-    stationary cycles contribute nothing."""
-    n = len(bl)
+def _cycle_weight(lap, xi, memo):
+    """-Tr of the holonomy along the stack edges of a moved slot cycle."""
+    return lambda cyc: -_hol_trace_for_slot_cycle(lap, [xi[i] for i in cyc], memo)
+
+
+def _chained_inner(perms, bl, ranks, weight):
+    """Sum over well-chained sigma of the factorials of unmoved slots per
+    block times the product of weight over the moved cycles."""
     inner = 0
-    for perm, cycles, _sign in perms:
-        ok = True
-        moving = []
+    for _perm, cycles, _sign in perms:
+        moved = [0] * len(ranks)
+        term = 1
         for cyc in cycles:
             if len(cyc) == 1:
                 continue
-            blocks = {bl[i] for i in cyc}
-            if len(blocks) == 1:
-                continue  # stationary cycle of length >= 2
-            kin = all(tgt[xi[i]] == bl[perm[i]] for i in cyc)
-            if not kin:
-                ok = False
-                break
-            moving.append(cyc)
-        if not ok:
+            for i in cyc:
+                moved[bl[i]] += 1
+            term = term * weight(cyc)
+        stat = 1
+        for a, r in enumerate(ranks):
+            stat *= factorial(r - moved[a])
+        inner = inner + stat * term
+    return inner
+
+
+def _sigma_prime_inner(perms, bl, targets, weight):
+    """Permutations whose cycles are each either stationary within one
+    block or step into the target block at every move; moving cycles
+    contribute their weight, stationary cycles contribute nothing."""
+    inner = 0
+    for perm, cycles, _sign in perms:
+        moving = [cyc for cyc in cycles if len({bl[i] for i in cyc}) > 1]
+        if any(targets[i] != bl[perm[i]] for cyc in moving for i in cyc):
             continue
         term = 1
         for cyc in moving:
-            tr = _hol_trace_for_slot_cycle(lap, [xi[i] for i in cyc], memo)
-            term = term * -tr
+            term = term * weight(cyc)
         inner = inner + term
     return inner
 
 
-def _beta_inner(lap, xi, bl, tgt, perms, memo, blocks_slots):
+def _beta_inner(perms, weight, blocks_slots):
     """Sum over block-preserving permutations beta and well-chained sigma
     whose support beta fixes pointwise."""
-    n = len(bl)
     sigmas = []
     for perm, cycles, _sign in perms:
-        ok = True
-        for i in range(n):
-            j = perm[i]
-            if j != i and tgt[xi[i]] != bl[j]:
-                ok = False
-                break
-        if not ok:
-            continue
-        support = frozenset(i for i in range(n) if perm[i] != i)
+        support = frozenset(i for i, j in enumerate(perm) if i != j)
         term = 1
         for cyc in cycles:
-            if len(cyc) == 1:
-                continue
-            tr = _hol_trace_for_slot_cycle(lap, [xi[i] for i in cyc], memo)
-            term = term * -tr
+            if len(cyc) > 1:
+                term = term * weight(cyc)
         sigmas.append((support, term))
 
     inner = 0
-    for beta in itertools.product(*(itertools.permutations(slots) for slots in blocks_slots)):
+    for beta in itertools.product(*map(itertools.permutations, blocks_slots)):
         fixed = set()
         for slots, image in zip(blocks_slots, beta):
             for s, t in zip(slots, image):
@@ -181,94 +151,59 @@ def _beta_inner(lap, xi, bl, tgt, perms, memo, blocks_slots):
     return inner
 
 
+def det_vector_fields(lap, budget=None):
+    """Sum over stacks of outgoing edges and well-chained permutations,
+    with stationary freedom counted by factorials of unmoved slots."""
+    bl = _slot_layout(lap)
+    memo = {}
+
+    def inner(xi, _targets, perms):
+        return _chained_inner(perms, bl, lap.ranks, _cycle_weight(lap, xi, memo))
+
+    return _stack_sum(lap, stack_cost(lap), budget, _chained_images, inner)
+
+
 def det_vector_fields_variant(lap, variant, budget=None):
     """Evaluate one of the two reinterpretations of the stack sum; both
     agree exactly with det_vector_fields."""
     if variant not in ("sigma_prime", "beta"):
         raise HolodetError(f"unknown variant '{variant}'")
-    budget = term_budget() if budget is None else budget
-    stacks_count, n = _estimate_stack_cost(lap)
-    block_fact = 1
-    for r in lap.ranks:
-        block_fact *= factorial(r)
-    mult = factorial(n) if variant == "sigma_prime" else factorial(n) * block_fact
-    cost = stacks_count * mult
-    if cost > budget:
-        raise MethodRefusal(
-            f"variant sum needs about {cost} elementary terms, budget is {budget}"
-        )
-    if stacks_count == 0:
-        return 0
     bl = _slot_layout(lap)
-    tgt = {e.id: e.tgt for e in lap.quiver.edges}
-    perms = permutations_with_cycles(n)
     memo = {}
-    blocks_slots = []
-    pos = 0
-    for r in lap.ranks:
-        blocks_slots.append(tuple(range(pos, pos + r)))
-        pos += r
-    total = 0
-    for xi in _stacks(lap, bl):
-        xw = 1
-        for eid in xi:
-            xw = xw * lap.weights[eid]
-        if variant == "sigma_prime":
-            inner = _sigma_prime_inner(lap, xi, bl, tgt, perms, memo)
-        else:
-            inner = _beta_inner(lap, xi, bl, tgt, perms, memo, blocks_slots)
-        total = total + xw * inner
-    return int_div(total, block_fact)
+    if variant == "sigma_prime":
+        cost, images = stack_cost(lap), _sigma_prime_images
+
+        def inner(xi, targets, perms):
+            return _sigma_prime_inner(perms, bl, targets, _cycle_weight(lap, xi, memo))
+    else:
+        cost = stack_cost(lap) * prod(map(factorial, lap.ranks))
+        images = _chained_images
+        offsets = lap.block.offsets
+        blocks_slots = [range(a, b) for a, b in zip(offsets, offsets[1:])]
+
+        def inner(xi, _targets, perms):
+            return _beta_inner(perms, _cycle_weight(lap, xi, memo), blocks_slots)
+
+    return _stack_sum(lap, cost, budget, images, inner)
+
+
+def _stack_targets(lap, xi):
+    return _slot_layout(lap), tuple(lap.quiver.edge(eid).tgt for eid in xi)
 
 
 def count_sigma_prime(lap, xi):
-    """|Sigma'(xi)| by direct enumeration, for counting cross-checks."""
-    bl = _slot_layout(lap)
-    n = len(bl)
-    tgt = {e.id: e.tgt for e in lap.quiver.edges}
-    count = 0
-    for perm, cycles, _sign in permutations_with_cycles(n):
-        ok = True
-        for cyc in cycles:
-            if len(cyc) == 1:
-                continue
-            blocks = {bl[i] for i in cyc}
-            if len(blocks) == 1:
-                continue
-            if not all(tgt[xi[i]] == bl[perm[i]] for i in cyc):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    """|Sigma'(xi)|: the sigma_prime inner sum with unit cycle weight."""
+    bl, targets = _stack_targets(lap, xi)
+    perms = permutations_within(_sigma_prime_images(bl, targets))
+    return _sigma_prime_inner(perms, bl, targets, lambda cyc: 1)
 
 
 def count_sigma_weighted(lap, xi):
     """Sum over well-chained sigma of the product of factorials of unmoved
     slots per block; equals |Sigma'(xi)|."""
-    bl = _slot_layout(lap)
-    n = len(bl)
-    tgt = {e.id: e.tgt for e in lap.quiver.edges}
-    total = 0
-    for perm, cycles, _sign in permutations_with_cycles(n):
-        ok = True
-        for i in range(n):
-            j = perm[i]
-            if j != i and tgt[xi[i]] != bl[j]:
-                ok = False
-                break
-        if not ok:
-            continue
-        moved = [0] * lap.quiver.p
-        for cyc in cycles:
-            if len(cyc) > 1:
-                for i in cyc:
-                    moved[bl[i]] += 1
-        stat = 1
-        for a, r in enumerate(lap.ranks):
-            stat *= factorial(r - moved[a])
-        total += stat
-    return total
+    bl, targets = _stack_targets(lap, xi)
+    perms = permutations_within(_chained_images(bl, targets))
+    return _chained_inner(perms, bl, lap.ranks, lambda cyc: 1)
 
 
 def det_forman_classic(lap):
@@ -277,33 +212,16 @@ def det_forman_classic(lap):
     the limit cycles of the assignment."""
     if any(r != 1 for r in lap.ranks):
         raise MethodRefusal("classical vector-field sum requires all ranks 1")
-    quiver = lap.quiver
-    per_vertex = [quiver.out_edges(v) for v in range(quiver.p)]
-    if any(not es for es in per_vertex):
-        return 0
     total = 0
-    for choice in itertools.product(*per_vertex):
+    for choice, cycles in vertex_fields(lap.quiver):
         xw = 1
         for e in choice:
             xw = xw * lap.weights[e.id]
-        nxt = {e.src: e for e in choice}
-        done = set()
         factor = 1
-        for start in range(quiver.p):
-            if start in done:
-                continue
-            path = []
-            on_path = {}
-            v = start
-            while v not in done and v not in on_path:
-                on_path[v] = len(path)
-                path.append(nxt[v])
-                v = nxt[v].tgt
-            if v in on_path:
-                hol = 1
-                for e in path[on_path[v]:]:
-                    hol = hol * lap.rep.matrices[e.id].at(0, 0)
-                factor = factor * (1 - hol)
-            done.update(on_path)
+        for cyc in cycles:
+            hol = 1
+            for e in cyc:
+                hol = hol * lap.rep.matrices[e.id].at(0, 0)
+            factor = factor * (1 - hol)
         total = total + xw * factor
     return total

@@ -1,4 +1,5 @@
-"""Cyclic walks, cycles on a quiver, their multisets, powers and primes.
+"""Cyclic walks, cycles on a quiver, their multisets, powers and primes,
+and the permutations and vertex fields that the determinant routes sum over.
 
 Canonical form everywhere is the lexicographically minimal rotation; the
 valuation of a walk is the order of its rotation stabiliser.  Multiset
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 from .errors import HolodetError
@@ -505,24 +505,93 @@ def prime_finiteness(quiver):
     return PrimeFiniteness(True, tuple(cycles))
 
 
-@lru_cache(maxsize=None)
-def permutations_with_cycles(n):
-    """All permutations of range(n) with their full cycle decompositions
-    (fixed points included as length-1 cycles) and signs."""
-    out = []
-    for perm in itertools.permutations(range(n)):
-        seen = [False] * n
+def vertex_fields(quiver):
+    """Every choice of one outgoing edge per vertex (a tuple indexed by
+    vertex), with the limit cycles of its functional graph as edge lists;
+    nothing when some vertex has no outgoing edge."""
+    for choice in itertools.product(*(quiver.out_edges(v) for v in range(quiver.p))):
+        done = set()
         cycles = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            cyc = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = perm[j]
-            cycles.append(tuple(cyc))
-        sign = (-1) ** (n - len(cycles))
-        out.append((perm, tuple(cycles), sign))
-    return tuple(out)
+        for start in range(quiver.p):
+            path = []
+            on_path = {}
+            v = start
+            while v not in done and v not in on_path:
+                on_path[v] = len(path)
+                path.append(choice[v])
+                v = choice[v].tgt
+            if v in on_path:
+                cycles.append(path[on_path[v]:])
+            done.update(on_path)
+        yield choice, cycles
+
+
+def _cycles_of(perm):
+    """perm, its cycles and its sign; fixed points count as cycles, and
+    each cycle starts at its least slot, in increasing order of that slot."""
+    n = len(perm)
+    seen = [False] * n
+    cycles = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        cyc = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j)
+            j = perm[j]
+        cycles.append(tuple(cyc))
+    return perm, tuple(cycles), (-1) ** (n - len(cycles))
+
+
+def permutations_within(allowed):
+    """Every permutation perm of range(n) with perm[i] in allowed[i] for
+    each slot i, in lexicographic order, as (perm, cycles, sign); fixed
+    points count as cycles, and each cycle starts at its least slot, in
+    increasing order of that slot.  Slots are filled in order by
+    backtracking over their unused allowed images, so no other permutation
+    is visited."""
+    n = len(allowed)
+    if n == 0:
+        yield _cycles_of(())
+        return
+    options = [sorted(set(a)) for a in allowed]
+    perm = [0] * n
+    free = [True] * n
+    stack = [iter(options[0])]
+    while stack:
+        i = len(stack) - 1
+        for j in stack[-1]:
+            if free[j]:
+                break
+        else:
+            stack.pop()
+            if i:
+                free[perm[i - 1]] = True
+            continue
+        perm[i] = j
+        if i + 1 == n:
+            yield _cycles_of(tuple(perm))
+        else:
+            free[j] = False
+            stack.append(iter(options[i + 1]))
+
+
+def cycle_types(n):
+    """Each cycle type of the permutations of range(n), as a nonincreasing
+    tuple of cycle lengths, with its sign times its class size n!/z."""
+
+    def parts(rest, largest):
+        if not rest:
+            yield ()
+        for k in range(min(rest, largest), 0, -1):
+            for tail in parts(rest - k, k):
+                yield (k,) + tail
+
+    for lam in parts(n, n):
+        z = 1
+        for k in set(lam):
+            m = lam.count(k)
+            z *= k ** m * factorial(m)
+        yield lam, (-1) ** (n - len(lam)) * (factorial(n) // z)

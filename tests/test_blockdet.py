@@ -52,6 +52,9 @@ def test_det_perm_traces_matches_oracle():
         n = rng.randint(1, 4)
         m = Matrix(n, n, [gauss_rat(rng) for _ in range(n * n)])
         assert det_perm_traces(m) == det_oracle(m)
+    for n in (7, 8):
+        m = Matrix(n, n, [gauss_rat(rng) for _ in range(n * n)])
+        assert det_perm_traces(m) == det_oracle(m)
 
 
 def test_det_perm_traces_size_refusal():
@@ -66,6 +69,19 @@ def test_det_block_perm_extreme_partitions():
     assert det_block_perm(BlockMatrix(m, (4,))) == d       # one block
     assert det_block_perm(BlockMatrix(m, (1, 1, 1, 1))) == d  # all scalar
     assert det_block_perm(BlockMatrix(m, (2, 2))) == d
+    # zero blocks (0, 2) and (1, 1): permutations through them are skipped
+    part = (1, 2, 1)
+    sparse = BlockMatrix(m, part)
+    rows = m.to_rows()
+    for i in range(4):
+        for j in range(4):
+            if (sparse.bl(i), sparse.bl(j)) in ((0, 2), (1, 1)):
+                rows[i][j] = Fraction(0)
+    sparse = BlockMatrix(Matrix.from_rows(rows), part)
+    d = det_oracle(sparse.base)
+    assert d != 0
+    assert det_block_perm(sparse) == d
+    assert det_trace_formal(sparse) == d
 
 
 def test_det_trace_formal_matches_oracle():

@@ -166,6 +166,15 @@ def test_malformed_instance_exit_2(tmp_path, capsys, break_doc):
     assert json.loads(err)["error"]["type"] == "validation"
 
 
+def test_oversized_instance_refused_before_building(tmp_path, capsys):
+    # a dense Laplacian of this size would need 10^10 entries
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"p": 1, "ranks": [100000], "edges": []}))
+    code, _, err = run_cli(["det", "--input", str(path)], capsys)
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "refusal"
+
+
 def test_unreadable_input_and_bad_kappa_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(TWO_CYCLE_DOC)[:-5])
@@ -378,18 +387,10 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "x1*x2 - x1*x2*u*v"
 
 
-def test_budget_flag_and_env_refusal(capsys, monkeypatch):
+def test_budget_flag_refusal(capsys):
     code, out, err = run_cli(
         ["det", "--example", "two_cycle", "--mode", "symbolic",
          "--method", "vector-fields", "--budget", "1"],
         capsys,
     )
     assert code == 3
-    monkeypatch.setenv("HOLODET_BUDGET", "1")
-    code, out, err = run_cli(
-        ["det", "--example", "two_cycle", "--mode", "symbolic",
-         "--method", "vector-fields"],
-        capsys,
-    )
-    assert code == 3
-    monkeypatch.delenv("HOLODET_BUDGET")

@@ -40,6 +40,12 @@ def test_validate_shape_mismatch():
     assert any("shape mismatch" in b for b in bad)
 
 
+def test_validate_endpoint_out_of_range_is_reported():
+    q = Quiver(2, [Edge("e", 0, 5)])
+    rep = Representation((1, 1), {"e": Matrix(1, 1, [1])})
+    assert validate(q, rep, {"e": 1}) == ["edge 'e' endpoint out of range"]
+
+
 def test_validate_missing_weight_and_matrix():
     q = Quiver(2, [Edge("e", 0, 1)])
     rep = Representation((1, 1), {})

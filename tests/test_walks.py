@@ -12,11 +12,14 @@ from holodet.walks import (
     GCycle,
     candidate_walks,
     closed_edge_walks,
+    cycle_types,
     enumerate_gcycle_multisets,
     enumerate_walk_multisets,
     min_rotation,
+    permutations_within,
     prime_cycles,
     prime_finiteness,
+    vertex_fields,
 )
 
 
@@ -272,3 +275,52 @@ def test_module_level_valuation_and_power():
     c = GCycle.from_quiver(q, ("e", "g"))
     assert valuation(power(c, 2)) == 2
     assert power(c, 2).prime_root() == c
+
+
+def _cycles_and_sign(perm):
+    cycles, seen = [], set()
+    for i in range(len(perm)):
+        if i not in seen:
+            cyc = [i]
+            while perm[cyc[-1]] != i:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+                     if perm[i] > perm[j])
+    return tuple(cycles), (-1) ** inversions
+
+
+def test_permutations_within_matches_filtered_brute_force():
+    rng = random.Random(401)
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        density = rng.random()
+        allowed = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+        want = [
+            (perm,) + _cycles_and_sign(perm)
+            for perm in itertools.permutations(range(n))
+            if all(perm[i] in allowed[i] for i in range(n))
+        ]
+        assert list(permutations_within(allowed)) == want
+
+
+def test_cycle_types_are_conjugacy_classes():
+    for n in range(1, 7):
+        counts = {}
+        for perm in itertools.permutations(range(n)):
+            cycles, sign = _cycles_and_sign(perm)
+            lam = tuple(sorted((len(c) for c in cycles), reverse=True))
+            counts[lam] = counts.get(lam, 0) + sign
+        assert dict(cycle_types(n)) == counts
+    assert len(list(cycle_types(8))) == 22
+
+
+def test_vertex_fields_limit_cycles():
+    # 0 -> 1 <-> 2, with a second choice 0 -> 2; a limit cycle is listed
+    # from the vertex where the walk from the least unvisited vertex enters it
+    q = Quiver(3, [Edge("a", 0, 1), Edge("b", 0, 2), Edge("c", 1, 2), Edge("d", 2, 1)])
+    got = [([e.id for e in choice], [[e.id for e in cyc] for cyc in cycles])
+           for choice, cycles in vertex_fields(q)]
+    assert got == [(["a", "c", "d"], [["c", "d"]]), (["b", "c", "d"], [["d", "c"]])]
+    assert list(vertex_fields(Quiver(2, [Edge("e", 0, 1)]))) == []
