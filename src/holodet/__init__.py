@@ -4,7 +4,7 @@ exactly, symbolically, and in floating point."""
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
 from .ring import GaussianRational, Poly, Symbols, int_div, poly_eval
-from .linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle, walk_trace
+from .linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle, product_traces
 from .walks import (
     CycleMultiset,
     CyclicWalk,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
-from .linalg import BlockMatrix, Matrix, block_product, det_oracle, walk_trace
+from .linalg import BlockMatrix, Matrix, block_walk_traces, det_oracle
 from .ring import Poly, int_div, is_exact, to_complex, z_power
 from .walks import (
     candidate_walks,
@@ -105,16 +105,7 @@ def det_block_perm(bm):
     n = bm.n
     if n > PERM_SUM_CAP:
         raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
-    memo = {}
-
-    def wtrace(block_seq):
-        key = min_rotation(block_seq)
-        got = memo.get(key)
-        if got is None:
-            got = block_product(bm, key).trace()
-            memo[key] = got
-        return got
-
+    trace = block_walk_traces(bm)
     allowed = [
         [j for j in range(n) if not bm.is_zero_block(bm.bl(i), bm.bl(j))]
         for i in range(n)
@@ -123,7 +114,7 @@ def det_block_perm(bm):
     for _, cycles, sign in permutations_within(allowed):
         term = 1
         for cyc in cycles:
-            term = term * wtrace(tuple(bm.bl(i) for i in cyc))
+            term = term * trace(min_rotation(tuple(bm.bl(i) for i in cyc)))
             if term == 0:
                 break
         total = total + (term if sign > 0 else -term)
@@ -139,15 +130,15 @@ def det_trace_formal(bm):
     return int_div(value, prod(map(factorial, bm.part)))
 
 
-def _walk_factor(sd, walk):
-    """(-1)^(len-1) W / val for one cyclic walk, fraction-free inputs kept
-    exact by integer division."""
-    sign = 1 if len(walk.seq) % 2 else -1
-    return int_div(sign * walk_trace(sd.block, walk.seq), walk.valuation)
-
-
 def _walk_series(sd):
-    factor = lambda w: _walk_factor(sd, w)
+    """visit_exponential of the walk factors (-1)^(len-1) W / val, kept
+    exact by integer division."""
+    trace = block_walk_traces(sd.block)
+
+    def factor(walk):
+        sign = 1 if len(walk.seq) % 2 else -1
+        return int_div(sign * trace(walk.seq), walk.valuation)
+
     return visit_exponential(candidate_walks(sd.p, sd.part), sd.p, sd.part, factor)
 
 
@@ -166,7 +157,7 @@ def det_scalar_diag_integral(sd):
     nfact = 1
     for na in part:
         nfact *= factorial(na)
-    memo = {}
+    trace = block_walk_traces(sd.block)
     total = 0
     for ms in enumerate_walk_multisets(p, part):
         denom = ms.multiplicity_factorial() * ms.valuation_product()
@@ -178,8 +169,7 @@ def det_scalar_diag_integral(sd):
         visits = ms.visits(p)
         term = z_power(sd.z, tuple(n - v for n, v in zip(part, visits)))
         for walk, mult in ms:
-            w = walk_trace(sd.block, walk.seq)
-            f = (1 if len(walk.seq) % 2 else -1) * w
+            f = (1 if len(walk.seq) % 2 else -1) * trace(walk.seq)
             for _ in range(mult):
                 term = term * f
         total = total + coeff * term

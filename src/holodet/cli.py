@@ -16,8 +16,8 @@ import time
 from fractions import Fraction
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
-from .linalg import Matrix, charpoly_oracle, det_oracle
-from .ring import Poly, Symbols, scalar_str, scalars_close, to_complex
+from .linalg import Matrix, charpoly_oracle, det_oracle, product_traces
+from .ring import FLOAT_ABS_TOL, Poly, Symbols, scalar_str, scalars_close, to_complex
 from .quiver import (
     Representation,
     gen_example,
@@ -31,7 +31,6 @@ from .laplacian import (
     build_laplacian,
     charpoly_laplacian,
     det_laplacian_cycles,
-    hol_trace,
     multiset_weight,
     wilson_moment,
 )
@@ -236,11 +235,22 @@ def _applicable_methods(lap, args):
         methods += ["perm", "block-perm"]
     if n <= formal_cap:
         methods.append("trace-formal")
-    if stack_cost(lap) <= (args.budget or DEFAULT_TERM_BUDGET):
+    budget = DEFAULT_TERM_BUDGET if args.budget is None else args.budget
+    if stack_cost(lap) <= budget:
         methods.append("vector-fields")
     if prime_finiteness(lap.quiver).finite:
         methods.append("euler-finite")
     return methods
+
+
+def _hadamard_bound(m):
+    """Hadamard's bound on |det m| in its mean form, (|m|_F^2 / n)^(n/2): at
+    least the product of the row 2-norms, and nonzero unless m is zero."""
+    rms = math.sqrt(sum(abs(to_complex(x)) ** 2 for x in m.data) / m.rows)
+    bound = 1.0
+    for _ in range(m.rows):
+        bound *= rms
+    return bound
 
 
 def cmd_compare(args):
@@ -267,6 +277,12 @@ def cmd_compare(args):
     agree = True
     max_disc = 0.0
     exact_mode = args.mode != "float"
+    # perm's roundoff grows with the size of its terms, which the Hadamard
+    # bound measures; on an exactly singular L that roundoff is all there
+    # is, and a sink's zero row would make the plain row product 0
+    abs_tol = FLOAT_ABS_TOL
+    if not exact_mode:
+        abs_tol *= max(1.0, _hadamard_bound(lap.matrix))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             a, b = values[i][1], values[j][1]
@@ -277,7 +293,7 @@ def cmd_compare(args):
             else:
                 d = abs(to_complex(a) - to_complex(b))
                 max_disc = max(max_disc, d)
-                if not scalars_close(a, b):
+                if not scalars_close(a, b, abs_=abs_tol):
                     agree = False
     payload = {
         "command": "compare",
@@ -395,6 +411,7 @@ def _moments_monte_carlo(args, q, rep, w):
         if ranks[e.src] != ranks[e.tgt]:
             raise MethodRefusal("Monte Carlo sampling needs equal ranks per edge")
     multisets = list(enumerate_gcycle_multisets(q, tuple(ranks)))
+    cycle_edges = {cyc.edges for ms in multisets for cyc, _ in ms}
     z = vertex_z(q, w)
     weights_by_ms = [to_complex(multiset_weight(ms, z, ranks, w)) for ms in multisets]
     tuples = list(itertools.product(range(len(multisets)), repeat=args.k))
@@ -409,11 +426,8 @@ def _moments_monte_carlo(args, q, rep, w):
         lap = build_laplacian(q, sample_rep, w)
         detv = det_oracle(lap.matrix.to_complex())
         lhs_samples.append(detv ** args.k)
-        traces = {}
-        for ms in multisets:
-            for cyc, _m in ms:
-                if cyc.edges not in traces:
-                    traces[cyc.edges] = to_complex(hol_trace(sample_rep, cyc))
+        trace = product_traces(mats.__getitem__)
+        traces = {edges: to_complex(trace(edges)) for edges in cycle_edges}
         acc = 0.0 + 0.0j
         for tup in tuples:
             tprod = 1.0 + 0.0j

@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import HolodetError, MethodRefusal, ValidationError
-from .linalg import BlockMatrix, Matrix, det_oracle
+from .linalg import BlockMatrix, Matrix, det_oracle, product_traces
 from .quiver import validate, vertex_z
 from .ring import int_div, z_power
 from .walks import (
@@ -95,16 +95,15 @@ def weight_product(weights, gcycle):
     return acc
 
 
-def _cycle_factor(lap, gcycle):
-    """-(x^e(c) Tr hol(c)) / val(c) for one cycle on the quiver."""
-    term = -(weight_product(lap.weights, gcycle) * hol_trace(lap.rep, gcycle))
-    return int_div(term, gcycle.valuation)
-
-
 def _cycle_series(lap, cycles=None):
+    """visit_exponential of the cycle factors -(x^e(c) Tr hol(c)) / val(c)."""
     if cycles is None:
         cycles = candidate_gcycles(lap.quiver, lap.ranks)
-    factor = lambda c: _cycle_factor(lap, c)
+    trace = product_traces(lap.rep.matrices.__getitem__)
+
+    def factor(c):
+        return int_div(-(weight_product(lap.weights, c) * trace(c.edges)), c.valuation)
+
     return visit_exponential(cycles, lap.quiver.p, lap.ranks, factor)
 
 
@@ -181,14 +180,11 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
     z = vertex_z(quiver, weights)
     multisets = list(enumerate_gcycle_multisets(quiver, tuple(ranks)))
 
+    cycle_edges = {cyc.edges for ms in multisets for cyc, _ in ms}
     trace_cache = []
     for prob, rep in outcomes:
-        per = {}
-        for ms in multisets:
-            for cyc, _ in ms:
-                if cyc.edges not in per:
-                    per[cyc.edges] = hol_trace(rep, cyc)
-        trace_cache.append(per)
+        trace = product_traces(rep.matrices.__getitem__)
+        trace_cache.append({edges: trace(edges) for edges in cycle_edges})
 
     weights_by_ms = [multiset_weight(ms, z, ranks, weights) for ms in multisets]
 

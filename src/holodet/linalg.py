@@ -355,16 +355,56 @@ class BlockMatrix:
         return all(x == 0 for x in self.block(a, b).data)
 
 
-def block_product(bm, seq):
-    """Product of blocks along a closed sequence of block indices."""
-    k = len(seq)
-    prod = bm.block(seq[0], seq[1 % k])
-    for i in range(1, k):
-        prod = prod * bm.block(seq[i], seq[(i + 1) % k])
-    return prod
+def product_traces(factor):
+    """trace(seq): the trace of factor(seq[0]) * ... * factor(seq[-1]) for
+    a closed key sequence, multiplied left to right.
+
+    Every proper-prefix product is kept, keyed by its prefix, so sequences
+    that share a prefix share its products; every trace is kept by its
+    sequence.  The last factor is never multiplied in: each diagonal entry
+    of prefix x last is summed in Matrix.__mul__'s order and the entries in
+    trace()'s, so the value equals the full product's trace() exactly,
+    floats included."""
+    prods = {}
+    traces = {}
+
+    def prefix(head):
+        got = prods.get(head)
+        if got is None:
+            got = factor(head[-1])
+            if len(head) > 1:
+                got = prefix(head[:-1]) * got
+            prods[head] = got
+        return got
+
+    def trace(seq):
+        got = traces.get(seq)
+        if got is None:
+            last = factor(seq[-1])
+            if len(seq) == 1:
+                got = last.trace()
+            else:
+                head = prefix(seq[:-1])
+                n, k = head.rows, head.cols
+                if k != last.rows or n != last.cols:
+                    raise ValueError(
+                        f"{n}x{k} times {last.rows}x{last.cols} has no trace"
+                    )
+                a, b = head.data, last.data
+                got = 0
+                for i in range(n):
+                    acc = 0
+                    for t in range(k):
+                        acc = acc + a[i * k + t] * b[t * n + i]
+                    got = got + acc
+            traces[seq] = got
+        return got
+
+    return trace
 
 
-def walk_trace(bm, walk):
-    """Trace of the block product along a cyclic walk; base-point free."""
-    seq = walk.seq if hasattr(walk, "seq") else tuple(walk)
-    return block_product(bm, seq).trace()
+def block_walk_traces(bm):
+    """trace(seq): the trace of the block product along a closed sequence
+    of block indices, (s0, s1) (s1, s2) ... (s_last, s0); base-point free."""
+    trace = product_traces(lambda ab: bm.block(*ab))
+    return lambda seq: trace(tuple(zip(seq, seq[1:] + seq[:1])))

@@ -68,6 +68,13 @@ class GaussianRational:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
+    @classmethod
+    def _of(cls, re, im):
+        """From two Fractions, stored as they are."""
+        out = object.__new__(cls)
+        out.re, out.im = re, im
+        return out
+
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
             return other
@@ -79,7 +86,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational._of(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -87,22 +94,22 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return GaussianRational._of(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return GaussianRational._of(o.re - self.re, o.im - self.im)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self.re, -self.im)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
+        return GaussianRational._of(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 

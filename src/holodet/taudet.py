@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .errors import MethodRefusal
-from .linalg import Matrix
+from .linalg import product_traces
 from .walks import min_rotation, permutations_within, vertex_fields
 
 TAU_DET_CAP = 7
@@ -27,6 +27,9 @@ class TauContext:
     tau_one: object = None  # declared value of tau on the empty word
     _memo: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._trace = product_traces(self.blocks.__getitem__)
+
     def tau(self, word):
         if word is None:
             return 0
@@ -35,28 +38,14 @@ class TauContext:
                 raise MethodRefusal("tau of the empty word is not declared")
             return self.tau_one
         key = min_rotation(word)
-        if key in self._memo:
-            return self._memo[key]
-        mats = []
-        for pair in key:
-            m = self.blocks.get(pair)
-            if m is None:
-                self._memo[key] = 0
-                return 0
-            mats.append(m)
-        prod = mats[0]
-        ok = True
-        for m in mats[1:]:
-            if prod.cols != m.rows:
-                ok = False
-                break
-            prod = prod * m
-        if not ok or prod.rows != prod.cols:
-            val = 0
-        else:
-            val = prod.trace()
-        self._memo[key] = val
-        return val
+        got = self._memo.get(key)
+        if got is None:
+            mats = [self.blocks.get(pair) for pair in key]
+            chained = all(m is not None for m in mats) and all(
+                a.cols == b.rows for a, b in zip(mats, mats[1:] + mats[:1])
+            )
+            got = self._memo[key] = self._trace(key) if chained else 0
+        return got
 
 
 def word_concat(*words):
@@ -148,6 +137,7 @@ def appendixA_special_check(quiver, rep, weights, N):
     entries = [[((a, b),) for b in range(m)] for a in range(m)]
     det_tau_blocks = det_tau(entries, ctx)
 
+    trace = product_traces(rep.matrices.__getitem__)
     corrected_rhs = 0
     field_sum = 0
     for field_choice, cycles in vertex_fields(quiver):
@@ -157,8 +147,7 @@ def appendixA_special_check(quiver, rep, weights, N):
         corr = 1
         plain = 1
         for cyc in cycles:
-            hol = _cycle_holonomy(rep, cyc)
-            tr = hol.trace()
+            tr = trace(tuple(e.id for e in cyc))
             corr = corr * (1 - int_div(tr, N ** len(cyc)))
             plain = plain * (1 - tr)
         corrected_rhs = corrected_rhs + xw * corr
@@ -184,10 +173,3 @@ def appendixA_special_check(quiver, rep, weights, N):
         corrected_agrees=same(det_tau_blocks, corrected_rhs),
         corollary_agrees=same(scaled_det, field_sum),
     )
-
-
-def _cycle_holonomy(rep, cycle_edges):
-    prod = rep.matrices[cycle_edges[0].id]
-    for e in cycle_edges[1:]:
-        prod = prod * rep.matrices[e.id]
-    return prod

@@ -9,6 +9,7 @@ import itertools
 from math import factorial, prod
 
 from .errors import HolodetError, MethodRefusal
+from .linalg import product_traces
 from .ring import int_div
 from .walks import min_rotation, permutations_within, vertex_fields
 
@@ -27,18 +28,6 @@ def stack_cost(lap):
     for a in range(lap.quiver.p):
         stacks *= lap.quiver.outdeg(a) ** lap.ranks[a]
     return stacks * factorial(sum(lap.ranks))
-
-
-def _hol_trace_for_slot_cycle(lap, edge_ids, memo):
-    key = min_rotation(tuple(edge_ids))
-    got = memo.get(key)
-    if got is None:
-        prod = lap.rep.matrices[key[0]]
-        for eid in key[1:]:
-            prod = prod * lap.rep.matrices[eid]
-        got = prod.trace()
-        memo[key] = got
-    return got
 
 
 def _chained_images(bl, targets):
@@ -85,9 +74,9 @@ def _stack_sum(lap, cost, budget, images, inner):
     return int_div(total, prod(map(factorial, lap.ranks)))
 
 
-def _cycle_weight(lap, xi, memo):
+def _cycle_weight(xi, trace):
     """-Tr of the holonomy along the stack edges of a moved slot cycle."""
-    return lambda cyc: -_hol_trace_for_slot_cycle(lap, [xi[i] for i in cyc], memo)
+    return lambda cyc: -trace(min_rotation(tuple(xi[i] for i in cyc)))
 
 
 def _chained_inner(perms, bl, ranks, weight):
@@ -155,10 +144,10 @@ def det_vector_fields(lap, budget=None):
     """Sum over stacks of outgoing edges and well-chained permutations,
     with stationary freedom counted by factorials of unmoved slots."""
     bl = _slot_layout(lap)
-    memo = {}
+    trace = product_traces(lap.rep.matrices.__getitem__)
 
     def inner(xi, _targets, perms):
-        return _chained_inner(perms, bl, lap.ranks, _cycle_weight(lap, xi, memo))
+        return _chained_inner(perms, bl, lap.ranks, _cycle_weight(xi, trace))
 
     return _stack_sum(lap, stack_cost(lap), budget, _chained_images, inner)
 
@@ -169,12 +158,12 @@ def det_vector_fields_variant(lap, variant, budget=None):
     if variant not in ("sigma_prime", "beta"):
         raise HolodetError(f"unknown variant '{variant}'")
     bl = _slot_layout(lap)
-    memo = {}
+    trace = product_traces(lap.rep.matrices.__getitem__)
     if variant == "sigma_prime":
         cost, images = stack_cost(lap), _sigma_prime_images
 
         def inner(xi, targets, perms):
-            return _sigma_prime_inner(perms, bl, targets, _cycle_weight(lap, xi, memo))
+            return _sigma_prime_inner(perms, bl, targets, _cycle_weight(xi, trace))
     else:
         cost = stack_cost(lap) * prod(map(factorial, lap.ranks))
         images = _chained_images
@@ -182,7 +171,7 @@ def det_vector_fields_variant(lap, variant, budget=None):
         blocks_slots = [range(a, b) for a, b in zip(offsets, offsets[1:])]
 
         def inner(xi, _targets, perms):
-            return _beta_inner(perms, _cycle_weight(lap, xi, memo), blocks_slots)
+            return _beta_inner(perms, _cycle_weight(xi, trace), blocks_slots)
 
     return _stack_sum(lap, cost, budget, images, inner)
 

@@ -161,11 +161,12 @@ def test_fold_order_independence():
     # summing the expansion terms in shuffled order changes nothing (exact)
     from holodet.walks import enumerate_walk_multisets
     from holodet.ring import int_div
-    from holodet.linalg import walk_trace
+    from holodet.linalg import block_walk_traces
 
     rng = random.Random(131)
     sd = random_scalar_diag(rng, (2, 2))
     p = sd.p
+    trace = block_walk_traces(sd.block)
     terms = []
     for ms in enumerate_walk_multisets(p, sd.part):
         visits = ms.visits(p)
@@ -173,7 +174,7 @@ def test_fold_order_independence():
         for z, n_, v in zip(sd.z, sd.part, visits):
             term = term * z ** (n_ - v)
         for walk, mult in ms:
-            w = walk_trace(sd.block, walk.seq)
+            w = trace(walk.seq)
             f = int_div((1 if len(walk.seq) % 2 else -1) * w, walk.valuation)
             for _ in range(mult):
                 term = term * f

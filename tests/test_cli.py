@@ -394,3 +394,53 @@ def test_budget_flag_refusal(capsys):
         capsys,
     )
     assert code == 3
+
+
+def test_budget_zero_leaves_vector_fields_out(capsys):
+    code, out, _ = run_cli(
+        ["compare", "--example", "two_cycle", "--mode", "symbolic",
+         "--budget", "0", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    methods = [row["method"] for row in json.loads(out)["methods"]]
+    assert "vector-fields" not in methods
+    assert "cycles" in methods
+
+
+# a sink vertex makes this Laplacian exactly singular; perm's roundoff there
+# (3.7e-10) is far above 1e-12 but far below the floor scaled by its size
+SINGULAR_FLOAT = ["compare", "--example", "random", "--mode", "float", "--seed", "13",
+                  "--p", "4", "--max-edges", "6", "--max-rank", "2", "--format", "json"]
+
+
+def _scaled_float_floor():
+    from holodet.laplacian import build_laplacian
+    from holodet.ring import FLOAT_ABS_TOL, to_complex
+
+    q, rep, w = gen_example("random", seed=13, p=4, max_edges=6, max_rank=2)
+    m = build_laplacian(q, rep, w).matrix
+    mean_sq = sum(abs(to_complex(x)) ** 2 for x in m.data) / m.rows
+    return FLOAT_ABS_TOL * max(1.0, mean_sq ** (m.rows / 2))
+
+
+def test_compare_float_singular_laplacian_agrees(capsys):
+    code, out, _ = run_cli(SINGULAR_FLOAT, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    values = {row["method"]: row["value"] for row in payload["methods"]}
+    assert values["oracle"] == {"re": 0.0, "im": 0.0}
+    assert 1e-12 < payload["max_discrepancy"] < _scaled_float_floor()
+    assert payload["agree"] is True
+
+
+def test_compare_float_flags_route_past_scaled_floor(capsys, monkeypatch):
+    from holodet import cli
+
+    delta = 100 * _scaled_float_floor()
+    perm = cli.det_perm_traces
+    monkeypatch.setattr(cli, "det_perm_traces", lambda m: perm(m) + delta)
+    code, out, err = run_cli(SINGULAR_FLOAT, capsys)
+    assert code == 1
+    assert json.loads(out)["agree"] is False
+    assert json.loads(err)["error"]["type"] == "invariant"

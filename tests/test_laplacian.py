@@ -20,7 +20,7 @@ from holodet.laplacian import (
     holonomy,
     wilson_moment,
 )
-from holodet.linalg import Matrix, charpoly_oracle, det_oracle, walk_trace
+from holodet.linalg import Matrix, block_walk_traces, charpoly_oracle, det_oracle
 from holodet.quiver import Edge, Quiver, Representation, bidirected, gen_example
 from holodet.ring import Poly, Symbols, scalar_str
 from holodet.walks import closed_edge_walks
@@ -121,17 +121,67 @@ def test_cycles_match_oracle_on_random_exact_instances():
         assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
 
 
-def test_cycles_match_oracle_on_complete_digraph_p7():
-    # 5040 multisets of 2365 cycles, folded without listing one
-    rng = random.Random(71)
-    p = 7
+def _complete_digraph(rng, ranks, entry=None):
+    entry = entry or (lambda: gauss_rat(rng))
+    p = len(ranks)
     q = Quiver(p, [Edge(f"e{a}{b}", a, b) for a in range(p) for b in range(p)
                    if a != b])
-    rep = Representation((1,) * p, {e.id: Matrix(1, 1, [gauss_rat(rng)])
-                                    for e in q.edges})
+    rep = Representation(ranks, {
+        e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                     [entry() for _ in range(ranks[e.src] * ranks[e.tgt])])
+        for e in q.edges
+    })
     w = {e.id: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for e in q.edges}
-    lap = build_laplacian(q, rep, w)
+    return q, rep, w
+
+
+def test_cycles_match_oracle_on_complete_digraph_p7():
+    # 5040 multisets of 2365 cycles, folded without listing one
+    lap = build_laplacian(*_complete_digraph(random.Random(71), (1,) * 7))
     assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+
+
+def test_cycles_match_oracle_on_complete_digraph_rank2():
+    # the (4,2) grid point: 394 cycles with 2x2 Gaussian-rational holonomies
+    lap = build_laplacian(*_complete_digraph(random.Random(72), (2, 2, 2, 2)))
+    assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+
+
+def test_charpoly_laplacian_matches_oracle_on_complete_digraph():
+    lap = build_laplacian(*_complete_digraph(random.Random(73), (2, 1, 1)))
+    poly = charpoly_laplacian(lap)
+    t = Poly.variable(Symbols(("t",)), "t")
+    spec = poly.eval({f"t{a + 1}": t for a in range(3)})
+    got = [spec.terms.get((j,), 0) for j in range(5)]
+    assert got == charpoly_oracle(lap.matrix)
+
+
+def test_product_traces_equal_holonomy_traces():
+    # unequal ranks make the edge maps rectangular; candidate cycles run
+    # from length 2 up to 6 and share long prefixes
+    from holodet.linalg import product_traces
+    from holodet.walks import candidate_gcycles
+
+    rng = random.Random(74)
+    syms = Symbols(("u", "v"))
+    u, v = (Poly.variable(syms, n) for n in syms.names)
+    entries = (
+        lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        lambda: gauss_rat(rng),
+        lambda: rng.randint(-2, 2) * u + rng.randint(-1, 1) * v + rng.randint(-1, 1),
+        lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+    )
+    for entry in entries:
+        q, rep, _ = _complete_digraph(rng, (1, 2, 3), entry)
+        cycles = candidate_gcycles(q, rep.ranks)
+        assert min(map(len, cycles)) == 2 and max(map(len, cycles)) == 6
+        assert any(c.edges[:4] == d.edges[:4] for c in cycles for d in cycles
+                   if c != d and len(c) > 4)
+        trace = product_traces(rep.matrices.__getitem__)
+        for c in cycles:
+            want = holonomy(rep, c).trace()
+            assert trace(c.edges) == want
+            assert type(trace(c.edges)) is type(want)
 
 
 def test_cycles_match_oracle_float_mode():
@@ -193,7 +243,7 @@ def test_edge_level_refinement_of_walk_traces():
 
     neg_block = BlockMatrix(neg, lap.ranks)
     walk = (0, 1)
-    lhs = walk_trace(neg_block, walk)
+    lhs = block_walk_traces(neg_block)(walk)
     rhs = 0
     for cyc in closed_edge_walks(q, 2):
         if tuple(cyc.srcs) == walk:

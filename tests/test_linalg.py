@@ -9,8 +9,9 @@ from holodet.linalg import (
     BlockMatrix,
     Matrix,
     charpoly_oracle,
+    block_walk_traces,
     det_oracle,
-    walk_trace,
+    product_traces,
 )
 from holodet.ring import GaussianRational, Poly, Symbols, scalars_close
 from holodet.walks import CyclicWalk
@@ -78,13 +79,13 @@ def test_charpoly_constant_term_is_det():
 def test_walk_trace_zero_block():
     m = Matrix.from_rows([[3, 0], [5, 7]])
     bm = BlockMatrix(m, (1, 1))
-    assert walk_trace(bm, (0, 1)) == 0
+    assert block_walk_traces(bm)((0, 1)) == 0
 
 
 def test_walk_trace_scalar_blocks():
     m = Matrix.from_rows([[0, 4], [9, 0]])
     bm = BlockMatrix(m, (1, 1))
-    assert walk_trace(bm, (0, 1)) == 36
+    assert block_walk_traces(bm)((0, 1)) == 36
 
 
 def test_walk_trace_rotation_invariance():
@@ -100,10 +101,67 @@ def test_walk_trace_rotation_invariance():
             if nxt != seq[-1] and not (len(seq) == length - 1 and nxt == seq[0]):
                 seq.append(nxt)
         seq = tuple(seq)
+        trace = block_walk_traces(bm)
         for r in range(len(seq)):
             rotated = seq[r:] + seq[:r]
-            assert walk_trace(bm, rotated) == walk_trace(bm, seq)
-        assert walk_trace(bm, CyclicWalk(seq)) == walk_trace(bm, seq)
+            assert trace(rotated) == trace(seq)
+        assert trace(CyclicWalk(seq).seq) == trace(seq)
+
+
+def _left_to_right_trace(mats, seq):
+    prod = mats[seq[0]]
+    for key in seq[1:]:
+        prod = prod * mats[key]
+    return prod.trace()
+
+
+def test_product_traces_equal_full_products_exactly():
+    # chained shapes 1 -> 2 -> 3 -> 2 -> 1 and back, so most factors are
+    # rectangular; the sequences share prefixes of every length
+    rng = random.Random(41)
+    shapes = {"a": (1, 2), "b": (2, 3), "c": (3, 2), "d": (2, 1), "e": (2, 2),
+              "f": (1, 1), "g": (2, 1)}
+    seqs = [("f",), ("a", "d"), ("a", "e", "d"), ("a", "b", "c", "d"),
+            ("a", "b", "c", "e", "d"), ("a", "b", "c", "e", "e", "d"),
+            ("a", "b", "c", "g"), ("e",), ("e", "e")]
+    for entry in (lambda: gauss_rat(rng),
+                  lambda: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                  lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
+        mats = {k: Matrix(r, c, [entry() for _ in range(r * c)])
+                for k, (r, c) in shapes.items()}
+        trace = product_traces(mats.__getitem__)
+        for seq in seqs:
+            assert trace(seq) == _left_to_right_trace(mats, seq)
+            assert type(trace(seq)) is type(_left_to_right_trace(mats, seq))
+
+
+def test_product_traces_share_prefix_products():
+    mats = {k: Matrix(2, 2, [k, 1, 0, k]) for k in range(6)}
+    calls = []
+
+    def factor(key):
+        calls.append(key)
+        return mats[key]
+
+    trace = product_traces(factor)
+    trace((0, 1, 2, 3))
+    assert sorted(calls) == [0, 1, 2, 3]
+    calls.clear()
+    trace((0, 1, 2, 4))
+    assert calls == [4]
+    trace((0, 1, 5))
+    assert calls == [4, 5]
+    trace((0, 1, 5))
+    assert calls == [4, 5]
+
+
+def test_product_traces_refuse_a_product_without_trace():
+    mats = {"a": Matrix(1, 2, [1, 2]), "b": Matrix(2, 2, [1, 0, 0, 1])}
+    trace = product_traces(mats.__getitem__)
+    with pytest.raises(ValueError):
+        trace(("a", "b"))
+    with pytest.raises(ValueError):
+        trace(("b", "b", "a"))
 
 
 def test_block_matrix_partition_checks():
