@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
-from .linalg import BlockMatrix, Matrix, block_walk_traces, det_oracle
+from .linalg import BlockMatrix, Matrix, block_walk_traces, det_oracle, product_traces
 from .ring import Poly, int_div, is_exact, to_complex, z_power
 from .walks import (
     candidate_walks,
@@ -83,12 +83,9 @@ def det_perm_traces(m):
     n = m.rows
     if n > PERM_SUM_CAP:
         raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
-    powers = {}
-    acc = m
-    powers[1] = m.trace()
-    for k in range(2, n + 1):
-        acc = acc * m
-        powers[k] = acc.trace()
+    # Tr(M^k) for k = 1..n, with M^n closed as a trace and never formed
+    power_trace = product_traces(lambda _: m)
+    powers = {k: power_trace((0,) * k) for k in range(1, n + 1)}
     total = 0
     for lengths, count in cycle_types(n):
         term = 1

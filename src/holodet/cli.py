@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
-from .linalg import Matrix, charpoly_oracle, det_oracle, product_traces
+from .linalg import POLY_DET_CAP, Matrix, charpoly_oracle, det_oracle, product_traces
 from .ring import FLOAT_ABS_TOL, Poly, Symbols, scalar_str, scalars_close, to_complex
 from .quiver import (
     Representation,
@@ -72,6 +72,7 @@ def _value_text(value, mode):
 
 
 def _load(args):
+    """The validated (quiver, representation, weights) of --example or --input."""
     if args.example:
         q, rep, w = gen_example(
             args.example,
@@ -91,18 +92,14 @@ def _load(args):
                 {eid: m.to_complex() for eid, m in rep.matrices.items()},
             )
             w = {eid: complex(to_complex(x)) for eid, x in w.items()}
-        return q, rep, w
-    if not args.input:
+    elif args.input:
+        q, rep, w = load_instance(args.input, mode=args.mode)
+    else:
         raise ValidationError(["no input: pass --input FILE or --example NAME"])
-    return load_instance(args.input, mode=args.mode)
-
-
-def _build(args):
-    q, rep, w = _load(args)
     bad = validate(q, rep, w)
     if bad:
         raise ValidationError(bad)
-    return build_laplacian(q, rep, w)
+    return q, rep, w
 
 
 def _run_method(method, lap, args):
@@ -156,7 +153,7 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_det(args):
-    lap = _build(args)
+    lap = build_laplacian(*_load(args))
     start = time.perf_counter()
     value, terms = _run_method(args.method, lap, args)
     elapsed = time.perf_counter() - start
@@ -174,39 +171,32 @@ def cmd_det(args):
     return 0
 
 
-def specialize_shifts(poly, tnames, n):
-    """Substitute every per-vertex shift symbol by a single symbol t and
-    return the coefficient list of t^0 .. t^n (scalars or polynomials)."""
-    others = tuple(name for name in poly.syms.names if name not in tnames)
-    target = Symbols(("t",) + others)
-    tvar = Poly.variable(target, "t")
-    assign = {name: tvar for name in tnames}
-    for name in others:
-        assign[name] = Poly.variable(target, name)
-    spec = poly.eval(assign)
-    if not isinstance(spec, Poly):
-        spec = Poly.const(target, spec)
+def _t_coefficients(poly, t, n):
+    """The coefficients of t^0 .. t^n in poly, as polynomials over its other
+    symbols, or as scalars when t is its only one."""
+    i = poly.syms.index(t)
+    rest = Symbols(poly.syms.names[:i] + poly.syms.names[i + 1:])
     coeffs = []
     for j in range(n + 1):
-        terms = {
-            (0,) + exps[1:]: c for exps, c in spec.terms.items() if exps[0] == j
-        }
-        cj = Poly(target, terms)
-        if not others:
-            cj = cj.constant_value() if not cj.is_zero else 0
-        coeffs.append(cj)
+        terms = {e[:i] + e[i + 1:]: c for e, c in poly.terms.items() if e[i] == j}
+        cj = Poly(rest, terms)
+        coeffs.append(cj if rest else cj.constant_value())
     return coeffs
 
 
 def cmd_charpoly(args):
-    lap = _build(args)
-    n = sum(lap.ranks)
+    lap = build_laplacian(*_load(args))
     if args.mode == "float":
         coeffs = charpoly_oracle(lap.matrix.to_complex())
     else:
-        poly = charpoly_laplacian(lap)
-        tnames = tuple(f"t{a + 1}" for a in range(lap.quiver.p))
-        coeffs = specialize_shifts(poly, tnames, n)
+        # det(tI + L): one shift symbol at every vertex, named apart from
+        # the instance's indeterminates; it is never printed
+        taken = next((x.syms for x in lap.matrix.data if isinstance(x, Poly)), ())
+        t = "t"
+        while t in taken:
+            t += "'"
+        poly = charpoly_laplacian(lap, (t,) * lap.quiver.p)
+        coeffs = _t_coefficients(poly, t, sum(lap.ranks))
     payload = {
         "command": "charpoly",
         "mode": args.mode,
@@ -223,7 +213,7 @@ def cmd_charpoly(args):
 def _applicable_methods(lap, args):
     n = sum(lap.ranks)
     methods = ["oracle", "cycles"]
-    if args.mode == "symbolic" and n > 8:
+    if args.mode == "symbolic" and n > POLY_DET_CAP:
         methods.remove("oracle")
     # permutation sums over polynomial entries blow up well before the
     # numeric size caps, so gate them tighter in symbolic mode
@@ -254,7 +244,7 @@ def _hadamard_bound(m):
 
 
 def cmd_compare(args):
-    lap = _build(args)
+    lap = build_laplacian(*_load(args))
     wanted = args.methods.split(",") if args.methods else _applicable_methods(lap, args)
     rows = []
     values = []
@@ -317,9 +307,6 @@ def cmd_compare(args):
 
 def cmd_primes(args):
     q, rep, w = _load(args)
-    bad = validate(q, rep, w)
-    if bad:
-        raise ValidationError(bad)
     if args.max_len:
         cycles = prime_cycles(q, args.max_len)
         finite = None
@@ -368,9 +355,6 @@ def _sign_distribution(quiver, ranks):
 
 def cmd_moments(args):
     q, rep, w = _load(args)
-    bad = validate(q, rep, w)
-    if bad:
-        raise ValidationError(bad)
     if args.mc_samples:
         return _moments_monte_carlo(args, q, rep, w)
     if args.mode == "float":
@@ -487,7 +471,8 @@ def cmd_random(args):
     return 0
 
 
-def _add_common(sp):
+def _instance_options(sp):
+    """The instance, read by _load, and the report's mode and format."""
     sp.add_argument("--input", help="quiver instance JSON file")
     sp.add_argument(
         "--example",
@@ -496,10 +481,19 @@ def _add_common(sp):
     )
     sp.add_argument("--mode", choices=("float", "exact", "symbolic"), default="exact")
     sp.add_argument("--format", choices=("text", "json"), default="text")
+    _generator_options(sp)
+
+
+def _generator_options(sp):
+    """The random instance family's parameters."""
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--max-edges", type=int, default=None)
     sp.add_argument("--max-rank", type=int, default=None)
+
+
+def _route_options(sp):
+    """Route settings, read by det and compare."""
     sp.add_argument("--budget", type=int, default=None,
                     help=f"term budget of the stack sums (default {DEFAULT_TERM_BUDGET})")
     sp.add_argument("--tol", type=float, default=1e-9)
@@ -515,36 +509,38 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("det", help="one determinant by the chosen method")
-    _add_common(sp)
+    def command(name, func, summary, *groups):
+        sp = sub.add_parser(name, help=summary)
+        for group in groups:
+            group(sp)
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("det", cmd_det, "one determinant by the chosen method",
+                 _instance_options, _route_options)
     sp.add_argument("--method", choices=DET_METHODS, default="cycles")
-    sp.set_defaults(func=cmd_det)
 
-    sp = sub.add_parser("charpoly", help="characteristic polynomial coefficients")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_charpoly)
+    command("charpoly", cmd_charpoly, "characteristic polynomial coefficients",
+            _instance_options)
 
-    sp = sub.add_parser("compare", help="run all applicable methods and compare")
-    _add_common(sp)
+    sp = command("compare", cmd_compare, "run all applicable methods and compare",
+                 _instance_options, _route_options)
     sp.add_argument("--methods", help="comma-separated subset to run")
-    sp.set_defaults(func=cmd_compare)
 
-    sp = sub.add_parser("primes", help="prime cycles of the quiver")
-    _add_common(sp)
+    sp = command("primes", cmd_primes, "prime cycles of the quiver", _instance_options)
     sp.add_argument("--max-len", type=int, default=None)
-    sp.set_defaults(func=cmd_primes)
 
-    sp = sub.add_parser("moments", help="moment identity for random representations")
-    _add_common(sp)
+    sp = command("moments", cmd_moments, "moment identity for random representations",
+                 _instance_options)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--mc-samples", type=int, default=None)
-    sp.set_defaults(func=cmd_moments)
 
-    sp = sub.add_parser("random", help="emit a random instance as JSON")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_random)
-
+    command("random", cmd_random, "emit a random instance as JSON", _generator_options)
     return ap
+
+
+# built once: main only parses, and every call gets a fresh namespace
+PARSER = build_parser()
 
 
 def _error_json(kind, exc):
@@ -552,8 +548,7 @@ def _error_json(kind, exc):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

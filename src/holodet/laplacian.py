@@ -116,7 +116,8 @@ def det_laplacian_cycles(lap, cycles=None):
 
 
 def charpoly_laplacian(lap, t_names=None):
-    """det(T + Laplacian) as a polynomial in per-vertex shift symbols."""
+    """det(T + Laplacian) as a polynomial in per-vertex shift symbols;
+    t_names = (t,) * p gives det(tI + Laplacian)."""
     series = _cycle_series(lap)
     return shifted_visit_sum(series, lap.z, lap.ranks, lap.matrix.data, t_names)
 

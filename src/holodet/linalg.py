@@ -105,12 +105,6 @@ class Matrix:
             acc = acc + self.at(i, i)
         return acc
 
-    def transpose(self):
-        return Matrix(
-            self.cols, self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def conj_transpose(self):
         def conj(x):
             if isinstance(x, GaussianRational):

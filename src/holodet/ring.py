@@ -37,7 +37,8 @@ class Symbols:
             raise HolodetError(f"unknown symbol '{name}'") from None
 
     def extended(self, extra):
-        new = [n for n in extra if n not in self._index]
+        """This table followed by the names of extra it lacks, each once."""
+        new = dict.fromkeys(n for n in extra if n not in self._index)
         return Symbols(self.names + tuple(new))
 
     def __len__(self):
@@ -215,9 +216,6 @@ class Poly:
         if any(e != zero for e in self.terms):
             raise HolodetError("polynomial is not constant")
         return self.terms.get(zero, 0)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def _coerce(self, other):
         if isinstance(other, Poly):

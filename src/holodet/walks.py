@@ -328,7 +328,8 @@ def visit_sum(series, zs, bound):
 
 def shifted_visit_sum(series, zs, bound, entries, t_names=None):
     """visit_sum with every z_a replaced by z_a + t_a, as a polynomial in
-    fresh per-vertex shift symbols over the indeterminates of entries."""
+    fresh per-vertex shift symbols over the indeterminates of entries; a
+    name repeated in t_names is one symbol shared by those vertices."""
     p = len(zs)
     if t_names is None:
         t_names = tuple(f"t{a + 1}" for a in range(p))

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from _helpers import gauss_rat, random_invertible_exact
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.blockdet import (
+    PERM_SUM_CAP,
     ScalarDiagBlockMatrix,
     block_euler_truncated,
     charpoly_block,
@@ -17,6 +19,7 @@ from holodet.blockdet import (
 )
 from holodet.linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle
 from holodet.ring import Poly, Symbols
+from holodet.walks import cycle_types
 
 
 def random_block_matrix(rng, part):
@@ -55,6 +58,27 @@ def test_det_perm_traces_matches_oracle():
     for n in (7, 8):
         m = Matrix(n, n, [gauss_rat(rng) for _ in range(n * n)])
         assert det_perm_traces(m) == det_oracle(m)
+
+
+def test_det_perm_traces_float_bit_identical_to_repeated_products():
+    # the power traces come from the product-trace kernel, which must sum in
+    # the order of Matrix.__mul__ and then trace(), so floats agree exactly
+    rng = random.Random(7)
+    for n in range(1, PERM_SUM_CAP + 1):
+        m = Matrix(n, n, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                          for _ in range(n * n)])
+        powers = {1: m.trace()}
+        acc = m
+        for k in range(2, n + 1):
+            acc = acc * m
+            powers[k] = acc.trace()
+        total = 0
+        for lengths, count in cycle_types(n):
+            term = 1
+            for k in lengths:
+                term = term * powers[k]
+            total = total + count * term
+        assert det_perm_traces(m) == total / factorial(n)
 
 
 def test_det_perm_traces_size_refusal():

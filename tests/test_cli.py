@@ -444,3 +444,95 @@ def test_compare_float_flags_route_past_scaled_floor(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["agree"] is False
     assert json.loads(err)["error"]["type"] == "invariant"
+
+
+@pytest.mark.parametrize("name", ["t", "t1"])
+def test_charpoly_symbolic_weight_named_like_the_shift(tmp_path, capsys, name):
+    from holodet.laplacian import build_laplacian
+    from holodet.linalg import charpoly_oracle
+    from holodet.quiver import load_instance
+    from holodet.ring import scalar_str
+
+    doc = {
+        "p": 2,
+        "ranks": [1, 1],
+        "edges": [
+            {"id": "e", "src": 1, "tgt": 2, "weight": {"sym": name},
+             "matrix": [["2"]]},
+            {"id": "f", "src": 2, "tgt": 1, "weight": {"sym": "x"},
+             "matrix": [["1/3"]]},
+        ],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(
+        ["charpoly", "--input", str(path), "--mode", "symbolic", "--format", "json"],
+        capsys,
+    )
+    assert code == 0, err
+    lap = build_laplacian(*load_instance(str(path), mode="symbolic"))
+    want = [scalar_str(c) for c in charpoly_oracle(lap.matrix)]
+    assert json.loads(out)["coefficients"] == want
+
+
+def _option_strings():
+    import argparse
+
+    from holodet.cli import PARSER
+
+    sub = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            opt for action in sp._actions for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for name, sp in sub.choices.items()
+    }
+
+
+INSTANCE_OPTIONS = {"--input", "--example", "--mode", "--format",
+                    "--seed", "--p", "--max-edges", "--max-rank"}
+ROUTE_OPTIONS = {"--budget", "--tol", "--kappa", "--timing"}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    surface = _option_strings()
+    assert surface == {
+        "det": INSTANCE_OPTIONS | ROUTE_OPTIONS | {"--method"},
+        "charpoly": INSTANCE_OPTIONS,
+        "compare": INSTANCE_OPTIONS | ROUTE_OPTIONS | {"--methods"},
+        "primes": INSTANCE_OPTIONS | {"--max-len"},
+        "moments": INSTANCE_OPTIONS | {"--k", "--mc-samples"},
+        "random": {"--seed", "--p", "--max-edges", "--max-rank"},
+    }
+    assert sum(map(len, surface.values())) == 57
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--mode", "float"],
+    ["charpoly", "--example", "two_cycle", "--mode", "symbolic", "--budget", "5"],
+    ["primes", "--example", "figure5", "--mode", "symbolic", "--timing"],
+])
+def test_dropped_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_keeps_no_state_between_commands(capsys):
+    det = ["det", "--example", "random", "--seed", "5", "--format", "json"]
+    runs = [
+        det,
+        ["charpoly", "--example", "two_cycle", "--mode", "symbolic",
+         "--format", "json"],
+        ["compare", "--example", "random", "--seed", "3", "--mode", "float",
+         "--budget", "0"],
+        det,
+    ]
+    for argv in runs:
+        alone = subprocess.run(
+            [sys.executable, "-m", "holodet.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run_cli(argv, capsys)[:2] == (alone.returncode, alone.stdout)
