@@ -1,26 +1,28 @@
 """Determinant identities for abstract block matrices: permutation-trace
 sums, the trace-determinant reduction, the cycle-multiset expansion for
-scalar-diagonal blocks, its integer-coefficient variant, the blockwise
-characteristic polynomial, and a truncated Euler product over prime walks.
+scalar-diagonal blocks, its integer-coefficient variant and the blockwise
+characteristic polynomial.  The expansions fold the cycles of the block
+quiver, which has one edge (a, b) per nonzero off-diagonal block, with
+that block as its matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
-from .linalg import BlockMatrix, Matrix, block_walk_traces, det_oracle, product_traces
-from .ring import Poly, int_div, is_exact, to_complex, z_power
+from .linalg import block_walk_traces, product_traces
+from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
-    candidate_walks,
+    candidate_gcycles,
     cycle_types,
-    enumerate_walk_multisets,
+    enumerate_gcycle_multisets,
     min_rotation,
     permutations_within,
     shifted_visit_sum,
     visit_exponential,
     visit_sum,
+    walk_quiver,
 )
 from . import taudet
 
@@ -127,16 +129,23 @@ def det_trace_formal(bm):
     return int_div(value, prod(map(factorial, bm.part)))
 
 
+def _block_quiver(bm):
+    """walk_quiver(p) with only the edges (a, b) whose block is nonzero;
+    a walk through a zero block has trace 0 and is never listed."""
+    return walk_quiver(bm.p, lambda a, b: not bm.is_zero_block(a, b))
+
+
 def _walk_series(sd):
     """visit_exponential of the walk factors (-1)^(len-1) W / val, kept
     exact by integer division."""
-    trace = block_walk_traces(sd.block)
+    trace = product_traces(lambda ab: sd.block.block(*ab))
 
     def factor(walk):
-        sign = 1 if len(walk.seq) % 2 else -1
-        return int_div(sign * trace(walk.seq), walk.valuation)
+        sign = 1 if len(walk) % 2 else -1
+        return int_div(sign * trace(walk.edges), walk.valuation)
 
-    return visit_exponential(candidate_walks(sd.p, sd.part), sd.p, sd.part, factor)
+    cands = candidate_gcycles(_block_quiver(sd.block), sd.part)
+    return visit_exponential(cands, sd.p, sd.part, factor)
 
 
 def det_scalar_diag(sd):
@@ -154,9 +163,9 @@ def det_scalar_diag_integral(sd):
     nfact = 1
     for na in part:
         nfact *= factorial(na)
-    trace = block_walk_traces(sd.block)
+    trace = product_traces(lambda ab: sd.block.block(*ab))
     total = 0
-    for ms in enumerate_walk_multisets(p, part):
+    for ms in enumerate_gcycle_multisets(_block_quiver(sd.block), part):
         denom = ms.multiplicity_factorial() * ms.valuation_product()
         coeff, rem = divmod(nfact, denom)
         if rem:
@@ -166,7 +175,7 @@ def det_scalar_diag_integral(sd):
         visits = ms.visits(p)
         term = z_power(sd.z, tuple(n - v for n, v in zip(part, visits)))
         for walk, mult in ms:
-            f = (1 if len(walk.seq) % 2 else -1) * trace(walk.seq)
+            f = (1 if len(walk) % 2 else -1) * trace(walk.edges)
             for _ in range(mult):
                 term = term * f
         total = total + coeff * term
@@ -178,57 +187,3 @@ def charpoly_block(sd, t_names=None):
     expansion with every z_a replaced by z_a + t_a."""
     series = _walk_series(sd)
     return shifted_visit_sum(series, sd.z, sd.part, sd.block.base.data, t_names)
-
-
-@dataclass(frozen=True)
-class BlockEulerResult:
-    value: object
-    converged: bool
-    max_level: int
-
-
-def _prime_walk_factor(sd, walk):
-    """det(I - z^-v hol(-A, walk)) for one prime cyclic walk, based at the
-    canonical rotation's first block."""
-    seq = walk.seq
-    hol = sd.block.block(seq[0], seq[1 % len(seq)]).scale(-1)
-    for i in range(1, len(seq)):
-        hol = hol * sd.block.block(seq[i], seq[(i + 1) % len(seq)]).scale(-1)
-    s = 1
-    for a, v in enumerate(walk.visits(sd.p)):
-        if v:
-            s = s / sd.z[a] ** v
-    return det_oracle(Matrix.identity(hol.rows) - hol.scale(s))
-
-
-def block_euler_truncated(sd, max_total_visits, tol=1e-9, probe_extra=2):
-    """Truncated Euler product over prime cyclic walks: z^n times the
-    product of det(I - z^-v hol(-A, walk)) over primes within the visit
-    budget.  The convergence flag probes whether walks just beyond the cap
-    still move the product; it is heuristic, a report rather than a bound."""
-    part = sd.part
-    p = sd.p
-    if any(z == 0 for z in sd.z):
-        raise HolodetError("all diagonal scalars must be invertible")
-    cap = max_total_visits
-    probe_cap = cap + probe_extra
-    walks = [
-        w for w in candidate_walks(p, (probe_cap,) * p, total_cap=probe_cap)
-        if w.valuation == 1
-    ]
-    walks.sort(key=lambda w: w.sort_key)
-
-    value = z_power(sd.z, part)
-    probe = 1
-    for w in walks:
-        factor = _prime_walk_factor(sd, w)
-        if len(w.seq) <= cap:
-            value = value * factor
-        else:
-            probe = probe * factor
-
-    if is_exact(probe) and not isinstance(probe, Poly):
-        converged = probe == 1
-    else:
-        converged = abs(to_complex(probe) - 1.0) <= tol
-    return BlockEulerResult(value=value, converged=converged, max_level=cap)

@@ -122,9 +122,21 @@ def _run_method(method, lap, args):
         if args.mode != "float":
             raise MethodRefusal("euler-truncated requires --mode float")
         kappa = _parse_kappa(args, lap.quiver.p)
-        res = det_euler_truncated(lap, kappa, tol=args.tol)
+        tol = {} if args.tol is None else {"tol": args.tol}
+        res = det_euler_truncated(lap, kappa, **tol)
         return res.value, res.prime_count
     raise MethodRefusal(f"unknown method '{method}'")
+
+
+def _check_euler_options(args, methods):
+    """--kappa and --tol are read by euler-truncated alone, so either one
+    without it among the methods is refused, as is a --tol not > 0."""
+    bad = [f"--{opt} is read only by euler-truncated" for opt in ("kappa", "tol")
+           if getattr(args, opt) is not None and "euler-truncated" not in methods]
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        bad.append(f"--tol must be finite and > 0, got {args.tol!r}")
+    if bad:
+        raise ValidationError(bad)
 
 
 def _parse_kappa(args, p):
@@ -153,6 +165,7 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_det(args):
+    _check_euler_options(args, [args.method])
     lap = build_laplacian(*_load(args))
     start = time.perf_counter()
     value, terms = _run_method(args.method, lap, args)
@@ -246,6 +259,7 @@ def _hadamard_bound(m):
 def cmd_compare(args):
     lap = build_laplacian(*_load(args))
     wanted = args.methods.split(",") if args.methods else _applicable_methods(lap, args)
+    _check_euler_options(args, wanted)
     rows = []
     values = []
     for method in wanted:
@@ -496,7 +510,8 @@ def _route_options(sp):
     """Route settings, read by det and compare."""
     sp.add_argument("--budget", type=int, default=None,
                     help=f"term budget of the stack sums (default {DEFAULT_TERM_BUDGET})")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="euler-truncated's error bound (default: the route's own)")
     sp.add_argument("--kappa", help="per-vertex shift list, e.g. 1.0 or 1,0.5,2")
     sp.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in reports")

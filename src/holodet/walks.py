@@ -1,13 +1,19 @@
-"""Cyclic walks, cycles on a quiver, their multisets, powers and primes,
-and the permutations and vertex fields that the determinant routes sum over.
+"""Cycles on a quiver, their multisets, powers and primes, and the
+permutations and vertex fields that the determinant routes sum over.
 
-Canonical form everywhere is the lexicographically minimal rotation; the
-valuation of a walk is the order of its rotation stabiliser.  Multiset
-streams are lazy and deterministic: candidates are fixed in sorted order
-and multiplicities are chosen in nondecreasing candidate order, so every
-multiset within the visit bound appears exactly once.  The generating
-series of those multisets, graded by visit vector, is the truncated
-exponential computed by ``visit_exponential`` without listing them.
+``closed_edge_walks`` is the one cycle search and ``GCycle`` the one
+rotation-class type.  A cyclic walk on range(p) is a cycle on
+``walk_quiver(p)``, whose edge (a, b) steps from a to b; the block routes
+search its subquiver of nonzero off-diagonal blocks.  Canonical form
+everywhere is the lexicographically minimal rotation; the valuation of a
+cycle is the order of its rotation stabiliser.
+
+Multiset streams are lazy and deterministic: candidates are fixed in
+sorted order and multiplicities are chosen in nondecreasing candidate
+order, so every multiset within the visit bound appears exactly once.  The
+generating series of those multisets, graded by visit vector, is the
+truncated exponential computed by ``visit_exponential`` without listing
+them.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .errors import HolodetError
+from .quiver import Edge, Quiver
 from .ring import Poly, Symbols, int_div, lift
 
 
@@ -28,62 +35,6 @@ def min_rotation(seq):
         if cand < best:
             best = cand
     return best
-
-
-def _stabiliser_order(seq):
-    k = len(seq)
-    return sum(1 for r in range(k) if seq[r:] + seq[:r] == seq)
-
-
-class CyclicWalk:
-    """Rotation class of a vertex sequence with distinct adjacent entries."""
-
-    __slots__ = ("seq",)
-
-    def __init__(self, seq):
-        seq = tuple(seq)
-        k = len(seq)
-        if k < 2:
-            raise HolodetError(f"cyclic walk needs length >= 2, got {seq!r}")
-        for i in range(k):
-            if seq[i] == seq[(i + 1) % k]:
-                raise HolodetError(f"equal adjacent entries in {seq!r}")
-        self.seq = min_rotation(seq)
-
-    def __len__(self):
-        return len(self.seq)
-
-    def visits(self, p):
-        counts = [0] * p
-        for a in self.seq:
-            counts[a] += 1
-        return tuple(counts)
-
-    @property
-    def valuation(self):
-        return _stabiliser_order(self.seq)
-
-    def power(self, m):
-        if m < 1:
-            raise ValueError("power exponent must be >= 1")
-        return CyclicWalk(self.seq * m)
-
-    def prime_root(self):
-        period = len(self.seq) // self.valuation
-        return CyclicWalk(self.seq[:period])
-
-    @property
-    def sort_key(self):
-        return (len(self.seq), self.seq)
-
-    def __eq__(self, other):
-        return isinstance(other, CyclicWalk) and self.seq == other.seq
-
-    def __hash__(self):
-        return hash(("walk", self.seq))
-
-    def __repr__(self):
-        return f"CyclicWalk({self.seq!r})"
 
 
 class GCycle:
@@ -107,6 +58,16 @@ class GCycle:
         self.srcs = srcs[best:] + srcs[:best]
 
     @classmethod
+    def of_walk(cls, seq):
+        """The cycle of a closed vertex sequence on walk_quiver: one edge
+        (a, b) per step a -> b, the wrap from the last entry included."""
+        seq = tuple(seq)
+        edges = tuple(zip(seq, seq[1:] + seq[:1]))
+        if any(a == b for a, b in edges):
+            raise HolodetError(f"equal adjacent entries in {seq!r}")
+        return cls(edges, seq)
+
+    @classmethod
     def from_quiver(cls, quiver, edge_ids):
         ids = list(edge_ids)
         es = [quiver.edge(i) for i in ids]
@@ -121,6 +82,10 @@ class GCycle:
     def __len__(self):
         return len(self.edges)
 
+    @property
+    def seq(self):
+        return self.srcs
+
     def visits(self, p):
         counts = [0] * p
         for v in self.srcs:
@@ -129,7 +94,8 @@ class GCycle:
 
     @property
     def valuation(self):
-        return _stabiliser_order(self.edges)
+        edges = self.edges
+        return sum(1 for r in range(len(edges)) if edges[r:] + edges[:r] == edges)
 
     def power(self, m):
         if m < 1:
@@ -139,15 +105,6 @@ class GCycle:
     def prime_root(self):
         period = len(self.edges) // self.valuation
         return GCycle(self.edges[:period], self.srcs[:period])
-
-    def vertex_walk(self):
-        return CyclicWalk(self.srcs)
-
-    def edge_counts(self):
-        counts = {}
-        for e in self.edges:
-            counts[e] = counts.get(e, 0) + 1
-        return counts
 
     @property
     def sort_key(self):
@@ -212,13 +169,6 @@ class CycleMultiset:
             out *= c.valuation ** m
         return out
 
-    def edge_counts(self):
-        total = {}
-        for c, m in self.items:
-            for e, k in c.edge_counts().items():
-                total[e] = total.get(e, 0) + m * k
-        return total
-
     def __eq__(self, other):
         return isinstance(other, CycleMultiset) and self.items == other.items
 
@@ -227,35 +177,6 @@ class CycleMultiset:
 
     def __repr__(self):
         return f"CycleMultiset({list(self.items)!r})"
-
-
-def candidate_walks(p, bound, total_cap=None):
-    """All canonical cyclic walks on range(p) fitting the visit bound."""
-    bound = tuple(bound)
-    if len(bound) != p or any(b < 0 for b in bound):
-        raise HolodetError(f"bad visit bound {bound!r}")
-    cap = sum(bound) if total_cap is None else min(total_cap, sum(bound))
-    out = []
-
-    def extend(seq, budget):
-        if len(seq) >= 2 and seq[-1] != seq[0] and seq == min_rotation(seq):
-            out.append(CyclicWalk(seq))
-        if len(seq) == cap:
-            return
-        a0, last = seq[0], seq[-1]
-        for b in range(a0, p):
-            if b != last and budget[b] > 0:
-                budget[b] -= 1
-                extend(seq + (b,), budget)
-                budget[b] += 1
-
-    for a0 in range(p):
-        if bound[a0] > 0:
-            budget = list(bound)
-            budget[a0] -= 1
-            extend((a0,), budget)
-    out.sort(key=lambda w: w.sort_key)
-    return out
 
 
 def _multiset_stream(candidates, p, bound):
@@ -349,11 +270,6 @@ def shifted_visit_sum(series, zs, bound, entries, t_names=None):
     return visit_sum(lifted, shifted, bound)
 
 
-def enumerate_walk_multisets(p, bound):
-    """Every multiset of cyclic walks whose visit totals fit the bound."""
-    return _multiset_stream(candidate_walks(p, bound), p, tuple(bound))
-
-
 def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None):
     """Canonical cycles on the quiver, length-capped, optionally
     visit-bounded per vertex (budget consumed at the source of each edge).
@@ -403,6 +319,8 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None):
 
 def candidate_gcycles(quiver, bound):
     bound = tuple(bound)
+    if len(bound) != quiver.p or any(b < 0 for b in bound):
+        raise HolodetError(f"bad visit bound {bound!r}")
     return closed_edge_walks(quiver, sum(bound), vertex_budget=bound)
 
 
@@ -410,6 +328,27 @@ def enumerate_gcycle_multisets(quiver, bound):
     """Every multiset of cycles on the quiver within the visit bound."""
     bound = tuple(bound)
     return _multiset_stream(candidate_gcycles(quiver, bound), quiver.p, bound)
+
+
+def walk_quiver(p, edge=None):
+    """The quiver on range(p) with one edge, id (a, b), from a to b for each
+    a != b that edge(a, b) admits, every pair by default.  Its cycles are
+    the cyclic walks on range(p), and lex order on edge ids is lex order on
+    vertex sequences, so canonical forms and sort keys agree."""
+    return Quiver(p, [
+        Edge((a, b), a, b)
+        for a in range(p) for b in range(p)
+        if a != b and (edge is None or edge(a, b))
+    ])
+
+
+CyclicWalk = GCycle.of_walk
+
+
+def enumerate_walk_multisets(p, bound):
+    """Every multiset of cyclic walks on range(p) whose visit totals fit
+    the bound."""
+    return enumerate_gcycle_multisets(walk_quiver(p), bound)
 
 
 def prime_cycles(quiver, max_len):

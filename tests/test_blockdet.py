@@ -9,7 +9,7 @@ from holodet.errors import HolodetError, MethodRefusal
 from holodet.blockdet import (
     PERM_SUM_CAP,
     ScalarDiagBlockMatrix,
-    block_euler_truncated,
+    _block_quiver,
     charpoly_block,
     det_block_perm,
     det_perm_traces,
@@ -19,7 +19,7 @@ from holodet.blockdet import (
 )
 from holodet.linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle
 from holodet.ring import Poly, Symbols
-from holodet.walks import cycle_types
+from holodet.walks import candidate_gcycles, cycle_types, walk_quiver
 
 
 def random_block_matrix(rng, part):
@@ -27,9 +27,14 @@ def random_block_matrix(rng, part):
     return BlockMatrix(Matrix(n, n, [gauss_rat(rng) for _ in range(n * n)]), part)
 
 
-def random_scalar_diag(rng, part):
+def random_scalar_diag(rng, part, zero=()):
+    """Random scalar-diagonal block matrix; the blocks (a, b) in zero are 0."""
     n = sum(part)
-    rows = [[gauss_rat(rng) for _ in range(n)] for _ in range(n)]
+    bl = [a for a, p_ in enumerate(part) for _ in range(p_)]
+    rows = [
+        [Fraction(0) if (bl[i], bl[j]) in zero else gauss_rat(rng) for j in range(n)]
+        for i in range(n)
+    ]
     offsets = [0]
     for p_ in part:
         offsets.append(offsets[-1] + p_)
@@ -250,74 +255,40 @@ def test_charpoly_block_leading_and_constant_terms():
     assert at_zero == det_scalar_diag(sd)
 
 
+def _charpoly_block_coefficients(sd):
+    """charpoly_block with every shift set to one symbol t, as t^0 .. t^n."""
+    t = Poly.variable(Symbols(("t",)), "t")
+    spec = charpoly_block(sd).eval({f"t{a + 1}": t for a in range(sd.p)})
+    return [spec.terms.get((j,), 0) for j in range(sd.n + 1)]
+
+
 def test_charpoly_block_matches_oracle_after_specialization():
     rng = random.Random(149)
     for part in ((1, 1), (2, 1), (2, 2)):
         sd = random_scalar_diag(rng, part)
-        poly = charpoly_block(sd)
-        n = sd.n
-        single = Symbols(("t",))
-        t = Poly.variable(single, "t")
-        assign = {f"t{a + 1}": t for a in range(sd.p)}
-        spec = poly.eval(assign)
-        oracle = charpoly_oracle(sd.block.base)
-        got = [spec.terms.get((j,), 0) for j in range(n + 1)]
-        assert all(a == b for a, b in zip(got, oracle))
+        assert _charpoly_block_coefficients(sd) == charpoly_oracle(sd.block.base)
 
 
-def test_block_euler_block_diagonal_empty_product():
-    rows = [
-        [Fraction(3), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(3), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(2)],
-    ]
-    sd = ScalarDiagBlockMatrix.from_block(
-        BlockMatrix(Matrix.from_rows(rows), (2, 1))
-    )
-    res = block_euler_truncated(sd, 4)
-    assert res.value == det_oracle(sd.block.base) == 18
-    assert res.converged
-
-
-def test_block_euler_two_by_two_exact_at_level_two():
-    rows = [[Fraction(4), Fraction(1)], [Fraction(1), Fraction(5)]]
-    sd = ScalarDiagBlockMatrix.from_block(
-        BlockMatrix(Matrix.from_rows(rows), (1, 1))
-    )
-    res = block_euler_truncated(sd, 2)
-    assert res.value == Fraction(4) * 5 - 1
-    assert res.converged
-
-
-def test_block_euler_truncation_error_shrinks():
-    # dominant diagonal, three scalar blocks: overlapping walk factors only
-    # cancel in the full product, so short truncations are inexact
-    rows = [
-        [10.0, 1.0, 1.0],
-        [1.0, 11.0, 1.0],
-        [1.0, 1.0, 12.0],
-    ]
-    sd = ScalarDiagBlockMatrix.from_block(
-        BlockMatrix(Matrix.from_rows(rows), (1, 1, 1))
-    )
-    target = det_oracle(sd.block.base)
-    errs = []
-    for cap in (2, 4, 6, 8):
-        res = block_euler_truncated(sd, cap)
-        errs.append(abs(res.value - target))
-    assert errs[-1] < errs[0]
-    assert errs[-1] < 1e-3 * abs(target)
-    res = block_euler_truncated(sd, 10)
-    assert res.converged
-
-
-def test_block_euler_rejects_zero_diagonal():
-    rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(5)]]
-    sd = ScalarDiagBlockMatrix.from_block(
-        BlockMatrix(Matrix.from_rows(rows), (1, 1))
-    )
-    with pytest.raises(HolodetError):
-        block_euler_truncated(sd, 4)
+@pytest.mark.parametrize("part,zero", [
+    ((2, 1, 1), {(1, 0), (2, 0), (2, 1)}),  # block upper triangular
+    ((2, 2), {(0, 1), (1, 0)}),             # block diagonal
+    ((1, 2, 1), {(0, 2), (1, 0), (2, 1)}),  # only the cycle 0 -> 1 -> 2 -> 0
+])
+def test_block_routes_walk_only_nonzero_blocks(part, zero):
+    rng = random.Random(151)
+    for _ in range(4):
+        sd = random_scalar_diag(rng, part, zero)
+        d = det_oracle(sd.block.base)
+        assert det_scalar_diag(sd) == d
+        assert det_scalar_diag_integral(sd) == d
+        assert _charpoly_block_coefficients(sd) == charpoly_oracle(sd.block.base)
+        cands = candidate_gcycles(_block_quiver(sd.block), part)
+        assert not any(e in zero for c in cands for e in c.edges)
+        nonzero = [
+            c for c in candidate_gcycles(walk_quiver(sd.p), part)
+            if not any(sd.block.is_zero_block(*e) for e in c.edges)
+        ]
+        assert cands == nonzero
 
 
 def test_scalar_diag_float_tolerance():

@@ -191,6 +191,33 @@ def test_unreadable_input_and_bad_kappa_exit_2(tmp_path, capsys):
         assert json.loads(err)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("argv", [
+    ["det", "--example", "two_cycle", "--mode", "symbolic", "--kappa", "zzz",
+     "--tol", "-5"],
+    ["compare", "--example", "two_cycle", "--mode", "symbolic", "--kappa", "1"],
+    ["det", "--example", "random", "--mode", "float", "--method", "euler-truncated",
+     "--tol", "-5"],
+    ["det", "--example", "random", "--mode", "float", "--method", "euler-truncated",
+     "--tol", "nan"],
+])
+def test_euler_options_refused_exit_2(capsys, argv):
+    # --kappa and --tol only with euler-truncated, and --tol finite and > 0
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+def test_compare_takes_kappa_with_euler_truncated(capsys):
+    code, out, _ = run_cli(
+        ["compare", "--example", "random", "--seed", "1", "--mode", "float",
+         "--methods", "oracle,euler-truncated", "--kappa", "1", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["methods"]
+    assert [row["method"] for row in rows] == ["oracle", "euler-truncated"]
+
+
 FUZZ_VALUES = ("abc", "1/0", "", -1, 0, 2, 3, 1.5, True, None, [], {}, [1, 2, 3],
                {"sym": 3}, {"sym": "x"}, float("nan"))
 

@@ -10,7 +10,7 @@ from holodet.walks import (
     CycleMultiset,
     CyclicWalk,
     GCycle,
-    candidate_walks,
+    candidate_gcycles,
     closed_edge_walks,
     cycle_types,
     enumerate_gcycle_multisets,
@@ -20,6 +20,7 @@ from holodet.walks import (
     prime_cycles,
     prime_finiteness,
     vertex_fields,
+    walk_quiver,
 )
 
 
@@ -35,6 +36,9 @@ def test_walk_rejects_bad_sequences():
         CyclicWalk((1, 1, 2))
     with pytest.raises(HolodetError):
         CyclicWalk((1, 2, 3, 1))  # wrap pair equal
+    for p, bound in ((2, (1,)), (3, (1, 1)), (2, (2, -1))):
+        with pytest.raises(HolodetError, match="bad visit bound"):
+            enumerate_walk_multisets(p, bound)
 
 
 def test_canonicalization_idempotent_under_rotation():
@@ -93,10 +97,47 @@ def test_walk_multisets_small_bounds():
     assert len(set(got)) == len(got) == 4
 
 
+def _brute_force_walks(p, bound):
+    """Every vertex sequence with distinct adjacent entries, the wrap
+    included, in minimal rotation and within the visit bound."""
+    out = []
+    for k in range(2, sum(bound) + 1):
+        for seq in itertools.product(range(p), repeat=k):
+            if any(seq[i] == seq[(i + 1) % k] for i in range(k)):
+                continue
+            if seq == min_rotation(seq) and all(
+                seq.count(a) <= b for a, b in enumerate(bound)
+            ):
+                out.append(seq)
+    return sorted(out, key=lambda seq: (len(seq), seq))
+
+
+@pytest.mark.parametrize("p,bound", [(1, (4,)), (2, (3, 3)), (3, (2, 2, 2)),
+                                     (3, (3, 2, 1)), (3, (0, 2, 2)),
+                                     (4, (2, 1, 2, 1)), (4, (1, 1, 1, 1))])
+def test_walk_quiver_cycles_match_brute_force(p, bound):
+    want = _brute_force_walks(p, bound)
+    got = candidate_gcycles(walk_quiver(p), bound)
+    assert [c.seq for c in got] == want
+    assert got == [CyclicWalk(seq) for seq in want]
+
+
+def test_walk_quiver_filter_and_edges():
+    q = walk_quiver(3, lambda a, b: b == (a + 1) % 3)
+    assert [(e.id, e.src, e.tgt) for e in q.edges] == [
+        ((0, 1), 0, 1), ((1, 2), 1, 2), ((2, 0), 2, 0),
+    ]
+    assert candidate_gcycles(q, (2, 2, 2)) == [
+        CyclicWalk((0, 1, 2)), CyclicWalk((0, 1, 2) * 2),
+    ]
+    w = CyclicWalk((2, 0, 1))
+    assert w.seq == (0, 1, 2) and w.edges == ((0, 1), (1, 2), (2, 0))
+
+
 def _brute_force_multiset_count(p, bound):
     """Multisets via combinations-with-replacement over candidates, with a
     final bound filter; mechanically different from the streaming path."""
-    cands = candidate_walks(p, bound)
+    cands = candidate_gcycles(walk_quiver(p), bound)
     total = sum(bound)
     count = 0
     max_size = total // 2
@@ -129,7 +170,7 @@ def test_gcycle_stream_partitions_compatible_walk_stream():
     for ms in enumerate_gcycle_multisets(q, bound):
         projected = []
         for cyc, mult in ms:
-            projected.extend([cyc.vertex_walk().seq] * mult)
+            projected.extend([min_rotation(cyc.srcs)] * mult)
         fibers.setdefault(tuple(sorted(projected)), []).append(ms)
     compatible = set()
     for ms in enumerate_walk_multisets(2, bound):
@@ -179,9 +220,8 @@ def test_gcycle_multisets_figure5_all_ones():
 def test_gcycle_projection_refines_walks():
     q = two_parallel_quiver()
     eg = GCycle.from_quiver(q, ("e", "g"))
-    assert eg.vertex_walk() == CyclicWalk((0, 1))
+    assert CyclicWalk(eg.srcs) == CyclicWalk((0, 1))
     assert eg.visits(2) == (1, 1)
-    assert eg.edge_counts() == {"e": 1, "g": 1}
 
 
 def test_prime_cycles_two_cycle_quiver():
