@@ -512,7 +512,6 @@ def _route_options(sp):
                     help=f"term budget of the stack sums (default {DEFAULT_TERM_BUDGET})")
     sp.add_argument("--tol", type=float, default=None,
                     help="euler-truncated's error bound (default: the route's own)")
-    sp.add_argument("--kappa", help="per-vertex shift list, e.g. 1.0 or 1,0.5,2")
     sp.add_argument("--timing", action="store_true",
                     help="include wall-clock timings in reports")
 
@@ -534,6 +533,8 @@ def build_parser():
     sp = command("det", cmd_det, "one determinant by the chosen method",
                  _instance_options, _route_options)
     sp.add_argument("--method", choices=DET_METHODS, default="cycles")
+    sp.add_argument("--kappa", help="euler-truncated's per-vertex shift list, "
+                    "e.g. 1.0 or 1,0.5,2")
 
     command("charpoly", cmd_charpoly, "characteristic polynomial coefficients",
             _instance_options)
@@ -541,6 +542,8 @@ def build_parser():
     sp = command("compare", cmd_compare, "run all applicable methods and compare",
                  _instance_options, _route_options)
     sp.add_argument("--methods", help="comma-separated subset to run")
+    # every other route computes det(L), so euler-truncated runs unshifted
+    sp.set_defaults(kappa=None)
 
     sp = command("primes", cmd_primes, "prime cycles of the quiver", _instance_options)
     sp.add_argument("--max-len", type=int, default=None)

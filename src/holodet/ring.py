@@ -6,11 +6,15 @@ caller supplies.  Only ring operations are ever needed: addition, negation,
 multiplication, integer multiples, and exact division by a nonzero integer.
 Nothing here inverts a general ring element.  Python ints act as the
 universal zero/one, so ``0`` and ``1`` literals seed every accumulator.
+
+A ``GaussianRational`` is one triple of ints (a, b, d), the value
+(a + bi)/d in lowest terms, so its arithmetic builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import HolodetError
 
@@ -61,83 +65,81 @@ class Symbols:
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex number (a + bi)/d, held as three ints a, b, d.
 
-    __slots__ = ("re", "im")
+    The triple is kept canonical: d > 0 and gcd(a, b, d) = 1, so zero is
+    (0, 0, 1) and equal values have equal triples.  ``re`` and ``im`` give
+    the parts as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        # Both parts are in lowest terms, so over the lcm of their
+        # denominators no prime divides a, b and d at once.
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
 
-    @classmethod
-    def _of(cls, re, im):
-        """From two Fractions, stored as they are."""
-        out = object.__new__(cls)
-        out.re, out.im = re, im
-        return out
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._of(self.re + o.re, self.im + o.im)
+        o = _parts(other)
+        return NotImplemented if o is None else _add(self, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._of(self.re - o.re, self.im - o.im)
+        o = _parts(other)
+        return NotImplemented if o is None else _add(self, -o[0], -o[1], o[2])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational._of(o.re - self.re, o.im - self.im)
+        o = _parts(other)
+        return NotImplemented if o is None else _add(-self, *o)
 
     def __neg__(self):
-        return GaussianRational._of(-self.re, -self.im)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational._of(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        a, b, d = o
+        return _reduced(
+            self.a * a - self.b * b, self.a * b + self.b * a, self.d * d
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        # (a + bi)/d divided by (c + ei)/f is (a + bi)(c - ei) f / (d (c^2 + e^2))
+        c, e, f = o
+        norm = c * c + e * e
+        if norm == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
+        return _reduced(
+            (self.a * c + self.b * e) * f, (self.b * c - self.a * e) * f, self.d * norm
         )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        o = _parts(other)
+        return NotImplemented if o is None else _reduced(*o) / self
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = GaussianRational(1)
+        out = _reduced(1, 0, 1)
         base = self
         while k:
             if k & 1:
@@ -147,25 +149,61 @@ class GaussianRational:
         return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _parts(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self.a, self.b, self.d) == o
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal to the hash of the equal int or Fraction, as == requires.
+        if self.b == 0:
+            return hash(Fraction(self.a, self.d))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as Fraction.__float__ is.
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return scalar_str(self)
+
+
+def _reduced(a, b, d):
+    """The GaussianRational (a + bi)/d, for ints with d > 0, in lowest terms."""
+    g = gcd(a, b, d)
+    out = object.__new__(GaussianRational)
+    if g == 1:
+        out.a, out.b, out.d = a, b, d
+    else:
+        out.a, out.b, out.d = a // g, b // g, d // g
+    return out
+
+
+def _parts(x):
+    """The canonical triple (a, b, d) of a GaussianRational, int or Fraction
+    x = (a + bi)/d; None for any other type."""
+    if isinstance(x, GaussianRational):
+        return x.a, x.b, x.d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _add(x, a, b, d):
+    """x + (a + bi)/d; equal denominators skip the cross products."""
+    if d == x.d:
+        return _reduced(x.a + a, x.b + b, d)
+    g = gcd(x.d, d)
+    s, t = d // g, x.d // g
+    return _reduced(x.a * s + a * t, x.b * s + b * t, x.d * s)
 
 
 class Poly:
@@ -371,7 +409,7 @@ def int_div(s, k):
     if isinstance(s, Fraction):
         return s / k
     if isinstance(s, GaussianRational):
-        return GaussianRational(s.re / k, s.im / k)
+        return _reduced(s.a, s.b, s.d * k)
     if isinstance(s, Poly):
         return s.divide_int(k)
     if isinstance(s, (float, complex)):
@@ -420,7 +458,7 @@ def _sign_split(c):
     if isinstance(c, (int, Fraction)):
         return (c < 0, -c if c < 0 else c)
     if isinstance(c, GaussianRational):
-        neg = (c.re, c.im) < (Fraction(0), Fraction(0))
+        neg = (c.a, c.b) < (0, 0)
         return (neg, -c if neg else c)
     if isinstance(c, complex):
         neg = (c.real, c.imag) < (0.0, 0.0)
@@ -435,11 +473,11 @@ def scalar_str(s):
     if isinstance(s, (int, Fraction)):
         return str(s)
     if isinstance(s, GaussianRational):
-        if s.im == 0:
+        if s.b == 0:
             return str(s.re)
-        if s.re == 0:
+        if s.a == 0:
             return f"{s.im}i"
-        sign = "+" if s.im > 0 else "-"
+        sign = "+" if s.b > 0 else "-"
         return f"{s.re}{sign}{abs(s.im)}i"
     if isinstance(s, complex):
         if s.imag == 0:

@@ -194,7 +194,7 @@ def test_unreadable_input_and_bad_kappa_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["det", "--example", "two_cycle", "--mode", "symbolic", "--kappa", "zzz",
      "--tol", "-5"],
-    ["compare", "--example", "two_cycle", "--mode", "symbolic", "--kappa", "1"],
+    ["compare", "--example", "two_cycle", "--mode", "symbolic", "--tol", "1"],
     ["det", "--example", "random", "--mode", "float", "--method", "euler-truncated",
      "--tol", "-5"],
     ["det", "--example", "random", "--mode", "float", "--method", "euler-truncated",
@@ -207,12 +207,16 @@ def test_euler_options_refused_exit_2(capsys, argv):
     assert json.loads(err)["error"]["type"] == "validation"
 
 
-def test_compare_takes_kappa_with_euler_truncated(capsys):
-    code, out, _ = run_cli(
-        ["compare", "--example", "random", "--seed", "1", "--mode", "float",
-         "--methods", "oracle,euler-truncated", "--kappa", "1", "--format", "json"],
-        capsys,
-    )
+def test_compare_runs_euler_truncated_unshifted(capsys):
+    # compare checks every route against det(L), and a shift would make
+    # euler-truncated compute det(diag(kappa) + L), so compare takes no --kappa
+    argv = ["compare", "--example", "random", "--seed", "0", "--mode", "float",
+            "--methods", "oracle,euler-truncated"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--kappa", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --kappa" in capsys.readouterr().err
+    code, out, _ = run_cli(argv + ["--tol", "1e-6", "--format", "json"], capsys)
     assert code == 0
     rows = json.loads(out)["methods"]
     assert [row["method"] for row in rows] == ["oracle", "euler-truncated"]
@@ -403,15 +407,16 @@ def test_euler_truncated_cli(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "holodet.cli", "det", "--example", "two_cycle",
-         "--mode", "symbolic", "--method", "cycles"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "x1*x2 - x1*x2*u*v"
+    for module in ("holodet.cli", "holodet"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "det", "--example", "two_cycle",
+             "--mode", "symbolic"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, module
+        assert proc.stdout.strip() == "x1*x2 - x1*x2*u*v"
 
 
 def test_budget_flag_refusal(capsys):
@@ -519,20 +524,20 @@ def _option_strings():
 
 INSTANCE_OPTIONS = {"--input", "--example", "--mode", "--format",
                     "--seed", "--p", "--max-edges", "--max-rank"}
-ROUTE_OPTIONS = {"--budget", "--tol", "--kappa", "--timing"}
+ROUTE_OPTIONS = {"--budget", "--tol", "--timing"}
 
 
 def test_each_command_takes_only_the_options_it_reads():
     surface = _option_strings()
     assert surface == {
-        "det": INSTANCE_OPTIONS | ROUTE_OPTIONS | {"--method"},
+        "det": INSTANCE_OPTIONS | ROUTE_OPTIONS | {"--method", "--kappa"},
         "charpoly": INSTANCE_OPTIONS,
         "compare": INSTANCE_OPTIONS | ROUTE_OPTIONS | {"--methods"},
         "primes": INSTANCE_OPTIONS | {"--max-len"},
         "moments": INSTANCE_OPTIONS | {"--k", "--mc-samples"},
         "random": {"--seed", "--p", "--max-edges", "--max-rank"},
     }
-    assert sum(map(len, surface.values())) == 57
+    assert sum(map(len, surface.values())) == 56
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -128,6 +129,137 @@ def test_gaussian_rational_division_roundtrip():
             Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
         )
         assert (a * b) / b == a
+
+
+class _FracPair:
+    """Reference Gaussian rational: a pair of Fractions, with no canonical
+    form of its own beyond Fraction's."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _FracPair) else _FracPair(x)
+
+    def __add__(self, o):
+        o = _FracPair.of(o)
+        return _FracPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        o = _FracPair.of(o)
+        return _FracPair(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return _FracPair(-self.re, -self.im)
+
+    def __mul__(self, o):
+        o = _FracPair.of(o)
+        return _FracPair(self.re * o.re - self.im * o.im,
+                         self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        o = _FracPair.of(o)
+        n = o.re * o.re + o.im * o.im
+        return _FracPair((self.re * o.re + self.im * o.im) / n,
+                         (self.im * o.re - self.re * o.im) / n)
+
+    def conjugate(self):
+        return _FracPair(self.re, -self.im)
+
+    def __eq__(self, o):
+        o = _FracPair.of(o)
+        return (self.re, self.im) == (o.re, o.im)
+
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    def text(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}i"
+
+
+def _draw_fraction(rng):
+    den = rng.choice((1, 1, 2, 3, 4, 6, 12, 35))
+    return Fraction(rng.randint(-12, 12) * rng.choice((1, 1, 5, 7)), den)
+
+
+def _draw_operand(rng):
+    """(operand, reference): a GaussianRational, an int or a Fraction."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        n = rng.randint(-6, 6)
+        return n, _FracPair(n)
+    if kind == 1:
+        f = _draw_fraction(rng)
+        return f, _FracPair(f)
+    return _draw_gaussian(rng)
+
+
+def _draw_gaussian(rng):
+    re, im = _draw_fraction(rng), rng.choice((0, _draw_fraction(rng)))
+    return GaussianRational(re, im), _FracPair(re, im)
+
+
+def _assert_matches(got, ref):
+    assert isinstance(got, GaussianRational)
+    assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    if ref.is_zero():
+        assert (got.a, got.b, got.d) == (0, 0, 1)
+    assert (got.re, got.im) == (ref.re, ref.im)
+    assert complex(got) == complex(float(ref.re), float(ref.im))
+    assert repr(got) == f"GaussianRational({ref.re!r}, {ref.im!r})"
+    assert scalar_str(got) == ref.text()
+
+
+def test_gaussian_rational_matches_fraction_pair():
+    rng = random.Random(23)
+    for _ in range(400):
+        x, rx = _draw_gaussian(rng)
+        y, ry = _draw_operand(rng)
+        _assert_matches(x, rx)
+        for got, want in (
+            (x + y, rx + ry), (y + x, ry + rx),
+            (x - y, rx - ry), (y - x, ry - rx),
+            (x * y, rx * ry), (y * x, ry * rx),
+            (-x, -rx), (x.conjugate(), rx.conjugate()),
+        ):
+            _assert_matches(got, want)
+        k = rng.randint(0, 4)
+        want = _FracPair(1)
+        for _ in range(k):
+            want = want * rx
+        _assert_matches(x ** k, want)
+        m = rng.randint(1, 12)
+        _assert_matches(int_div(x, m), rx / m)
+        if not ry.is_zero():
+            _assert_matches(x / y, rx / ry)
+        if not rx.is_zero():
+            _assert_matches(y / x, ry / rx)
+        equal = rx == ry
+        assert (x == y) is equal and (y == x) is equal
+        assert (x != y) is not equal and (y != x) is not equal
+        if equal:
+            assert hash(x) == hash(y)
+
+
+def test_gaussian_rational_hash_agrees_with_int_and_fraction():
+    assert len({GaussianRational(1), 1, Fraction(1)}) == 1
+    assert len({GaussianRational(Fraction(-3, 4)), Fraction(-6, 8)}) == 1
+    assert hash(GaussianRational(0)) == hash(0)
+    assert GaussianRational(1, 1) not in {1, Fraction(1)}
+
+
+def test_gaussian_rational_division_by_zero():
+    x = GaussianRational(Fraction(1, 2), 3)
+    for zero in (0, Fraction(0), GaussianRational(0), x - x):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / GaussianRational(0)
 
 
 def test_lift_and_symbol_extension():
