@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 internal invariant violation or disagreement,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -103,6 +104,18 @@ def _load(args):
 
 
 def _run_method(method, lap, args):
+    """The route's (value, terms), refusing a float value that overflows or is
+    not finite."""
+    try:
+        value, terms = _route(method, lap, args)
+    except OverflowError:
+        raise MethodRefusal(f"{method} overflows floating point") from None
+    if args.mode == "float" and not cmath.isfinite(to_complex(value)):
+        raise MethodRefusal(f"{method} gives a non-finite value in floating point")
+    return value, terms
+
+
+def _route(method, lap, args):
     if method == "oracle":
         return det_oracle(lap.matrix), None
     if method == "perm":
@@ -201,6 +214,8 @@ def cmd_charpoly(args):
     lap = build_laplacian(*_load(args))
     if args.mode == "float":
         coeffs = charpoly_oracle(lap.matrix.to_complex())
+        if not all(cmath.isfinite(to_complex(c)) for c in coeffs):
+            raise MethodRefusal("charpoly gives non-finite coefficients in floating point")
     else:
         # det(tI + L): one shift symbol at every vertex, named apart from
         # the instance's indeterminates; it is never printed
@@ -249,7 +264,7 @@ def _applicable_methods(lap, args):
 def _hadamard_bound(m):
     """Hadamard's bound on |det m| in its mean form, (|m|_F^2 / n)^(n/2): at
     least the product of the row 2-norms, and nonzero unless m is zero."""
-    rms = math.sqrt(sum(abs(to_complex(x)) ** 2 for x in m.data) / m.rows)
+    rms = math.sqrt(sum(abs(z) * abs(z) for z in map(to_complex, m.data)) / m.rows)
     bound = 1.0
     for _ in range(m.rows):
         bound *= rms
@@ -260,6 +275,15 @@ def cmd_compare(args):
     lap = build_laplacian(*_load(args))
     wanted = args.methods.split(",") if args.methods else _applicable_methods(lap, args)
     _check_euler_options(args, wanted)
+    exact_mode = args.mode != "float"
+    # perm's roundoff grows with the size of its terms, which the Hadamard
+    # bound measures; on an exactly singular L that roundoff is all there
+    # is, and a sink's zero row would make the plain row product 0
+    abs_tol = FLOAT_ABS_TOL
+    if not exact_mode:
+        abs_tol *= max(1.0, _hadamard_bound(lap.matrix))
+        if not math.isfinite(abs_tol):
+            raise MethodRefusal("the Hadamard floor overflows, so any two values would agree")
     rows = []
     values = []
     for method in wanted:
@@ -280,13 +304,6 @@ def cmd_compare(args):
 
     agree = True
     max_disc = 0.0
-    exact_mode = args.mode != "float"
-    # perm's roundoff grows with the size of its terms, which the Hadamard
-    # bound measures; on an exactly singular L that roundoff is all there
-    # is, and a sink's zero row would make the plain row product 0
-    abs_tol = FLOAT_ABS_TOL
-    if not exact_mode:
-        abs_tol *= max(1.0, _hadamard_bound(lap.matrix))
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             a, b = values[i][1], values[j][1]

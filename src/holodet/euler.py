@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .laplacian import build_laplacian, holonomy
@@ -89,13 +90,24 @@ def det_euler_finite(lap):
 
 @dataclass(frozen=True)
 class SubMarkovData:
+    lap: object            # the Laplacian whose edge maps weight the chain
     kappa: tuple
     p_edges: dict          # edge id -> float transition weight
-    transition: Matrix     # block matrix P with P[ab] = sum p_e U_e
-    rho: float             # certified upper bound on the Perron root of
-                           # the norm-weighted vertex-level chain, which
-                           # dominates the tail
     reachable: bool        # every vertex reaches killing mass or a sink
+
+    @cached_property
+    def rho(self):
+        """Certified upper bound on the Perron root of the vertex-level chain
+        with edge weights p_e ||U_e||_2, which dominates the tail; computed on
+        first read, as a finite prime set has no tail.  A closed length-k walk
+        has |Tr hol| <= n prod ||U_e||, so the p-weighted |Tr hol| over such
+        walks sum to at most n Tr(chain^k) <= n p rho^k."""
+        quiver = self.lap.quiver
+        vrows = [[0.0] * quiver.p for _ in range(quiver.p)]
+        for e in quiver.edges:
+            norm = _spectral_norm_complex(self.lap.rep.matrices[e.id].to_complex())
+            vrows[e.src][e.tgt] += self.p_edges[e.id] * norm
+        return _perron_upper_bound(vrows)
 
 
 def _spectral_norm_complex(m, iters=4000, tol=1e-15):
@@ -160,10 +172,9 @@ def _perron_upper_bound(rows, iters=5000):
 
 
 def build_submarkov(lap, kappa):
-    """Normalize edge weights into transition weights, assemble the twisted
-    transition operator, and check the structural assumptions."""
+    """Normalize edge weights into transition weights and check the
+    structural assumptions."""
     quiver = lap.quiver
-    ranks = lap.ranks
     kappa = tuple(float(k) for k in kappa)
     if len(kappa) != quiver.p:
         raise HolodetError(f"need {quiver.p} kappa values, got {len(kappa)}")
@@ -178,20 +189,6 @@ def build_submarkov(lap, kappa):
     for e in quiver.edges:
         denom = zs[e.src] + kappa[e.src]
         p_edges[e.id] = 0.0 if xs[e.id] == 0 else xs[e.id] / denom
-
-    offsets = [0]
-    for r in ranks:
-        offsets.append(offsets[-1] + r)
-    n = offsets[-1]
-    rows = [[0.0 + 0.0j] * n for _ in range(n)]
-    for e in quiver.edges:
-        u_mat = lap.rep.matrices[e.id].to_complex()
-        pe = p_edges[e.id]
-        r0, c0 = offsets[e.src], offsets[e.tgt]
-        for i in range(u_mat.rows):
-            for j in range(u_mat.cols):
-                rows[r0 + i][c0 + j] += pe * u_mat.at(i, j)
-    transition = Matrix.from_rows(rows)
 
     leaky = {
         v for v in range(quiver.p)
@@ -208,23 +205,7 @@ def build_submarkov(lap, kappa):
                 changed = True
     reachable = len(reach) == quiver.p
 
-    # the vertex-level collapse of the chain, each edge weighted by
-    # p_e ||U_e||_2, drives the tail bound: a closed length-k edge walk
-    # has |Tr hol| at most n times the product of its edge norms, so the
-    # sum of |p-weight Tr hol| over such walks is at most n Tr(collapse^k),
-    # hence at most n p rho^k, whatever the norms of the edge maps
-    vrows = [[0.0] * quiver.p for _ in range(quiver.p)]
-    for e in quiver.edges:
-        norm = _spectral_norm_complex(lap.rep.matrices[e.id].to_complex())
-        vrows[e.src][e.tgt] += p_edges[e.id] * norm
-    rho = _perron_upper_bound(vrows)
-    return SubMarkovData(
-        kappa=kappa,
-        p_edges=p_edges,
-        transition=transition,
-        rho=rho,
-        reachable=reachable,
-    )
+    return SubMarkovData(lap=lap, kappa=kappa, p_edges=p_edges, reachable=reachable)
 
 
 @dataclass(frozen=True)
@@ -232,7 +213,8 @@ class TruncatedEuler:
     value: complex
     certified_bound: float
     max_len: int
-    rho: float
+    rho: float | None      # the tail's Perron bound; None when the prime
+                           # set is finite, so the product is exact
     prime_count: int
 
 
@@ -296,7 +278,7 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
         value=value,
         certified_bound=certified,
         max_len=length,
-        rho=data.rho,
+        rho=None if fin.finite else data.rho,
         prime_count=len(primes),
     )
 

@@ -478,6 +478,55 @@ def test_compare_float_flags_route_past_scaled_floor(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "invariant"
 
 
+@pytest.fixture
+def huge_weights_doc(tmp_path):
+    """The random seed-3 instance with every weight 1e200, so float routes
+    overflow."""
+    from holodet.quiver import instance_to_json
+
+    doc = instance_to_json(*gen_example("random", seed=3))
+    for edge in doc["edges"]:
+        edge["weight"] = "1e200"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["det", "--method", "oracle", "--mode", "float", "--input"],
+    ["det", "--method", "euler-truncated", "--mode", "float", "--input"],
+    ["det", "--method", "euler-finite", "--mode", "float", "--input"],
+    ["charpoly", "--mode", "float", "--input"],
+    ["compare", "--mode", "float", "--input"],
+    ["det", "--example", "random", "--seed", "3", "--mode", "float",
+     "--method", "euler-truncated", "--kappa", "1e308"],
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_float_overflow_is_refused(capsys, huge_weights_doc, argv, fmt):
+    if argv[-1] == "--input":
+        argv = argv + [huge_weights_doc]
+    code, out, err = run_cli(argv + ["--format", fmt], capsys)
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "refusal"
+    assert not any(word in out.lower() for word in ("nan", "inf"))
+
+
+@pytest.mark.parametrize("broken", [
+    lambda m: complex("inf"),
+    lambda m: complex("nan"),
+    lambda m: 10.0 ** 400,
+])
+def test_compare_skips_a_non_finite_float_row(capsys, monkeypatch, broken):
+    from holodet import cli
+
+    monkeypatch.setattr(cli, "det_perm_traces", broken)
+    code, out, _ = run_cli(SINGULAR_FLOAT, capsys)
+    assert code == 0
+    rows = {row["method"]: row for row in json.loads(out)["methods"]}
+    assert "floating point" in rows["perm"]["skipped"]
+    assert "value" in rows["oracle"]
+
+
 @pytest.mark.parametrize("name", ["t", "t1"])
 def test_charpoly_symbolic_weight_named_like_the_shift(tmp_path, capsys, name):
     from holodet.laplacian import build_laplacian

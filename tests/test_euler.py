@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from holodet import euler
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.euler import (
     build_submarkov,
@@ -258,6 +259,71 @@ def test_submarkov_refusal_when_not_substochastic():
     lap = build_laplacian(q, rep, w)
     with pytest.raises(MethodRefusal, match="sub-Markov"):
         det_euler_truncated(lap, (0.0, 0.0, 0.0))
+
+
+def _finite_prime_cases():
+    # an acyclic quiver (no primes, one sink) and the conservative
+    # two-cycle above: both products are finite and need no tail bound
+    acyclic = Quiver(3, [Edge("e", 0, 1), Edge("f", 1, 2), Edge("g", 0, 2)])
+    acyclic_rep = Representation((1, 2, 1), {
+        "e": Matrix(1, 2, [0.5 + 0.1j, -0.3j]),
+        "f": Matrix(2, 1, [0.2 + 0j, 0.7 - 0.2j]),
+        "g": Matrix(1, 1, [0.9 + 0j]),
+    })
+    two_cycle = Quiver(2, [Edge("e", 0, 1), Edge("f", 1, 0)])
+    two_cycle_rep = Representation(
+        (1, 1), {"e": Matrix(1, 1, [0.5 + 0.5j]), "f": Matrix(1, 1, [0.25 - 0.1j])}
+    )
+    return [
+        (build_laplacian(acyclic, acyclic_rep, {"e": 1.0, "f": 2.0, "g": 0.5}),
+         (1.0, 0.5, 2.0)),
+        (build_laplacian(two_cycle, two_cycle_rep, {"e": 1.0, "f": 1.0}), (0.0, 0.0)),
+    ]
+
+
+def test_finite_primes_never_compute_the_tail_bound(monkeypatch):
+    cases = _finite_prime_cases()
+    unpatched = [det_euler_truncated(lap, kappa) for lap, kappa in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite product computed the tail bound")
+
+    monkeypatch.setattr(euler, "_perron_upper_bound", refuse)
+    monkeypatch.setattr(euler, "_spectral_norm_complex", refuse)
+    for (lap, kappa), want in zip(cases, unpatched):
+        res = det_euler_truncated(lap, kappa)
+        assert res.value == want.value
+        assert res.rho is None and want.rho is None
+        assert res.prime_count == want.prime_count
+        shifted = lap.matrix.to_complex().to_rows()
+        for j in range(len(shifted)):
+            shifted[j][j] += kappa[lap.block.bl(j)]
+        assert scalars_close(res.value, det_oracle(Matrix.from_rows(shifted)), rel=1e-12)
+
+
+def test_infinite_primes_compute_the_tail_bound_once(monkeypatch):
+    calls = []
+    bound = euler._perron_upper_bound
+
+    def counted(rows, *args, **kwargs):
+        calls.append(rows)
+        return bound(rows, *args, **kwargs)
+
+    monkeypatch.setattr(euler, "_perron_upper_bound", counted)
+    # two cycles sharing a vertex: infinitely many primes
+    q = Quiver(3, [
+        Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 1, 2), Edge("d", 2, 1),
+    ])
+    rep = Representation((1, 1, 1), {k: Matrix(1, 1, [1.0 + 0j]) for k in "abcd"})
+    lap = build_laplacian(q, rep, {k: 1.0 for k in "abcd"})
+    with pytest.raises(MethodRefusal, match="sub-Markov"):
+        det_euler_truncated(lap, (0.0, 0.0, 0.0))
+    assert len(calls) == 1
+    res = det_euler_truncated(lap, (5.0, 5.0, 5.0))
+    assert len(calls) == 2
+    assert res.rho == bound(calls[-1]) < 1.0
+    target = det_oracle(Matrix.identity(3).scale(5.0 + 0j) + lap.matrix.to_complex())
+    assert abs(res.value - target) <= res.certified_bound
 
 
 def test_submarkov_data_checks():
