@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
-from .linalg import POLY_DET_CAP, Matrix, charpoly_oracle, det_oracle, product_traces
+from .linalg import POLY_DET_CAP, Matrix, charpoly_oracle, det_oracle
 from .ring import FLOAT_ABS_TOL, Poly, Symbols, scalar_str, scalars_close, to_complex
 from .quiver import (
     Representation,
@@ -26,13 +26,12 @@ from .quiver import (
     instance_to_json,
     load_instance,
     validate,
-    vertex_z,
 )
 from .laplacian import (
     build_laplacian,
     charpoly_laplacian,
     det_laplacian_cycles,
-    multiset_weight,
+    moment_samples,
     wilson_moment,
 )
 from .blockdet import PERM_SUM_CAP, det_block_perm, det_perm_traces, det_trace_formal
@@ -271,9 +270,23 @@ def _hadamard_bound(m):
     return bound
 
 
+def _requested_methods(spec):
+    """--methods as distinct route names: compare never prints one computation
+    twice, and an unknown or empty name is refused before any route runs."""
+    names = spec.split(",")
+    bad = [n for n in names if n not in DET_METHODS or names.count(n) > 1]
+    if bad:
+        raise ValidationError([
+            f"--methods takes distinct names of {', '.join(DET_METHODS)}, "
+            f"not {', '.join(map(repr, dict.fromkeys(bad)))}"
+        ])
+    return names
+
+
 def cmd_compare(args):
+    wanted = None if args.methods is None else _requested_methods(args.methods)
     lap = build_laplacian(*_load(args))
-    wanted = args.methods.split(",") if args.methods else _applicable_methods(lap, args)
+    wanted = wanted or _applicable_methods(lap, args)
     _check_euler_options(args, wanted)
     exact_mode = args.mode != "float"
     # perm's roundoff grows with the size of its terms, which the Hadamard
@@ -385,8 +398,11 @@ def _sign_distribution(quiver, ranks):
 
 
 def cmd_moments(args):
+    # a standard error needs two samples
+    if args.k < 1 or (args.mc_samples is not None and args.mc_samples < 2):
+        raise ValidationError(["--k must be >= 1 and --mc-samples, if given, >= 2"])
     q, rep, w = _load(args)
-    if args.mc_samples:
+    if args.mc_samples is not None:
         return _moments_monte_carlo(args, q, rep, w)
     if args.mode == "float":
         raise MethodRefusal("exact moments need --mode exact; use --mc-samples for float")
@@ -398,7 +414,7 @@ def cmd_moments(args):
         "lhs": _value_json(report.lhs, args.mode),
         "rhs": _value_json(report.rhs, args.mode),
         "agree": bool(report.agree),
-        "terms": len(report.rows),
+        "terms": report.terms,
     }
     _emit(
         args,
@@ -414,57 +430,38 @@ def cmd_moments(args):
     return 0
 
 
+def _mean_stderr(samples):
+    n = len(samples)
+    mean = sum(samples) / n
+    var = sum(abs(s - mean) ** 2 for s in samples) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
 def _moments_monte_carlo(args, q, rep, w):
-    import itertools
     import random
 
     if args.mode != "float":
         raise MethodRefusal("--mc-samples requires --mode float")
     rng = random.Random(args.seed)
-    ranks = rep.ranks
+    ranks = tuple(rep.ranks)
     for e in q.edges:
         if ranks[e.src] != ranks[e.tgt]:
             raise MethodRefusal("Monte Carlo sampling needs equal ranks per edge")
-    multisets = list(enumerate_gcycle_multisets(q, tuple(ranks)))
-    cycle_edges = {cyc.edges for ms in multisets for cyc, _ in ms}
-    z = vertex_z(q, w)
-    weights_by_ms = [to_complex(multiset_weight(ms, z, ranks, w)) for ms in multisets]
-    tuples = list(itertools.product(range(len(multisets)), repeat=args.k))
-
-    lhs_samples = []
-    rhs_samples = []
-    for _ in range(args.mc_samples):
-        mats = {}
-        for e in q.edges:
-            mats[e.id] = haar_like_unitary(ranks[e.src], rng)
-        sample_rep = Representation(tuple(ranks), mats)
-        lap = build_laplacian(q, sample_rep, w)
-        detv = det_oracle(lap.matrix.to_complex())
-        lhs_samples.append(detv ** args.k)
-        trace = product_traces(mats.__getitem__)
-        traces = {edges: to_complex(trace(edges)) for edges in cycle_edges}
-        acc = 0.0 + 0.0j
-        for tup in tuples:
-            tprod = 1.0 + 0.0j
-            for idx in tup:
-                for cyc, mult in multisets[idx]:
-                    for _ in range(mult):
-                        tprod *= traces[cyc.edges]
-            acc += _tuple_w(weights_by_ms, tup) * tprod
-        rhs_samples.append(acc)
-
-    def stats(samples):
-        n = len(samples)
-        mean = sum(samples) / n
-        if n > 1:
-            var = sum(abs(s - mean) ** 2 for s in samples) / (n - 1)
-            se = math.sqrt(var / n)
-        else:
-            se = float("nan")
-        return mean, se
-
-    lhs_mean, lhs_se = stats(lhs_samples)
-    rhs_mean, rhs_se = stats(rhs_samples)
+    multisets = list(enumerate_gcycle_multisets(q, ranks))
+    # drawn lazily, sample by sample and edge by edge, as the kernel reads them
+    reps = (
+        Representation(ranks, {e.id: haar_like_unitary(ranks[e.src], rng)
+                               for e in q.edges})
+        for _ in range(args.mc_samples)
+    )
+    try:
+        sides = list(moment_samples(q, w, ranks, reps, args.k, multisets))
+        lhs_mean, lhs_se = _mean_stderr([to_complex(lhs) for lhs, _ in sides])
+        rhs_mean, rhs_se = _mean_stderr([to_complex(rhs) for _, rhs in sides])
+    except OverflowError:
+        raise MethodRefusal("Monte Carlo moments overflow floating point") from None
+    if not all(map(cmath.isfinite, (lhs_mean, rhs_mean, lhs_se, rhs_se))):
+        raise MethodRefusal("Monte Carlo moments are not finite in floating point")
     payload = {
         "command": "moments",
         "k": args.k,
@@ -484,13 +481,6 @@ def _moments_monte_carlo(args, q, rep, w):
         ],
     )
     return 0
-
-
-def _tuple_w(weights_by_ms, tup):
-    acc = 1.0 + 0.0j
-    for idx in tup:
-        acc *= weights_by_ms[idx]
-    return acc
 
 
 def cmd_random(args):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import HolodetError, MethodRefusal, ValidationError
 from .linalg import BlockMatrix, Matrix, det_oracle, product_traces
-from .quiver import validate, vertex_z
+from .quiver import Representation, validate, vertex_z
 from .ring import int_div, z_power
 from .walks import (
     candidate_gcycles,
@@ -133,11 +133,37 @@ def multiset_weight(ms, z, ranks, weights):
     return int_div(term, ms.multiplicity_factorial())
 
 
+def moment_samples(quiver, weights, ranks, reps, k, multisets):
+    """The two sides of the k-th moment identity at each representation, in
+    order: (det L)^k by det_oracle, and the sum over k-tuples of cycle
+    multisets of the tuple's weight times the product of the holonomy traces
+    along its cycles.  multisets is enumerate_gcycle_multisets(quiver, ranks)."""
+    z = vertex_z(quiver, weights)
+    ms_weights = [multiset_weight(ms, z, ranks, weights) for ms in multisets]
+    ms_cycles = [[c.edges for c, mult in ms for _ in range(mult)] for ms in multisets]
+    tuples = []
+    for tup in itertools.product(range(len(multisets)), repeat=k):
+        w = 1
+        for idx in tup:
+            w = w * ms_weights[idx]
+        tuples.append((w, [edges for idx in tup for edges in ms_cycles[idx]]))
+    for rep in reps:
+        lhs = det_oracle(build_laplacian(quiver, rep, weights).matrix) ** k
+        trace = product_traces(rep.matrices.__getitem__)
+        rhs = 0
+        for w, cycles in tuples:
+            tprod = 1
+            for edges in cycles:
+                tprod = tprod * trace(edges)
+            rhs = rhs + w * tprod
+        yield lhs, rhs
+
+
 @dataclass(frozen=True)
 class WilsonMomentReport:
     lhs: object
     rhs: object
-    rows: tuple  # (multiset tuple, combinatorial weight, Wilson expectation)
+    terms: int  # k-tuples of cycle multisets in the expansion
 
     @property
     def agree(self):
@@ -152,8 +178,6 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
     edge_dists maps each edge id to a list of (probability, Matrix) pairs
     with exact probabilities summing to 1; edges are independent.
     """
-    from .quiver import Representation
-
     if k < 1:
         raise HolodetError("moment order k must be >= 1")
     edge_ids = [e.id for e in quiver.edges]
@@ -173,39 +197,15 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
             mats[eid] = mat
         outcomes.append((prob, Representation(tuple(ranks), mats)))
 
-    lhs = 0
-    for prob, rep in outcomes:
-        lap = build_laplacian(quiver, rep, weights)
-        lhs = lhs + prob * det_oracle(lap.matrix) ** k
-
-    z = vertex_z(quiver, weights)
     multisets = list(enumerate_gcycle_multisets(quiver, tuple(ranks)))
-
-    cycle_edges = {cyc.edges for ms in multisets for cyc, _ in ms}
-    trace_cache = []
-    for prob, rep in outcomes:
-        trace = product_traces(rep.matrices.__getitem__)
-        trace_cache.append({edges: trace(edges) for edges in cycle_edges})
-
-    weights_by_ms = [multiset_weight(ms, z, ranks, weights) for ms in multisets]
-
-    rhs = 0
-    rows = []
-    for tup in itertools.product(range(len(multisets)), repeat=k):
-        w = 1
-        for idx in tup:
-            w = w * weights_by_ms[idx]
-        wilson = 0
-        for (prob, _), per in zip(outcomes, trace_cache):
-            tprod = 1
-            for idx in tup:
-                for cyc, mult in multisets[idx]:
-                    for _ in range(mult):
-                        tprod = tprod * per[cyc.edges]
-            wilson = wilson + prob * tprod
-        rhs = rhs + w * wilson
-        rows.append((tuple(multisets[i] for i in tup), w, wilson))
-    return WilsonMomentReport(lhs=lhs, rhs=rhs, rows=tuple(rows))
+    reps = [rep for _, rep in outcomes]
+    lhs = rhs = 0
+    for (prob, _), (det_k, expansion) in zip(
+        outcomes, moment_samples(quiver, weights, ranks, reps, k, multisets)
+    ):
+        lhs = lhs + prob * det_k
+        rhs = rhs + prob * expansion
+    return WilsonMomentReport(lhs=lhs, rhs=rhs, terms=len(multisets) ** k)
 
 
 def _subset_selections(quiver, ranks):

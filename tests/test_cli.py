@@ -500,6 +500,7 @@ def huge_weights_doc(tmp_path):
     ["compare", "--mode", "float", "--input"],
     ["det", "--example", "random", "--seed", "3", "--mode", "float",
      "--method", "euler-truncated", "--kappa", "1e308"],
+    ["moments", "--mode", "float", "--mc-samples", "3", "--k", "1", "--input"],
 ])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_float_overflow_is_refused(capsys, huge_weights_doc, argv, fmt):
@@ -509,6 +510,43 @@ def test_float_overflow_is_refused(capsys, huge_weights_doc, argv, fmt):
     assert code == 3
     assert json.loads(err)["error"]["type"] == "refusal"
     assert not any(word in out.lower() for word in ("nan", "inf"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "float", "--mc-samples", "-1"],
+    ["--mode", "float", "--mc-samples", "0"],
+    ["--mode", "float", "--mc-samples", "1"],
+    ["--mc-samples", "0"],
+    ["--k", "0"],
+    ["--k", "-2"],
+    ["--mode", "float", "--mc-samples", "3", "--k", "0"],
+])
+def test_moments_out_of_range_options_are_refused(capsys, argv):
+    code, out, err = run_cli(
+        ["moments", "--example", "random", "--max-rank", "1", "--format", "json"] + argv,
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
+@pytest.mark.parametrize("methods", [
+    "oracle,bogus",
+    ",",
+    "",
+    "oracle,",
+    "oracle,oracle",
+    "cycles,oracle,cycles",
+])
+def test_compare_refuses_unknown_empty_or_repeated_methods(capsys, methods):
+    code, out, err = run_cli(
+        ["compare", "--example", "random", "--seed", "1", "--methods", methods],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
 
 
 @pytest.mark.parametrize("broken", [

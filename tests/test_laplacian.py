@@ -18,12 +18,13 @@ from holodet.laplacian import (
     det_laplacian_cycles,
     hol_trace,
     holonomy,
+    moment_samples,
     wilson_moment,
 )
 from holodet.linalg import Matrix, block_walk_traces, charpoly_oracle, det_oracle
 from holodet.quiver import Edge, Quiver, Representation, bidirected, gen_example
 from holodet.ring import Poly, Symbols, scalar_str
-from holodet.walks import closed_edge_walks
+from holodet.walks import closed_edge_walks, enumerate_gcycle_multisets
 
 
 def test_build_two_cycle_matrix():
@@ -360,6 +361,33 @@ def test_wilson_moment_deterministic_distribution():
     )
     lap = build_laplacian(q, rep, w)
     assert report.lhs == report.rhs == det_laplacian_cycles(lap)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_moment_samples_sides_are_equal_at_each_representation(k):
+    rng = random.Random(409 + k)
+    sizes = []
+    for _ in range(5):
+        q, rep, w = random_exact_instance(rng, p_max=3, rank_max=2, edge_max=6,
+                                          total_rank_max=4)
+        multisets = list(enumerate_gcycle_multisets(q, rep.ranks))
+        sizes.append(len(multisets))
+        reps = [rep] + [
+            Representation(rep.ranks, {
+                eid: Matrix(m.rows, m.cols, [gauss_rat(rng) for _ in m.data])
+                for eid, m in rep.matrices.items()
+            })
+            for _ in range(2)
+        ]
+        sides = list(moment_samples(q, w, rep.ranks, reps, k, multisets))
+        assert len(sides) == len(reps)
+        for det_k, expansion in sides:
+            assert det_k == expansion
+        dists = {eid: [(Fraction(1), m)] for eid, m in rep.matrices.items()}
+        report = wilson_moment(q, w, rep.ranks, dists, k)
+        assert report.lhs == report.rhs == sides[0][0]
+        assert report.terms == len(multisets) ** k
+    assert max(sizes) >= 10  # the seeds reach instances with many cycles
 
 
 def test_wilson_moment_sign_distribution():
