@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
@@ -43,17 +45,6 @@ from .walks import (
     enumerate_gcycle_multisets,
     prime_cycles,
     prime_finiteness,
-)
-
-DET_METHODS = (
-    "oracle",
-    "perm",
-    "block-perm",
-    "trace-formal",
-    "cycles",
-    "vector-fields",
-    "euler-finite",
-    "euler-truncated",
 )
 
 
@@ -102,51 +93,87 @@ def _load(args):
     return q, rep, w
 
 
-def _run_method(method, lap, args):
-    """The route's (value, terms), refusing a float value that overflows or is
-    not finite."""
+def _cycles(lap, args):
+    cycles = candidate_gcycles(lap.quiver, lap.ranks)
+    return det_laplacian_cycles(lap, cycles), len(cycles)
+
+
+def _euler_truncated(lap, args):
+    if args.mode != "float":
+        raise MethodRefusal("euler-truncated requires --mode float")
+    kappa = _parse_kappa(args, lap.quiver.p)
+    tol = {} if args.tol is None else {"tol": args.tol}
+    res = det_euler_truncated(lap, kappa, **tol)
+    return res.value, res.prime_count
+
+
+def _size_within(cap):
+    """fits while the Laplacian's size is within cap; permutation sums over
+    polynomial entries blow up well before the numeric caps, so symbolic
+    mode gates them at 5."""
+    return lambda lap, args: sum(lap.ranks) <= (5 if args.mode == "symbolic" else cap)
+
+
+# run(lap, args) -> (value, terms or None); fits(lap, args): whether compare
+# runs the route unasked; reads: the route options only it reads (not
+# --budget, which also picks compare's default set and so goes with any
+# route).  A run looks its kernel up in this module when called, so a
+# wrapper set on that name, as a tracer sets, sees every call.
+Route = namedtuple("Route", "run fits reads", defaults=((),))
+
+ROUTES = {
+    "oracle": Route(
+        lambda lap, args: (det_oracle(lap.matrix), None),
+        lambda lap, args: args.mode != "symbolic" or sum(lap.ranks) <= POLY_DET_CAP,
+    ),
+    "cycles": Route(_cycles, lambda lap, args: True),
+    "perm": Route(lambda lap, args: (det_perm_traces(lap.matrix), None),
+                  _size_within(PERM_SUM_CAP)),
+    "block-perm": Route(lambda lap, args: (det_block_perm(lap.block), None),
+                        _size_within(PERM_SUM_CAP)),
+    "trace-formal": Route(lambda lap, args: (det_trace_formal(lap.block), None),
+                          _size_within(TAU_DET_CAP)),
+    "vector-fields": Route(
+        lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
+        lambda lap, args: stack_cost(lap) <= (
+            DEFAULT_TERM_BUDGET if args.budget is None else args.budget),
+    ),
+    "euler-finite": Route(lambda lap, args: (det_euler_finite(lap), None),
+                          lambda lap, args: prime_finiteness(lap.quiver).finite),
+    "euler-truncated": Route(_euler_truncated, lambda lap, args: False,
+                             reads=("kappa", "tol")),
+}
+
+
+def _run_route(method, lap, args):
+    """The route's report row and value, refusing a float value that
+    overflows or is not finite."""
+    start = time.perf_counter()
     try:
-        value, terms = _route(method, lap, args)
+        value, terms = ROUTES[method].run(lap, args)
     except OverflowError:
         raise MethodRefusal(f"{method} overflows floating point") from None
     if args.mode == "float" and not cmath.isfinite(to_complex(value)):
         raise MethodRefusal(f"{method} gives a non-finite value in floating point")
-    return value, terms
+    elapsed = time.perf_counter() - start
+    row = {"method": method, "value": _value_json(value, args.mode)}
+    if terms is not None:
+        row["terms"] = terms
+    if args.timing:
+        row["timing_s"] = elapsed
+    return row, value
 
 
-def _route(method, lap, args):
-    if method == "oracle":
-        return det_oracle(lap.matrix), None
-    if method == "perm":
-        return det_perm_traces(lap.matrix), None
-    if method == "block-perm":
-        return det_block_perm(lap.block), None
-    if method == "trace-formal":
-        return det_trace_formal(lap.block), None
-    if method == "cycles":
-        cycles = candidate_gcycles(lap.quiver, lap.ranks)
-        return det_laplacian_cycles(lap, cycles), len(cycles)
-    if method == "vector-fields":
-        return det_vector_fields(lap, budget=args.budget), None
-    if method == "euler-finite":
-        return det_euler_finite(lap), None
-    if method == "euler-truncated":
-        if args.mode != "float":
-            raise MethodRefusal("euler-truncated requires --mode float")
-        kappa = _parse_kappa(args, lap.quiver.p)
-        tol = {} if args.tol is None else {"tol": args.tol}
-        res = det_euler_truncated(lap, kappa, **tol)
-        return res.value, res.prime_count
-    raise MethodRefusal(f"unknown method '{method}'")
-
-
-def _check_euler_options(args, methods):
-    """--kappa and --tol are read by euler-truncated alone, so either one
-    without it among the methods is refused, as is a --tol not > 0."""
-    bad = [f"--{opt} is read only by euler-truncated" for opt in ("kappa", "tol")
-           if getattr(args, opt) is not None and "euler-truncated" not in methods]
+def _check_route_options(args, methods):
+    """Refuse a route option that no route in methods reads, a --tol not
+    finite and > 0, and a negative --budget."""
+    read = {opt for method in methods for opt in ROUTES[method].reads}
+    bad = [f"--{opt} is read only by {name}" for name, route in ROUTES.items()
+           for opt in route.reads if getattr(args, opt) is not None and opt not in read]
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         bad.append(f"--tol must be finite and > 0, got {args.tol!r}")
+    if args.budget is not None and args.budget < 0:
+        bad.append(f"--budget must be >= 0, got {args.budget}")
     if bad:
         raise ValidationError(bad)
 
@@ -177,21 +204,10 @@ def _emit(args, payload, text_lines):
 
 
 def cmd_det(args):
-    _check_euler_options(args, [args.method])
+    _check_route_options(args, [args.method])
     lap = build_laplacian(*_load(args))
-    start = time.perf_counter()
-    value, terms = _run_method(args.method, lap, args)
-    elapsed = time.perf_counter() - start
-    payload = {
-        "command": "det",
-        "method": args.method,
-        "mode": args.mode,
-        "value": _value_json(value, args.mode),
-    }
-    if terms is not None:
-        payload["terms"] = terms
-    if args.timing:
-        payload["timing_s"] = elapsed
+    row, value = _run_route(args.method, lap, args)
+    payload = {"command": "det", "method": args.method, "mode": args.mode, **row}
     _emit(args, payload, [_value_text(value, args.mode)])
     return 0
 
@@ -237,29 +253,6 @@ def cmd_charpoly(args):
     return 0
 
 
-def _applicable_methods(lap, args):
-    n = sum(lap.ranks)
-    methods = ["oracle", "cycles"]
-    if args.mode == "symbolic" and n > POLY_DET_CAP:
-        methods.remove("oracle")
-    # permutation sums over polynomial entries blow up well before the
-    # numeric size caps, so gate them tighter in symbolic mode
-    if args.mode == "symbolic":
-        perm_cap, formal_cap = 5, 5
-    else:
-        perm_cap, formal_cap = PERM_SUM_CAP, TAU_DET_CAP
-    if n <= perm_cap:
-        methods += ["perm", "block-perm"]
-    if n <= formal_cap:
-        methods.append("trace-formal")
-    budget = DEFAULT_TERM_BUDGET if args.budget is None else args.budget
-    if stack_cost(lap) <= budget:
-        methods.append("vector-fields")
-    if prime_finiteness(lap.quiver).finite:
-        methods.append("euler-finite")
-    return methods
-
-
 def _hadamard_bound(m):
     """Hadamard's bound on |det m| in its mean form, (|m|_F^2 / n)^(n/2): at
     least the product of the row 2-norms, and nonzero unless m is zero."""
@@ -274,10 +267,10 @@ def _requested_methods(spec):
     """--methods as distinct route names: compare never prints one computation
     twice, and an unknown or empty name is refused before any route runs."""
     names = spec.split(",")
-    bad = [n for n in names if n not in DET_METHODS or names.count(n) > 1]
+    bad = [n for n in names if n not in ROUTES or names.count(n) > 1]
     if bad:
         raise ValidationError([
-            f"--methods takes distinct names of {', '.join(DET_METHODS)}, "
+            f"--methods takes distinct names of {', '.join(ROUTES)}, "
             f"not {', '.join(map(repr, dict.fromkeys(bad)))}"
         ])
     return names
@@ -286,8 +279,8 @@ def _requested_methods(spec):
 def cmd_compare(args):
     wanted = None if args.methods is None else _requested_methods(args.methods)
     lap = build_laplacian(*_load(args))
-    wanted = wanted or _applicable_methods(lap, args)
-    _check_euler_options(args, wanted)
+    wanted = wanted or [m for m, route in ROUTES.items() if route.fits(lap, args)]
+    _check_route_options(args, wanted)
     exact_mode = args.mode != "float"
     # perm's roundoff grows with the size of its terms, which the Hadamard
     # bound measures; on an exactly singular L that roundoff is all there
@@ -300,35 +293,26 @@ def cmd_compare(args):
     rows = []
     values = []
     for method in wanted:
-        start = time.perf_counter()
         try:
-            value, terms = _run_method(method, lap, args)
+            row, value = _run_route(method, lap, args)
         except MethodRefusal as exc:
             rows.append({"method": method, "skipped": str(exc)})
             continue
-        elapsed = time.perf_counter() - start
-        row = {"method": method, "value": _value_json(value, args.mode)}
-        if terms is not None:
-            row["terms"] = terms
-        if args.timing:
-            row["timing_s"] = elapsed
         rows.append(row)
-        values.append((method, value))
+        values.append(value)
 
     agree = True
     max_disc = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            a, b = values[i][1], values[j][1]
-            if exact_mode:
-                if not (a == b):
-                    agree = False
-                    max_disc = "nonzero"
-            else:
-                d = abs(to_complex(a) - to_complex(b))
-                max_disc = max(max_disc, d)
-                if not scalars_close(a, b, abs_=abs_tol):
-                    agree = False
+    for a, b in itertools.combinations(values, 2):
+        if exact_mode:
+            if not (a == b):
+                agree = False
+                max_disc = "nonzero"
+        else:
+            d = abs(to_complex(a) - to_complex(b))
+            max_disc = max(max_disc, d)
+            if not scalars_close(a, b, abs_=abs_tol):
+                agree = False
     payload = {
         "command": "compare",
         "mode": args.mode,
@@ -350,8 +334,10 @@ def cmd_compare(args):
 
 
 def cmd_primes(args):
+    if args.max_len is not None and args.max_len < 2:
+        raise ValidationError([f"--max-len must be >= 2, got {args.max_len}"])
     q, rep, w = _load(args)
-    if args.max_len:
+    if args.max_len is not None:
         cycles = prime_cycles(q, args.max_len)
         finite = None
     else:
@@ -539,7 +525,7 @@ def build_parser():
 
     sp = command("det", cmd_det, "one determinant by the chosen method",
                  _instance_options, _route_options)
-    sp.add_argument("--method", choices=DET_METHODS, default="cycles")
+    sp.add_argument("--method", choices=ROUTES, default="cycles")
     sp.add_argument("--kappa", help="euler-truncated's per-vertex shift list, "
                     "e.g. 1.0 or 1,0.5,2")
 

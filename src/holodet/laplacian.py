@@ -137,26 +137,22 @@ def moment_samples(quiver, weights, ranks, reps, k, multisets):
     """The two sides of the k-th moment identity at each representation, in
     order: (det L)^k by det_oracle, and the sum over k-tuples of cycle
     multisets of the tuple's weight times the product of the holonomy traces
-    along its cycles.  multisets is enumerate_gcycle_multisets(quiver, ranks)."""
+    along its cycles.  A tuple's weight and trace product are the products of
+    its members', so that sum is the k-th power of the one-multiset sum, which
+    is what is formed.  multisets is enumerate_gcycle_multisets(quiver, ranks)."""
     z = vertex_z(quiver, weights)
-    ms_weights = [multiset_weight(ms, z, ranks, weights) for ms in multisets]
-    ms_cycles = [[c.edges for c, mult in ms for _ in range(mult)] for ms in multisets]
-    tuples = []
-    for tup in itertools.product(range(len(multisets)), repeat=k):
-        w = 1
-        for idx in tup:
-            w = w * ms_weights[idx]
-        tuples.append((w, [edges for idx in tup for edges in ms_cycles[idx]]))
+    terms = [(multiset_weight(ms, z, ranks, weights),
+              [c.edges for c, mult in ms for _ in range(mult)]) for ms in multisets]
     for rep in reps:
         lhs = det_oracle(build_laplacian(quiver, rep, weights).matrix) ** k
         trace = product_traces(rep.matrices.__getitem__)
-        rhs = 0
-        for w, cycles in tuples:
+        one = 0
+        for w, cycles in terms:
             tprod = 1
             for edges in cycles:
                 tprod = tprod * trace(edges)
-            rhs = rhs + w * tprod
-        yield lhs, rhs
+            one = one + w * tprod
+        yield lhs, one ** k
 
 
 @dataclass(frozen=True)

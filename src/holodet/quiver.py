@@ -150,9 +150,16 @@ def _gauss_rat(rng):
 
 def random_instance(seed, p=None, max_edges=None, max_rank=None):
     """Deterministic random quiver with Gaussian-rational edge matrices
-    and positive rational weights."""
+    and positive rational weights.  An edge joins two distinct vertices, so
+    p < 2 is refused, as are max_edges and max_rank < 1, before any draw."""
     import random as _random
 
+    bad = [f"a random instance needs {name} >= {low}, got {value}"
+           for name, value, low in (("p", p, 2), ("max_edges", max_edges, 1),
+                                    ("max_rank", max_rank, 1))
+           if value is not None and value < low]
+    if bad:
+        raise ValidationError(bad)
     rng = _random.Random(seed)
     p = p if p is not None else rng.randint(2, 4)
     max_edges = max_edges if max_edges is not None else 6
