@@ -115,10 +115,9 @@ def _size_within(cap):
 
 
 # run(lap, args) -> (value, terms or None); fits(lap, args): whether compare
-# runs the route unasked; reads: the route options only it reads (not
-# --budget, which also picks compare's default set and so goes with any
-# route).  A run looks its kernel up in this module when called, so a
-# wrapper set on that name, as a tracer sets, sees every call.
+# runs the route unasked; reads: the route options only it reads.  A run
+# looks its kernel up in this module when called, so a wrapper set on that
+# name, as a tracer sets, sees every call.
 Route = namedtuple("Route", "run fits reads", defaults=((),))
 
 ROUTES = {
@@ -137,6 +136,7 @@ ROUTES = {
         lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
         lambda lap, args: stack_cost(lap) <= (
             DEFAULT_TERM_BUDGET if args.budget is None else args.budget),
+        reads=("budget",),
     ),
     "euler-finite": Route(lambda lap, args: (det_euler_finite(lap), None),
                           lambda lap, args: prime_finiteness(lap.quiver).finite),
@@ -164,10 +164,12 @@ def _run_route(method, lap, args):
     return row, value
 
 
-def _check_route_options(args, methods):
+def _check_route_options(args, methods, chose=()):
     """Refuse a route option that no route in methods reads, a --tol not
-    finite and > 0, and a negative --budget."""
+    finite and > 0, and a negative --budget.  The options in chose picked
+    methods, so they count as read."""
     read = {opt for method in methods for opt in ROUTES[method].reads}
+    read.update(chose)
     bad = [f"--{opt} is read only by {name}" for name, route in ROUTES.items()
            for opt in route.reads if getattr(args, opt) is not None and opt not in read]
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
@@ -279,8 +281,11 @@ def _requested_methods(spec):
 def cmd_compare(args):
     wanted = None if args.methods is None else _requested_methods(args.methods)
     lap = build_laplacian(*_load(args))
+    # without --methods, --budget picks the default set, as vector-fields'
+    # fits reads it, even when that leaves vector-fields out
+    chose = ("budget",) if wanted is None else ()
     wanted = wanted or [m for m, route in ROUTES.items() if route.fits(lap, args)]
-    _check_route_options(args, wanted)
+    _check_route_options(args, wanted, chose)
     exact_mode = args.mode != "float"
     # perm's roundoff grows with the size of its terms, which the Hadamard
     # bound measures; on an exactly singular L that roundoff is all there

@@ -7,6 +7,7 @@ into edge-subset terms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import HolodetError, MethodRefusal, ValidationError
@@ -22,6 +23,10 @@ from .walks import (
 )
 
 CAUCHY_BINET_CAP = 6
+# exact moments run one oracle determinant per joint outcome, the product
+# of the edges' support sizes (2^|E| for the CLI's sign distribution); at
+# 2^12 outcomes a run already takes seconds
+MOMENT_OUTCOME_CAP = 2 ** 12
 # the dense Laplacian has n^2 entries and the oracle's elimination costs
 # n^3 ring operations, which at n = 512 is already far beyond any route's
 # reach in pure Python; larger documents are refused before allocating
@@ -183,6 +188,11 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
             raise MethodRefusal(f"edge '{eid}' has no finite-support distribution")
         if sum(pr for pr, _ in dist) != 1:
             raise MethodRefusal(f"probabilities for edge '{eid}' do not sum to 1")
+    count = math.prod(len(edge_dists[eid]) for eid in edge_ids)
+    if count > MOMENT_OUTCOME_CAP:
+        raise MethodRefusal(
+            f"exact moments capped at {MOMENT_OUTCOME_CAP} joint outcomes, got {count}"
+        )
 
     outcomes = []
     for combo in itertools.product(*(edge_dists[eid] for eid in edge_ids)):

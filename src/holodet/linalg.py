@@ -9,10 +9,13 @@ polynomial entries (capped at size 8).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
 from .errors import HolodetError, MethodRefusal
-from .ring import GaussianRational, Poly, int_div
+from .ring import GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
 
 POLY_DET_CAP = 8
 
@@ -349,18 +352,72 @@ class BlockMatrix:
         return all(x == 0 for x in self.block(a, b).data)
 
 
+# A matrix (A + iB)/d over Gaussian integers, in the form product_traces
+# multiplies.  complex tells whether B is nonzero.  rows are A's rows, or
+# [A | B] when B is nonzero.  cols[c] are the columns that multiply rows of
+# that form from the right, c telling whether those rows are complex: A's
+# columns then B's (none when B is zero) for real rows X, giving [XA | XB];
+# (A; -B) then (B; A) for complex rows [X | Y], giving
+# [XA - YB | XB + YA].  Either way the product's rows come out in the
+# same form.  kind is ring.gaussian_ints' kind.
+_Exact = namedtuple("_Exact", "d kind complex rows cols shape")
+
+
+def _exact_form(m):
+    """m as an _Exact, or None when an entry is not exact.  A matrix with no
+    rows or columns stays on the Matrix path, whose empty sums are int 0
+    whatever the entry type."""
+    got = gaussian_ints(m.data) if m.rows and m.cols else None
+    if got is None:
+        return None
+    d, re, im, kind = got
+    c = m.cols
+    row_starts, col_starts = range(0, len(re), c), range(c)
+    if im is None:
+        zero = [0] * m.rows
+        re_cols = [re[j::c] for j in col_starts]
+        rows = [re[i:i + c] for i in row_starts]
+        cols = (re_cols, [x + zero for x in re_cols] + [zero + x for x in re_cols])
+    else:
+        neg = [-x for x in im]
+        rows = [re[i:i + c] + im[i:i + c] for i in row_starts]
+        cols = ([re[j::c] for j in col_starts] + [im[j::c] for j in col_starts],
+                [re[j::c] + neg[j::c] for j in col_starts]
+                + [im[j::c] + re[j::c] for j in col_starts])
+    return _Exact(d, kind, im is not None, rows, cols, (m.rows, c))
+
+
 def product_traces(factor):
     """trace(seq): the trace of factor(seq[0]) * ... * factor(seq[-1]) for
     a closed key sequence, multiplied left to right.
 
     Every proper-prefix product is kept, keyed by its prefix, so sequences
     that share a prefix share its products; every trace is kept by its
-    sequence.  The last factor is never multiplied in: each diagonal entry
-    of prefix x last is summed in Matrix.__mul__'s order and the entries in
-    trace()'s, so the value equals the full product's trace() exactly,
-    floats included."""
+    sequence.  The last factor is never multiplied in: the trace is the sum
+    over i of row i of the prefix times column i of the last factor.
+
+    Each key's factor is classified once, when first fetched: exact when
+    every entry is an int, a Fraction or a GaussianRational.  A sequence of
+    exact factors is multiplied as Gaussian-integer matrices over one
+    denominator (ring.gaussian_ints), and only its trace becomes a scalar
+    again: a GaussianRational if a factor holds one, else a Fraction if a
+    factor holds one, else an int, as the dense product gives.  Any other
+    sequence (a float or Poly entry in some factor) is multiplied as Matrix
+    products, each diagonal entry of prefix x last summed in
+    Matrix.__mul__'s order and the entries in trace()'s, so its value
+    equals the full product's trace() exactly, floats included."""
+    exact = {}
     prods = {}
+    exact_prods = {}
     traces = {}
+
+    def exact_factor(key):
+        """key's factor as an _Exact, or None when it is not exact;
+        classified once, when first fetched."""
+        got = exact.get(key, exact)
+        if got is exact:
+            got = exact[key] = _exact_form(factor(key))
+        return got
 
     def prefix(head):
         got = prods.get(head)
@@ -371,13 +428,52 @@ def product_traces(factor):
             prods[head] = got
         return got
 
+    def exact_prefix(head):
+        """(d, kind, complex, rows, column count) of head's product, its rows
+        in _Exact's form, or None when a factor in head is not exact."""
+        if head in exact_prods:
+            return exact_prods[head]
+        f = exact_factor(head[-1])
+        got = None
+        if f is not None and len(head) == 1:
+            got = f.d, f.kind, f.complex, f.rows, f.shape[1]
+        elif f is not None:
+            pre = exact_prefix(head[:-1])
+            if pre is not None:
+                d, kind, cplx, rows, k = pre
+                if k != f.shape[0]:
+                    raise ValueError(
+                        f"cannot multiply {len(rows)}x{k} by {f.shape[0]}x{f.shape[1]}"
+                    )
+                cols = f.cols[cplx]
+                got = (d * f.d, max(kind, f.kind), cplx or f.complex,
+                       [[sum(map(mul, row, col)) for col in cols] for row in rows],
+                       f.shape[1])
+        exact_prods[head] = got
+        return got
+
     def trace(seq):
         got = traces.get(seq)
         if got is None:
-            last = factor(seq[-1])
             if len(seq) == 1:
-                got = last.trace()
+                got = factor(seq[0]).trace()
+            elif ((last := exact_factor(seq[-1])) is not None
+                  and (pre := exact_prefix(seq[:-1])) is not None):
+                d, kind, cplx, rows, k = pre
+                n = len(rows)
+                if (k, n) != last.shape:
+                    raise ValueError(
+                        f"{n}x{k} times {last.shape[0]}x{last.shape[1]} has no trace"
+                    )
+                # row i times column i of the real part, then of the
+                # imaginary part (none when both factors are real)
+                cols = last.cols[cplx]
+                flat = list(chain.from_iterable(rows))
+                a = sum(map(mul, flat, chain.from_iterable(cols[:n])))
+                b = sum(map(mul, flat, chain.from_iterable(cols[n:])))
+                got = gaussian_scalar(a, b, d * last.d, max(kind, last.kind))
             else:
+                last = factor(seq[-1])
                 head = prefix(seq[:-1])
                 n, k = head.rows, head.cols
                 if k != last.rows or n != last.cols:

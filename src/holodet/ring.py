@@ -9,6 +9,11 @@ universal zero/one, so ``0`` and ``1`` literals seed every accumulator.
 
 A ``GaussianRational`` is one triple of ints (a, b, d), the value
 (a + bi)/d in lowest terms, so its arithmetic builds no ``Fraction``.
+The same encoding serves whole matrices: ``gaussian_ints`` writes exact
+entries as two int lists over one common denominator, and
+``gaussian_scalar`` turns an int pair and a denominator back into the
+canonical scalar, so matrix kernels can multiply exact entries as plain
+ints and reduce only their results.
 """
 
 from __future__ import annotations
@@ -195,6 +200,40 @@ def _parts(x):
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
     return None
+
+
+# bool is an int; a subclass of these types takes the generic path
+_EXACT_TYPES = frozenset((int, bool, Fraction, GaussianRational))
+
+
+def gaussian_ints(entries):
+    """Exact entries as one Gaussian-integer matrix over one denominator:
+    (d, re, im, kind) with entry t equal to (re[t] + im[t] i)/d, d > 0 the
+    lcm of the entry denominators, im None when every entry is real, and
+    kind 0, 1 or 2 as the widest entry type is int, Fraction or
+    GaussianRational (a sum of products of exact scalars has the widest
+    type among them).  None when an entry's type is not int, Fraction or
+    GaussianRational."""
+    types = set(map(type, entries))
+    if not types <= _EXACT_TYPES:
+        return None
+    kind = 2 if GaussianRational in types else 1 if Fraction in types else 0
+    parts = list(map(_parts, entries))
+    d = lcm(*(xd for _, _, xd in parts))
+    re = [a * (d // xd) for a, _, xd in parts]
+    im = [b * (d // xd) for _, b, xd in parts]
+    return d, re, (im if any(im) else None), kind
+
+
+def gaussian_scalar(a, b, d, kind):
+    """The canonical scalar (a + bi)/d of gaussian_ints' kind, for ints
+    with d > 0: a GaussianRational for kind 2, else a Fraction for kind 1
+    (b is 0), else the int a (b is 0 and d is 1)."""
+    if kind == 2:
+        return _reduced(a, b, d)
+    if kind == 1:
+        return Fraction(a, d)
+    return a
 
 
 def _add(x, a, b, d):

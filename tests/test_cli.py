@@ -464,6 +464,50 @@ def test_budget_zero_leaves_vector_fields_out(capsys):
     assert "cycles" in methods
 
 
+@pytest.mark.parametrize("argv, code", [
+    # no route in the run set reads --budget
+    (["det", "--example", "random", "--method", "oracle", "--budget", "5"], 2),
+    (["compare", "--example", "random", "--methods", "oracle,cycles", "--budget", "5"], 2),
+    # vector-fields reads it (without --methods it picks the default set,
+    # see test_budget_zero_leaves_vector_fields_out)
+    (["compare", "--example", "random", "--methods", "oracle,vector-fields",
+      "--budget", "5"], 0),
+])
+def test_budget_refused_where_no_route_reads_it(capsys, argv, code):
+    got, out, err = run_cli(argv, capsys)
+    assert got == code, err
+    if code == 2:
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "validation"
+        assert "--budget is read only by vector-fields" in error["message"]
+
+
+def test_moments_exact_refuses_past_outcome_cap(tmp_path, capsys, monkeypatch):
+    # 13 edges of sign flips are 2^13 joint outcomes, over the 2^12 cap
+    doc = {
+        "p": 2,
+        "ranks": [1, 1],
+        "edges": [
+            {"id": f"e{j}", "src": 1 + j % 2, "tgt": 2 - j % 2, "weight": "1",
+             "matrix": [[[1, 0]]]}
+            for j in range(13)
+        ],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+
+    def no_outcome(*args, **kwargs):
+        raise AssertionError("an outcome was built")
+
+    monkeypatch.setattr("holodet.laplacian.Representation", no_outcome)
+    code, out, err = run_cli(["moments", "--input", str(path), "--k", "1"], capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    assert "4096 joint outcomes, got 8192" in error["message"]
+
+
 # a sink vertex makes this Laplacian exactly singular; perm's roundoff there
 # (3.7e-10) is far above 1e-12 but far below the floor scaled by its size
 SINGULAR_FLOAT = ["compare", "--example", "random", "--mode", "float", "--seed", "13",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from _helpers import gauss_rat
+from holodet.blockdet import det_perm_traces
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.linalg import (
     BlockMatrix,
@@ -162,6 +163,90 @@ def test_product_traces_refuse_a_product_without_trace():
         trace(("a", "b"))
     with pytest.raises(ValueError):
         trace(("b", "b", "a"))
+
+
+def _exact_entry(rng, family):
+    """A random exact scalar: an int, a Fraction or a GaussianRational for
+    "mixed", the same with no imaginary parts for "real", an int for "int"."""
+    if family == "int":
+        return rng.randint(-4, 4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    if kind == 1:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    re = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    im = 0 if family == "real" else Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+    return GaussianRational(re, im)
+
+
+def _closed_sequences(rng, shapes, count):
+    """count closed key sequences over factors of the given shapes, each
+    one a walk from the rows of its first factor back to them; most extend
+    a prefix of an earlier one."""
+    by_rows = {}
+    for key, (r, _) in shapes.items():
+        by_rows.setdefault(r, []).append(key)
+    seqs = []
+    while len(seqs) < count:
+        if seqs and rng.random() < 0.7:
+            base = rng.choice(seqs)
+            seq = list(base[:rng.randint(1, len(base))])
+        else:
+            seq = [rng.choice(sorted(shapes))]
+        while len(seq) < 7 and (shapes[seq[-1]][1] != shapes[seq[0]][0]
+                                or rng.random() < 0.6):
+            seq.append(rng.choice(by_rows[shapes[seq[-1]][1]]))
+        if shapes[seq[-1]][1] == shapes[seq[0]][0]:
+            seqs.append(tuple(seq))
+    return seqs
+
+
+@pytest.mark.parametrize("family", ["mixed", "real", "int"])
+def test_product_traces_exact_chains_match_left_to_right(family):
+    # rectangular factors of every shape up to 3x3, two per shape, one of
+    # them zero; sequences chain them and share prefixes
+    rng = random.Random(f"exact-traces:{family}")
+    for _ in range(6):
+        shapes = {(r, c, j): (r, c) for r in (1, 2, 3) for c in (1, 2, 3) for j in (0, 1)}
+        mats = {key: Matrix(r, c, [_exact_entry(rng, family) for _ in range(r * c)])
+                for key, (r, c) in shapes.items()}
+        mats[(2, 3, 1)] = Matrix(2, 3, [0] * 6)
+        trace = product_traces(mats.__getitem__)
+        for seq in _closed_sequences(rng, shapes, 60):
+            want = _left_to_right_trace(mats, seq)
+            got = trace(seq)
+            assert got == want, seq
+            assert type(got) is type(want), seq
+
+
+def test_product_traces_mixed_exact_and_complex_stay_bit_identical():
+    rng = random.Random(43)
+    mats = {
+        "x": Matrix(2, 2, [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(4)]),
+        "y": Matrix(2, 2, [rng.randint(-5, 5) for _ in range(4)]),
+        "z": Matrix(2, 2, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]),
+    }
+    trace = product_traces(mats.__getitem__)
+    for seq in [("x", "y"), ("x", "y", "z"), ("x", "z", "y"), ("z", "x", "y", "x"),
+                ("x", "y", "x", "z"), ("y", "y", "z", "x")]:
+        want = _left_to_right_trace(mats, seq)
+        got = trace(seq)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want), seq
+    assert type(trace(("x", "y"))) is Fraction
+
+
+def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):
+    rng = random.Random(47)
+    m = Matrix(5, 5, [gauss_rat(rng) for _ in range(25)])
+    want = det_oracle(m)
+
+    def no_dense_product(self, other):
+        raise AssertionError("exact powers fell back to Matrix.__mul__")
+
+    monkeypatch.setattr(Matrix, "__mul__", no_dense_product)
+    assert det_perm_traces(m) == want
 
 
 def test_block_matrix_partition_checks():
