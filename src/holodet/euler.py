@@ -14,7 +14,7 @@ from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .laplacian import build_laplacian, holonomy
 from .linalg import Matrix, charpoly_oracle, det_oracle
 from .ring import Poly, to_complex
-from .walks import closed_edge_walks, prime_finiteness
+from .walks import prime_cycles, prime_finiteness
 
 
 def _poly_is_zero(z):
@@ -254,10 +254,7 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
                 f"tail bound does not reach {tol} within length {max_len_cap} "
                 f"(rho={data.rho:.6f})"
             )
-        primes = [
-            c for c in closed_edge_walks(lap.quiver, length, node_budget=2_000_000)
-            if c.valuation == 1
-        ]
+        primes = prime_cycles(lap.quiver, length)
         log_tail = _tail_bound(n, p, data.rho, length)
 
     value = 1.0 + 0.0j

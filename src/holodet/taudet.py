@@ -14,7 +14,8 @@ from math import factorial
 
 from .errors import MethodRefusal
 from .linalg import product_traces
-from .walks import min_rotation, permutations_within, vertex_fields
+from .vectorfields import vertex_field_sum
+from .walks import min_rotation, permutations_within
 
 TAU_DET_CAP = 7
 
@@ -138,21 +139,14 @@ def appendixA_special_check(quiver, rep, weights, N):
     det_tau_blocks = det_tau(entries, ctx)
 
     trace = product_traces(rep.matrices.__getitem__)
-    corrected_rhs = 0
-    field_sum = 0
-    for field_choice, cycles in vertex_fields(quiver):
-        xw = 1
-        for e in field_choice:
-            xw = xw * weights[e.id]
-        corr = 1
-        plain = 1
-        for cyc in cycles:
-            tr = trace(tuple(e.id for e in cyc))
-            corr = corr * (1 - int_div(tr, N ** len(cyc)))
-            plain = plain * (1 - tr)
-        corrected_rhs = corrected_rhs + xw * corr
-        field_sum = field_sum + xw * plain
-    corrected_rhs = (N ** m) * corrected_rhs
+
+    def hol_trace(cyc):
+        return trace(tuple(e.id for e in cyc))
+
+    corrected_rhs = (N ** m) * vertex_field_sum(
+        quiver, weights, lambda cyc: 1 - int_div(hol_trace(cyc), N ** len(cyc))
+    )
+    field_sum = vertex_field_sum(quiver, weights, lambda cyc: 1 - hol_trace(cyc))
 
     scale = 1
     for r in rep.ranks:

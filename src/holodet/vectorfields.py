@@ -195,22 +195,34 @@ def count_sigma_weighted(lap, xi):
     return _chained_inner(perms, bl, lap.ranks, lambda cyc: 1)
 
 
+def vertex_field_sum(quiver, weights, cycle_factor):
+    """Sum over assignments of one outgoing edge per vertex of the weight
+    monomial times the product of cycle_factor over the limit cycles of the
+    assignment, each an edge list."""
+    total = 0
+    for choice, cycles in vertex_fields(quiver):
+        xw = 1
+        for e in choice:
+            xw = xw * weights[e.id]
+        factor = 1
+        for cyc in cycles:
+            factor = factor * cycle_factor(cyc)
+        total = total + xw * factor
+    return total
+
+
 def det_forman_classic(lap):
     """Rank-one vector-field sum: over assignments of one outgoing edge per
     vertex, the weight monomial times the product of (1 - holonomy) over
     the limit cycles of the assignment."""
     if any(r != 1 for r in lap.ranks):
         raise MethodRefusal("classical vector-field sum requires all ranks 1")
-    total = 0
-    for choice, cycles in vertex_fields(lap.quiver):
-        xw = 1
-        for e in choice:
-            xw = xw * lap.weights[e.id]
-        factor = 1
-        for cyc in cycles:
-            hol = 1
-            for e in cyc:
-                hol = hol * lap.rep.matrices[e.id].at(0, 0)
-            factor = factor * (1 - hol)
-        total = total + xw * factor
-    return total
+    matrices = lap.rep.matrices
+
+    def one_minus_hol(cyc):
+        hol = 1
+        for e in cyc:
+            hol = hol * matrices[e.id].at(0, 0)
+        return 1 - hol
+
+    return vertex_field_sum(lap.quiver, lap.weights, one_minus_hol)

@@ -22,19 +22,29 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import HolodetError
+from .errors import HolodetError, MethodRefusal
 from .quiver import Edge, Quiver
 from .ring import Poly, Symbols, int_div, lift
 
+# search states a prime-cycle search visits before it refuses
+PRIME_SEARCH_NODES = 2_000_000
+
+
+def _least_rotation(seq):
+    """Start of the first lexicographically least rotation of seq.  It
+    starts at an occurrence of the least entry, so only those compete."""
+    m = min(seq)
+    best = seq.index(m)
+    if seq.count(m) > 1:
+        for r in range(best + 1, len(seq)):
+            if seq[r] == m and seq[r:] + seq[:r] < seq[best:] + seq[:best]:
+                best = r
+    return best
+
 
 def min_rotation(seq):
-    k = len(seq)
-    best = seq
-    for r in range(1, k):
-        cand = seq[r:] + seq[:r]
-        if cand < best:
-            best = cand
-    return best
+    r = _least_rotation(seq)
+    return seq[r:] + seq[:r] if r else seq
 
 
 class GCycle:
@@ -49,11 +59,7 @@ class GCycle:
             raise HolodetError(f"cycle needs length >= 2, got {edges!r}")
         if len(edges) != len(srcs):
             raise HolodetError("edge/source sequences disagree in length")
-        k = len(edges)
-        best = 0
-        for r in range(1, k):
-            if edges[r:] + edges[:r] < edges[best:] + edges[:best]:
-                best = r
+        best = _least_rotation(edges)
         self.edges = edges[best:] + edges[:best]
         self.srcs = srcs[best:] + srcs[:best]
 
@@ -118,14 +124,6 @@ class GCycle:
 
     def __repr__(self):
         return f"GCycle({self.edges!r})"
-
-
-def valuation(c):
-    return c.valuation
-
-
-def power(c, m):
-    return c.power(m)
 
 
 class CycleMultiset:
@@ -274,8 +272,6 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None):
     """Canonical cycles on the quiver, length-capped, optionally
     visit-bounded per vertex (budget consumed at the source of each edge).
     node_budget caps the number of search states visited."""
-    from .errors import MethodRefusal
-
     out_edges = [quiver.out_edges(v) for v in range(quiver.p)]
     found = set()
     nodes = [0]
@@ -314,6 +310,9 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None):
             if budget is not None:
                 budget[v0] += 1
 
+    # extend's closure holds extend itself, a cycle that would keep the
+    # search state alive until the next cyclic collection
+    del extend
     return sorted(found, key=lambda c: c.sort_key)
 
 
@@ -352,10 +351,14 @@ def enumerate_walk_multisets(p, bound):
 
 
 def prime_cycles(quiver, max_len):
-    """All cycles of valuation 1 up to the length cap, canonical, sorted."""
+    """All cycles of valuation 1 up to the length cap, canonical, sorted;
+    refused past PRIME_SEARCH_NODES search states."""
     if max_len < 2:
         raise HolodetError("max_len must be >= 2")
-    return [c for c in closed_edge_walks(quiver, max_len) if c.valuation == 1]
+    return [
+        c for c in closed_edge_walks(quiver, max_len, node_budget=PRIME_SEARCH_NODES)
+        if c.valuation == 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -364,83 +367,58 @@ class PrimeFiniteness:
     cycles: tuple
 
 
-def _tarjan_sccs(quiver):
-    p = quiver.p
-    adj = [[e.tgt for e in quiver.out_edges(v)] for v in range(p)]
-    index = [None] * p
-    low = [0] * p
-    on_stack = [False] * p
-    stack = []
-    sccs = []
-    counter = itertools.count()
-
-    for root in range(p):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
-
 def prime_finiteness(quiver):
     """Finite prime-cycle set iff every strongly connected component is a
     single vertex or a single simple directed cycle; returns the cycles."""
-    cycles = []
-    for comp in _tarjan_sccs(quiver):
-        if len(comp) == 1:
+    p = quiver.p
+    # Kosaraju, iteratively: finishing order of a search along out-edges,
+    # then components swept along in-edges in reverse finishing order
+    order = []
+    seen = [False] * p
+    for root in range(p):
+        if seen[root]:
             continue
-        members = set(comp)
-        internal = [
-            e for v in comp for e in quiver.out_edges(v) if e.tgt in members
-        ]
-        out_count = {v: 0 for v in comp}
-        in_count = {v: 0 for v in comp}
-        for e in internal:
-            out_count[e.src] += 1
-            in_count[e.tgt] += 1
-        if any(out_count[v] != 1 or in_count[v] != 1 for v in comp):
-            return PrimeFiniteness(False, ())
-        next_edge = {e.src: e for e in internal}
-        start = comp[0]
-        ids, srcs, cur = [], [], start
-        while True:
-            e = next_edge[cur]
+        seen[root] = True
+        work = [(root, iter(quiver.out_edges(root)))]
+        while work:
+            v, it = work[-1]
+            for e in it:
+                if not seen[e.tgt]:
+                    seen[e.tgt] = True
+                    work.append((e.tgt, iter(quiver.out_edges(e.tgt))))
+                    break
+            else:
+                work.pop()
+                order.append(v)
+    label = [None] * p
+    for root in reversed(order):
+        if label[root] is None:
+            label[root] = root
+            todo = [root]
+            while todo:
+                for e in quiver.in_edges(todo.pop()):
+                    if label[e.src] is None:
+                        label[e.src] = root
+                        todo.append(e.src)
+    # an edge lies on a cycle iff its ends share a component; a component
+    # is one simple cycle iff each of its vertices has one such out-edge
+    step = [None] * p
+    for v in range(p):
+        for e in quiver.out_edges(v):
+            if label[e.tgt] == label[v]:
+                if step[v] is not None:
+                    return PrimeFiniteness(False, ())
+                step[v] = e
+    cycles = []
+    for start in range(p):
+        ids, srcs, v = [], [], start
+        while step[v] is not None:
+            e, step[v] = step[v], None
             ids.append(e.id)
-            srcs.append(cur)
-            cur = e.tgt
-            if cur == start:
-                break
-        cycles.append(GCycle(ids, srcs))
+            srcs.append(v)
+            v = e.tgt
+        if ids:
+            cycles.append(GCycle(ids, srcs))
     cycles.sort(key=lambda c: c.sort_key)
     return PrimeFiniteness(True, tuple(cycles))
 

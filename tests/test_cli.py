@@ -89,6 +89,17 @@ def test_primes_figure5(capsys):
     assert lines == ["x12,x23,x34,x41", "x56,x67,x78,x85"]
 
 
+def test_primes_max_len_refuses_past_search_budget(capsys, monkeypatch):
+    argv = ["primes", "--example", "figure5", "--mode", "symbolic", "--max-len", "8"]
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr("holodet.walks.PRIME_SEARCH_NODES", 10)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    assert "node budget of 10" in error["message"]
+
+
 def test_charpoly_two_cycle(capsys):
     code, out, err = run_cli(
         ["charpoly", "--example", "two_cycle", "--mode", "symbolic"],

@@ -292,6 +292,35 @@ def test_prime_finiteness_matches_brute_force_enumeration():
             assert len(primes12) > simple_count
 
 
+def test_prime_finiteness_components_and_parallel_edges():
+    # two 2-cycles joined by a one-way edge: two components, each one cycle
+    q = Quiver(4, [
+        Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 1, 2),
+        Edge("d", 2, 3), Edge("e", 3, 2),
+    ])
+    fin = prime_finiteness(q)
+    assert fin.finite
+    assert [c.edges for c in fin.cycles] == [("a", "b"), ("d", "e")]
+
+    # a doubled edge next to its reverse: two 2-cycles through one pair
+    q = Quiver(2, [Edge("a", 0, 1), Edge("a2", 0, 1), Edge("b", 1, 0)])
+    assert not prime_finiteness(q).finite
+
+
+def test_prime_finiteness_deep_cycle_and_path():
+    # deeper than Python's recursion limit, so the component pass must
+    # not recurse
+    p = 20_000
+    ring = Quiver(p, [Edge(f"e{v}", v, (v + 1) % p) for v in range(p)])
+    fin = prime_finiteness(ring)
+    assert fin.finite and len(fin.cycles) == 1
+    assert fin.cycles[0].srcs == tuple(range(p))
+
+    path = Quiver(p, [Edge(f"e{v}", v, v + 1) for v in range(p - 1)])
+    fin = prime_finiteness(path)
+    assert fin.finite and fin.cycles == ()
+
+
 def test_multiset_bookkeeping():
     w = CyclicWalk((0, 1))
     ms = CycleMultiset(((w, 2), (CyclicWalk((0, 1, 0, 1)), 1)))
@@ -305,16 +334,32 @@ def test_min_rotation():
     assert min_rotation(("b", "a")) == ("a", "b")
 
 
-def test_module_level_valuation_and_power():
-    from holodet.walks import power, valuation
-
+def test_gcycle_valuation_and_power():
     w = CyclicWalk((0, 1))
-    assert valuation(w) == 1
-    assert power(w, 3) == CyclicWalk((0, 1) * 3)
+    assert w.valuation == 1
+    assert w.power(3) == CyclicWalk((0, 1) * 3)
     q = Quiver(2, [Edge("e", 0, 1), Edge("g", 1, 0)])
     c = GCycle.from_quiver(q, ("e", "g"))
-    assert valuation(power(c, 2)) == 2
-    assert power(c, 2).prime_root() == c
+    assert c.power(2).valuation == 2
+    assert c.power(2).prime_root() == c
+
+
+def test_least_rotation_matches_brute_force_over_all_rotations():
+    rng = random.Random(12)
+    for _ in range(200):
+        k = rng.randint(2, 5)
+        seq = [rng.randrange(3)]
+        while len(seq) < k:
+            nxt = rng.randrange(3)
+            if nxt != seq[-1] and not (len(seq) == k - 1 and nxt == seq[0]):
+                seq.append(nxt)
+        c = CyclicWalk(tuple(seq)).power(rng.randint(1, 3))
+        for r in range(len(c)):
+            walk = c.srcs[r:] + c.srcs[:r]
+            edges = c.edges[r:] + c.edges[:r]
+            assert min_rotation(walk) == min(walk[i:] + walk[:i] for i in range(len(walk)))
+            want = min(edges[i:] + edges[:i] for i in range(len(edges)))
+            assert GCycle(edges, walk).edges == want == c.edges
 
 
 def _cycles_and_sign(perm):
