@@ -101,13 +101,17 @@ def weight_product(weights, gcycle):
 
 
 def _cycle_series(lap, cycles=None):
-    """visit_exponential of the cycle factors -(x^e(c) Tr hol(c)) / val(c)."""
+    """visit_exponential of the cycle factors -(x^e(c) Tr hol(c)) / val(c),
+    traced as -Tr(x_e1 U_e1 ... x_ek U_ek) / val(c): the weights ride in the
+    edge maps, so cycles that share a prefix share its weighted product."""
     if cycles is None:
         cycles = candidate_gcycles(lap.quiver, lap.ranks)
-    trace = product_traces(lap.rep.matrices.__getitem__)
+    maps = {e.id: lap.rep.matrices[e.id].scale(lap.weights[e.id])
+            for e in lap.quiver.edges}
+    trace = product_traces(maps.__getitem__)
 
     def factor(c):
-        return int_div(-(weight_product(lap.weights, c) * trace(c.edges)), c.valuation)
+        return int_div(-trace(c.edges), c.valuation)
 
     return visit_exponential(cycles, lap.quiver.p, lap.ranks, factor)
 

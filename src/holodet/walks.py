@@ -42,6 +42,21 @@ def _least_rotation(seq):
     return best
 
 
+def _valuation_if_least(ids, srcs, v0):
+    """0 when a rotation of ids that starts where srcs is v0 is less than
+    ids; else the valuation of ids, len(ids) / r for the first such
+    rotation r that gives ids back (later ones repeat earlier ones), or 1
+    when none does."""
+    for r in range(1, len(ids)):
+        if srcs[r] == v0:
+            rot = ids[r:] + ids[:r]
+            if rot == ids:
+                return len(ids) // r
+            if rot < ids:
+                return 0
+    return 1
+
+
 def min_rotation(seq):
     r = _least_rotation(seq)
     return seq[r:] + seq[:r] if r else seq
@@ -100,8 +115,12 @@ class GCycle:
 
     @property
     def valuation(self):
+        """len / period, the first r > 0 whose rotation gives edges back."""
         edges = self.edges
-        return sum(1 for r in range(len(edges)) if edges[r:] + edges[:r] == edges)
+        for r in range(1, len(edges)):
+            if edges[r] == edges[0] and edges[r:] + edges[:r] == edges:
+                return len(edges) // r
+        return 1
 
     def power(self, m):
         if m < 1:
@@ -209,24 +228,40 @@ def visit_exponential(candidates, p, bound, factor):
     of the product of their factors divided by the multiplicity
     factorials.  With F_u the factor sum over candidates visiting u, the
     Euler operator gives |v| G_v = sum_{0 < u <= v} |u| F_u G_(v-u), so
-    each candidate is visited once and no multiset is listed."""
+    each candidate is visited once and no multiset is listed.
+
+    Visit vectors are packed into one int, a bit field per vertex with
+    vertex 0 highest, each field one bit wider than the largest bound so
+    that its top bit is a guard.  With every guard set on v, a field of
+    v - u borrows its guard exactly when u_a > v_a, and no borrow crosses a
+    field; so keying the reached cells with their guards set, v - u is a
+    key only when u <= v, and then it is the key of v - u."""
     fsum = {}
     for c in candidates:
         u = c.visits(p)
         fsum[u] = fsum.get(u, 0) + factor(c)
-    scaled = [(u, sum(u) * f) for u, f in fsum.items()]
-    out = {}
-    acc = {(0,) * p: 1}
-    # the box is walked in lexicographic order, so every v - u comes before
-    # v and has pushed its term into acc[v] by the time v is reached
-    for v in itertools.product(*(range(b + 1) for b in bound)):
-        if v not in acc:
-            continue
-        g = out[v] = int_div(acc.pop(v), max(sum(v), 1))
-        for u, f in scaled:
-            w = tuple(a + b for a, b in zip(u, v))
-            if all(a <= b for a, b in zip(w, bound)):
-                acc[w] = acc.get(w, 0) + f * g
+    cells = itertools.product(*(range(b + 1) for b in bound))
+    zero = next(cells)
+    out = {zero: int_div(1, 1)}
+    if not fsum:
+        return out
+    width = max(bound).bit_length() + 1
+    shifts = [width * (p - 1 - a) for a in range(p)]
+    top = 1 << (width - 1)
+    # pulled in decreasing u, hence increasing v - u: the order in which a
+    # push over the box in index order would add the terms
+    scaled = sorted(((sum(x << s for x, s in zip(u, shifts)), sum(u) * f)
+                     for u, f in fsum.items()), key=lambda uf: uf[0], reverse=True)
+    # each cell's key with its guards set, in the cells' order: the box is
+    # walked in lexicographic order, which is index order, so every v - u
+    # is reached (or not) before v
+    keys = map(sum, itertools.product(
+        *([(top | x) << s for x in range(b + 1)] for b, s in zip(bound, shifts))))
+    reached = {next(keys): out[zero]}
+    for v, key in zip(cells, keys):
+        terms = [f * g for u, f in scaled if (g := reached.get(key - u)) is not None]
+        if terms:
+            reached[key] = out[v] = int_div(sum(terms), sum(v))
     return out
 
 
@@ -268,52 +303,57 @@ def shifted_visit_sum(series, zs, bound, entries, t_names=None):
     return visit_sum(lifted, shifted, bound)
 
 
-def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None):
+def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
+                      primes=False):
     """Canonical cycles on the quiver, length-capped, optionally
-    visit-bounded per vertex (budget consumed at the source of each edge).
-    node_budget caps the number of search states visited."""
+    visit-bounded per vertex (budget consumed at the source of each edge),
+    and only those of valuation 1 when primes is set.  node_budget caps
+    the number of search states visited.
+
+    Each cycle is found from its least vertex v0, once per rotation that
+    starts at v0, and built once: from the least of those rotations.  The
+    search keeps its own stack, so a long walk needs no deep recursion."""
     out_edges = [quiver.out_edges(v) for v in range(quiver.p)]
-    found = set()
-    nodes = [0]
-
-    def extend(ids, srcs, cur, v0, budget):
-        nodes[0] += 1
-        if node_budget is not None and nodes[0] > node_budget:
-            raise MethodRefusal(
-                f"cycle search exceeded its node budget of {node_budget}"
-            )
-        if cur == v0 and len(ids) >= 2:
-            found.add(GCycle(ids, srcs))
-        if len(ids) == max_len:
-            return
-        if budget is not None and budget[cur] == 0:
-            return
-        for e in out_edges[cur]:
-            if e.tgt < v0:
-                continue
-            if budget is not None:
-                budget[cur] -= 1
-            extend(ids + (e.id,), srcs + (cur,), e.tgt, v0, budget)
-            if budget is not None:
-                budget[cur] += 1
-
+    found = []
+    nodes = 0
     for v0 in range(quiver.p):
         if vertex_budget is not None and vertex_budget[v0] == 0:
             continue
         budget = list(vertex_budget) if vertex_budget is not None else None
-        for e in out_edges[v0]:
+        # the walk so far, and the untried out-edges of each vertex on it
+        ids, srcs = [], []
+        cur = v0
+        stack = [iter(out_edges[v0])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if ids:
+                    ids.pop()
+                    cur = srcs.pop()
+                    if budget is not None:
+                        budget[cur] += 1
+                continue
             if e.tgt < v0:
                 continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise MethodRefusal(
+                    f"cycle search exceeded its node budget of {node_budget}"
+                )
             if budget is not None:
-                budget[v0] -= 1
-            extend((e.id,), (v0,), e.tgt, v0, budget)
-            if budget is not None:
-                budget[v0] += 1
-
-    # extend's closure holds extend itself, a cycle that would keep the
-    # search state alive until the next cyclic collection
-    del extend
-    return sorted(found, key=lambda c: c.sort_key)
+                budget[cur] -= 1
+            ids.append(e.id)
+            srcs.append(cur)
+            cur = e.tgt
+            if cur == v0 and len(ids) >= 2:
+                val = 1 if srcs.count(v0) == 1 else _valuation_if_least(ids, srcs, v0)
+                if val == 1 or (val and not primes):
+                    found.append(GCycle(ids, srcs))
+            grows = len(ids) < max_len and (budget is None or budget[cur] > 0)
+            stack.append(iter(out_edges[cur] if grows else ()))
+    found.sort(key=lambda c: c.sort_key)
+    return found
 
 
 def candidate_gcycles(quiver, bound):
@@ -355,10 +395,8 @@ def prime_cycles(quiver, max_len):
     refused past PRIME_SEARCH_NODES search states."""
     if max_len < 2:
         raise HolodetError("max_len must be >= 2")
-    return [
-        c for c in closed_edge_walks(quiver, max_len, node_budget=PRIME_SEARCH_NODES)
-        if c.valuation == 1
-    ]
+    return closed_edge_walks(quiver, max_len, node_budget=PRIME_SEARCH_NODES,
+                             primes=True)
 
 
 @dataclass(frozen=True)

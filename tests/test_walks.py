@@ -3,9 +3,11 @@ import random
 from math import factorial
 
 import pytest
+from _helpers import gauss_rat
 
 from holodet.errors import HolodetError
 from holodet.quiver import Edge, Quiver, gen_example
+from holodet.ring import Poly, Symbols, int_div
 from holodet.walks import (
     CycleMultiset,
     CyclicWalk,
@@ -20,6 +22,7 @@ from holodet.walks import (
     prime_cycles,
     prime_finiteness,
     vertex_fields,
+    visit_exponential,
     walk_quiver,
 )
 
@@ -122,6 +125,36 @@ def test_walk_quiver_cycles_match_brute_force(p, bound):
     assert got == [CyclicWalk(seq) for seq in want]
 
 
+def test_cycle_search_builds_each_cycle_once(monkeypatch):
+    q = walk_quiver(3)
+    builds = []
+    init = GCycle.__init__
+
+    def counting_init(self, edge_ids, src_vertices):
+        builds.append(tuple(edge_ids))
+        init(self, edge_ids, src_vertices)
+
+    monkeypatch.setattr(GCycle, "__init__", counting_init)
+    got = candidate_gcycles(q, (2, 2, 2))
+    assert len(builds) == len(set(got)) == len(got)
+    # rotations of one cycle through its least vertex more than once, as
+    # (0 1 0 2) and (0 2 0 1), are built once, from the least of them
+    assert any(c.srcs.count(0) == 2 for c in got)
+
+
+def test_prime_search_keeps_valuation_one():
+    q = Quiver(3, [Edge("a", 0, 1), Edge("b", 0, 1), Edge("c", 1, 0),
+                   Edge("d", 1, 2), Edge("e", 2, 0)])
+    every = closed_edge_walks(q, 9)
+    for c in every:
+        rotations = sum(1 for r in range(len(c))
+                        if c.edges[r:] + c.edges[:r] == c.edges)
+        assert c.valuation == rotations
+    primes = closed_edge_walks(q, 9, primes=True)
+    assert primes == prime_cycles(q, 9) == [c for c in every if c.valuation == 1]
+    assert len(primes) < len(every)
+
+
 def test_walk_quiver_filter_and_edges():
     q = walk_quiver(3, lambda a, b: b == (a + 1) % 3)
     assert [(e.id, e.src, e.tgt) for e in q.edges] == [
@@ -207,6 +240,57 @@ def test_gcycle_multisets_hand_counts():
         CycleMultiset(((eg, 1),)),
         CycleMultiset(((fg, 1),)),
     }
+
+
+def _fold_quiver():
+    """Two parallel edges 0 -> 2, the way back, a detour 2 -> 3 -> 0 and a
+    2-cycle through vertex 1."""
+    return Quiver(4, [Edge("a1", 0, 2), Edge("a2", 0, 2), Edge("b", 2, 0),
+                      Edge("c", 2, 3), Edge("d", 3, 0),
+                      Edge("e", 0, 1), Edge("f", 1, 0)])
+
+
+def _multiset_sums(quiver, bound, factor):
+    """sum over the multisets within bound of prod f_c^m / m!, by visit
+    vector, listed one multiset at a time."""
+    want = {}
+    for ms in enumerate_gcycle_multisets(quiver, bound):
+        term = 1
+        for c, mult in ms:
+            for _ in range(mult):
+                term = term * factor(c)
+        v = ms.visits(quiver.p)
+        want[v] = want.get(v, 0) + int_div(term, ms.multiplicity_factorial())
+    return want
+
+
+# a bound of 7 fills a 3-bit field under its guard; 8 needs a 4-bit field
+@pytest.mark.parametrize("bound", [(7, 0, 8, 0), (8, 2, 2, 1), (7, 1, 4, 0),
+                                   (4, 0, 7, 1), (0, 0, 0, 0)])
+def test_visit_exponential_matches_multiset_sums(bound):
+    q = _fold_quiver()
+    rng = random.Random(f"fold:{bound}")
+    cycles = candidate_gcycles(q, bound)
+    values = {c: gauss_rat(rng) for c in cycles}
+    got = visit_exponential(cycles, q.p, bound, values.__getitem__)
+    want = _multiset_sums(q, bound, values.__getitem__)
+    assert set(got) == set(want)
+    assert all(got[v] == want[v] for v in want)
+
+
+def test_visit_exponential_matches_multiset_sums_over_poly():
+    q = _fold_quiver()
+    bound = (3, 1, 7, 1)
+    syms = Symbols(("x", "y"))
+    x, y = Poly.variable(syms, "x"), Poly.variable(syms, "y")
+    rng = random.Random(13)
+    cycles = candidate_gcycles(q, bound)
+    values = {c: rng.randint(-3, 3) * x ** len(c) + rng.randint(-2, 2) * y
+              for c in cycles}
+    got = visit_exponential(cycles, q.p, bound, values.__getitem__)
+    want = _multiset_sums(q, bound, values.__getitem__)
+    assert set(got) == set(want)
+    assert all(got[v] == want[v] for v in want)
 
 
 def test_gcycle_multisets_figure5_all_ones():
