@@ -13,13 +13,15 @@ The same encoding serves whole matrices: ``gaussian_ints`` writes exact
 entries as two int lists over one common denominator, and
 ``gaussian_scalar`` turns an int pair and a denominator back into the
 canonical scalar, so matrix kernels can multiply exact entries as plain
-ints and reduce only their results.
+ints and reduce only their results.  A ``Poly`` with int and Fraction
+coefficients is held the same way: int numerators over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import HolodetError
 
@@ -144,14 +146,7 @@ class GaussianRational:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = _reduced(1, 0, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else _reduced(1, 0, 1)
 
     def conjugate(self):
         return _reduced(self.a, -self.b, self.d)
@@ -204,6 +199,20 @@ def _parts(x):
 
 # bool is an int; a subclass of these types takes the generic path
 _EXACT_TYPES = frozenset((int, bool, Fraction, GaussianRational))
+_RATIONAL_TYPES = frozenset((int, bool, Fraction))
+
+
+def _power(base, k):
+    """base ** k for an int k >= 1 by square-and-multiply, squaring base
+    only while bits of k remain."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
 
 
 def gaussian_ints(entries):
@@ -251,9 +260,22 @@ class Poly:
     Exponent tuples are dense over the symbol table; coefficients may be
     ints, Fractions, GaussianRationals, or complex floats.  No zero
     coefficient is ever stored.
+
+    When every coefficient is an int or a Fraction, a Poly also holds them
+    as integer numerators keyed by exponent tuple over one denominator
+    d > 0, kept canonical like a GaussianRational: gcd(d, every numerator)
+    = 1.  Sums and products of two such Polys, or of one and an int or
+    Fraction scalar, run on those ints, in the dense loops' key order; the
+    result's ``terms`` is built on first read and cached, ints when d is 1
+    and Fractions otherwise.  A Poly with a GaussianRational, float or
+    complex coefficient holds only ``terms``, and any sum or product with
+    it takes the dense loops.
+
+    Values are immutable.  ``terms`` is shared, not copied (``p + 0`` may
+    return p itself), so it must not be mutated.
     """
 
-    __slots__ = ("syms", "terms")
+    __slots__ = ("syms", "_num", "_den", "_terms")
 
     def __init__(self, syms, terms=None):
         self.syms = syms
@@ -269,7 +291,8 @@ class Poly:
                     raise ValueError(f"negative exponent in {exps!r}")
                 if not (c == 0):
                     clean[exps] = c
-        self.terms = clean
+        self._terms = clean
+        self._num, self._den = _int_form(clean)
 
     @classmethod
     def const(cls, syms, value):
@@ -284,8 +307,18 @@ class Poly:
         return cls(syms, {tuple(exps): 1})
 
     @property
+    def terms(self):
+        """Map from exponent tuple to nonzero coefficient; shared, not copied."""
+        t = self._terms
+        if t is None:
+            d = self._den
+            t = self._num if d == 1 else {e: Fraction(n, d) for e, n in self._num.items()}
+            self._terms = t
+        return t
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not (self._terms if self._num is None else self._num)
 
     def constant_value(self):
         """Value of a polynomial with no surviving indeterminates."""
@@ -294,18 +327,33 @@ class Poly:
             raise HolodetError("polynomial is not constant")
         return self.terms.get(zero, 0)
 
+    def _same_table(self, other):
+        if other.syms is not self.syms and other.syms != self.syms:
+            raise HolodetError(
+                "polynomials over different symbol tables; lift them first"
+            )
+
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.syms != self.syms:
-                raise HolodetError(
-                    "polynomials over different symbol tables; lift them first"
-                )
+            self._same_table(other)
             return other
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
             return Poly.const(self.syms, other)
         return None
 
     def __add__(self, other):
+        t = type(other)
+        if t in _RATIONAL_TYPES:
+            if not other:
+                return self
+            if self._num is not None:
+                zero = (0,) * len(self.syms)
+                return self._add_ints({zero: other.numerator}, other.denominator)
+        elif t is Poly and self._num is not None and other._num is not None:
+            self._same_table(other)
+            if not self._num:
+                return other
+            return self._add_ints(other._num, other._den) if other._num else self
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -316,17 +364,34 @@ class Poly:
                 res.pop(e, None)
             else:
                 res[e] = s
-        out = Poly(self.syms)
-        out.terms = res
-        return out
+        return _poly(self.syms, *_int_form(res), res)
 
     __radd__ = __add__
 
+    def _add_ints(self, num, den):
+        """self + num/den in integer form, its keys in the dense loop's order."""
+        d = self._den
+        if d == den:
+            res = dict(self._num)
+        else:
+            g = gcd(d, den)
+            s, t = den // g, d // g
+            res = {e: c * s for e, c in self._num.items()}
+            num = {e: c * t for e, c in num.items()}
+            d *= s
+        get = res.get
+        for e, c in num.items():
+            c += get(e, 0)
+            if c:
+                res[e] = c
+            else:
+                del res[e]
+        return _rational_poly(self.syms, res, d)
+
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (Poly, int, Fraction, GaussianRational, float, complex)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -335,11 +400,34 @@ class Poly:
         return o + (-self)
 
     def __neg__(self):
-        out = Poly(self.syms)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        if self._num is None:
+            return _poly(self.syms, None, None, {e: -c for e, c in self._terms.items()})
+        return _poly(self.syms, {e: -c for e, c in self._num.items()}, self._den, None)
 
     def __mul__(self, other):
+        if self._num is not None:
+            t = type(other)
+            if t in _RATIONAL_TYPES:
+                # a scalar keeps every exponent tuple where it is
+                if other == 1:
+                    return self
+                n = other.numerator
+                num = {e: c * n for e, c in self._num.items()} if n else {}
+                return _rational_poly(self.syms, num, self._den * other.denominator)
+            if t is Poly and other._num is not None:
+                self._same_table(other)
+                res = {}
+                get = res.get
+                terms2 = other._num.items()
+                for e1, c1 in self._num.items():
+                    for e2, c2 in terms2:
+                        e = tuple(map(add, e1, e2))
+                        c = get(e, 0) + c1 * c2
+                        if c:
+                            res[e] = c
+                        else:
+                            del res[e]
+                return _rational_poly(self.syms, res, self._den * other._den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -352,27 +440,28 @@ class Poly:
                     res.pop(e, None)
                 else:
                     res[e] = s
-        out = Poly(self.syms)
-        out.terms = res
-        return out
+        return _poly(self.syms, *_int_form(res), res)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = Poly.const(self.syms, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else Poly.const(self.syms, 1)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.syms == other.syms and self.terms == other.terms
+            if self.syms != other.syms:
+                return False
+            if self._num is not None and other._num is not None:
+                return self._den == other._den and self._num == other._num
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)) and self._num is not None:
+            n = other.numerator
+            if not n:
+                return not self._num
+            zero = (0,) * len(self.syms)
+            return self._den == other.denominator and self._num == {zero: n}
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
             return self.terms == Poly.const(self.syms, other).terms
         return NotImplemented
@@ -380,9 +469,10 @@ class Poly:
     __hash__ = None
 
     def divide_int(self, k):
-        out = Poly(self.syms)
-        out.terms = {e: int_div(c, k) for e, c in self.terms.items()}
-        return out
+        if self._num is None:
+            res = {e: int_div(c, k) for e, c in self._terms.items()}
+            return _poly(self.syms, *_int_form(res), res)
+        return _rational_poly(self.syms, self._num, self._den * k)
 
     def occurring(self):
         """Names of symbols appearing with a positive exponent."""
@@ -414,6 +504,37 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.syms.names!r}, {self.terms!r})"
+
+
+def _int_form(terms):
+    """(numerators, denominator) of nonzero int and Fraction coefficients;
+    (None, None) when some coefficient is of another type."""
+    types = set(map(type, terms.values()))
+    if types <= {int}:
+        return terms, 1
+    if not types <= _RATIONAL_TYPES:
+        return None, None
+    # each Fraction is in lowest terms, so over the lcm of their
+    # denominators the numerators share no prime with it
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _poly(syms, num, den, terms):
+    out = object.__new__(Poly)
+    out.syms, out._num, out._den, out._terms = syms, num, den, terms
+    return out
+
+
+def _rational_poly(syms, num, den):
+    """The Poly with int numerators num (none zero) over den > 0, reduced to
+    lowest terms; the zero Poly has den 1."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return _poly(syms, num, den, None)
 
 
 def lift(value, syms):
@@ -469,7 +590,7 @@ def is_exact(s):
     if isinstance(s, (int, Fraction, GaussianRational)):
         return True
     if isinstance(s, Poly):
-        return all(is_exact(c) for c in s.terms.values())
+        return s._num is not None or all(is_exact(c) for c in s.terms.values())
     return False
 
 

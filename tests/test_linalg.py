@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import gauss_rat
+from _helpers import gauss_rat, random_quiver
 from holodet.blockdet import det_perm_traces
 from holodet.errors import HolodetError, MethodRefusal
+from holodet.laplacian import build_laplacian
 from holodet.linalg import (
     BlockMatrix,
     Matrix,
@@ -14,6 +15,7 @@ from holodet.linalg import (
     det_oracle,
     product_traces,
 )
+from holodet.quiver import Representation
 from holodet.ring import GaussianRational, Poly, Symbols, scalars_close
 from holodet.walks import CyclicWalk
 
@@ -247,6 +249,31 @@ def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", no_dense_product)
     assert det_perm_traces(m) == want
+
+
+def test_symbolic_routes_take_no_fraction_arithmetic(monkeypatch):
+    # a 4x4 Laplacian with rational edge maps and one symbol per edge: its
+    # Poly entries multiply and add as int numerators over one denominator
+    rng = random.Random(53)
+    q = random_quiver(rng, 2, 3)
+    mats = {
+        e.id: Matrix(2, 2, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                            for _ in range(4)])
+        for e in q.edges
+    }
+    syms = Symbols(tuple(e.id for e in q.edges))
+    weights = {e.id: Poly.variable(syms, e.id) for e in q.edges}
+    lap = build_laplacian(q, Representation((2, 2), mats), weights)
+    want = det_oracle(lap.matrix)
+    assert any(type(c) is Fraction for c in want.terms.values())
+
+    def no_fraction_arithmetic(self, other):
+        raise AssertionError("a Poly coefficient took Fraction arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, no_fraction_arithmetic)
+    assert det_perm_traces(lap.matrix) == want
+    assert det_oracle(lap.matrix) == want
 
 
 def test_block_matrix_partition_checks():

@@ -285,3 +285,179 @@ def test_scalars_close_tolerances():
     assert scalars_close(1.0 + 0j, 1.0 + 1e-13j)
     assert not scalars_close(1.0 + 0j, 1.001 + 0j)
     assert scalars_close(Fraction(1, 3), Fraction(1, 3))
+
+
+def _counting_products(monkeypatch, cls):
+    calls = []
+    mul = cls.__mul__
+
+    def counted(self, other):
+        calls.append(other is self)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ("poly", "gaussian"))
+def test_power_squares_only_while_bits_remain(monkeypatch, kind):
+    syms = Symbols(("x", "y"))
+    if kind == "poly":
+        x, y = Poly.variable(syms, "x"), Poly.variable(syms, "y")
+        base, one = x * Fraction(1, 2) - 3 * y + Fraction(2, 3), Poly.const(syms, 1)
+    else:
+        base, one = GaussianRational(Fraction(1, 2), Fraction(-2, 3)), GaussianRational(1)
+    want = [one]
+    for _ in range(9):
+        want.append(want[-1] * base)
+    calls = _counting_products(monkeypatch, type(base))
+    assert base ** 1 == base and calls == []
+    assert base ** 4 == want[4] and calls == [True, True]
+    for k, w in enumerate(want):
+        del calls[:]
+        assert base ** k == w
+        # one square per bit below the top one, one product per further set bit
+        assert calls.count(True) == max(k.bit_length() - 1, 0)
+        assert len(calls) - calls.count(True) == max(bin(k).count("1") - 1, 0)
+
+
+# --- Poly against the dense loops ------------------------------------------
+
+def _dense_add(s, o):
+    res = dict(s)
+    for e, c in o.items():
+        v = res.get(e, 0) + c
+        if v == 0:
+            res.pop(e, None)
+        else:
+            res[e] = v
+    return res
+
+
+def _dense_mul(s, o):
+    res = {}
+    for e1, c1 in s.items():
+        for e2, c2 in o.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = res.get(e, 0) + c1 * c2
+            if v == 0:
+                res.pop(e, None)
+            else:
+                res[e] = v
+    return res
+
+
+def _dense_neg(s):
+    return {e: -c for e, c in s.items()}
+
+
+def _const_terms(width, c):
+    return {} if c == 0 else {(0,) * width: c}
+
+
+def _draw_coefficient(rng, kind):
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.choice((-1, 1)) * rng.randint(1, 12)
+    if kind in ("fraction", "mixed"):
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((1, 2, 3, 4, 6, 35)))
+    if kind == "gaussian":
+        if rng.random() < 0.3:
+            return rng.randint(-4, 4)
+        return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if kind == "float":
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+    return complex(rng.choice((-0.0, rng.uniform(-2, 2))), rng.uniform(-2, 2))
+
+
+_KINDS = ("int", "fraction", "mixed", "gaussian", "float", "complex")
+
+
+def _draw_poly(rng, syms, kind):
+    width = len(syms)
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        terms[tuple(rng.randint(0, 2) for _ in range(width))] = _draw_coefficient(rng, kind)
+    return Poly(syms, terms)
+
+
+def _draw_kind(rng, other=None):
+    """A coefficient kind, weighted to the rational ones; never Gaussian next
+    to float or complex, which do not add."""
+    kinds = _KINDS[:3] * 3
+    if other != "gaussian":
+        kinds += ("float", "complex")
+    if other not in ("float", "complex"):
+        kinds += ("gaussian",)
+    return rng.choice(kinds)
+
+
+def _draw_scalar(rng, other):
+    kind = rng.choice(("zero", "one", _draw_kind(rng, other)))
+    if kind == "zero":
+        return rng.choice((0, Fraction(0)))
+    if kind == "one":
+        return rng.choice((1, Fraction(1)))
+    return _draw_coefficient(rng, kind)
+
+
+def _rational(terms):
+    return all(type(c) in (int, Fraction) for c in terms.values())
+
+
+def _assert_poly_matches(got, want):
+    assert isinstance(got, Poly)
+    if _rational(want):
+        # key order and values, held as int numerators over the lcm of the
+        # denominators
+        assert list(got.terms.items()) == list(want.items())
+        assert all(type(c) in (int, Fraction) for c in got.terms.values())
+        den = math.lcm(*(Fraction(c).denominator for c in want.values()))
+        assert got._den == den and got._num is not None
+        assert got._den == 1 or math.gcd(got._den, *got._num.values()) == 1
+        assert got.is_zero == (not want) and (got == 0) == (not want)
+    else:
+        # the dense loops' dict, float bits and Gaussian types included; an
+        # int coefficient may read as a Fraction with denominator 1, or back
+        assert _typed(got.terms) == _typed(want)
+
+
+def _typed(terms):
+    return repr([(e, Fraction(c) if type(c) is int else c) for e, c in terms.items()])
+
+
+def test_poly_matches_dense_reference():
+    rng = random.Random(29)
+    for width in range(4):
+        syms = Symbols(("a", "b", "c")[:width])
+        for _ in range(250):
+            kind = _draw_kind(rng)
+            x = _draw_poly(rng, syms, kind)
+            y = _draw_poly(rng, syms, _draw_kind(rng, kind))
+            if rng.random() < 0.2:
+                # cancellation to zero, or a scaled copy
+                y = -x if rng.random() < 0.5 else x * _draw_scalar(rng, kind)
+            xt, yt = x.terms, y.terms
+            for got, want in (
+                (x + y, _dense_add(xt, yt)), (x - y, _dense_add(xt, _dense_neg(yt))),
+                (x * y, _dense_mul(xt, yt)), (-x, _dense_neg(xt)),
+                (x - x, {}), (x + Poly(syms), dict(xt)), (x * Poly(syms), {}),
+            ):
+                _assert_poly_matches(got, want)
+            c = _draw_scalar(rng, kind)
+            ct = _const_terms(width, c)
+            for got, want in (
+                (x + c, _dense_add(xt, ct)), (c + x, _dense_add(xt, ct)),
+                (x - c, _dense_add(xt, _dense_neg(ct))), (c - x, _dense_add(ct, _dense_neg(xt))),
+                (x * c, _dense_mul(xt, ct)), (c * x, _dense_mul(xt, ct)),
+            ):
+                _assert_poly_matches(got, want)
+            k = rng.randint(1, 9)
+            want = {e: int_div(c, k) for e, c in xt.items()}
+            _assert_poly_matches(x.divide_int(k), want)
+            _assert_poly_matches(int_div(x, k), want)
+            if not any(isinstance(c, (float, complex)) for c in xt.values()):
+                want = _const_terms(width, 1)
+                for j in range(4):
+                    assert (x ** j).terms == want
+                    want = _dense_mul(want, xt)
