@@ -14,7 +14,7 @@ from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .linalg import block_walk_traces, product_traces
 from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
-    candidate_gcycles,
+    closed_walk_factors,
     cycle_types,
     enumerate_gcycle_multisets,
     min_rotation,
@@ -136,16 +136,12 @@ def _block_quiver(bm):
 
 
 def _walk_series(sd):
-    """visit_exponential of the walk factors (-1)^(len-1) W / val, kept
-    exact by integer division."""
-    trace = product_traces(lambda ab: sd.block.block(*ab))
-
-    def factor(walk):
-        sign = 1 if len(walk) % 2 else -1
-        return int_div(sign * trace(walk.edges), walk.valuation)
-
-    cands = candidate_gcycles(_block_quiver(sd.block), sd.part)
-    return visit_exponential(cands, sd.p, sd.part, factor)
+    """visit_exponential of the walk factors (-1)^(len-1) Tr W / val, W the
+    product of the nonzero blocks along the walk: the closed-walk transfer
+    of those blocks on the block quiver."""
+    quiver = _block_quiver(sd.block)
+    maps = {e.id: sd.block.block(*e.id) for e in quiver.edges}
+    return visit_exponential(closed_walk_factors(quiver, sd.part, maps), sd.part)
 
 
 def det_scalar_diag(sd):

@@ -41,10 +41,11 @@ from .taudet import TAU_DET_CAP
 from .vectorfields import DEFAULT_TERM_BUDGET, det_vector_fields, stack_cost
 from .euler import det_euler_finite, det_euler_truncated
 from .walks import (
-    candidate_gcycles,
+    VISIT_BOX_CAP,
     enumerate_gcycle_multisets,
     prime_cycles,
     prime_finiteness,
+    visit_box_cells,
 )
 
 
@@ -94,8 +95,8 @@ def _load(args):
 
 
 def _cycles(lap, args):
-    cycles = candidate_gcycles(lap.quiver, lap.ranks)
-    return det_laplacian_cycles(lap, cycles), len(cycles)
+    factors = {}
+    return det_laplacian_cycles(lap, factors), len(factors)
 
 
 def _euler_truncated(lap, args):
@@ -125,7 +126,8 @@ ROUTES = {
         lambda lap, args: (det_oracle(lap.matrix), None),
         lambda lap, args: args.mode != "symbolic" or sum(lap.ranks) <= POLY_DET_CAP,
     ),
-    "cycles": Route(_cycles, lambda lap, args: True),
+    "cycles": Route(_cycles,
+                    lambda lap, args: visit_box_cells(lap.ranks) <= VISIT_BOX_CAP),
     "perm": Route(lambda lap, args: (det_perm_traces(lap.matrix), None),
                   _size_within(PERM_SUM_CAP)),
     "block-perm": Route(lambda lap, args: (det_block_perm(lap.block), None),

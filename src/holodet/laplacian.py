@@ -15,7 +15,7 @@ from .linalg import BlockMatrix, Matrix, det_oracle, product_traces
 from .quiver import Representation, validate, vertex_z
 from .ring import int_div, z_power
 from .walks import (
-    candidate_gcycles,
+    closed_walk_factors,
     enumerate_gcycle_multisets,
     shifted_visit_sum,
     visit_exponential,
@@ -100,34 +100,31 @@ def weight_product(weights, gcycle):
     return acc
 
 
-def _cycle_series(lap, cycles=None):
-    """visit_exponential of the cycle factors -(x^e(c) Tr hol(c)) / val(c),
-    traced as -Tr(x_e1 U_e1 ... x_ek U_ek) / val(c): the weights ride in the
-    edge maps, so cycles that share a prefix share its weighted product."""
-    if cycles is None:
-        cycles = candidate_gcycles(lap.quiver, lap.ranks)
-    maps = {e.id: lap.rep.matrices[e.id].scale(lap.weights[e.id])
+def _cycle_factors(lap):
+    """{u: F_u}, F_u the sum of the cycle factors -(x^e(c) Tr hol(c)) / val(c)
+    over the cycles visiting u: the closed-walk transfer of the weighted
+    edge maps -x_e U_e, whose product along a cycle of length k is
+    (-1)^k x^e(c) hol(c)."""
+    maps = {e.id: lap.rep.matrices[e.id].scale(-lap.weights[e.id])
             for e in lap.quiver.edges}
-    trace = product_traces(maps.__getitem__)
-
-    def factor(c):
-        return int_div(-trace(c.edges), c.valuation)
-
-    return visit_exponential(cycles, lap.quiver.p, lap.ranks, factor)
+    return closed_walk_factors(lap.quiver, lap.ranks, maps)
 
 
-def det_laplacian_cycles(lap, cycles=None):
+def det_laplacian_cycles(lap, factors=None):
     """Cycle-multiset expansion of the Laplacian determinant: the sum over
     multisets of z^(n-v)/C! times the product of their cycle factors, folded
     as the truncated exponential of the cycle factors by visit vector.
-    cycles, when given, is candidate_gcycles(lap.quiver, lap.ranks)."""
-    return visit_sum(_cycle_series(lap, cycles), lap.z, lap.ranks)
+    factors, when a dict, receives the {u: F_u} that was folded."""
+    got = _cycle_factors(lap)
+    if factors is not None:
+        factors.update(got)
+    return visit_sum(visit_exponential(got, lap.ranks), lap.z, lap.ranks)
 
 
 def charpoly_laplacian(lap, t_names=None):
     """det(T + Laplacian) as a polynomial in per-vertex shift symbols;
     t_names = (t,) * p gives det(tI + Laplacian)."""
-    series = _cycle_series(lap)
+    series = visit_exponential(_cycle_factors(lap), lap.ranks)
     return shifted_visit_sum(series, lap.z, lap.ranks, lap.matrix.data, t_names)
 
 

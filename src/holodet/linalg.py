@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from math import lcm
+from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
 from .ring import GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
@@ -387,6 +388,38 @@ def _exact_form(m):
     return _Exact(d, kind, im is not None, rows, cols, (m.rows, c))
 
 
+def _int_product(rows, cols):
+    """The rows of rows x cols, for rows and columns in _Exact's form."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _int_trace(rows, cols):
+    """(real, imaginary) int parts of Tr(rows x cols), for rows and columns
+    in _Exact's form: row i times column i of the real part, then of the
+    imaginary part (none when both sides are real)."""
+    n = len(rows)
+    flat = list(chain.from_iterable(rows))
+    return (sum(map(mul, flat, chain.from_iterable(cols[:n]))),
+            sum(map(mul, flat, chain.from_iterable(cols[n:]))))
+
+
+def _dense_trace(head, last):
+    """Tr(head x last) without forming the product, each diagonal entry
+    summed in Matrix.__mul__'s order and the entries in trace()'s, so it
+    equals (head * last).trace() exactly, floats included."""
+    n, k = head.rows, head.cols
+    if k != last.rows or n != last.cols:
+        raise ValueError(f"{n}x{k} times {last.rows}x{last.cols} has no trace")
+    a, b = head.data, last.data
+    got = 0
+    for i in range(n):
+        acc = 0
+        for t in range(k):
+            acc = acc + a[i * k + t] * b[t * n + i]
+        got = got + acc
+    return got
+
+
 def product_traces(factor):
     """trace(seq): the trace of factor(seq[0]) * ... * factor(seq[-1]) for
     a closed key sequence, multiplied left to right.
@@ -445,10 +478,8 @@ def product_traces(factor):
                     raise ValueError(
                         f"cannot multiply {len(rows)}x{k} by {f.shape[0]}x{f.shape[1]}"
                     )
-                cols = f.cols[cplx]
                 got = (d * f.d, max(kind, f.kind), cplx or f.complex,
-                       [[sum(map(mul, row, col)) for col in cols] for row in rows],
-                       f.shape[1])
+                       _int_product(rows, f.cols[cplx]), f.shape[1])
         exact_prods[head] = got
         return got
 
@@ -465,32 +496,68 @@ def product_traces(factor):
                     raise ValueError(
                         f"{n}x{k} times {last.shape[0]}x{last.shape[1]} has no trace"
                     )
-                # row i times column i of the real part, then of the
-                # imaginary part (none when both factors are real)
-                cols = last.cols[cplx]
-                flat = list(chain.from_iterable(rows))
-                a = sum(map(mul, flat, chain.from_iterable(cols[:n])))
-                b = sum(map(mul, flat, chain.from_iterable(cols[n:])))
+                a, b = _int_trace(rows, last.cols[cplx])
                 got = gaussian_scalar(a, b, d * last.d, max(kind, last.kind))
             else:
-                last = factor(seq[-1])
-                head = prefix(seq[:-1])
-                n, k = head.rows, head.cols
-                if k != last.rows or n != last.cols:
-                    raise ValueError(
-                        f"{n}x{k} times {last.rows}x{last.cols} has no trace"
-                    )
-                a, b = head.data, last.data
-                got = 0
-                for i in range(n):
-                    acc = 0
-                    for t in range(k):
-                        acc = acc + a[i * k + t] * b[t * n + i]
-                    got = got + acc
+                got = _dense_trace(prefix(seq[:-1]), factor(seq[-1]))
             traces[seq] = got
         return got
 
     return trace
+
+
+# Sums of products of keyed factors, for a transfer over walks: first(key)
+# the factor of key; step(m, key) the product m x factor; plus(m, m2) the
+# sum; close(m, key) Tr(m x factor), without forming that product, in a
+# form that scalar(closes, k, q) sums into (-1)^(k-1) sum / q, for closes
+# of products of k factors and a positive int q.
+WalkAlgebra = namedtuple("WalkAlgebra", "first step plus close scalar")
+
+
+def walk_algebra(factors):
+    """The WalkAlgebra of the Matrix values of factors (a dict).  When
+    every entry is exact, factors are scaled to one common denominator D
+    and a product of k factors is a Gaussian-integer matrix over D^k in
+    _Exact's row form (complex when some factor is), so sums and products
+    are int arithmetic and only each scalar is made canonical again
+    (ring.gaussian_scalar; an int sum divided by q is a Fraction, as
+    int_div makes it).  Otherwise (a float or Poly entry) the values are
+    Matrix sums and products, each trace summed in the order of
+    Matrix.__mul__ then trace()."""
+    forms = {key: _exact_form(m) for key, m in factors.items()}
+    if None in forms.values():
+        return _dense_algebra(factors)
+    d = lcm(*(f.d for f in forms.values()))
+    kind = max([1] + [f.kind for f in forms.values()])
+    cplx = any(f.complex for f in forms.values())
+    rows, cols = {}, {}
+    for key, f in forms.items():
+        s = d // f.d
+        # a real factor's rows gain a zero imaginary half when some factor
+        # is complex
+        pad = cplx and not f.complex
+        rows[key] = [[s * x for x in (r + [0] * len(r) if pad else r)] for r in f.rows]
+        cols[key] = [[s * x for x in col] for col in f.cols[cplx]]
+
+    def plus(m, m2):
+        return [list(map(add, r, r2)) for r, r2 in zip(m, m2)]
+
+    def scalar(closes, k, q):
+        sign = 1 if k % 2 else -1
+        return gaussian_scalar(sign * sum(a for a, _ in closes),
+                               sign * sum(b for _, b in closes), d ** k * q, kind)
+
+    return WalkAlgebra(rows.__getitem__, lambda m, key: _int_product(m, cols[key]),
+                       plus, lambda m, key: _int_trace(m, cols[key]), scalar)
+
+
+def _dense_algebra(factors):
+    def scalar(closes, k, q):
+        total = sum(closes)
+        return int_div(total if k % 2 else -total, q)
+
+    return WalkAlgebra(factors.__getitem__, lambda m, key: m * factors[key], add,
+                       lambda m, key: _dense_trace(m, factors[key]), scalar)
 
 
 def block_walk_traces(bm):

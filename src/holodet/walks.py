@@ -4,7 +4,7 @@ permutations and vertex fields that the determinant routes sum over.
 ``closed_edge_walks`` is the one cycle search and ``GCycle`` the one
 rotation-class type.  A cyclic walk on range(p) is a cycle on
 ``walk_quiver(p)``, whose edge (a, b) steps from a to b; the block routes
-search its subquiver of nonzero off-diagonal blocks.  Canonical form
+walk its subquiver of nonzero off-diagonal blocks.  Canonical form
 everywhere is the lexicographically minimal rotation; the valuation of a
 cycle is the order of its rotation stabiliser.
 
@@ -13,21 +13,27 @@ sorted order and multiplicities are chosen in nondecreasing candidate
 order, so every multiset within the visit bound appears exactly once.  The
 generating series of those multisets, graded by visit vector, is the
 truncated exponential computed by ``visit_exponential`` without listing
-them.
+them, from the cycle factors summed by visit vector, which
+``closed_walk_factors`` takes from a closed-walk transfer without listing
+a cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .errors import HolodetError, MethodRefusal
+from .linalg import walk_algebra
 from .quiver import Edge, Quiver
 from .ring import Poly, Symbols, int_div, lift
 
 # search states a prime-cycle search visits before it refuses
 PRIME_SEARCH_NODES = 2_000_000
+# cells of the visit box prod_a [0, bound_a] a cycle expansion may fold
+# before it refuses: visit_exponential walks every cell
+VISIT_BOX_CAP = 2 ** 22
 
 
 def _least_rotation(seq):
@@ -219,16 +225,82 @@ def _multiset_stream(candidates, p, bound):
         yield CycleMultiset(items)
 
 
-def visit_exponential(candidates, p, bound, factor):
-    """Coefficients G_v of exp(sum_c factor(c) y^visits(c)) over the visit
-    box prod_a [0, bound_a], keyed by visit vector v; a v that no multiset
-    of candidates reaches has no key.
+def closed_walk_factors(quiver, bound, maps):
+    """{u: F_u} over the visit vectors u within bound on which a closed
+    walk closes, with F_u = (-1)^(|u|-1) Tr(sum_w W(w)) / u_s: w runs over
+    the closed walks with visit vector u that start at s, the least vertex
+    u visits, and stay on vertices >= s, and W(w) is the product of
+    maps[e.id] along w.  Visits are counted at each edge's source, as
+    candidate_gcycles counts them, and the quiver has no self-loops.
 
-    G_v is the sum, over the multisets of candidates with visit total v,
-    of the product of their factors divided by the multiplicity
-    factorials.  With F_u the factor sum over candidates visiting u, the
-    Euler operator gives |v| G_v = sum_{0 < u <= v} |u| F_u G_(v-u), so
-    each candidate is visited once and no multiset is listed.
+    A cycle of valuation m that visits s u_s times has u_s/m rotations
+    that start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c)
+    over the cycles c that candidate_gcycles lists with visit vector u;
+    a u whose sum is 0 keeps its key.  No cycle is listed: for each root
+    s, a frontier keyed by (current vertex, visits so far) holds the sum of
+    W over the walks that reach that state.  A step is taken only while its
+    source is under its bound, so a state whose vertex has no visit left
+    is not kept.  Each step back to s adds Tr(state x map) to the sum of
+    the visit vector it closes on, without forming that product.
+
+    The sums and products are linalg.walk_algebra's: Gaussian-integer
+    matrices over one common denominator when every entry is exact, Matrix
+    values otherwise.  Refused past VISIT_BOX_CAP cells of the visit box,
+    which visit_exponential walks whole."""
+    bound = tuple(bound)
+    if len(bound) != quiver.p or any(b < 0 for b in bound):
+        raise HolodetError(f"bad visit bound {bound!r}")
+    cells = visit_box_cells(bound)
+    if cells > VISIT_BOX_CAP:
+        raise MethodRefusal(
+            f"cycle expansion capped at {VISIT_BOX_CAP} visit-box cells, got {cells}"
+        )
+    p = quiver.p
+    out_edges = [quiver.out_edges(v) for v in range(p)]
+    ops = walk_algebra(maps)
+    out = {}
+    for s in range(p):
+        if not bound[s]:
+            continue
+        closes = {}
+        # the state before the first step holds no product
+        level = {(s, (0,) * p): None}
+        while level:
+            nxt = {}
+            for (cur, v), m in level.items():
+                w = v[:cur] + (v[cur] + 1,) + v[cur + 1:]
+                for e in out_edges[cur]:
+                    t = e.tgt
+                    if t == s:
+                        closes.setdefault(w, []).append(ops.close(m, e.id))
+                        if w[s] == bound[s]:
+                            continue
+                    elif t < s or w[t] == bound[t]:
+                        continue
+                    got = ops.first(e.id) if m is None else ops.step(m, e.id)
+                    key = (t, w)
+                    nxt[key] = ops.plus(nxt[key], got) if key in nxt else got
+            level = nxt
+        for u, traces in closes.items():
+            out[u] = ops.scalar(traces, sum(u), u[s])
+    return out
+
+
+def visit_box_cells(bound):
+    """Cells of the visit box prod_a [0, bound_a]."""
+    return prod(b + 1 for b in bound)
+
+
+def visit_exponential(factors, bound):
+    """Coefficients G_v of exp(sum_u F_u y^u) over the visit box
+    prod_a [0, bound_a], for factors = {u: F_u}, keyed by visit vector v;
+    a v that no sum of factor keys reaches has no key.
+
+    With the F_u the factor sums of cycles by visit vector, G_v is the
+    sum, over the cycle multisets with visit total v, of the product of
+    their factors divided by the multiplicity factorials.  The Euler
+    operator gives |v| G_v = sum_{0 < u <= v} |u| F_u G_(v-u), so no
+    multiset is listed.
 
     Visit vectors are packed into one int, a bit field per vertex with
     vertex 0 highest, each field one bit wider than the largest bound so
@@ -236,14 +308,11 @@ def visit_exponential(candidates, p, bound, factor):
     v - u borrows its guard exactly when u_a > v_a, and no borrow crosses a
     field; so keying the reached cells with their guards set, v - u is a
     key only when u <= v, and then it is the key of v - u."""
-    fsum = {}
-    for c in candidates:
-        u = c.visits(p)
-        fsum[u] = fsum.get(u, 0) + factor(c)
+    p = len(bound)
     cells = itertools.product(*(range(b + 1) for b in bound))
     zero = next(cells)
     out = {zero: int_div(1, 1)}
-    if not fsum:
+    if not factors:
         return out
     width = max(bound).bit_length() + 1
     shifts = [width * (p - 1 - a) for a in range(p)]
@@ -251,7 +320,7 @@ def visit_exponential(candidates, p, bound, factor):
     # pulled in decreasing u, hence increasing v - u: the order in which a
     # push over the box in index order would add the terms
     scaled = sorted(((sum(x << s for x, s in zip(u, shifts)), sum(u) * f)
-                     for u, f in fsum.items()), key=lambda uf: uf[0], reverse=True)
+                     for u, f in factors.items()), key=lambda uf: uf[0], reverse=True)
     # each cell's key with its guards set, in the cells' order: the box is
     # walked in lexicographic order, which is index order, so every v - u
     # is reached (or not) before v

@@ -3,12 +3,18 @@ import json
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
+from _helpers import gauss_rat
 from holodet.cli import ROUTES, main
-from holodet.quiver import gen_example
+from holodet.errors import MethodRefusal
+from holodet.laplacian import build_laplacian, det_laplacian_cycles
+from holodet.linalg import Matrix, det_oracle
+from holodet.quiver import Edge, Quiver, Representation, gen_example, instance_to_json
 from holodet.walks import candidate_gcycles
 
 
@@ -28,7 +34,7 @@ def test_det_cycles_two_cycle_symbolic(capsys):
     assert out.strip() == "x1*x2 - x1*x2*u*v"
 
 
-def test_det_cycles_terms_count_candidate_cycles(capsys):
+def test_det_cycles_terms_count_visit_vectors(capsys):
     code, out, _ = run_cli(
         ["det", "--example", "two_cycle", "--mode", "symbolic",
          "--method", "cycles", "--format", "json"],
@@ -36,7 +42,40 @@ def test_det_cycles_terms_count_candidate_cycles(capsys):
     )
     assert code == 0
     q, rep, _ = gen_example("two_cycle")
-    assert json.loads(out)["terms"] == len(candidate_gcycles(q, rep.ranks)) == 1
+    visits = {c.visits(q.p) for c in candidate_gcycles(q, rep.ranks)}
+    assert json.loads(out)["terms"] == len(visits) == 1
+
+
+def _directed_ring(n):
+    q = Quiver(n, [Edge(f"e{a}", a, (a + 1) % n) for a in range(n)])
+    rng = random.Random(n)
+    rep = Representation((1,) * n, {e.id: Matrix(1, 1, [gauss_rat(rng)])
+                                    for e in q.edges})
+    w = {e.id: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for e in q.edges}
+    return q, rep, w
+
+
+def test_cycles_refuses_past_its_visit_box_up_front(tmp_path, capsys):
+    # a rank-1 ring of n vertices has one cycle but a visit box of 2^n
+    # cells, each of which the fold walks
+    lap = build_laplacian(*_directed_ring(26))
+    args = SimpleNamespace(mode="exact")
+    assert not ROUTES["cycles"].fits(lap, args)
+    start = time.perf_counter()
+    with pytest.raises(MethodRefusal):
+        det_laplacian_cycles(lap)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "ring26.json"
+    path.write_text(json.dumps(instance_to_json(*_directed_ring(26))))
+    start = time.perf_counter()
+    code, _, err = run_cli(["det", "--input", str(path), "--method", "cycles"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert json.loads(err)["error"]["type"] == "refusal"
+
+    lap = build_laplacian(*_directed_ring(12))
+    assert ROUTES["cycles"].fits(lap, args)
+    assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
 
 
 def test_det_all_methods_agree_two_cycle(capsys):

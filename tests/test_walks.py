@@ -1,19 +1,22 @@
 import itertools
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
 from _helpers import gauss_rat
 
 from holodet.errors import HolodetError
+from holodet.linalg import Matrix
 from holodet.quiver import Edge, Quiver, gen_example
-from holodet.ring import Poly, Symbols, int_div
+from holodet.ring import Poly, Symbols, int_div, scalars_close
 from holodet.walks import (
     CycleMultiset,
     CyclicWalk,
     GCycle,
     candidate_gcycles,
     closed_edge_walks,
+    closed_walk_factors,
     cycle_types,
     enumerate_gcycle_multisets,
     enumerate_walk_multisets,
@@ -264,6 +267,15 @@ def _multiset_sums(quiver, bound, factor):
     return want
 
 
+def _factor_sums(cycles, p, factor):
+    """{u: sum of factor(c)} over the cycles c visiting u."""
+    out = {}
+    for c in cycles:
+        u = c.visits(p)
+        out[u] = out.get(u, 0) + factor(c)
+    return out
+
+
 # a bound of 7 fills a 3-bit field under its guard; 8 needs a 4-bit field
 @pytest.mark.parametrize("bound", [(7, 0, 8, 0), (8, 2, 2, 1), (7, 1, 4, 0),
                                    (4, 0, 7, 1), (0, 0, 0, 0)])
@@ -272,7 +284,7 @@ def test_visit_exponential_matches_multiset_sums(bound):
     rng = random.Random(f"fold:{bound}")
     cycles = candidate_gcycles(q, bound)
     values = {c: gauss_rat(rng) for c in cycles}
-    got = visit_exponential(cycles, q.p, bound, values.__getitem__)
+    got = visit_exponential(_factor_sums(cycles, q.p, values.__getitem__), bound)
     want = _multiset_sums(q, bound, values.__getitem__)
     assert set(got) == set(want)
     assert all(got[v] == want[v] for v in want)
@@ -287,10 +299,70 @@ def test_visit_exponential_matches_multiset_sums_over_poly():
     cycles = candidate_gcycles(q, bound)
     values = {c: rng.randint(-3, 3) * x ** len(c) + rng.randint(-2, 2) * y
               for c in cycles}
-    got = visit_exponential(cycles, q.p, bound, values.__getitem__)
+    got = visit_exponential(_factor_sums(cycles, q.p, values.__getitem__), bound)
     want = _multiset_sums(q, bound, values.__getitem__)
     assert set(got) == set(want)
     assert all(got[v] == want[v] for v in want)
+
+
+def _complete_quiver(p):
+    return Quiver(p, [Edge(f"e{a}{b}", a, b) for a in range(p) for b in range(p)
+                      if a != b])
+
+
+_ENTRIES = {
+    "int": lambda rng, syms: rng.randint(-3, 3),
+    "gaussian": lambda rng, syms: gauss_rat(rng),
+    "fraction": lambda rng, syms: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+    "poly": lambda rng, syms: (rng.randint(-2, 2) * Poly.variable(syms, "s")
+                               + Fraction(rng.randint(-2, 2), rng.randint(1, 2))),
+    "float": lambda rng, syms: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("quiver,ranks,bound,zero", [
+    # parallel edges, cycles of valuation 2 and 3, and every cycle through
+    # vertex 3 with trace 0
+    (_fold_quiver(), (2, 1, 2, 1), (3, 2, 3, 1), "d"),
+    (_fold_quiver(), (1, 2, 1, 2), (2, 3, 2, 2), None),
+    (_complete_quiver(3), (2, 1, 1), (2, 2, 1), None),
+    (_complete_quiver(4), (1, 1, 1, 1), (2, 2, 1, 1), "e30"),
+])
+def test_closed_walk_factors_match_cycle_sums(quiver, ranks, bound, zero, entry):
+    """The transfer's {u: F_u} against -Tr(x_e1 U_e1 ... x_ek U_ek) / val(c)
+    summed over candidate_gcycles by visit vector, each holonomy formed in
+    full: equal key sets, zero sums included, and equal values (floats
+    within tolerance)."""
+    rng = random.Random(f"walks:{ranks}:{bound}:{entry}")
+    syms = Symbols(("s", "t"))
+    mats = {e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                         [0 if e.id == zero else _ENTRIES[entry](rng, syms)
+                          for _ in range(ranks[e.src] * ranks[e.tgt])])
+            for e in quiver.edges}
+    weights = {e.id: (Poly.variable(syms, "t") + rng.randint(1, 3) if entry == "poly"
+                      else rng.randint(1, 3) if entry == "int"
+                      else Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+               for e in quiver.edges}
+
+    def factor(c):
+        hol = mats[c.edges[0]].scale(weights[c.edges[0]])
+        for eid in c.edges[1:]:
+            hol = hol * mats[eid].scale(weights[eid])
+        return int_div(-hol.trace(), c.valuation)
+
+    cycles = candidate_gcycles(quiver, bound)
+    want = _factor_sums(cycles, quiver.p, factor)
+    got = closed_walk_factors(
+        quiver, bound, {eid: m.scale(-weights[eid]) for eid, m in mats.items()})
+    assert set(got) == set(want)
+    assert any(c.valuation > 1 for c in cycles)
+    if zero is not None:
+        assert any(f == 0 for f in want.values())
+    if entry == "float":
+        assert all(scalars_close(got[u], want[u]) for u in want)
+    else:
+        assert all(got[u] == want[u] for u in want)
 
 
 def test_gcycle_multisets_figure5_all_ones():
