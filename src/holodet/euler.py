@@ -262,11 +262,23 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
     for a, r in enumerate(lap.ranks):
         value *= (zs[a] + data.kappa[a]) ** r
 
+    # sorted primes share long edge prefixes: keep (edge id, holonomy,
+    # weight) of each prefix of the last prime, the same left folds that
+    # holonomy() and a product of the p_edges take, and extend the one
+    # shared with the next prime by its new edges only
+    mats = lap.rep.matrices
+    prefix = []
     for cyc in primes:
-        hol_mat = holonomy(lap.rep, cyc).to_complex()
-        w = 1.0
-        for eid in cyc.edges:
-            w *= data.p_edges[eid]
+        k = 0
+        while k < len(prefix) and prefix[k][0] == cyc.edges[k]:
+            k += 1
+        del prefix[k:]
+        for eid in cyc.edges[k:]:
+            _, hol, w = prefix[-1] if prefix else (None, None, 1.0)
+            hol = mats[eid] if hol is None else hol * mats[eid]
+            prefix.append((eid, hol, w * data.p_edges[eid]))
+        _, hol, w = prefix[-1]
+        hol_mat = hol.to_complex()
         factor = det_oracle(Matrix.identity(hol_mat.rows) - hol_mat.scale(w))
         value *= factor
 

@@ -21,6 +21,7 @@ a cycle.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -46,21 +47,6 @@ def _least_rotation(seq):
             if seq[r] == m and seq[r:] + seq[:r] < seq[best:] + seq[:best]:
                 best = r
     return best
-
-
-def _valuation_if_least(ids, srcs, v0):
-    """0 when a rotation of ids that starts where srcs is v0 is less than
-    ids; else the valuation of ids, len(ids) / r for the first such
-    rotation r that gives ids back (later ones repeat earlier ones), or 1
-    when none does."""
-    for r in range(1, len(ids)):
-        if srcs[r] == v0:
-            rot = ids[r:] + ids[:r]
-            if rot == ids:
-                return len(ids) // r
-            if rot < ids:
-                return 0
-    return 1
 
 
 def min_rotation(seq):
@@ -377,50 +363,67 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
     """Canonical cycles on the quiver, length-capped, optionally
     visit-bounded per vertex (budget consumed at the source of each edge),
     and only those of valuation 1 when primes is set.  node_budget caps
-    the number of search states visited.
+    the number of edges pushed.
 
-    Each cycle is found from its least vertex v0, once per rotation that
-    starts at v0, and built once: from the least of those rotations.  The
-    search keeps its own stack, so a long walk needs no deep recursion."""
-    out_edges = [quiver.out_edges(v) for v in range(quiver.p)]
+    A canonical cycle is a necklace over the edges ranked by id: a word
+    a_1 ... a_n of chained edges, closing at the source of a_1, that is
+    least among its rotations.  Every prefix of a necklace is a
+    prenecklace, so the search extends only prenecklaces, as the
+    Fredricksen-Kessler-Maiorana generator does (Ruskey, Savage and Wang,
+    "Generating necklaces", J. Algorithms 13, 1992): a_1 ... a_t of period
+    p takes a next edge b >= a_(t+1-p) out of its last target, and keeps
+    period p when b = a_(t+1-p), else takes period t+1.  It closes into a
+    canonical cycle when p divides its length n, with valuation n / p.  So each cycle is reached once, already in its
+    least rotation.  The search keeps its own stack, so a long walk needs
+    no deep recursion."""
+    edges = sorted(quiver.edges, key=lambda e: e.id)
+    ids = [e.id for e in edges]
+    srcs = [e.src for e in edges]
+    tgts = [e.tgt for e in edges]
+    # the ranks of each vertex's out-edges, increasing
+    outs = [[] for _ in range(quiver.p)]
+    for r, e in enumerate(edges):
+        outs[e.src].append(r)
+    budget = list(vertex_budget) if vertex_budget is not None else None
     found = []
     nodes = 0
-    for v0 in range(quiver.p):
-        if vertex_budget is not None and vertex_budget[v0] == 0:
+    # the word's edge ranks, the period of each of its prefixes, and the
+    # untried next edges after each prefix (the first: any edge)
+    word, periods = [], []
+    stack = [iter(range(len(edges)))]
+    while stack:
+        b = next(stack[-1], None)
+        if b is None:
+            stack.pop()
+            if word:
+                a = word.pop()
+                periods.pop()
+                if budget is not None:
+                    budget[srcs[a]] += 1
             continue
-        budget = list(vertex_budget) if vertex_budget is not None else None
-        # the walk so far, and the untried out-edges of each vertex on it
-        ids, srcs = [], []
-        cur = v0
-        stack = [iter(out_edges[v0])]
-        while stack:
-            e = next(stack[-1], None)
-            if e is None:
-                stack.pop()
-                if ids:
-                    ids.pop()
-                    cur = srcs.pop()
-                    if budget is not None:
-                        budget[cur] += 1
-                continue
-            if e.tgt < v0:
-                continue
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise MethodRefusal(
-                    f"cycle search exceeded its node budget of {node_budget}"
-                )
-            if budget is not None:
-                budget[cur] -= 1
-            ids.append(e.id)
-            srcs.append(cur)
-            cur = e.tgt
-            if cur == v0 and len(ids) >= 2:
-                val = 1 if srcs.count(v0) == 1 else _valuation_if_least(ids, srcs, v0)
-                if val == 1 or (val and not primes):
-                    found.append(GCycle(ids, srcs))
-            grows = len(ids) < max_len and (budget is None or budget[cur] > 0)
-            stack.append(iter(out_edges[cur] if grows else ()))
+        if budget is not None and budget[srcs[b]] == 0:
+            continue
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise MethodRefusal(
+                f"cycle search exceeded its node budget of {node_budget}"
+            )
+        t = len(word)
+        per = periods[-1] if t and b == word[t - periods[-1]] else t + 1
+        if budget is not None:
+            budget[srcs[b]] -= 1
+        word.append(b)
+        periods.append(per)
+        n = t + 1
+        cur = tgts[b]
+        if (cur == srcs[word[0]] and n >= 2 and not n % per
+                and (per == n or not primes)):
+            found.append(GCycle([ids[a] for a in word], [srcs[a] for a in word]))
+        if n < max_len and (budget is None or budget[cur] > 0):
+            nxt = outs[cur]
+            stack.append(iter(nxt[bisect_left(nxt, word[n - per]):]))
+        else:
+            stack.append(iter(()))
     found.sort(key=lambda c: c.sort_key)
     return found
 
