@@ -110,31 +110,26 @@ class SubMarkovData:
         return _perron_upper_bound(vrows)
 
 
-def _spectral_norm_complex(m, iters=4000, tol=1e-15):
-    """Largest singular value of a complex matrix, by power iteration on
-    the Gram matrix, with an inflation margin so the estimate errs high."""
-    n = m.cols
-    if n == 0:
+def _spectral_norm_complex(m, squarings=8):
+    """Upper bound on the largest singular value of a complex matrix.  The
+    Gram matrix G is positive semidefinite, so lambda_max(G) <=
+    Tr(G^(2^j))^(1/2^j) for every j, an overshoot of at most n^(1/2^j).
+    G is rescaled by its trace before each squaring, so the bound is the
+    sum of the logarithms of those traces, each over its 2^j; it is
+    inflated against rounding so that it errs high."""
+    if m.cols == 0:
         return 0.0
     gram = m.conj_transpose() * m
-    v = [complex(1.0 + 0.01 * i, 0.017 * (i + 1)) for i in range(n)]
-    norm = math.sqrt(sum(abs(x) ** 2 for x in v))
-    v = [x / norm for x in v]
-    prev = 0.0
-    lam = 0.0
-    for _ in range(iters):
-        w = [sum(gram.at(i, j) * v[j] for j in range(n)) for i in range(n)]
-        norm = math.sqrt(sum(abs(x) ** 2 for x in w))
-        if norm == 0.0:
+    log_lam = 0.0
+    for j in range(squarings + 1):
+        tr = gram.trace().real
+        if tr <= 0.0:
             return 0.0
-        v = [x / norm for x in w]
-        lam = norm
-        if abs(lam - prev) <= tol * max(1.0, lam):
-            break
-        prev = lam
-    frob = math.sqrt(sum(abs(x) ** 2 for x in gram.data))
-    lam_up = min(lam * (1.0 + 1e-9) + 1e-14, frob)
-    return math.sqrt(max(lam_up, 0.0))
+        log_lam += math.log(tr) / 2 ** j
+        if j < squarings:
+            gram = gram.scale(1.0 / tr)
+            gram = gram * gram
+    return math.sqrt(math.exp(log_lam) * (1.0 + 1e-9))
 
 
 def _perron_upper_bound(rows, iters=5000):

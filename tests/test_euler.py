@@ -358,6 +358,47 @@ def test_truncated_euler_refuses_non_contraction_edges():
         det_euler_truncated(lap, (1.0, 1.0))
 
 
+def _stretch_along_start_vector(s):
+    """U = P_v + s P_perp for the unit v along (1 + 0.017i, 1.01 + 0.034i):
+    ||U|| = s, while v, an eigenvector of U^H U for the eigenvalue 1, is
+    where a power iteration started at it stays."""
+    v = [1 + 0.017j, 1.01 + 0.034j]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+    v = [x / norm for x in v]
+    return Matrix.from_rows([
+        [v[i] * v[j].conjugate() + s * ((i == j) - v[i] * v[j].conjugate())
+         for j in range(2)]
+        for i in range(2)
+    ])
+
+
+@pytest.mark.parametrize("s", [3.0, 2.0, 1.5, 1.05])
+def test_spectral_norm_bound_never_undershoots(s):
+    bound = euler._spectral_norm_complex(_stretch_along_start_vector(s))
+    assert s <= bound <= s * 2 ** (1 / 512) * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-4])
+def test_truncated_euler_refuses_or_answers_within_bound(tol):
+    # a: 1 -> 2 carries a norm-3 map whose Gram matrix has the norm
+    # estimate's old start vector as an eigenvector; b, c and d carry
+    # identities.  The norm-weighted chain has rho > 1, so the product
+    # does not converge to det(0.5 I + L) = -5.859375.
+    q = Quiver(3, [Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 1, 2),
+                   Edge("d", 2, 0)])
+    one = Matrix.identity(2).scale(1.0 + 0j)
+    rep = Representation((2, 2, 2), {"a": _stretch_along_start_vector(3.0),
+                                     "b": one, "c": one, "d": one})
+    lap = build_laplacian(q, rep, {k: 1.0 for k in "abcd"})
+    target = det_oracle(Matrix.identity(6).scale(0.5 + 0j) + lap.matrix.to_complex())
+    assert abs(target + 5.859375) < 1e-12
+    try:
+        res = det_euler_truncated(lap, (0.5, 0.5, 0.5), tol=tol)
+    except MethodRefusal:
+        return
+    assert abs(res.value - target) <= res.certified_bound
+
+
 def test_unitary_comparison_identity_representation():
     rng = random.Random(257)
     q, rep, w = bidirected(3, [(0, 1), (1, 2), (0, 2)], rng=rng, rank=2)
