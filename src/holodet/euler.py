@@ -220,6 +220,25 @@ def _tail_bound(n, p, rho, length):
     return n * p * rho ** (length + 1) / ((length + 1) * (1.0 - rho))
 
 
+def _factor_rounding(r, rho):
+    """Relative rounding bound on one factor det(I - wH), H at most r x r.
+    With e = 8u (u = 2^-53) above any complex operation's relative error
+    and g = re / (1 - re), and ||wH|| <= rho^k for a prime of length k:
+    - each product in the fold of H is off by at most g |P||U|, so by r g
+      ||P|| ||U|| in norm, and w by e a step; so forming A = I - wH is off
+      by ||dA|| <= 2k (r g + e) rho^k + (r + 2) e, where k rho^k <= 1 / (1 - rho);
+    - partial-pivoting LU gives L'U' = PA + E with |E| <= g |L'||U'|
+      (Higham, Accuracy and Stability of Numerical Algorithms, Thm 9.3),
+      |L'| <= 1 and |U'| <= 2^(r-1) max|a_ij| <= 2^r, so ||E|| <= g r^2 2^r;
+    - det(A + F) / det(A) = det(I + A^-1 F) is within (1 + eta)^r - 1 of 1
+      for eta = ||A^-1|| ||F|| and ||A^-1|| <= 1 / (1 - rho), and the r
+      products of U's pivots and into the value add r more e."""
+    e = 8 * 2.0 ** -53
+    g = r * e / (1 - r * e)
+    eta = (2 * (r * g + e) / (1 - rho) + (r + 2) * e + g * r * r * 2 ** r) / (1 - rho)
+    return math.expm1(r * (math.log1p(eta) + math.log1p(e)))
+
+
 def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
     """Truncated Euler product for det(diag(kappa) + Laplacian), with a
     certified error bound from the spectral-radius tail estimate.  When the
@@ -277,7 +296,16 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
         factor = det_oracle(Matrix.identity(hol_mat.rows) - hol_mat.scale(w))
         value *= factor
 
-    certified = abs(value) * math.expm1(log_tail) + 1e-12 * (1.0 + abs(value))
+    if fin.finite:
+        # no chain bound conditions the factors, so a fixed allowance
+        certified = 1e-12 * (1.0 + abs(value))
+    else:
+        # each factor is off by at most delta, so with a = (1 + delta)^N - 1
+        # |value - det| <= |value| (expm1(tail) + a) / (1 - a), at most
+        # |value| expm1(tail + 2 N log1p(delta)) while a <= 0.6
+        spread = len(primes) * math.log1p(_factor_rounding(max(lap.ranks), data.rho))
+        certified = (abs(value) * math.expm1(log_tail + 2 * spread)
+                     if spread < 0.4 else math.inf)
     return TruncatedEuler(
         value=value,
         certified_bound=certified,

@@ -23,6 +23,7 @@ from holodet.quiver import (
     haar_like_unitary,
 )
 from holodet.ring import Poly, scalars_close
+from test_acceptance import _random_submarkov
 
 
 def test_unicyclic_closed_form():
@@ -230,6 +231,26 @@ def test_truncated_euler_certified_bound_honest():
         )
         assert abs(res.value - target) <= res.certified_bound
         assert abs(res.value - target) <= 1e-8 * max(1.0, abs(target))
+
+
+def test_float_allowance_grows_with_prime_count():
+    # criterion 6's instances: the answer stays within its bound, and the
+    # bound holds the per-factor rounding allowance once per prime
+    rng = random.Random(20240506)
+    grew = 0
+    for _ in range(50):
+        q, rep, w, kappa = _random_submarkov(rng)
+        lap = build_laplacian(q, rep, w)
+        res = det_euler_truncated(lap, kappa, tol=1e-9)
+        rows = lap.matrix.to_complex().to_rows()
+        for j in range(len(rows)):
+            rows[j][j] += kappa[lap.block.bl(j)]
+        assert abs(res.value - det_oracle(Matrix.from_rows(rows))) <= res.certified_bound
+        if res.rho is not None:
+            delta = euler._factor_rounding(max(rep.ranks), res.rho)
+            assert res.certified_bound >= abs(res.value) * res.prime_count * delta
+            grew += res.prime_count * delta > 1e-12
+    assert grew
 
 
 def test_finite_primes_zero_kappa_is_exact():
