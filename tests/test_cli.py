@@ -141,10 +141,10 @@ def test_primes_max_len_refuses_past_search_budget(capsys, monkeypatch):
 
 def test_primes_long_max_len_answers_without_deep_recursion(capsys):
     # a walk around one 2-cycle branches nowhere, so it reaches length
-    # 5000 well inside the search budget, far past the recursion limit
+    # 20000 well inside the search budget, far past the recursion limit
     code, out, err = run_cli(
         ["primes", "--example", "two_cycle", "--mode", "symbolic",
-         "--max-len", "5000"],
+         "--max-len", "20000"],
         capsys,
     )
     assert (code, out, err) == (0, "e1,e2\n", "")

@@ -23,6 +23,7 @@ from holodet.quiver import (
     haar_like_unitary,
 )
 from holodet.ring import Poly, scalars_close
+from holodet.walks import prime_cycles, prime_finiteness
 from test_acceptance import _random_submarkov
 
 
@@ -251,6 +252,34 @@ def test_float_allowance_grows_with_prime_count():
             assert res.certified_bound >= abs(res.value) * res.prime_count * delta
             grew += res.prime_count * delta > 1e-12
     assert grew
+
+
+def test_prefix_shared_holonomies_are_bit_identical():
+    # the product over sorted primes of det(I - w hol(c)), each holonomy
+    # and weight folded afresh along its prime, gives the route's value
+    # exactly: sharing prefixes repeats the same left folds
+    rng = random.Random(1601)
+    checked = 0
+    while checked < 6:
+        q, rep, w, kappa = _random_submarkov_instance(rng, p_max=4, edge_max=7)
+        if prime_finiteness(q).finite:
+            continue
+        lap = build_laplacian(q, rep, w)
+        res = det_euler_truncated(lap, kappa, tol=1e-9)
+        if res.prime_count < 20:
+            continue
+        p_edges = build_submarkov(lap, kappa).p_edges
+        want = 1.0 + 0.0j
+        for a, r in enumerate(lap.ranks):
+            want *= (lap.z[a].real + kappa[a]) ** r
+        for cyc in prime_cycles(q, res.max_len):
+            hol = holonomy(rep, cyc).to_complex()
+            weight = 1.0
+            for eid in cyc.edges:
+                weight *= p_edges[eid]
+            want *= det_oracle(Matrix.identity(hol.rows) - hol.scale(weight))
+        assert res.value == want
+        checked += 1
 
 
 def test_finite_primes_zero_kappa_is_exact():

@@ -145,6 +145,52 @@ def test_cycle_search_builds_each_cycle_once(monkeypatch):
     assert any(c.srcs.count(0) == 2 for c in got)
 
 
+def _closed_walks_reference(q, max_len, budget=None, primes=False):
+    """(edges, srcs, valuation) of every closed edge walk of length 2 to
+    max_len, from every edge, rotated by min_rotation and deduplicated,
+    within the visit budget and of valuation 1 when primes is set."""
+    by_id = {e.id: e for e in q.edges}
+    found = {}
+    walks = [[e.id] for e in q.edges]
+    while walks:
+        walk = walks.pop()
+        if len(walk) >= 2 and by_id[walk[-1]].tgt == by_id[walk[0]].src:
+            edges = min_rotation(tuple(walk))
+            found[edges] = sum(edges[r:] + edges[:r] == edges for r in range(len(edges)))
+        if len(walk) < max_len:
+            walks.extend(walk + [e.id] for e in q.out_edges(by_id[walk[-1]].tgt))
+    out = []
+    for edges, val in sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])):
+        srcs = tuple(by_id[i].src for i in edges)
+        if budget is not None and any(srcs.count(a) > b for a, b in enumerate(budget)):
+            continue
+        if val == 1 or not primes:
+            out.append((edges, srcs, val))
+    return out
+
+
+def test_cycle_search_matches_closed_walk_reference():
+    rng = random.Random(4242)
+    for case in range(100):
+        p = rng.randint(2, 4)
+        edges = []
+        for i in range(rng.randint(p, 2 * p + 2)):
+            src = rng.randrange(p)
+            tgt = rng.choice([t for t in range(p) if t != src])
+            edges.append(Edge(f"{rng.choice('abcdefgh')}{i}", src, tgt))
+        # a parallel copy of an edge under another id
+        twin = rng.choice(edges)
+        edges.append(Edge(f"{twin.id}'", twin.src, twin.tgt))
+        q = Quiver(p, edges)
+        max_len = rng.randint(2, 6)
+        kwargs = [{}, {"primes": True},
+                  {"vertex_budget": tuple(rng.randint(0, 3) for _ in range(p))}][case % 3]
+        got = closed_edge_walks(q, max_len, **kwargs)
+        want = _closed_walks_reference(q, max_len, kwargs.get("vertex_budget"),
+                                       kwargs.get("primes", False))
+        assert [(c.edges, c.srcs, c.valuation) for c in got] == want, (case, kwargs)
+
+
 def test_prime_search_keeps_valuation_one():
     q = Quiver(3, [Edge("a", 0, 1), Edge("b", 0, 1), Edge("c", 1, 0),
                    Edge("d", 1, 2), Edge("e", 2, 0)])
