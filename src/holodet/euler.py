@@ -110,23 +110,19 @@ class SubMarkovData:
         return _perron_upper_bound(vrows)
 
 
-def _spectral_norm_complex(m, squarings=8):
-    """Upper bound on the largest singular value of a complex matrix.  The
-    Gram matrix G is positive semidefinite, so lambda_max(G) <=
-    Tr(G^(2^j))^(1/2^j) for every j, an overshoot of at most n^(1/2^j).
-    G is rescaled by its trace before each squaring, so the bound is the
-    sum of the logarithms of those traces, each over its 2^j; it is
-    inflated against rounding so that it errs high."""
-    if m.cols == 0:
-        return 0.0
+def _spectral_norm_complex(m):
+    """Upper bound on the largest singular value of a complex matrix: its
+    Gram matrix G has lambda_max(G) <= Tr(G^(2^j))^(1/2^j), n^(1/2^j) high
+    at most.  G is rescaled by its trace before each squaring, whose logs
+    over 2^j sum to the bound's; eight squarings, inflated for rounding."""
     gram = m.conj_transpose() * m
     log_lam = 0.0
-    for j in range(squarings + 1):
+    for j in range(9):
         tr = gram.trace().real
         if tr <= 0.0:
             return 0.0
         log_lam += math.log(tr) / 2 ** j
-        if j < squarings:
+        if j < 8:
             gram = gram.scale(1.0 / tr)
             gram = gram * gram
     return math.sqrt(math.exp(log_lam) * (1.0 + 1e-9))
@@ -276,10 +272,8 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
     for a, r in enumerate(lap.ranks):
         value *= (zs[a] + data.kappa[a]) ** r
 
-    # sorted primes share long edge prefixes: keep (edge id, holonomy,
-    # weight) of each prefix of the last prime, the same left folds that
-    # holonomy() and a product of the p_edges take, and extend the one
-    # shared with the next prime by its new edges only
+    # (edge id, holonomy, weight) of each prefix of the last prime: the left
+    # folds holonomy() and a product of p_edges take, extended by new edges
     mats = lap.rep.matrices
     prefix = []
     for cyc in primes:
@@ -291,10 +285,8 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
             _, hol, w = prefix[-1] if prefix else (None, None, 1.0)
             hol = mats[eid] if hol is None else hol * mats[eid]
             prefix.append((eid, hol, w * data.p_edges[eid]))
-        _, hol, w = prefix[-1]
-        hol_mat = hol.to_complex()
-        factor = det_oracle(Matrix.identity(hol_mat.rows) - hol_mat.scale(w))
-        value *= factor
+        hol = prefix[-1][1].to_complex()
+        value *= det_oracle(Matrix.identity(hol.rows) - hol.scale(prefix[-1][2]))
 
     if fin.finite:
         # no chain bound conditions the factors, so a fixed allowance

@@ -2,7 +2,9 @@
 permutations and vertex fields that the determinant routes sum over.
 
 ``closed_edge_walks`` is the one cycle search and ``GCycle`` the one
-rotation-class type.  A cyclic walk on range(p) is a cycle on
+rotation-class type.  The search extends only walks whose edge word is a
+prenecklace, as the Fredricksen-Kessler-Maiorana necklace generator
+does, so it reaches each cycle once, in its least rotation.  A cyclic walk on range(p) is a cycle on
 ``walk_quiver(p)``, whose edge (a, b) steps from a to b; the block routes
 walk its subquiver of nonzero off-diagonal blocks.  Canonical form
 everywhere is the lexicographically minimal rotation; the valuation of a
@@ -365,17 +367,13 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
     and only those of valuation 1 when primes is set.  node_budget caps
     the number of edges pushed.
 
-    A canonical cycle is a necklace over the edges ranked by id: a word
-    a_1 ... a_n of chained edges, closing at the source of a_1, that is
-    least among its rotations.  Every prefix of a necklace is a
-    prenecklace, so the search extends only prenecklaces, as the
-    Fredricksen-Kessler-Maiorana generator does (Ruskey, Savage and Wang,
-    "Generating necklaces", J. Algorithms 13, 1992): a_1 ... a_t of period
-    p takes a next edge b >= a_(t+1-p) out of its last target, and keeps
-    period p when b = a_(t+1-p), else takes period t+1.  It closes into a
-    canonical cycle when p divides its length n, with valuation n / p.  So each cycle is reached once, already in its
-    least rotation.  The search keeps its own stack, so a long walk needs
-    no deep recursion."""
+    A canonical cycle is a necklace over the edges ranked by id, and every
+    prefix of a necklace is a prenecklace (Ruskey, Savage and Wang,
+    "Generating necklaces", J. Algorithms 13, 1992): a prenecklace
+    a_1 ... a_t of period p extends by an edge b >= a_(t+1-p), keeping p
+    when b = a_(t+1-p), else taking t + 1.  A chained one that returns to
+    the source of a_1 is a cycle when p divides its length n, of valuation
+    n / p.  The stack is explicit, so a long walk needs no deep recursion."""
     edges = sorted(quiver.edges, key=lambda e: e.id)
     ids = [e.id for e in edges]
     srcs = [e.src for e in edges]
@@ -384,7 +382,8 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
     outs = [[] for _ in range(quiver.p)]
     for r, e in enumerate(edges):
         outs[e.src].append(r)
-    budget = list(vertex_budget) if vertex_budget is not None else None
+    # a walk within max_len visits no vertex more than max_len times
+    budget = list(vertex_budget or [max_len] * quiver.p)
     found = []
     nodes = 0
     # the word's edge ranks, the period of each of its prefixes, and the
@@ -396,12 +395,10 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
         if b is None:
             stack.pop()
             if word:
-                a = word.pop()
                 periods.pop()
-                if budget is not None:
-                    budget[srcs[a]] += 1
+                budget[srcs[word.pop()]] += 1
             continue
-        if budget is not None and budget[srcs[b]] == 0:
+        if not budget[srcs[b]]:
             continue
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -410,8 +407,7 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
             )
         t = len(word)
         per = periods[-1] if t and b == word[t - periods[-1]] else t + 1
-        if budget is not None:
-            budget[srcs[b]] -= 1
+        budget[srcs[b]] -= 1
         word.append(b)
         periods.append(per)
         n = t + 1
@@ -419,11 +415,8 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
         if (cur == srcs[word[0]] and n >= 2 and not n % per
                 and (per == n or not primes)):
             found.append(GCycle([ids[a] for a in word], [srcs[a] for a in word]))
-        if n < max_len and (budget is None or budget[cur] > 0):
-            nxt = outs[cur]
-            stack.append(iter(nxt[bisect_left(nxt, word[n - per]):]))
-        else:
-            stack.append(iter(()))
+        nxt = outs[cur] if n < max_len and budget[cur] else []
+        stack.append(iter(nxt[bisect_left(nxt, word[n - per]):]))
     found.sort(key=lambda c: c.sort_key)
     return found
 
