@@ -3,12 +3,12 @@ permutations and vertex fields that the determinant routes sum over.
 
 ``closed_edge_walks`` is the one cycle search and ``GCycle`` the one
 rotation-class type.  The search extends only walks whose edge word is a
-prenecklace, as the Fredricksen-Kessler-Maiorana necklace generator
-does, so it reaches each cycle once, in its least rotation.  A cyclic walk on range(p) is a cycle on
-``walk_quiver(p)``, whose edge (a, b) steps from a to b; the block routes
-walk its subquiver of nonzero off-diagonal blocks.  Canonical form
-everywhere is the lexicographically minimal rotation; the valuation of a
-cycle is the order of its rotation stabiliser.
+prenecklace, as the Fredricksen-Kessler-Maiorana necklace generator does,
+so it reaches each cycle once, in its least rotation.  A cyclic walk on
+range(p) is a cycle on ``walk_quiver(p)``, whose edge (a, b) steps from a
+to b; the block routes walk its subquiver of nonzero off-diagonal blocks.
+Canonical form everywhere is the lexicographically minimal rotation; the
+valuation of a cycle is the order of its rotation stabiliser.
 
 Multiset streams are lazy and deterministic: candidates are fixed in
 sorted order and multiplicities are chosen in nondecreasing candidate
