@@ -14,14 +14,12 @@ from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .linalg import block_walk_traces, product_traces
 from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
-    closed_walk_factors,
+    cycle_series,
     cycle_types,
     enumerate_gcycle_multisets,
     min_rotation,
     permutations_within,
     shifted_visit_sum,
-    visit_exponential,
-    visit_sum,
     walk_quiver,
 )
 from . import taudet
@@ -136,19 +134,19 @@ def _block_quiver(bm):
 
 
 def _walk_series(sd):
-    """visit_exponential of the walk factors (-1)^(len-1) Tr W / val, W the
-    product of the nonzero blocks along the walk: the closed-walk transfer
-    of those blocks on the block quiver."""
+    """The truncated exponential of the walk factors (-1)^(len-1) Tr W / val,
+    W the product of the nonzero blocks along the walk: the closed-walk
+    transfer of those blocks on the block quiver."""
     quiver = _block_quiver(sd.block)
     maps = {e.id: sd.block.block(*e.id) for e in quiver.edges}
-    return visit_exponential(closed_walk_factors(quiver, sd.part, maps), sd.part)
+    return cycle_series(quiver, sd.part, maps)
 
 
 def det_scalar_diag(sd):
     """Cycle-multiset expansion for a block matrix with scalar diagonal:
     sum over multisets of z^(n-v)/C! times the product of walk factors,
     folded as the truncated exponential of the walk factors."""
-    return visit_sum(_walk_series(sd), sd.z, sd.part)
+    return _walk_series(sd).visit_sum(sd.z)
 
 
 def det_scalar_diag_integral(sd):
@@ -181,5 +179,5 @@ def det_scalar_diag_integral(sd):
 def charpoly_block(sd, t_names=None):
     """det(T + A) as a polynomial in per-block shift symbols: the walk
     expansion with every z_a replaced by z_a + t_a."""
-    series = _walk_series(sd)
+    series = _walk_series(sd).coefficients()
     return shifted_visit_sum(series, sd.z, sd.part, sd.block.base.data, t_names)

@@ -40,13 +40,7 @@ from .blockdet import PERM_SUM_CAP, det_block_perm, det_perm_traces, det_trace_f
 from .taudet import TAU_DET_CAP
 from .vectorfields import DEFAULT_TERM_BUDGET, det_vector_fields, stack_cost
 from .euler import det_euler_finite, det_euler_truncated
-from .walks import (
-    VISIT_BOX_CAP,
-    enumerate_gcycle_multisets,
-    prime_cycles,
-    prime_finiteness,
-    visit_box_cells,
-)
+from .walks import enumerate_gcycle_multisets, fold_refusal, prime_cycles, prime_finiteness
 
 
 def _value_json(value, mode):
@@ -95,8 +89,8 @@ def _load(args):
 
 
 def _cycles(lap, args):
-    factors = {}
-    return det_laplacian_cycles(lap, factors), len(factors)
+    stats = {"keys": 0}
+    return det_laplacian_cycles(lap, stats), stats["keys"]
 
 
 def _euler_truncated(lap, args):
@@ -127,7 +121,7 @@ ROUTES = {
         lambda lap, args: args.mode != "symbolic" or sum(lap.ranks) <= POLY_DET_CAP,
     ),
     "cycles": Route(_cycles,
-                    lambda lap, args: visit_box_cells(lap.ranks) <= VISIT_BOX_CAP),
+                    lambda lap, args: fold_refusal(lap.quiver, lap.ranks) is None),
     "perm": Route(lambda lap, args: (det_perm_traces(lap.matrix), None),
                   _size_within(PERM_SUM_CAP)),
     "block-perm": Route(lambda lap, args: (det_block_perm(lap.block), None),

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .laplacian import build_laplacian, holonomy
-from .linalg import Matrix, charpoly_oracle, det_oracle
+from .linalg import Matrix, _det_lu, charpoly_oracle, det_oracle
 from .ring import Poly, to_complex
 from .walks import prime_cycles, prime_finiteness
 
@@ -275,6 +275,9 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
     # (edge id, holonomy, weight) of each prefix of the last prime: the left
     # folds holonomy() and a product of p_edges take, extended by new edges
     mats = lap.rep.matrices
+    # float-mode edge maps are complex already, and so is every product of
+    # them; det_oracle sends a complex I - wH to its LU, called here directly
+    convert = not all(type(x) is complex for m in mats.values() for x in m.data)
     prefix = []
     for cyc in primes:
         k = 0
@@ -285,8 +288,8 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
             _, hol, w = prefix[-1] if prefix else (None, None, 1.0)
             hol = mats[eid] if hol is None else hol * mats[eid]
             prefix.append((eid, hol, w * data.p_edges[eid]))
-        hol = prefix[-1][1].to_complex()
-        value *= det_oracle(Matrix.identity(hol.rows) - hol.scale(prefix[-1][2]))
+        hol = prefix[-1][1].to_complex() if convert else prefix[-1][1]
+        value *= _det_lu(Matrix.identity(hol.rows) - hol.scale(prefix[-1][2]))
 
     if fin.finite:
         # no chain bound conditions the factors, so a fixed allowance

@@ -14,13 +14,7 @@ from .errors import HolodetError, MethodRefusal, ValidationError
 from .linalg import BlockMatrix, Matrix, det_oracle, product_traces
 from .quiver import Representation, validate, vertex_z
 from .ring import int_div, z_power
-from .walks import (
-    closed_walk_factors,
-    enumerate_gcycle_multisets,
-    shifted_visit_sum,
-    visit_exponential,
-    visit_sum,
-)
+from .walks import cycle_series, enumerate_gcycle_multisets, shifted_visit_sum
 
 CAUCHY_BINET_CAP = 6
 # exact moments run one oracle determinant per joint outcome, the product
@@ -100,31 +94,32 @@ def weight_product(weights, gcycle):
     return acc
 
 
-def _cycle_factors(lap):
-    """{u: F_u}, F_u the sum of the cycle factors -(x^e(c) Tr hol(c)) / val(c)
-    over the cycles visiting u: the closed-walk transfer of the weighted
-    edge maps -x_e U_e, whose product along a cycle of length k is
-    (-1)^k x^e(c) hol(c)."""
+def _cycle_series(lap):
+    """The truncated exponential of the cycle factors F_u, each the sum of
+    -(x^e(c) Tr hol(c)) / val(c) over the cycles visiting u: the
+    closed-walk transfer of the weighted edge maps -x_e U_e, whose product
+    along a cycle of length k is (-1)^k x^e(c) hol(c)."""
     maps = {e.id: lap.rep.matrices[e.id].scale(-lap.weights[e.id])
             for e in lap.quiver.edges}
-    return closed_walk_factors(lap.quiver, lap.ranks, maps)
+    return cycle_series(lap.quiver, lap.ranks, maps)
 
 
-def det_laplacian_cycles(lap, factors=None):
+def det_laplacian_cycles(lap, stats=None):
     """Cycle-multiset expansion of the Laplacian determinant: the sum over
     multisets of z^(n-v)/C! times the product of their cycle factors, folded
     as the truncated exponential of the cycle factors by visit vector.
-    factors, when a dict, receives the {u: F_u} that was folded."""
-    got = _cycle_factors(lap)
-    if factors is not None:
-        factors.update(got)
-    return visit_sum(visit_exponential(got, lap.ranks), lap.z, lap.ranks)
+    stats, when a dict, receives "keys": the number of visit vectors whose
+    cycle factor was folded."""
+    series = _cycle_series(lap)
+    if stats is not None:
+        stats["keys"] = series.keys
+    return series.visit_sum(lap.z)
 
 
 def charpoly_laplacian(lap, t_names=None):
     """det(T + Laplacian) as a polynomial in per-vertex shift symbols;
     t_names = (t,) * p gives det(tI + Laplacian)."""
-    series = visit_exponential(_cycle_factors(lap), lap.ranks)
+    series = _cycle_series(lap).coefficients()
     return shifted_visit_sum(series, lap.z, lap.ranks, lap.matrix.data, t_names)
 
 

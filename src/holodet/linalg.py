@@ -509,24 +509,26 @@ def product_traces(factor):
 # Sums of products of keyed factors, for a transfer over walks: first(key)
 # the factor of key; step(m, key) the product m x factor; plus(m, m2) the
 # sum; close(m, key) Tr(m x factor), without forming that product, in a
-# form that scalar(closes, k, q) sums into (-1)^(k-1) sum / q, for closes
-# of products of k factors and a positive int q.
-WalkAlgebra = namedtuple("WalkAlgebra", "first step plus close scalar")
+# form that total(closes) sums.  d is None for Matrix values, whose totals
+# are scalars; otherwise every factor is exact and a total of closes of k
+# factors is the int pair (re, im) of a Gaussian integer over d^k, whose
+# scalar has ring.gaussian_ints' kind.
+WalkAlgebra = namedtuple("WalkAlgebra", "first step plus close total d kind")
 
 
 def walk_algebra(factors):
     """The WalkAlgebra of the Matrix values of factors (a dict).  When
-    every entry is exact, factors are scaled to one common denominator D
-    and a product of k factors is a Gaussian-integer matrix over D^k in
+    every entry is exact, factors are scaled to one common denominator d
+    and a product of k factors is a Gaussian-integer matrix over d^k in
     _Exact's row form (complex when some factor is), so sums and products
-    are int arithmetic and only each scalar is made canonical again
-    (ring.gaussian_scalar; an int sum divided by q is a Fraction, as
-    int_div makes it).  Otherwise (a float or Poly entry) the values are
+    are int arithmetic; its kind is at least 1, as an int sum divided by a
+    count is a Fraction.  Otherwise (a float or Poly entry) the values are
     Matrix sums and products, each trace summed in the order of
     Matrix.__mul__ then trace()."""
     forms = {key: _exact_form(m) for key, m in factors.items()}
     if None in forms.values():
-        return _dense_algebra(factors)
+        return WalkAlgebra(factors.__getitem__, lambda m, key: m * factors[key], add,
+                           lambda m, key: _dense_trace(m, factors[key]), sum, None, None)
     d = lcm(*(f.d for f in forms.values()))
     kind = max([1] + [f.kind for f in forms.values()])
     cplx = any(f.complex for f in forms.values())
@@ -542,22 +544,11 @@ def walk_algebra(factors):
     def plus(m, m2):
         return [list(map(add, r, r2)) for r, r2 in zip(m, m2)]
 
-    def scalar(closes, k, q):
-        sign = 1 if k % 2 else -1
-        return gaussian_scalar(sign * sum(a for a, _ in closes),
-                               sign * sum(b for _, b in closes), d ** k * q, kind)
+    def total(closes):
+        return sum(a for a, _ in closes), sum(b for _, b in closes)
 
     return WalkAlgebra(rows.__getitem__, lambda m, key: _int_product(m, cols[key]),
-                       plus, lambda m, key: _int_trace(m, cols[key]), scalar)
-
-
-def _dense_algebra(factors):
-    def scalar(closes, k, q):
-        total = sum(closes)
-        return int_div(total if k % 2 else -total, q)
-
-    return WalkAlgebra(factors.__getitem__, lambda m, key: m * factors[key], add,
-                       lambda m, key: _dense_trace(m, factors[key]), scalar)
+                       plus, lambda m, key: _int_trace(m, cols[key]), total, d, kind)
 
 
 def block_walk_traces(bm):

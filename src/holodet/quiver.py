@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HolodetError, ValidationError
 from .linalg import Matrix
-from .ring import GaussianRational, Poly, Symbols
+from .ring import GaussianRational, Poly, Symbols, gaussian_scalar
 
 
 @dataclass(frozen=True)
@@ -381,12 +382,34 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# a signed ASCII integer with an optional ASCII denominator
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio_ints(x):
+    """(numerator, denominator) of a string that _RATIO matches whole, read
+    with int; None for any other string, for a zero denominator and for
+    digits past int's limit, all of which Fraction parses or refuses."""
+    m = _RATIO.fullmatch(x)
+    if m is None:
+        return None
+    try:
+        num, den = int(m[1]), 1 if m[2] is None else int(m[2])
+    except ValueError:
+        return None
+    return (num, den) if den else None
+
+
 def _parse_number(x, mode):
     if isinstance(x, str):
-        try:
-            val = Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError([f"cannot parse number {x!r}"]) from None
+        ints = _ratio_ints(x)
+        if ints is not None:
+            val = Fraction(*ints)
+        else:
+            try:
+                val = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise ValidationError([f"cannot parse number {x!r}"]) from None
     elif _is_int(x):
         val = Fraction(x)
     elif isinstance(x, float):
@@ -400,6 +423,12 @@ def _parse_number(x, mode):
 
 
 def _parse_entry(x, mode):
+    if (mode != "float" and isinstance(x, list) and len(x) == 2
+            and isinstance(x[0], str) and isinstance(x[1], str)):
+        re_ints, im_ints = _ratio_ints(x[0]), _ratio_ints(x[1])
+        if re_ints is not None and im_ints is not None:
+            (a, b), (c, d) = re_ints, im_ints
+            return gaussian_scalar(a * d, c * b, b * d, 2) if c else Fraction(a, b)
     if isinstance(x, list) and len(x) == 2:
         re = _parse_number(x[0], mode)
         im = _parse_number(x[1], mode)

@@ -234,6 +234,16 @@ def gaussian_ints(entries):
     return d, re, (im if any(im) else None), kind
 
 
+def gaussian_parts(x):
+    """(a, b, d, kind) of an exact scalar x = (a + bi)/d in lowest terms,
+    kind as gaussian_ints gives it; None when x's type is not int,
+    Fraction or GaussianRational."""
+    if type(x) not in _EXACT_TYPES:
+        return None
+    a, b, d = _parts(x)
+    return a, b, d, 2 if type(x) is GaussianRational else 1 if type(x) is Fraction else 0
+
+
 def gaussian_scalar(a, b, d, kind):
     """The canonical scalar (a + bi)/d of gaussian_ints' kind, for ints
     with d > 0: a GaussianRational for kind 2, else a Fraction for kind 1

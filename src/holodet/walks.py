@@ -14,10 +14,13 @@ Multiset streams are lazy and deterministic: candidates are fixed in
 sorted order and multiplicities are chosen in nondecreasing candidate
 order, so every multiset within the visit bound appears exactly once.  The
 generating series of those multisets, graded by visit vector, is the
-truncated exponential computed by ``visit_exponential`` without listing
-them, from the cycle factors summed by visit vector, which
-``closed_walk_factors`` takes from a closed-walk transfer without listing
-a cycle.
+truncated exponential that ``cycle_series`` folds without listing them,
+from the cycle factors summed by visit vector, which a closed-walk
+transfer (``closed_walk_factors``) takes without listing a cycle.  The
+fold walks only the cells of the visit box that sums of those visit
+vectors reach, in Gaussian integers when the factors are exact, and is
+refused before any product when ``fold_refusal`` counts more steps than
+``FOLD_WORK_CAP``.
 """
 
 from __future__ import annotations
@@ -25,18 +28,38 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import HolodetError, MethodRefusal
-from .linalg import walk_algebra
+from .linalg import WalkAlgebra, walk_algebra
 from .quiver import Edge, Quiver
-from .ring import Poly, Symbols, int_div, lift
+from .ring import (
+    GaussianRational,
+    Poly,
+    Symbols,
+    gaussian_ints,
+    gaussian_parts,
+    gaussian_scalar,
+    int_div,
+    lift,
+)
 
 # search states a prime-cycle search visits before it refuses
 PRIME_SEARCH_NODES = 2_000_000
-# cells of the visit box prod_a [0, bound_a] a cycle expansion may fold
-# before it refuses: visit_exponential walks every cell
-VISIT_BOX_CAP = 2 ** 22
+# steps, cells walked plus pulls, a cycle expansion's fold may take
+# before it refuses; complete (2,)*8 takes 1.68M steps, folded in 1.4 s
+# on a 2-CPU Xeon under Python 3.11
+FOLD_WORK_CAP = 2 ** 21
+# frontier states the boolean transfer that counts a fold's steps may
+# hold: complete (2,)*8, the largest complete digraph of rank 2 that the
+# closed-form bound admits, holds 31,508
+COUNT_STATE_CAP = 2 ** 15
+# what a sub-box pull costs per cell it looks at, in key pulls: 2.3 to
+# 3.4 in fits over the cells of complete digraphs of total rank 5 to 12
+SUBBOX_COST = 2.5
+# a fold walks its whole box, not the closure of its keys, when the box
+# has at most this many cells per key
+BOX_WALK_RATIO = 8
 
 
 def _least_rotation(seq):
@@ -213,40 +236,23 @@ def _multiset_stream(candidates, p, bound):
         yield CycleMultiset(items)
 
 
-def closed_walk_factors(quiver, bound, maps):
-    """{u: F_u} over the visit vectors u within bound on which a closed
-    walk closes, with F_u = (-1)^(|u|-1) Tr(sum_w W(w)) / u_s: w runs over
-    the closed walks with visit vector u that start at s, the least vertex
-    u visits, and stay on vertices >= s, and W(w) is the product of
-    maps[e.id] along w.  Visits are counted at each edge's source, as
-    candidate_gcycles counts them, and the quiver has no self-loops.
-
-    A cycle of valuation m that visits s u_s times has u_s/m rotations
-    that start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c)
-    over the cycles c that candidate_gcycles lists with visit vector u;
-    a u whose sum is 0 keeps its key.  No cycle is listed: for each root
-    s, a frontier keyed by (current vertex, visits so far) holds the sum of
-    W over the walks that reach that state.  A step is taken only while its
-    source is under its bound, so a state whose vertex has no visit left
-    is not kept.  Each step back to s adds Tr(state x map) to the sum of
-    the visit vector it closes on, without forming that product.
-
-    The sums and products are linalg.walk_algebra's: Gaussian-integer
-    matrices over one common denominator when every entry is exact, Matrix
-    values otherwise.  Refused past VISIT_BOX_CAP cells of the visit box,
-    which visit_exponential walks whole."""
+def _visit_bound(quiver, bound):
     bound = tuple(bound)
     if len(bound) != quiver.p or any(b < 0 for b in bound):
         raise HolodetError(f"bad visit bound {bound!r}")
-    cells = visit_box_cells(bound)
-    if cells > VISIT_BOX_CAP:
-        raise MethodRefusal(
-            f"cycle expansion capped at {VISIT_BOX_CAP} visit-box cells, got {cells}"
-        )
+    return bound
+
+
+def _transfer(quiver, bound, ops, state_cap=None):
+    """{u: (total, u_s)} over the visit vectors u on which a closed walk
+    closes: total is ops.total of the closes of the walks with visit
+    vector u that start at s, the least vertex u visits, and stay on
+    vertices >= s; None once the frontiers have held more than state_cap
+    states in all."""
     p = quiver.p
     out_edges = [quiver.out_edges(v) for v in range(p)]
-    ops = walk_algebra(maps)
     out = {}
+    states = 0
     for s in range(p):
         if not bound[s]:
             continue
@@ -269,9 +275,220 @@ def closed_walk_factors(quiver, bound, maps):
                     key = (t, w)
                     nxt[key] = ops.plus(nxt[key], got) if key in nxt else got
             level = nxt
+            states += len(level)
+            if state_cap is not None and states > state_cap:
+                return None
         for u, traces in closes.items():
-            out[u] = ops.scalar(traces, sum(u), u[s])
+            out[u] = ops.total(traces), u[s]
     return out
+
+
+# the transfer's key set alone: every walk's value is True
+_KEYS_ONLY = WalkAlgebra(lambda key: True, lambda m, key: True, lambda m, m2: True,
+                         lambda m, key: None, len, None, None)
+
+
+def _walk_totals(quiver, bound, maps):
+    """The checked bound, the WalkAlgebra of maps and the transfer's
+    totals; refused, before any product, past the fold's work cap."""
+    bound = _visit_bound(quiver, bound)
+    why = fold_refusal(quiver, bound)
+    if why is not None:
+        raise MethodRefusal(why)
+    ops = walk_algebra(maps)
+    return bound, ops, _transfer(quiver, bound, ops)
+
+
+def _factor(ops, k, total, q):
+    """(-1)^(k-1) total / q as a canonical scalar, for a total of closes of
+    k factors."""
+    if ops.d is None:
+        return int_div(total if k % 2 else -total, q)
+    sign = 1 if k % 2 else -1
+    return gaussian_scalar(sign * total[0], sign * total[1], ops.d ** k * q, ops.kind)
+
+
+def closed_walk_factors(quiver, bound, maps):
+    """{u: F_u} over the visit vectors u within bound on which a closed
+    walk closes, with F_u = (-1)^(|u|-1) Tr(sum_w W(w)) / u_s: w runs over
+    the closed walks with visit vector u that start at s, the least vertex
+    u visits, and stay on vertices >= s, and W(w) is the product of
+    maps[e.id] along w.  Visits are counted at each edge's source, as
+    candidate_gcycles counts them, and the quiver has no self-loops.
+
+    A cycle of valuation m that visits s u_s times has u_s/m rotations
+    that start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c)
+    over the cycles c that candidate_gcycles lists with visit vector u;
+    a u whose sum is 0 keeps its key.  No cycle is listed: for each root
+    s, a frontier keyed by (current vertex, visits so far) holds the sum of
+    W over the walks that reach that state.  A step is taken only while its
+    source is under its bound, so a state whose vertex has no visit left
+    is not kept.  Each step back to s adds Tr(state x map) to the sum of
+    the visit vector it closes on, without forming that product.
+
+    The sums and products are linalg.walk_algebra's: Gaussian-integer
+    matrices over one common denominator when every entry is exact, Matrix
+    values otherwise.  Refused, before any product, when fold_refusal
+    refuses the bound: cycle_series folds these factors, and the same
+    transfer feeds it."""
+    bound, ops, totals = _walk_totals(quiver, bound, maps)
+    return {u: _factor(ops, sum(u), t, q) for u, (t, q) in totals.items()}
+
+
+def cycle_series(quiver, bound, maps):
+    """The truncated exponential of closed_walk_factors(quiver, bound,
+    maps), as a VisitSeries.  Exact factors are never made scalars: with D
+    the transfer's common denominator and L = lcm(1 .. max bound), each
+    s_u = |u| (DL)^|u| F_u = (-1)^(|u|-1) |u| (L^|u| / u_s) x total is a
+    Gaussian integer, since u_s <= max bound divides L."""
+    bound, ops, totals = _walk_totals(quiver, bound, maps)
+    if ops.d is None:
+        return _dense_series({u: sum(u) * _factor(ops, sum(u), t, q)
+                              for u, (t, q) in totals.items()}, bound)
+    ell = lcm(*range(1, max(bound, default=0) + 1))
+    scaled = {}
+    for u, ((a, b), q) in totals.items():
+        k = sum(u)
+        c = k * ell ** k // q
+        if not k % 2:
+            c = -c
+        scaled[u] = c * a, c * b
+    return _exact_series(scaled, bound, ops.d * ell, ops.kind)
+
+
+def visit_series(factors, bound):
+    """exp(sum_u F_u y^u) over the visit box prod_a [0, bound_a], for
+    factors = {u: F_u}, as a VisitSeries.  Exact factors all of one ring
+    (GaussianRational, or int and Fraction) fold as Gaussian integers over
+    the lcm lam of their denominators, s_u = |u| lam^|u| F_u; any other
+    mix folds as scalars, since a cell's type then depends on which
+    factors reach it."""
+    bound = tuple(bound)
+    values = list(factors.values())
+    got = (gaussian_ints(values)
+           if len({type(f) is GaussianRational for f in values}) < 2 else None)
+    if got is None:
+        return _dense_series({u: sum(u) * f for u, f in factors.items()}, bound)
+    lam, re, im, kind = got
+    scaled = {}
+    for u, a, b in zip(factors, re, im or [0] * len(re)):
+        c = sum(u) * (lam ** sum(u) // lam)
+        scaled[u] = c * a, c * b
+    return _exact_series(scaled, bound, lam, max(1, kind))
+
+
+def _exact_series(scaled, bound, lam, kind):
+    """The VisitSeries of Gaussian-integer s_u = |u| lam^|u| F_u.  It holds
+    H_v = N! lam^|v| G_v for N = |bound|: H_0 = N!, and the Euler operator
+    |v| G_v = sum_u |u| F_u G_(v-u) becomes |v| H_v = sum_u s_u H_(v-u),
+    whose sum |v| divides exactly, since H_v is a Gaussian integer: it is
+    N! / |v|! times the sum, over the multisets of keys with total v, of
+    |v|! / prod_u m_u! times prod_u (lam^|u| F_u)^m_u, and sum_u m_u <= |v|.
+    Real s_u fold as ints, complex ones as (re, im) pairs."""
+    one = factorial(sum(bound))
+    if any(b for _, b in scaled.values()):
+        values = _fold(scaled, bound, (one, 0), _gaussian_pull)
+    else:
+        values = _fold({u: a for u, (a, _) in scaled.items()}, bound, one, _int_pull)
+    return VisitSeries(bound, len(scaled), values, lam, kind)
+
+
+def _dense_series(scaled, bound):
+    return VisitSeries(bound, len(scaled),
+                       _fold(scaled, bound, int_div(1, 1), _scalar_pull))
+
+
+def _int_pull(terms, size):
+    return sum([f * g for f, g in terms]) // size
+
+
+def _gaussian_pull(terms, size):
+    return (sum([a * c - b * d for (a, b), (c, d) in terms]) // size,
+            sum([a * d + b * c for (a, b), (c, d) in terms]) // size)
+
+
+def _scalar_pull(terms, size):
+    return int_div(sum([f * g for f, g in terms]), size)
+
+
+class VisitSeries:
+    """The coefficients G_v of exp(sum_u F_u y^u) over the cells v of a
+    visit box that sums of factor keys u reach, in increasing order of v.
+
+    values[v] is G_v itself when lam is None; otherwise it is the Gaussian
+    integer H_v = N! lam^|v| G_v (an int, or an (re, im) pair), and kind,
+    ring.gaussian_ints' kind, is the type every G_v but G_0 takes.  keys
+    is the number of factor keys folded."""
+
+    __slots__ = ("bound", "keys", "values", "lam", "kind")
+
+    def __init__(self, bound, keys, values, lam=None, kind=None):
+        self.bound = bound
+        self.keys = keys
+        self.values = values
+        self.lam = lam
+        self.kind = kind
+
+    def _parts(self):
+        """(v, |v|, re, im) of each H_v = re + im i, in order."""
+        for v, h in self.values.items():
+            re, im = h if isinstance(h, tuple) else (h, 0)
+            yield v, sum(v), re, im
+
+    def coefficients(self):
+        """{v: G_v}, each a canonical scalar; G_0 is int_div(1, 1)."""
+        if self.lam is None:
+            return dict(self.values)
+        dens = [factorial(sum(self.bound))]
+        for _ in range(sum(self.bound)):
+            dens.append(dens[-1] * self.lam)
+        return {v: gaussian_scalar(re, im, dens[k], self.kind) if k else int_div(1, 1)
+                for v, k, re, im in self._parts()}
+
+    def visit_sum(self, zs):
+        """sum_v G_v prod_a z_a^(bound_a - v_a), as walks.visit_sum gives it
+        from coefficients().  When the H_v are exact and so is every z_a
+        with bound_a > 0, the sum is formed over the common denominator
+        N! lam^N prod_a d_a^bound_a, z_a = Z_a / d_a, and made a scalar once:
+        of the widest type among the G_v and those z_a, as the ring's sums
+        and products give it."""
+        bound = self.bound
+        parts = [gaussian_parts(z) if n else (1, 0, 1, 0) for z, n in zip(zs, bound)]
+        if self.lam is None or None in parts:
+            return visit_sum(self.coefficients(), zs, bound)
+        total = sum(bound)
+        lam = self.lam
+        den = factorial(total) * lam ** total
+        # tables[a][x] = Z_a^(n_a - x) d_a^x as an (re, im) pair
+        tables = []
+        for (za, zb, zd, _), n in zip(parts, bound):
+            den *= zd ** n
+            col = [(1, 0)]
+            for _ in range(n):
+                re, im = col[-1]
+                col.append((re * za - im * zb, re * zb + im * za))
+            tables.append([(re * zd ** x, im * zd ** x)
+                           for x, (re, im) in enumerate(reversed(col))])
+        lams = [lam ** (total - k) for k in range(total + 1)]
+        real = not any(zb for _, zb, _, _ in parts)
+        acc_re = acc_im = 0
+        for v, k, re, im in self._parts():
+            if real:
+                c = lams[k]
+                for col, x in zip(tables, v):
+                    c *= col[x][0]
+                acc_re += re * c
+                acc_im += im * c
+            else:
+                cr, ci = lams[k], 0
+                for col, x in zip(tables, v):
+                    tr, ti = col[x]
+                    cr, ci = cr * tr - ci * ti, cr * ti + ci * tr
+                acc_re += re * cr - im * ci
+                acc_im += re * ci + im * cr
+        kind = max([self.kind if len(self.values) > 1 else 1]
+                   + [z_kind for _, _, _, z_kind in parts])
+        return gaussian_scalar(acc_re, acc_im, den, kind)
 
 
 def visit_box_cells(bound):
@@ -279,51 +496,161 @@ def visit_box_cells(bound):
     return prod(b + 1 for b in bound)
 
 
-def visit_exponential(factors, bound):
-    """Coefficients G_v of exp(sum_u F_u y^u) over the visit box
-    prod_a [0, bound_a], for factors = {u: F_u}, keyed by visit vector v;
-    a v that no sum of factor keys reaches has no key.
+def _pull_bound(bound):
+    """sum over the visit box of prod_a (v_a + 1): the steps of a fold in
+    which every cell pulls over its whole sub-box, itself left out."""
+    return prod((b + 1) * (b + 2) // 2 for b in bound)
 
-    With the F_u the factor sums of cycles by visit vector, G_v is the
-    sum, over the cycle multisets with visit total v, of the product of
-    their factors divided by the multiplicity factorials.  The Euler
-    operator gives |v| G_v = sum_{0 < u <= v} |u| F_u G_(v-u), so no
-    multiset is listed.
 
-    Visit vectors are packed into one int, a bit field per vertex with
+class _Packing:
+    """Visit vectors packed into one int, a bit field per vertex with
     vertex 0 highest, each field one bit wider than the largest bound so
     that its top bit is a guard.  With every guard set on v, a field of
     v - u borrows its guard exactly when u_a > v_a, and no borrow crosses a
-    field; so keying the reached cells with their guards set, v - u is a
-    key only when u <= v, and then it is the key of v - u."""
-    p = len(bound)
-    cells = itertools.product(*(range(b + 1) for b in bound))
-    zero = next(cells)
-    out = {zero: int_div(1, 1)}
-    if not factors:
-        return out
-    width = max(bound).bit_length() + 1
-    shifts = [width * (p - 1 - a) for a in range(p)]
-    top = 1 << (width - 1)
-    # pulled in decreasing u, hence increasing v - u: the order in which a
-    # push over the box in index order would add the terms
-    scaled = sorted(((sum(x << s for x, s in zip(u, shifts)), sum(u) * f)
-                     for u, f in factors.items()), key=lambda uf: uf[0], reverse=True)
-    # each cell's key with its guards set, in the cells' order: the box is
-    # walked in lexicographic order, which is index order, so every v - u
-    # is reached (or not) before v
-    keys = map(sum, itertools.product(
-        *([(top | x) << s for x in range(b + 1)] for b, s in zip(bound, shifts))))
-    reached = {next(keys): out[zero]}
-    for v, key in zip(cells, keys):
-        terms = [f * g for u, f in scaled if (g := reached.get(key - u)) is not None]
+    field; so keying cells with their guards set, v - u is a cell's key
+    only when u <= v, and then it is the key of v - u.  Packed order is
+    lexicographic order on visit vectors."""
+
+    def __init__(self, bound):
+        self.bound = bound
+        p = len(bound)
+        width = max(bound, default=0).bit_length() + 1
+        self.shifts = [width * (p - 1 - a) for a in range(p)]
+        self.top = 1 << (width - 1)
+        self.guards = sum(self.top << s for s in self.shifts)
+
+    def pack(self, v):
+        return sum(x << s for x, s in zip(v, self.shifts))
+
+    def unpack(self, key):
+        mask = self.top - 1
+        return tuple((key >> s) & mask for s in self.shifts)
+
+    def cells(self, keys, budget=None):
+        """(guarded key, v) of each cell a fold over the packed factor keys
+        walks, increasing: the cells that sums of keys reach, taken as a
+        closure from 0, unless the box has at most BOX_WALK_RATIO cells per
+        key or the closure pushes more often than walking the box would
+        pull, and then the whole box.  With a budget, None when the walk
+        would pass it."""
+        bound, shifts, top, guards = self.bound, self.shifts, self.top, self.guards
+        box = visit_box_cells(bound)
+        limit = min(box * (len(keys) + 1), _pull_bound(bound))
+        if budget is not None:
+            limit = min(limit, budget)
+        if box > BOX_WALK_RATIO * len(keys):
+            # each reached cell's slack bound_a - v_a, guarded: u fits on v
+            # when taking it from v's slack borrows no guard
+            seen = {guards: sum((top | b) << s for b, s in zip(bound, shifts))}
+            todo = [guards]
+            pushes = 0
+            while todo and pushes <= limit:
+                key = todo.pop()
+                slack = seen[key]
+                pushes += len(keys)
+                for u in [u for u in keys if (slack - u) & guards == guards]:
+                    if key + u not in seen:
+                        seen[key + u] = slack - u
+                        todo.append(key + u)
+            if not todo:
+                return [(key, self.unpack(key)) for key in sorted(seen)]
+        if budget is not None and box > budget:
+            return None
+        return list(zip(
+            map(sum, itertools.product(*([(top | x) << s for x in range(b + 1)]
+                                         for b, s in zip(bound, shifts)))),
+            itertools.product(*(range(b + 1) for b in bound))))
+
+
+def _span(v, shifts):
+    """The packed keys of the cells w <= v, increasing, for v's fields at
+    shifts."""
+    got = [0]
+    for x, s in zip(v, shifts):
+        if x:
+            steps = [j << s for j in range(x + 1)]
+            got = [w + d for w in got for d in steps]
+    return got
+
+
+def _fold(scaled, bound, one, pull):
+    """{v: value} over the cells v that sums of the keys of scaled = {u:
+    s_u} reach, increasing: one at 0, and at any other such v, pull(terms,
+    |v|), where terms holds (s_u, value at v - u) for each key u <= v whose
+    v - u is reached, in decreasing u.
+
+    The cells are walked in packed order, so each v - u is done before v.
+    Each cell pulls over the factor keys or over the cells w of its
+    sub-box, whichever costs less: a sub-box pull looks up both w and
+    v - w, and costs about SUBBOX_COST key pulls per cell.  Both give the
+    same terms in the same order, so a float sum is the same either way.
+    A sub-box is the sum of the spans of its first half of fields and of
+    the rest, each kept for the fold."""
+    pack = _Packing(bound)
+    keyed = sorted(((pack.pack(u), f) for u, f in scaled.items()), reverse=True)
+    by_key = dict(keyed)
+    n_keys = len(keyed)
+    cells = pack.cells(list(by_key))
+    half = len(bound) // 2
+    heads, tails = {}, {}
+    reached = {cells[0][0]: one}
+    out = {cells[0][1]: one}
+    for key, v in cells[1:]:
+        head = heads.get(v[:half])
+        if head is None:
+            head = heads[v[:half]] = [pack.guards + w for w in _span(v[:half], pack.shifts)]
+        tail = tails.get(v[half:])
+        if tail is None:
+            tail = tails[v[half:]] = _span(v[half:], pack.shifts[half:])
+        if SUBBOX_COST * (len(head) * len(tail) - 1) < n_keys:
+            terms = [(f, g) for w in [h + t for h in head for t in tail]
+                     if (f := by_key.get(key - w)) is not None
+                     and (g := reached.get(w)) is not None]
+        else:
+            terms = [(f, g) for u, f in keyed if (g := reached.get(key - u)) is not None]
         if terms:
-            reached[key] = out[v] = int_div(sum(terms), sum(v))
+            reached[key] = out[v] = pull(terms, sum(v))
     return out
 
 
+def fold_work(keys, bound, cap=None):
+    """The steps a fold over the visit vectors keys within bound takes:
+    the cells it walks, and at each the smaller of its key count and its
+    sub-box; past cap, any count above cap."""
+    pack = _Packing(bound)
+    cells = pack.cells([pack.pack(u) for u in keys], cap)
+    if cells is None:
+        return cap + 1
+    n_keys = len(keys)
+    work = 0
+    for _, v in cells:
+        work += 1 + min(n_keys, prod(x + 1 for x in v) - 1)
+        if cap is not None and work > cap:
+            break
+    return work
+
+
+def fold_refusal(quiver, bound):
+    """Why a cycle expansion on the quiver within bound is refused, or None
+    when it fits FOLD_WORK_CAP: at once when even a fold in which every
+    cell of the box pulls its whole sub-box would, else by counting
+    fold_work on the key set of a boolean run of the transfer, which
+    forms no product and stops past COUNT_STATE_CAP states."""
+    bound = _visit_bound(quiver, bound)
+    if _pull_bound(bound) <= FOLD_WORK_CAP:
+        return None
+    totals = _transfer(quiver, bound, _KEYS_ONLY, COUNT_STATE_CAP)
+    if totals is None:
+        return (f"cycle expansion capped at {FOLD_WORK_CAP} fold steps; counting "
+                f"them passed {COUNT_STATE_CAP} transfer states")
+    work = fold_work(list(totals), bound, FOLD_WORK_CAP)
+    if work > FOLD_WORK_CAP:
+        return f"cycle expansion capped at {FOLD_WORK_CAP} fold steps, got more"
+    return None
+
+
 def visit_sum(series, zs, bound):
-    """sum_v G_v prod_a z_a^(bound_a - v_a) over a visit_exponential."""
+    """sum_v G_v prod_a z_a^(bound_a - v_a) over {v: G_v}."""
     powers = [[1] for _ in zs]
     for pw, z, n in zip(powers, zs, bound):
         while len(pw) <= n:

@@ -14,8 +14,17 @@ from holodet.cli import ROUTES, main
 from holodet.errors import MethodRefusal
 from holodet.laplacian import build_laplacian, det_laplacian_cycles
 from holodet.linalg import Matrix, det_oracle
-from holodet.quiver import Edge, Quiver, Representation, gen_example, instance_to_json
-from holodet.walks import candidate_gcycles
+from holodet import walks
+from holodet.quiver import (
+    Edge,
+    Quiver,
+    Representation,
+    gen_example,
+    instance_to_json,
+    load_instance,
+)
+from holodet.ring import scalar_str
+from holodet.walks import candidate_gcycles, closed_walk_factors, fold_work
 
 
 def run_cli(args, capsys):
@@ -55,27 +64,97 @@ def _directed_ring(n):
     return q, rep, w
 
 
-def test_cycles_refuses_past_its_visit_box_up_front(tmp_path, capsys):
-    # a rank-1 ring of n vertices has one cycle but a visit box of 2^n
-    # cells, each of which the fold walks
-    lap = build_laplacian(*_directed_ring(26))
+def _exact_values(q, ranks, rng):
+    rep = Representation(ranks, {e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                                              [gauss_rat(rng)
+                                               for _ in range(ranks[e.src] * ranks[e.tgt])])
+                                 for e in q.edges})
+    w = {e.id: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for e in q.edges}
+    return q, rep, w
+
+
+def _complete_digraph(p, rank):
+    q = Quiver(p, [Edge(f"e{a}_{b}", a, b) for a in range(p) for b in range(p) if a != b])
+    return _exact_values(q, (rank,) * p, random.Random(p))
+
+
+def _bidirected_ring(n):
+    q = Quiver(n, [Edge(f"e{a}{d}", a if d == "f" else (a + 1) % n,
+                        (a + 1) % n if d == "f" else a)
+                   for a in range(n) for d in "fr"])
+    return _exact_values(q, (1,) * n, random.Random(n))
+
+
+def test_cycles_refuses_past_its_work_cap_up_front(tmp_path, capsys):
+    # complete (2,)*9 has only 3^9 visit-box cells, but a fold over them
+    # pulls about 6^9 times; counting that refuses before any product
+    lap = build_laplacian(*_complete_digraph(9, 2))
     args = SimpleNamespace(mode="exact")
     assert not ROUTES["cycles"].fits(lap, args)
     start = time.perf_counter()
     with pytest.raises(MethodRefusal):
         det_laplacian_cycles(lap)
     assert time.perf_counter() - start < 1
-    path = tmp_path / "ring26.json"
-    path.write_text(json.dumps(instance_to_json(*_directed_ring(26))))
+    path = tmp_path / "complete9.json"
+    path.write_text(json.dumps(instance_to_json(*_complete_digraph(9, 2))))
     start = time.perf_counter()
     code, _, err = run_cli(["det", "--input", str(path), "--method", "cycles"], capsys)
     assert time.perf_counter() - start < 1
     assert code == 3
     assert json.loads(err)["error"]["type"] == "refusal"
 
-    lap = build_laplacian(*_directed_ring(12))
-    assert ROUTES["cycles"].fits(lap, args)
-    assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+    # a rank-1 ring of n vertices has a visit box of 2^n cells but one
+    # cycle, so its fold reaches two cells
+    for n in (12, 26):
+        lap = build_laplacian(*_directed_ring(n))
+        assert ROUTES["cycles"].fits(lap, args)
+        assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+
+
+def test_det_cycles_answers_on_a_forty_vertex_ring(tmp_path, capsys):
+    path = tmp_path / "ring40.json"
+    path.write_text(json.dumps(instance_to_json(*_directed_ring(40))))
+    code, out, err = run_cli(["det", "--input", str(path), "--method", "cycles",
+                              "--format", "json"], capsys)
+    assert code == 0, err
+    lap = build_laplacian(*load_instance(str(path)))
+    assert json.loads(out)["value"] == scalar_str(det_oracle(lap.matrix))
+    assert json.loads(out)["terms"] == 1
+
+
+@pytest.mark.parametrize("build,fits", [
+    (lambda: _complete_digraph(5, 1), True),   # admitted by the closed form
+    (lambda: _bidirected_ring(14), True),      # counted and admitted
+    (lambda: _bidirected_ring(24), False),     # counted and refused
+    (lambda: _complete_digraph(9, 2), False),  # refused while counting
+])
+def test_cycles_fits_exactly_when_its_kernel_answers(build, fits):
+    lap = build_laplacian(*build())
+    assert ROUTES["cycles"].fits(lap, SimpleNamespace(mode="exact")) is fits
+    if fits:
+        assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+    else:
+        with pytest.raises(MethodRefusal, match="fold steps"):
+            det_laplacian_cycles(lap)
+
+
+def test_cycles_fits_and_refuses_on_either_side_of_the_cap(monkeypatch):
+    # a bidirected ring's closed-form bound is far past the cap, so its
+    # fold is counted; with the cap at that count it answers, one below
+    # it refuses, and fits agrees both times
+    lap = build_laplacian(*_bidirected_ring(12))
+    maps = {e.id: lap.rep.matrices[e.id].scale(-lap.weights[e.id]) for e in lap.quiver.edges}
+    work = fold_work(list(closed_walk_factors(lap.quiver, lap.ranks, maps)), lap.ranks)
+    args = SimpleNamespace(mode="exact")
+    for cap, answers in ((work, True), (work - 1, False)):
+        monkeypatch.setattr(walks, "FOLD_WORK_CAP", cap)
+        assert walks._pull_bound(lap.ranks) > cap
+        assert ROUTES["cycles"].fits(lap, args) is answers
+        if answers:
+            assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+        else:
+            with pytest.raises(MethodRefusal, match=f"capped at {cap} "):
+                det_laplacian_cycles(lap)
 
 
 def test_det_all_methods_agree_two_cycle(capsys):

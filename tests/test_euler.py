@@ -22,7 +22,7 @@ from holodet.quiver import (
     gen_example,
     haar_like_unitary,
 )
-from holodet.ring import Poly, scalars_close
+from holodet.ring import GaussianRational, Poly, scalars_close
 from holodet.walks import prime_cycles, prime_finiteness
 from test_acceptance import _random_submarkov
 
@@ -486,3 +486,64 @@ def test_unitary_comparison_requires_involution():
     w = {"e": 1.0, "f": 1.0}
     with pytest.raises(MethodRefusal):
         unitary_comparison_check(q, w, lambda i: None, 1, (0.0,), 1)
+
+
+def _truncated_reference(lap, kappa, tol):
+    """(value, certified_bound, prime_count) of det_euler_truncated as it
+    was formed when each prime's holonomy went through to_complex() and
+    each factor through det_oracle; instances it refuses are not asked."""
+    data = build_submarkov(lap, kappa)
+    n, p = sum(lap.ranks), lap.quiver.p
+    fin = prime_finiteness(lap.quiver)
+    if fin.finite:
+        primes, log_tail = list(fin.cycles), 0.0
+    else:
+        length = 2
+        while euler._tail_bound(n, p, data.rho, length) >= tol:
+            length += 1
+        primes = prime_cycles(lap.quiver, length)
+        log_tail = euler._tail_bound(n, p, data.rho, length)
+    value = 1.0 + 0.0j
+    for a, r in enumerate(lap.ranks):
+        value *= (lap.z[a].real + data.kappa[a]) ** r
+    prefix = []
+    for cyc in primes:
+        k = 0
+        while k < len(prefix) and prefix[k][0] == cyc.edges[k]:
+            k += 1
+        del prefix[k:]
+        for eid in cyc.edges[k:]:
+            _, hol, w = prefix[-1] if prefix else (None, None, 1.0)
+            hol = lap.rep.matrices[eid] if hol is None else hol * lap.rep.matrices[eid]
+            prefix.append((eid, hol, w * data.p_edges[eid]))
+        hol = prefix[-1][1].to_complex()
+        value *= det_oracle(Matrix.identity(hol.rows) - hol.scale(prefix[-1][2]))
+    if fin.finite:
+        certified = 1e-12 * (1.0 + abs(value))
+    else:
+        spread = len(primes) * math.log1p(euler._factor_rounding(max(lap.ranks), data.rho))
+        certified = (abs(value) * math.expm1(log_tail + 2 * spread)
+                     if spread < 0.4 else math.inf)
+    return value, certified, len(primes)
+
+
+def test_truncated_euler_factors_skip_conversions_bit_for_bit():
+    # criterion 6's instances: the factors' LU, called without classifying
+    # or converting complex holonomies, leaves every output bit for bit
+    rng = random.Random(20240506)
+    for _ in range(50):
+        q, rep, w, kappa = _random_submarkov(rng)
+        lap = build_laplacian(q, rep, w)
+        res = det_euler_truncated(lap, kappa, tol=1e-9)
+        want = _truncated_reference(lap, kappa, 1e-9)
+        assert (res.value, res.certified_bound, res.prime_count) == want
+    # exact edge maps still have their holonomies converted
+    q, rep, w, kappa = _random_submarkov(random.Random(8))  # 23 primes
+    exact = Representation(rep.ranks, {
+        eid: m.map(lambda x: GaussianRational(Fraction(x.real), Fraction(x.imag)))
+        for eid, m in rep.matrices.items()})
+    lap = build_laplacian(q, exact, {eid: Fraction(x) for eid, x in w.items()})
+    res = det_euler_truncated(lap, kappa, tol=1e-9)
+    assert res.prime_count > 1
+    assert (res.value, res.certified_bound, res.prime_count) == _truncated_reference(
+        lap, kappa, 1e-9)

@@ -1,10 +1,12 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from holodet.errors import HolodetError
+from holodet import quiver
+from holodet.errors import HolodetError, ValidationError
 from holodet.linalg import Matrix
 from holodet.quiver import (
     Edge,
@@ -204,3 +206,52 @@ def test_json_gaussian_entries():
     q2, rep2, w2 = instance_from_json(doc, mode="exact")
     assert rep2.matrices["e"].at(0, 0) == GaussianRational(Fraction(1, 2), Fraction(-2, 3))
     assert w2["e"] == Fraction(3, 4)
+
+
+def _parse_number_reference(x, mode):
+    """A number string as every one was parsed before integers were read
+    with int: through Fraction."""
+    try:
+        val = Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError([f"cannot parse number {x!r}"]) from None
+    return float(val) if mode == "float" else val
+
+
+def _parse_entry_reference(x, mode):
+    re, im = _parse_number_reference(x[0], mode), _parse_number_reference(x[1], mode)
+    if mode == "float":
+        return complex(re, im)
+    return re if im == 0 else GaussianRational(re, im)
+
+
+def _outcome(parse, *args):
+    """The parsed value's type and repr (a GaussianRational's triple too),
+    or the error's type and message."""
+    try:
+        got = parse(*args)
+    except Exception as exc:  # the comparison covers every outcome
+        return "error", type(exc).__name__, str(exc)
+    triple = (got.a, got.b, got.d) if isinstance(got, GaussianRational) else None
+    return type(got).__name__, repr(got), triple
+
+
+_NUMBER_STRINGS = [
+    "0", "-0", "+0", "7", "-7", "+12", "007", "3/4", "-3/4", "+3/4", "6/4", "-10/15",
+    "0/5", "3/0", "0/00", "3/-4", "-3/-4", " 3", "3 ", "1_000", "1/2_0", "1.5", "-2.50",
+    "1e3", "2E-2", "٣", "3/٤", "３", "", "/", "3/", "/4", "--3", "+-3",
+    "inf", "nan", "0x10", "3 / 4", "-", "12345678901234567890/98765432109876543210",
+    "1" * 5000, "1/" + "2" * 5000,
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float", "symbolic"])
+def test_number_parsing_matches_fraction_parsing(mode):
+    # strings of ASCII digits are read with int; every other string takes
+    # Fraction's path, so values, types and messages are unchanged
+    for x in _NUMBER_STRINGS:
+        assert (_outcome(quiver._parse_number, x, mode)
+                == _outcome(_parse_number_reference, x, mode)), x
+    for re, im in itertools.product(_NUMBER_STRINGS[:24] + ["1.5", "٣"], repeat=2):
+        assert (_outcome(quiver._parse_entry, [re, im], mode)
+                == _outcome(_parse_entry_reference, [re, im], mode)), (re, im)

@@ -10,6 +10,7 @@ from holodet.errors import HolodetError
 from holodet.linalg import Matrix
 from holodet.quiver import Edge, Quiver, gen_example
 from holodet.ring import Poly, Symbols, int_div, scalars_close
+from holodet import walks
 from holodet.walks import (
     CycleMultiset,
     CyclicWalk,
@@ -17,15 +18,18 @@ from holodet.walks import (
     candidate_gcycles,
     closed_edge_walks,
     closed_walk_factors,
+    cycle_series,
     cycle_types,
     enumerate_gcycle_multisets,
     enumerate_walk_multisets,
+    fold_refusal,
+    fold_work,
     min_rotation,
     permutations_within,
     prime_cycles,
     prime_finiteness,
     vertex_fields,
-    visit_exponential,
+    visit_series,
     walk_quiver,
 )
 
@@ -330,7 +334,7 @@ def test_visit_exponential_matches_multiset_sums(bound):
     rng = random.Random(f"fold:{bound}")
     cycles = candidate_gcycles(q, bound)
     values = {c: gauss_rat(rng) for c in cycles}
-    got = visit_exponential(_factor_sums(cycles, q.p, values.__getitem__), bound)
+    got = visit_series(_factor_sums(cycles, q.p, values.__getitem__), bound).coefficients()
     want = _multiset_sums(q, bound, values.__getitem__)
     assert set(got) == set(want)
     assert all(got[v] == want[v] for v in want)
@@ -345,7 +349,7 @@ def test_visit_exponential_matches_multiset_sums_over_poly():
     cycles = candidate_gcycles(q, bound)
     values = {c: rng.randint(-3, 3) * x ** len(c) + rng.randint(-2, 2) * y
               for c in cycles}
-    got = visit_exponential(_factor_sums(cycles, q.p, values.__getitem__), bound)
+    got = visit_series(_factor_sums(cycles, q.p, values.__getitem__), bound).coefficients()
     want = _multiset_sums(q, bound, values.__getitem__)
     assert set(got) == set(want)
     assert all(got[v] == want[v] for v in want)
@@ -409,6 +413,165 @@ def test_closed_walk_factors_match_cycle_sums(quiver, ranks, bound, zero, entry)
         assert all(scalars_close(got[u], want[u]) for u in want)
     else:
         assert all(got[u] == want[u] for u in want)
+
+
+def _visit_exponential_reference(factors, bound):
+    """G_v of exp(sum_u F_u y^u) as the fold once formed it: the whole box
+    walked in index order, and every key pulled at every cell, each term
+    f * g a scalar product, so that each G_v is int_div(sum, |v|)."""
+    p = len(bound)
+    cells = itertools.product(*(range(b + 1) for b in bound))
+    zero = next(cells)
+    out = {zero: int_div(1, 1)}
+    if not factors:
+        return out
+    width = max(bound).bit_length() + 1
+    shifts = [width * (p - 1 - a) for a in range(p)]
+    top = 1 << (width - 1)
+    scaled = sorted(((sum(x << s for x, s in zip(u, shifts)), sum(u) * f)
+                     for u, f in factors.items()), key=lambda uf: uf[0], reverse=True)
+    keys = map(sum, itertools.product(
+        *([(top | x) << s for x in range(b + 1)] for b, s in zip(bound, shifts))))
+    reached = {next(keys): out[zero]}
+    for v, key in zip(cells, keys):
+        terms = [f * g for u, f in scaled if (g := reached.get(key - u)) is not None]
+        if terms:
+            reached[key] = out[v] = int_div(sum(terms), sum(v))
+    return out
+
+
+def _visit_sum_reference(series, zs, bound):
+    """sum_v G_v prod_a z_a^(bound_a - v_a), one scalar product at a time."""
+    powers = [[1] for _ in zs]
+    for pw, z, n in zip(powers, zs, bound):
+        while len(pw) <= n:
+            pw.append(pw[-1] * z)
+    total = 0
+    for v, g in series.items():
+        for pw, n, a in zip(powers, bound, v):
+            if n > a:
+                g = g * pw[n - a]
+        total = total + g
+    return total
+
+
+def _same(got, want):
+    """Equal key sets in equal order, and equal values of equal types."""
+    assert list(got) == list(want)
+    for v in want:
+        assert type(got[v]) is type(want[v]), v
+        assert got[v] == want[v], v
+
+
+_SCALARS = {
+    "int": lambda rng, syms: rng.randint(-3, 3),
+    "fraction": lambda rng, syms: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "gaussian": lambda rng, syms: gauss_rat(rng),
+    "float": lambda rng, syms: complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+    "poly": lambda rng, syms: (rng.randint(-2, 2) * Poly.variable(syms, "s")
+                               + Fraction(rng.randint(-2, 2), rng.randint(1, 2))),
+    # a cell's type then depends on the factors that reach it
+    "mixed": lambda rng, syms: rng.choice([gauss_rat(rng), Fraction(rng.randint(1, 3), 2)]),
+}
+
+
+def _vertex_zs(rng, entry, bound, syms):
+    """One z per vertex, of the entry's family; beside rational factors an
+    int 0 stands for a sink, an int for an integral weight sum, and a
+    GaussianRational widens the sum's type."""
+    if entry in ("int", "fraction", "mixed"):
+        return tuple(rng.choice([0, rng.randint(1, 3), Fraction(rng.randint(1, 5), 3),
+                                 gauss_rat(rng)])
+                     for _ in bound)
+    return tuple(_SCALARS[entry](rng, syms) for _ in bound)
+
+
+# a bound of 7 fills a 3-bit field under its guard; rank-1 boxes of 2^10
+# and 2^12 cells with a few keys are walked as closures
+_FOLD_BOUNDS = [(7, 0, 3, 1), (3, 3), (1,) * 6, (2, 5, 1), (4, 1, 1, 2, 0),
+                (1,) * 10, (7,), (2, 1) * 4]
+
+
+@pytest.mark.parametrize("pulls", ["measured", "sub-box, closure", "keys, box"])
+@pytest.mark.parametrize("entry", sorted(_SCALARS))
+def test_visit_series_matches_reference_fold(monkeypatch, entry, pulls):
+    """Seeded factor sets, sparse and dense, against the whole-box fold:
+    equal key sets, values and value types, floats bit for bit, and the
+    visit sum likewise, whichever pull and walk the fold takes."""
+    if pulls != "measured":
+        cost = 0 if pulls.startswith("sub-box") else float("inf")
+        monkeypatch.setattr(walks, "SUBBOX_COST", cost)
+        monkeypatch.setattr(walks, "BOX_WALK_RATIO", cost)
+    rng = random.Random(f"fold:{entry}")
+    syms = Symbols(("s",))
+    for bound in _FOLD_BOUNDS:
+        box = [v for v in itertools.product(*(range(b + 1) for b in bound)) if any(v)]
+        for dense in (True, False):
+            keys = ([v for v in box if rng.random() < 0.7] if dense and len(box) < 400
+                    else rng.sample(box, min(len(box), rng.randint(1, 4))))
+            factors = {u: _SCALARS[entry](rng, syms) for u in keys}
+            series = visit_series(factors, bound)
+            want = _visit_exponential_reference(factors, bound)
+            got = series.coefficients()
+            _same(got, want)
+            assert series.keys == len(factors)
+            zs = _vertex_zs(rng, entry, bound, syms)
+            total = series.visit_sum(zs)
+            ref = _visit_sum_reference(want, zs, bound)
+            assert type(total) is type(ref) and total == ref
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize("quiver,ranks,bound", [
+    (_fold_quiver(), (2, 1, 2, 1), (3, 2, 3, 1)),
+    (_complete_quiver(3), (2, 1, 1), (2, 2, 1)),
+    (_complete_quiver(4), (1, 1, 1, 1), (2, 2, 1, 1)),
+    (_complete_quiver(5), (1,) * 5, (1,) * 5),
+])
+def test_cycle_series_matches_reference_fold(quiver, ranks, bound, entry):
+    """The transfer's totals, folded without forming F_u, against the
+    whole-box fold of closed_walk_factors: equal cells, values and types,
+    and an equal visit sum."""
+    rng = random.Random(f"series:{bound}:{entry}")
+    syms = Symbols(("s",))
+    maps = {e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                         [_ENTRIES[entry](rng, syms)
+                          for _ in range(ranks[e.src] * ranks[e.tgt])])
+            for e in quiver.edges}
+    factors = closed_walk_factors(quiver, bound, maps)
+    want = _visit_exponential_reference(factors, bound)
+    series = cycle_series(quiver, bound, maps)
+    _same(series.coefficients(), want)
+    assert series.keys == len(factors)
+    family = {"gaussian": "gaussian", "float": "float", "poly": "poly"}.get(entry, "fraction")
+    zs = _vertex_zs(rng, family, bound, syms)
+    total = series.visit_sum(zs)
+    ref = _visit_sum_reference(want, zs, bound)
+    assert type(total) is type(ref) and total == ref
+
+
+def test_fold_work_counts_cells_and_the_smaller_pull():
+    # three keys on a box of 3 x 2 x 2 cells: walked whole, each cell
+    # pulling the smaller of 3 keys and its sub-box below it
+    keys = [(1, 1, 0), (0, 1, 1), (2, 0, 1)]
+    want = sum(1 + min(3, (a + 1) * (b + 1) * (c + 1) - 1)
+               for a in range(3) for b in range(2) for c in range(2))
+    assert fold_work(keys, (2, 1, 1)) == want
+    # a rank-1 ring's one key reaches one cell past 0, whatever the box
+    assert fold_work([(1,) * 40], (1,) * 40) == 1 + 2
+    assert fold_work([(1,) * 40], (1,) * 40, cap=2) == 3
+
+
+def test_fold_refusal_admits_by_closed_form_and_counts_the_rest():
+    # complete (2,)*8: every cell pulling its whole sub-box is 6^8 steps,
+    # within the cap, so nothing is counted; (2,)*9 counts and refuses
+    assert walks._pull_bound((2,) * 8) <= walks.FOLD_WORK_CAP
+    assert fold_refusal(_complete_quiver(8), (2,) * 8) is None
+    assert fold_refusal(_complete_quiver(9), (2,) * 9).endswith(
+        f"counting them passed {walks.COUNT_STATE_CAP} transfer states")
+    ring = Quiver(40, [Edge(f"e{a}", a, (a + 1) % 40) for a in range(40)])
+    assert walks._pull_bound((1,) * 40) > walks.FOLD_WORK_CAP
+    assert fold_refusal(ring, (1,) * 40) is None
 
 
 def test_gcycle_multisets_figure5_all_ones():
