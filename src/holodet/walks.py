@@ -384,22 +384,14 @@ def _exact_series(scaled, bound, lam, kind):
     whose sum |v| divides exactly, since H_v is a Gaussian integer: it is
     N! / |v|! times the sum, over the multisets of keys with total v, of
     |v|! / prod_u m_u! times prod_u (lam^|u| F_u)^m_u, and sum_u m_u <= |v|.
-    Real s_u fold as ints, complex ones as (re, im) pairs."""
-    one = factorial(sum(bound))
-    if any(b for _, b in scaled.values()):
-        values = _fold(scaled, bound, (one, 0), _gaussian_pull)
-    else:
-        values = _fold({u: a for u, (a, _) in scaled.items()}, bound, one, _int_pull)
+    Each is an (re, im) pair."""
+    values = _fold(scaled, bound, (factorial(sum(bound)), 0), _gaussian_pull)
     return VisitSeries(bound, len(scaled), values, lam, kind)
 
 
 def _dense_series(scaled, bound):
     return VisitSeries(bound, len(scaled),
                        _fold(scaled, bound, int_div(1, 1), _scalar_pull))
-
-
-def _int_pull(terms, size):
-    return sum([f * g for f, g in terms]) // size
 
 
 def _gaussian_pull(terms, size):
@@ -416,7 +408,7 @@ class VisitSeries:
     visit box that sums of factor keys u reach, in increasing order of v.
 
     values[v] is G_v itself when lam is None; otherwise it is the Gaussian
-    integer H_v = N! lam^|v| G_v (an int, or an (re, im) pair), and kind,
+    integer H_v = N! lam^|v| G_v as an (re, im) pair, and kind,
     ring.gaussian_ints' kind, is the type every G_v but G_0 takes.  keys
     is the number of factor keys folded."""
 
@@ -429,21 +421,15 @@ class VisitSeries:
         self.lam = lam
         self.kind = kind
 
-    def _parts(self):
-        """(v, |v|, re, im) of each H_v = re + im i, in order."""
-        for v, h in self.values.items():
-            re, im = h if isinstance(h, tuple) else (h, 0)
-            yield v, sum(v), re, im
-
     def coefficients(self):
         """{v: G_v}, each a canonical scalar; G_0 is int_div(1, 1)."""
         if self.lam is None:
-            return dict(self.values)
+            return self.values
         dens = [factorial(sum(self.bound))]
         for _ in range(sum(self.bound)):
             dens.append(dens[-1] * self.lam)
-        return {v: gaussian_scalar(re, im, dens[k], self.kind) if k else int_div(1, 1)
-                for v, k, re, im in self._parts()}
+        return {v: gaussian_scalar(re, im, dens[sum(v)], self.kind) if any(v)
+                else int_div(1, 1) for v, (re, im) in self.values.items()}
 
     def visit_sum(self, zs):
         """sum_v G_v prod_a z_a^(bound_a - v_a), as walks.visit_sum gives it
@@ -453,8 +439,9 @@ class VisitSeries:
         of the widest type among the G_v and those z_a, as the ring's sums
         and products give it."""
         bound = self.bound
-        parts = [gaussian_parts(z) if n else (1, 0, 1, 0) for z, n in zip(zs, bound)]
-        if self.lam is None or None in parts:
+        parts = (None,) if self.lam is None else [
+            gaussian_parts(z) if n else (1, 0, 1, 0) for z, n in zip(zs, bound)]
+        if None in parts:
             return visit_sum(self.coefficients(), zs, bound)
         total = sum(bound)
         lam = self.lam
@@ -470,22 +457,14 @@ class VisitSeries:
             tables.append([(re * zd ** x, im * zd ** x)
                            for x, (re, im) in enumerate(reversed(col))])
         lams = [lam ** (total - k) for k in range(total + 1)]
-        real = not any(zb for _, zb, _, _ in parts)
         acc_re = acc_im = 0
-        for v, k, re, im in self._parts():
-            if real:
-                c = lams[k]
-                for col, x in zip(tables, v):
-                    c *= col[x][0]
-                acc_re += re * c
-                acc_im += im * c
-            else:
-                cr, ci = lams[k], 0
-                for col, x in zip(tables, v):
-                    tr, ti = col[x]
-                    cr, ci = cr * tr - ci * ti, cr * ti + ci * tr
-                acc_re += re * cr - im * ci
-                acc_im += re * ci + im * cr
+        for v, (re, im) in self.values.items():
+            cr, ci = lams[sum(v)], 0
+            for col, x in zip(tables, v):
+                tr, ti = col[x]
+                cr, ci = cr * tr - ci * ti, cr * ti + ci * tr
+            acc_re += re * cr - im * ci
+            acc_im += re * ci + im * cr
         kind = max([self.kind if len(self.values) > 1 else 1]
                    + [z_kind for _, _, _, z_kind in parts])
         return gaussian_scalar(acc_re, acc_im, den, kind)
@@ -530,15 +509,15 @@ class _Packing:
         """(guarded key, v) of each cell a fold over the packed factor keys
         walks, increasing: the cells that sums of keys reach, taken as a
         closure from 0, unless the box has at most BOX_WALK_RATIO cells per
-        key or the closure pushes more often than walking the box would
-        pull, and then the whole box.  With a budget, None when the walk
-        would pass it."""
+        key and one more, or the closure pushes more often than walking the
+        box would pull, and then the whole box.  With a budget, None when
+        the closure passes it and the box has more cells than it."""
         bound, shifts, top, guards = self.bound, self.shifts, self.top, self.guards
         box = visit_box_cells(bound)
-        limit = min(box * (len(keys) + 1), _pull_bound(bound))
-        if budget is not None:
-            limit = min(limit, budget)
-        if box > BOX_WALK_RATIO * len(keys):
+        if box > BOX_WALK_RATIO * (len(keys) + 1):
+            limit = min(box * (len(keys) + 1), _pull_bound(bound))
+            if budget is not None:
+                limit = min(limit, budget)
             # each reached cell's slack bound_a - v_a, guarded: u fits on v
             # when taking it from v's slack borrows no guard
             seen = {guards: sum((top | b) << s for b, s in zip(bound, shifts))}
@@ -586,6 +565,8 @@ def _fold(scaled, bound, one, pull):
     same terms in the same order, so a float sum is the same either way.
     A sub-box is the sum of the spans of its first half of fields and of
     the rest, each kept for the fold."""
+    if not scaled:
+        return {(0,) * len(bound): one}
     pack = _Packing(bound)
     keyed = sorted(((pack.pack(u), f) for u, f in scaled.items()), reverse=True)
     by_key = dict(keyed)
@@ -596,13 +577,14 @@ def _fold(scaled, bound, one, pull):
     reached = {cells[0][0]: one}
     out = {cells[0][1]: one}
     for key, v in cells[1:]:
-        head = heads.get(v[:half])
-        if head is None:
-            head = heads[v[:half]] = [pack.guards + w for w in _span(v[:half], pack.shifts)]
-        tail = tails.get(v[half:])
-        if tail is None:
-            tail = tails[v[half:]] = _span(v[half:], pack.shifts[half:])
-        if SUBBOX_COST * (len(head) * len(tail) - 1) < n_keys:
+        # a sub-box below v holds at least one cell
+        if n_keys > SUBBOX_COST and SUBBOX_COST * (prod(x + 1 for x in v) - 1) < n_keys:
+            head = heads.get(v[:half])
+            if head is None:
+                head = heads[v[:half]] = [pack.guards + w for w in _span(v[:half], pack.shifts)]
+            tail = tails.get(v[half:])
+            if tail is None:
+                tail = tails[v[half:]] = _span(v[half:], pack.shifts[half:])
             terms = [(f, g) for w in [h + t for h in head for t in tail]
                      if (f := by_key.get(key - w)) is not None
                      and (g := reached.get(w)) is not None]
@@ -632,10 +614,11 @@ def fold_work(keys, bound, cap=None):
 
 def fold_refusal(quiver, bound):
     """Why a cycle expansion on the quiver within bound is refused, or None
-    when it fits FOLD_WORK_CAP: at once when even a fold in which every
-    cell of the box pulls its whole sub-box would, else by counting
-    fold_work on the key set of a boolean run of the transfer, which
-    forms no product and stops past COUNT_STATE_CAP states."""
+    when its fold fits FOLD_WORK_CAP steps.  A bound on which even a fold
+    whose every cell pulls its whole sub-box fits is admitted at once;
+    past it, fold_work is counted on the key set of a boolean run of the
+    transfer, which forms no product and stops past COUNT_STATE_CAP
+    states."""
     bound = _visit_bound(quiver, bound)
     if _pull_bound(bound) <= FOLD_WORK_CAP:
         return None
@@ -645,7 +628,7 @@ def fold_refusal(quiver, bound):
                 f"them passed {COUNT_STATE_CAP} transfer states")
     work = fold_work(list(totals), bound, FOLD_WORK_CAP)
     if work > FOLD_WORK_CAP:
-        return f"cycle expansion capped at {FOLD_WORK_CAP} fold steps, got more"
+        return f"cycle expansion capped at {FOLD_WORK_CAP} fold steps; its fold takes more"
     return None
 
 
