@@ -47,8 +47,8 @@ from .ring import (
 # search states a prime-cycle search visits before it refuses
 PRIME_SEARCH_NODES = 2_000_000
 # steps, cells walked plus pulls, a cycle expansion's fold may take
-# before it refuses; complete (2,)*8 takes 1.68M steps, folded in 1.4 s
-# on a 2-CPU Xeon under Python 3.11
+# before it refuses; complete (2,)*8 takes 1.68M steps, folded in 1.4 to
+# 2.0 s on a shared 2-CPU Xeon under Python 3.11
 FOLD_WORK_CAP = 2 ** 21
 # frontier states the boolean transfer that counts a fold's steps may
 # hold: complete (2,)*8, the largest complete digraph of rank 2 that the
