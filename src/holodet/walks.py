@@ -384,7 +384,7 @@ def _exact_series(scaled, bound, lam, kind):
     whose sum |v| divides exactly, since H_v is a Gaussian integer: it is
     N! / |v|! times the sum, over the multisets of keys with total v, of
     |v|! / prod_u m_u! times prod_u (lam^|u| F_u)^m_u, and sum_u m_u <= |v|.
-    Each is an (re, im) pair."""
+    The s_u and H_v are (re, im) pairs."""
     values = _fold(scaled, bound, (factorial(sum(bound)), 0), _gaussian_pull)
     return VisitSeries(bound, len(scaled), values, lam, kind)
 
