@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import HolodetError, MethodRefusal, ValidationError
-from .linalg import BlockMatrix, Matrix, det_oracle, product_traces
+from .linalg import BlockMatrix, Matrix, det_oracle
 from .quiver import Representation, validate, vertex_z
-from .ring import int_div, z_power
-from .walks import cycle_series, enumerate_gcycle_multisets, shifted_visit_sum
+from .walks import cycle_series, shifted_visit_sum
 
 CAUCHY_BINET_CAP = 6
 # exact moments run one oracle determinant per joint outcome, the product
@@ -87,13 +86,6 @@ def hol_trace(rep, gcycle):
     return holonomy(rep, gcycle).trace()
 
 
-def weight_product(weights, gcycle):
-    acc = 1
-    for eid in gcycle.edges:
-        acc = acc * weights[eid]
-    return acc
-
-
 def _cycle_series(lap):
     """The truncated exponential of the cycle factors F_u, each the sum of
     -(x^e(c) Tr hol(c)) / val(c) over the cycles visiting u: the
@@ -123,44 +115,24 @@ def charpoly_laplacian(lap, t_names=None):
     return shifted_visit_sum(series, lap.z, lap.ranks, lap.matrix.data, t_names)
 
 
-def multiset_weight(ms, z, ranks, weights):
-    """z^(n-v)/C! times prod -x^e(c)/val(c) over a cycle multiset: its
-    weight in the cycle expansion with the holonomy traces left out."""
-    term = z_power(z, [n - v for n, v in zip(ranks, ms.visits(len(ranks)))])
-    for cyc, mult in ms:
-        f = int_div(-weight_product(weights, cyc), cyc.valuation)
-        for _ in range(mult):
-            term = term * f
-    return int_div(term, ms.multiplicity_factorial())
-
-
-def moment_samples(quiver, weights, ranks, reps, k, multisets):
+def moment_samples(quiver, weights, reps, k, stats=None):
     """The two sides of the k-th moment identity at each representation, in
     order: (det L)^k by det_oracle, and the sum over k-tuples of cycle
     multisets of the tuple's weight times the product of the holonomy traces
     along its cycles.  A tuple's weight and trace product are the products of
-    its members', so that sum is the k-th power of the one-multiset sum, which
-    is what is formed.  multisets is enumerate_gcycle_multisets(quiver, ranks)."""
-    z = vertex_z(quiver, weights)
-    terms = [(multiset_weight(ms, z, ranks, weights),
-              [c.edges for c, mult in ms for _ in range(mult)]) for ms in multisets]
+    its members', so that sum is the k-th power of the one-multiset sum, the
+    cycle expansion det_laplacian_cycles folds, which is what is formed.
+    stats, when a dict, receives "keys" as det_laplacian_cycles gives it."""
     for rep in reps:
-        lhs = det_oracle(build_laplacian(quiver, rep, weights).matrix) ** k
-        trace = product_traces(rep.matrices.__getitem__)
-        one = 0
-        for w, cycles in terms:
-            tprod = 1
-            for edges in cycles:
-                tprod = tprod * trace(edges)
-            one = one + w * tprod
-        yield lhs, one ** k
+        lap = build_laplacian(quiver, rep, weights)
+        yield det_oracle(lap.matrix) ** k, det_laplacian_cycles(lap, stats) ** k
 
 
 @dataclass(frozen=True)
 class WilsonMomentReport:
     lhs: object
     rhs: object
-    terms: int  # k-tuples of cycle multisets in the expansion
+    terms: int  # visit vectors the cycle expansion folds, to the k
 
     @property
     def agree(self):
@@ -199,15 +171,14 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
             mats[eid] = mat
         outcomes.append((prob, Representation(tuple(ranks), mats)))
 
-    multisets = list(enumerate_gcycle_multisets(quiver, tuple(ranks)))
-    reps = [rep for _, rep in outcomes]
+    stats = {}
     lhs = rhs = 0
     for (prob, _), (det_k, expansion) in zip(
-        outcomes, moment_samples(quiver, weights, ranks, reps, k, multisets)
+        outcomes, moment_samples(quiver, weights, [rep for _, rep in outcomes], k, stats)
     ):
         lhs = lhs + prob * det_k
         rhs = rhs + prob * expansion
-    return WilsonMomentReport(lhs=lhs, rhs=rhs, terms=len(multisets) ** k)
+    return WilsonMomentReport(lhs=lhs, rhs=rhs, terms=stats["keys"] ** k)
 
 
 def _subset_selections(quiver, ranks):

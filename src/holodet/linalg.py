@@ -9,8 +9,8 @@ polynomial entries (capped at size 8).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import lcm
 from operator import add, mul
@@ -81,7 +81,9 @@ class Matrix:
         return Matrix(self.rows, self.cols, [-a for a in self.data])
 
     def scale(self, s):
-        return Matrix(self.rows, self.cols, [s * a for a in self.data])
+        # entry first: a GaussianRational entry's own product takes a
+        # Fraction s at once, where Fraction's would first decline it
+        return Matrix(self.rows, self.cols, [a * s for a in self.data])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -108,6 +110,22 @@ class Matrix:
         for i in range(self.rows):
             acc = acc + self.at(i, i)
         return acc
+
+    def close(self, last):
+        """Tr(self x last) without forming the product, each diagonal
+        entry summed in __mul__'s order and the entries in trace()'s, so it
+        equals (self * last).trace() exactly, floats included."""
+        n, k = self.rows, self.cols
+        if k != last.rows or n != last.cols:
+            raise ValueError(f"{n}x{k} times {last.rows}x{last.cols} has no trace")
+        a, b = self.data, last.data
+        got = 0
+        for i in range(n):
+            acc = 0
+            for t in range(k):
+                acc = acc + a[i * k + t] * b[t * n + i]
+            got = got + acc
+        return got
 
     def conj_transpose(self):
         def conj(x):
@@ -353,71 +371,110 @@ class BlockMatrix:
         return all(x == 0 for x in self.block(a, b).data)
 
 
-# A matrix (A + iB)/d over Gaussian integers, in the form product_traces
-# multiplies.  complex tells whether B is nonzero.  rows are A's rows, or
-# [A | B] when B is nonzero.  cols[c] are the columns that multiply rows of
-# that form from the right, c telling whether those rows are complex: A's
-# columns then B's (none when B is zero) for real rows X, giving [XA | XB];
-# (A; -B) then (B; A) for complex rows [X | Y], giving
-# [XA - YB | XB + YA].  Either way the product's rows come out in the
-# same form.  kind is ring.gaussian_ints' kind.
-_Exact = namedtuple("_Exact", "d kind complex rows cols shape")
+class GaussianMatrix:
+    """A matrix (A + iB)/d of exact scalars, A and B integer matrices and
+    d > 0: the exact case beside Matrix, multiplied in int arithmetic.
+
+    rows are A's rows, or [A | B] when complex.  A factor, as exact_forms
+    makes it, also holds cols: cols[c] are the columns that multiply rows
+    of form c from the right, c telling whether those rows are complex:
+    A's columns then B's (none when B is zero) for real rows X, giving
+    [XA | XB]; (A; -B) then (B; A) for complex rows [X | Y], giving
+    [XA - YB | XB + YA].  Either way the product's rows come out in the
+    same form.  A product or a sum holds no cols, so it stands only on the
+    left.  kind is ring.gaussian_ints' kind of the entries, and so of any
+    sum of products of them: the widest type among them.  Values are made
+    without __init__, its call being a measurable share of a product of
+    small matrices, and the transfer over walks makes one per step."""
+
+    __slots__ = ("rows", "cols", "d", "kind", "complex")
+
+    def __mul__(self, other):
+        """self x other, for a factor other."""
+        rows, cols = self.rows, other.cols[self.complex]
+        # a column for self's rows is as long as a row when the shapes chain
+        if len(cols[0]) != len(rows[0]):
+            raise ValueError(f"cannot multiply {self._shape()} by {other._shape()}")
+        got = _new(GaussianMatrix)
+        # a loop over rows: on Python 3.11 an outer comprehension is one
+        # more function call per product
+        got.rows = out = []
+        for row in rows:
+            out.append([sum(map(mul, row, col)) for col in cols])
+        got.cols = None
+        got.d = self.d * other.d
+        got.kind = self.kind if self.kind >= other.kind else other.kind
+        got.complex = self.complex or other.complex
+        return got
+
+    def __add__(self, other):
+        """self + other, for other over the same denominator and with rows
+        of the same form."""
+        if self.d != other.d or self.complex != other.complex:
+            raise ValueError("sum of Gaussian matrices in different forms")
+        return _gaussian([list(map(add, r, r2)) for r, r2 in zip(self.rows, other.rows)],
+                         self.d, self.kind if self.kind >= other.kind else other.kind,
+                         self.complex)
+
+    def _shape(self):
+        return f"{len(self.rows)}x{len(self.rows[0]) >> self.complex}"
+
+    def close(self, last):
+        """Tr(self x last), for a factor last, without forming the
+        product: the int parts (re, im) of a Gaussian integer over
+        self.d * last.d, which ring.gaussian_scalar makes a canonical
+        scalar of kind max(self.kind, last.kind).  Row i times column i of
+        the real part, then of the imaginary part (none when both sides are
+        real)."""
+        rows, cols = self.rows, last.cols[self.complex]
+        n = len(rows)
+        if len(cols[0]) != len(rows[0]) or len(last.rows[0]) >> last.complex != n:
+            raise ValueError(f"{self._shape()} times {last._shape()} has no trace")
+        flat = list(chain.from_iterable(rows))
+        return (sum(map(mul, flat, chain.from_iterable(cols[:n]))),
+                sum(map(mul, flat, chain.from_iterable(cols[n:]))))
 
 
-def _exact_form(m):
-    """m as an _Exact, or None when an entry is not exact.  A matrix with no
-    rows or columns stays on the Matrix path, whose empty sums are int 0
-    whatever the entry type."""
-    got = gaussian_ints(m.data) if m.rows and m.cols else None
-    if got is None:
-        return None
-    d, re, im, kind = got
-    c = m.cols
-    row_starts, col_starts = range(0, len(re), c), range(c)
-    if im is None:
-        zero = [0] * m.rows
-        re_cols = [re[j::c] for j in col_starts]
-        rows = [re[i:i + c] for i in row_starts]
-        cols = (re_cols, [x + zero for x in re_cols] + [zero + x for x in re_cols])
-    else:
-        neg = [-x for x in im]
-        rows = [re[i:i + c] + im[i:i + c] for i in row_starts]
-        cols = ([re[j::c] for j in col_starts] + [im[j::c] for j in col_starts],
-                [re[j::c] + neg[j::c] for j in col_starts]
-                + [im[j::c] + re[j::c] for j in col_starts])
-    return _Exact(d, kind, im is not None, rows, cols, (m.rows, c))
+_new = object.__new__
 
 
-def _int_product(rows, cols):
-    """The rows of rows x cols, for rows and columns in _Exact's form."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
-def _int_trace(rows, cols):
-    """(real, imaginary) int parts of Tr(rows x cols), for rows and columns
-    in _Exact's form: row i times column i of the real part, then of the
-    imaginary part (none when both sides are real)."""
-    n = len(rows)
-    flat = list(chain.from_iterable(rows))
-    return (sum(map(mul, flat, chain.from_iterable(cols[:n]))),
-            sum(map(mul, flat, chain.from_iterable(cols[n:]))))
-
-
-def _dense_trace(head, last):
-    """Tr(head x last) without forming the product, each diagonal entry
-    summed in Matrix.__mul__'s order and the entries in trace()'s, so it
-    equals (head * last).trace() exactly, floats included."""
-    n, k = head.rows, head.cols
-    if k != last.rows or n != last.cols:
-        raise ValueError(f"{n}x{k} times {last.rows}x{last.cols} has no trace")
-    a, b = head.data, last.data
-    got = 0
-    for i in range(n):
-        acc = 0
-        for t in range(k):
-            acc = acc + a[i * k + t] * b[t * n + i]
-        got = got + acc
+def _gaussian(rows, d, kind, complex, cols=None):
+    got = _new(GaussianMatrix)
+    got.rows, got.cols, got.d, got.kind, got.complex = rows, cols, d, kind, complex
     return got
+
+
+def exact_forms(factors):
+    """The values of factors (a dict of Matrix values) as GaussianMatrix
+    factors over one common denominator, all complex when one is, so that
+    products along walks of one length add; factors itself when an entry
+    is not exact, or a matrix has no rows or columns, as a Matrix's empty
+    sums are int 0 whatever the entry type."""
+    parts = {key: gaussian_ints(m.data) if m.rows and m.cols else None
+             for key, m in factors.items()}
+    if None in parts.values():
+        return factors
+    d = lcm(*(fd for fd, _, _, _ in parts.values()))
+    cplx = any(im is not None for _, _, im, _ in parts.values())
+    forms = {}
+    for key, (fd, re, im, kind) in parts.items():
+        n, c, s = factors[key].rows, factors[key].cols, d // fd
+        re = [s * x for x in re]
+        starts = range(0, n * c, c)
+        re_cols = [re[j::c] for j in range(c)]
+        if cplx:
+            im = [0] * len(re) if im is None else [s * x for x in im]
+            im_cols = [im[j::c] for j in range(c)]
+            rows = [re[i:i + c] + im[i:i + c] for i in starts]
+            cols = (re_cols + im_cols,
+                    [a + [-x for x in b] for a, b in zip(re_cols, im_cols)]
+                    + [b + a for a, b in zip(re_cols, im_cols)])
+        else:
+            zero = [0] * n
+            rows = [re[i:i + c] for i in starts]
+            cols = (re_cols, [x + zero for x in re_cols] + [zero + x for x in re_cols])
+        forms[key] = _gaussian(rows, d, kind, cplx, cols)
+    return forms
 
 
 def product_traces(factor):
@@ -426,129 +483,64 @@ def product_traces(factor):
 
     Every proper-prefix product is kept, keyed by its prefix, so sequences
     that share a prefix share its products; every trace is kept by its
-    sequence.  The last factor is never multiplied in: the trace is the sum
-    over i of row i of the prefix times column i of the last factor.
+    sequence.  The last factor is never multiplied in: the trace closes
+    the prefix with it (close).
 
-    Each key's factor is classified once, when first fetched: exact when
-    every entry is an int, a Fraction or a GaussianRational.  A sequence of
-    exact factors is multiplied as Gaussian-integer matrices over one
-    denominator (ring.gaussian_ints), and only its trace becomes a scalar
-    again: a GaussianRational if a factor holds one, else a Fraction if a
-    factor holds one, else an int, as the dense product gives.  Any other
-    sequence (a float or Poly entry in some factor) is multiplied as Matrix
-    products, each diagonal entry of prefix x last summed in
-    Matrix.__mul__'s order and the entries in trace()'s, so its value
-    equals the full product's trace() exactly, floats included."""
-    exact = {}
+    Each key's factor is kept, once a product first needs it, as
+    exact_forms gives it alone: a GaussianMatrix when every entry is
+    exact, else its Matrix.  A prefix of exact factors is a GaussianMatrix,
+    and only its traces become scalars again: a GaussianRational if a
+    factor holds one, else a Fraction if a factor holds one, else an int,
+    as the dense product gives.  Any other prefix is a Matrix product, each diagonal
+    entry of prefix x last summed in Matrix.__mul__'s order and the
+    entries in trace()'s, so its value equals the full product's trace()
+    exactly, floats included.  A sequence that mixes exact and other
+    factors is multiplied as Matrix products throughout, its exact prefix
+    formed again from the Matrix factors, so that every type is the dense
+    product's too."""
+    forms = {}
     prods = {}
-    exact_prods = {}
     traces = {}
 
-    def exact_factor(key):
-        """key's factor as an _Exact, or None when it is not exact;
-        classified once, when first fetched."""
-        got = exact.get(key, exact)
-        if got is exact:
-            got = exact[key] = _exact_form(factor(key))
+    def form(key):
+        got = forms.get(key)
+        if got is None:
+            got = forms[key] = exact_forms({key: factor(key)})[key]
         return got
 
     def prefix(head):
         got = prods.get(head)
         if got is None:
-            got = factor(head[-1])
+            got = form(head[-1])
             if len(head) > 1:
-                got = prefix(head[:-1]) * got
+                pre = prefix(head[:-1])
+                if type(pre) is not type(got):
+                    pre, got = dense(head[:-1]), dense(head[-1:])
+                got = pre * got
             prods[head] = got
         return got
 
-    def exact_prefix(head):
-        """(d, kind, complex, rows, column count) of head's product, its rows
-        in _Exact's form, or None when a factor in head is not exact."""
-        if head in exact_prods:
-            return exact_prods[head]
-        f = exact_factor(head[-1])
-        got = None
-        if f is not None and len(head) == 1:
-            got = f.d, f.kind, f.complex, f.rows, f.shape[1]
-        elif f is not None:
-            pre = exact_prefix(head[:-1])
-            if pre is not None:
-                d, kind, cplx, rows, k = pre
-                if k != f.shape[0]:
-                    raise ValueError(
-                        f"cannot multiply {len(rows)}x{k} by {f.shape[0]}x{f.shape[1]}"
-                    )
-                got = (d * f.d, max(kind, f.kind), cplx or f.complex,
-                       _int_product(rows, f.cols[cplx]), f.shape[1])
-        exact_prods[head] = got
-        return got
+    def dense(head):
+        """head's product as Matrix products, left to right."""
+        got = prefix(head)
+        return got if type(got) is Matrix else reduce(mul, map(factor, head))
 
     def trace(seq):
         got = traces.get(seq)
         if got is None:
             if len(seq) == 1:
                 got = factor(seq[0]).trace()
-            elif ((last := exact_factor(seq[-1])) is not None
-                  and (pre := exact_prefix(seq[:-1])) is not None):
-                d, kind, cplx, rows, k = pre
-                n = len(rows)
-                if (k, n) != last.shape:
-                    raise ValueError(
-                        f"{n}x{k} times {last.shape[0]}x{last.shape[1]} has no trace"
-                    )
-                a, b = _int_trace(rows, last.cols[cplx])
-                got = gaussian_scalar(a, b, d * last.d, max(kind, last.kind))
             else:
-                got = _dense_trace(prefix(seq[:-1]), factor(seq[-1]))
+                pre, last = prefix(seq[:-1]), form(seq[-1])
+                if type(pre) is not type(last):
+                    pre, last = dense(seq[:-1]), dense(seq[-1:])
+                got = pre.close(last)
+                if type(last) is GaussianMatrix:
+                    got = gaussian_scalar(*got, pre.d * last.d, max(pre.kind, last.kind))
             traces[seq] = got
         return got
 
     return trace
-
-
-# Sums of products of keyed factors, for a transfer over walks: first(key)
-# the factor of key; step(m, key) the product m x factor; plus(m, m2) the
-# sum; close(m, key) Tr(m x factor), without forming that product, in a
-# form that total(closes) sums.  d is None for Matrix values, whose totals
-# are scalars; otherwise every factor is exact and a total of closes of k
-# factors is the int pair (re, im) of a Gaussian integer over d^k, whose
-# scalar has ring.gaussian_ints' kind.
-WalkAlgebra = namedtuple("WalkAlgebra", "first step plus close total d kind")
-
-
-def walk_algebra(factors):
-    """The WalkAlgebra of the Matrix values of factors (a dict).  When
-    every entry is exact, factors are scaled to one common denominator d
-    and a product of k factors is a Gaussian-integer matrix over d^k in
-    _Exact's row form (complex when some factor is), so sums and products
-    are int arithmetic; its kind is at least 1, as an int sum divided by a
-    count is a Fraction.  Otherwise (a float or Poly entry) the values are
-    Matrix sums and products, each trace summed in the order of
-    Matrix.__mul__ then trace()."""
-    forms = {key: _exact_form(m) for key, m in factors.items()}
-    if None in forms.values():
-        return WalkAlgebra(factors.__getitem__, lambda m, key: m * factors[key], add,
-                           lambda m, key: _dense_trace(m, factors[key]), sum, None, None)
-    d = lcm(*(f.d for f in forms.values()))
-    kind = max([1] + [f.kind for f in forms.values()])
-    cplx = any(f.complex for f in forms.values())
-    rows, cols = {}, {}
-    for key, f in forms.items():
-        s = d // f.d
-        # a real factor's rows gain a zero imaginary half when some factor
-        # is complex
-        pad = cplx and not f.complex
-        rows[key] = [[s * x for x in (r + [0] * len(r) if pad else r)] for r in f.rows]
-        cols[key] = [[s * x for x in col] for col in f.cols[cplx]]
-
-    def plus(m, m2):
-        return [list(map(add, r, r2)) for r, r2 in zip(m, m2)]
-
-    def total(closes):
-        return sum(a for a, _ in closes), sum(b for _, b in closes)
-
-    return WalkAlgebra(rows.__getitem__, lambda m, key: _int_product(m, cols[key]),
-                       plus, lambda m, key: _int_trace(m, cols[key]), total, d, kind)
 
 
 def block_walk_traces(bm):

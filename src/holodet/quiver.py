@@ -419,7 +419,12 @@ def _parse_number(x, mode):
         val = Fraction(str(x))
     else:
         raise ValidationError([f"cannot parse number {x!r}"])
-    return float(val) if mode == "float" else val
+    if mode != "float":
+        return val
+    try:
+        return float(val)
+    except OverflowError:
+        raise ValidationError([f"number {x!r} is beyond float range"]) from None
 
 
 def _parse_entry(x, mode):

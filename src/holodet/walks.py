@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from math import factorial, lcm, prod
 
 from .errors import HolodetError, MethodRefusal
-from .linalg import WalkAlgebra, walk_algebra
+from .linalg import exact_forms
 from .quiver import Edge, Quiver
 from .ring import (
     GaussianRational,
@@ -243,69 +244,77 @@ def _visit_bound(quiver, bound):
     return bound
 
 
-def _transfer(quiver, bound, ops, state_cap=None):
-    """{u: (total, u_s)} over the visit vectors u on which a closed walk
-    closes: total is ops.total of the closes of the walks with visit
-    vector u that start at s, the least vertex u visits, and stay on
-    vertices >= s; None once the frontiers have held more than state_cap
-    states in all."""
+def _transfer(quiver, bound, maps, state_cap=None):
+    """{u: (closes, u_s)} over the visit vectors u on which a closed walk
+    closes: closes lists m.close(f) for the walks with visit vector u that
+    start at s, the least vertex u visits, and stay on vertices >= s, m the
+    product of maps along the walk but its last edge and f the last edge's
+    map; None once the frontiers have held more than state_cap states in
+    all.  With every map None, no state holds a product and every close is
+    None: the run finds the keys alone."""
     p = quiver.p
-    out_edges = [quiver.out_edges(v) for v in range(p)]
+    outs = [[(e.tgt, maps[e.id]) for e in quiver.out_edges(v)] for v in range(p)]
     out = {}
     states = 0
     for s in range(p):
         if not bound[s]:
             continue
-        closes = {}
+        closes = defaultdict(list)
         # the state before the first step holds no product
         level = {(s, (0,) * p): None}
         while level:
             nxt = {}
             for (cur, v), m in level.items():
                 w = v[:cur] + (v[cur] + 1,) + v[cur + 1:]
-                for e in out_edges[cur]:
-                    t = e.tgt
+                for t, f in outs[cur]:
                     if t == s:
-                        closes.setdefault(w, []).append(ops.close(m, e.id))
+                        closes[w].append(f and m.close(f))
                         if w[s] == bound[s]:
                             continue
                     elif t < s or w[t] == bound[t]:
                         continue
-                    got = ops.first(e.id) if m is None else ops.step(m, e.id)
+                    got = f if m is None else m * f
                     key = (t, w)
-                    nxt[key] = ops.plus(nxt[key], got) if key in nxt else got
+                    prev = nxt.get(key)
+                    nxt[key] = got if prev is None else prev + got
             level = nxt
             states += len(level)
             if state_cap is not None and states > state_cap:
                 return None
         for u, traces in closes.items():
-            out[u] = ops.total(traces), u[s]
+            out[u] = traces, u[s]
     return out
 
 
-# the transfer's key set alone: every walk's value is True
-_KEYS_ONLY = WalkAlgebra(lambda key: True, lambda m, key: True, lambda m, m2: True,
-                         lambda m, key: None, len, None, None)
-
-
 def _walk_totals(quiver, bound, maps):
-    """The checked bound, the WalkAlgebra of maps and the transfer's
-    totals; refused, before any product, past the fold's work cap."""
+    """The checked bound, d, kind and {u: (total, u_s)}: total the sum of
+    the transfer's closes on u, over the maps as linalg.exact_forms gives
+    them.  When they are exact, d is their common denominator, kind at
+    least 1, as an int sum divided by a count is a Fraction, and total the
+    int pair (re, im) of a Gaussian integer over d^|u|; otherwise d and
+    kind are None and total a scalar.  Refused, before any product, past
+    the fold's work cap."""
     bound = _visit_bound(quiver, bound)
     why = fold_refusal(quiver, bound)
     if why is not None:
         raise MethodRefusal(why)
-    ops = walk_algebra(maps)
-    return bound, ops, _transfer(quiver, bound, ops)
+    forms = exact_forms(maps)
+    totals = _transfer(quiver, bound, forms)
+    if forms is maps:
+        return bound, None, None, {u: (sum(c), q) for u, (c, q) in totals.items()}
+    d = next((f.d for f in forms.values()), 1)
+    kind = max([1] + [f.kind for f in forms.values()])
+    return bound, d, kind, {u: (tuple(map(sum, zip(*c))), q)
+                            for u, (c, q) in totals.items()}
 
 
-def _factor(ops, k, total, q):
+def _factor(d, kind, k, total, q):
     """(-1)^(k-1) total / q as a canonical scalar, for a total of closes of
-    k factors."""
-    if ops.d is None:
+    k factors over d, as _walk_totals gives them."""
+    if d is None:
         return int_div(total if k % 2 else -total, q)
     sign = 1 if k % 2 else -1
-    return gaussian_scalar(sign * total[0], sign * total[1], ops.d ** k * q, ops.kind)
+    return gaussian_scalar(sign * total[0], sign * total[1], d ** k * q, kind)
 
 
 def closed_walk_factors(quiver, bound, maps):
@@ -326,13 +335,13 @@ def closed_walk_factors(quiver, bound, maps):
     is not kept.  Each step back to s adds Tr(state x map) to the sum of
     the visit vector it closes on, without forming that product.
 
-    The sums and products are linalg.walk_algebra's: Gaussian-integer
-    matrices over one common denominator when every entry is exact, Matrix
-    values otherwise.  Refused, before any product, when fold_refusal
-    refuses the bound: cycle_series folds these factors, and the same
-    transfer feeds it."""
-    bound, ops, totals = _walk_totals(quiver, bound, maps)
-    return {u: _factor(ops, sum(u), t, q) for u, (t, q) in totals.items()}
+    The sums and products are of linalg.exact_forms' values:
+    GaussianMatrix factors over one common denominator when every entry
+    is exact, Matrix values otherwise.  Refused, before any product, when
+    fold_refusal refuses the bound: cycle_series folds these factors, and
+    the same transfer feeds it."""
+    bound, d, kind, totals = _walk_totals(quiver, bound, maps)
+    return {u: _factor(d, kind, sum(u), t, q) for u, (t, q) in totals.items()}
 
 
 def cycle_series(quiver, bound, maps):
@@ -341,9 +350,9 @@ def cycle_series(quiver, bound, maps):
     the transfer's common denominator and L = lcm(1 .. max bound), each
     s_u = |u| (DL)^|u| F_u = (-1)^(|u|-1) |u| (L^|u| / u_s) x total is a
     Gaussian integer, since u_s <= max bound divides L."""
-    bound, ops, totals = _walk_totals(quiver, bound, maps)
-    if ops.d is None:
-        return _dense_series({u: sum(u) * _factor(ops, sum(u), t, q)
+    bound, d, kind, totals = _walk_totals(quiver, bound, maps)
+    if d is None:
+        return _dense_series({u: sum(u) * _factor(d, kind, sum(u), t, q)
                               for u, (t, q) in totals.items()}, bound)
     ell = lcm(*range(1, max(bound, default=0) + 1))
     scaled = {}
@@ -353,7 +362,7 @@ def cycle_series(quiver, bound, maps):
         if not k % 2:
             c = -c
         scaled[u] = c * a, c * b
-    return _exact_series(scaled, bound, ops.d * ell, ops.kind)
+    return _exact_series(scaled, bound, d * ell, kind)
 
 
 def visit_series(factors, bound):
@@ -616,13 +625,13 @@ def fold_refusal(quiver, bound):
     """Why a cycle expansion on the quiver within bound is refused, or None
     when its fold fits FOLD_WORK_CAP steps.  A bound on which even a fold
     whose every cell pulls its whole sub-box fits is admitted at once;
-    past it, fold_work is counted on the key set of a boolean run of the
-    transfer, which forms no product and stops past COUNT_STATE_CAP
+    past it, fold_work is counted on the key set of a run of the transfer
+    with no maps, which forms no product and stops past COUNT_STATE_CAP
     states."""
     bound = _visit_bound(quiver, bound)
     if _pull_bound(bound) <= FOLD_WORK_CAP:
         return None
-    totals = _transfer(quiver, bound, _KEYS_ONLY, COUNT_STATE_CAP)
+    totals = _transfer(quiver, bound, {e.id: None for e in quiver.edges}, COUNT_STATE_CAP)
     if totals is None:
         return (f"cycle expansion capped at {FOLD_WORK_CAP} fold steps; counting "
                 f"them passed {COUNT_STATE_CAP} transfer states")
@@ -732,9 +741,7 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
 
 
 def candidate_gcycles(quiver, bound):
-    bound = tuple(bound)
-    if len(bound) != quiver.p or any(b < 0 for b in bound):
-        raise HolodetError(f"bad visit bound {bound!r}")
+    bound = _visit_bound(quiver, bound)
     return closed_edge_walks(quiver, sum(bound), vertex_budget=bound)
 
 

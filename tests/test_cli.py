@@ -111,6 +111,21 @@ def test_cycles_refuses_past_its_work_cap_up_front(tmp_path, capsys):
         assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
 
 
+def test_monte_carlo_moments_refuse_past_the_fold_cap(tmp_path, capsys):
+    # each sample's right side is its cycle expansion, so the fold's cap
+    # refuses complete (2,)*9 while counting, with no cycle multiset listed
+    path = tmp_path / "complete9.json"
+    path.write_text(json.dumps(instance_to_json(*_complete_digraph(9, 2))))
+    start = time.perf_counter()
+    code, out, err = run_cli(["moments", "--input", str(path), "--mode", "float",
+                              "--mc-samples", "2", "--k", "1"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    assert "fold steps" in error["message"]
+
+
 def test_det_cycles_answers_on_a_forty_vertex_ring(tmp_path, capsys):
     path = tmp_path / "ring40.json"
     path.write_text(json.dumps(instance_to_json(*_directed_ring(40))))
@@ -332,6 +347,31 @@ def test_unreadable_input_and_bad_kappa_exit_2(tmp_path, capsys):
         assert json.loads(err)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "9" * 400, 10 ** 400],
+                         ids=["1e400", "-1e400", "digits", "int"])
+@pytest.mark.parametrize("where", ["weight", "entry", "pair"])
+def test_float_mode_number_beyond_float_range_exit_2(tmp_path, capsys, number, where):
+    # exact in exact mode, but with no float value: a validation error in
+    # float mode, as the JSON number 1e400 (read as inf) already is
+    doc = copy.deepcopy(TWO_CYCLE_DOC)
+    edge = doc["edges"][1]
+    if where == "weight":
+        edge["weight"] = number
+    elif where == "entry":
+        edge["matrix"] = [[number]]
+    else:
+        edge["matrix"] = [[["1", number]]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["det", "--input", str(path), "--mode", "float"], capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert "beyond float range" in error["message"]
+    code, _, err = run_cli(["det", "--input", str(path)], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("argv", [
     ["det", "--example", "two_cycle", "--mode", "symbolic", "--kappa", "zzz",
      "--tol", "-5"],
@@ -477,7 +517,8 @@ def test_moments_exact_random_seed_2(capsys):
     doc = json.loads(out)
     assert doc["agree"] is True
     assert doc["lhs"] == doc["rhs"] == "608/81"
-    assert doc["terms"] == 9
+    # the one visit vector the cycle expansion folds, to the k = 2
+    assert doc["terms"] == 1
 
 
 def test_moments_exact_json_instance(tmp_path, capsys):

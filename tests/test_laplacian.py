@@ -22,10 +22,16 @@ from holodet.laplacian import (
     moment_samples,
     wilson_moment,
 )
-from holodet.linalg import Matrix, block_walk_traces, charpoly_oracle, det_oracle
-from holodet.quiver import Edge, Quiver, Representation, bidirected, gen_example
-from holodet.ring import Poly, Symbols, scalar_str
-from holodet.walks import closed_edge_walks, enumerate_gcycle_multisets
+from holodet.linalg import (
+    Matrix,
+    block_walk_traces,
+    charpoly_oracle,
+    det_oracle,
+    product_traces,
+)
+from holodet.quiver import Edge, Quiver, Representation, bidirected, gen_example, vertex_z
+from holodet.ring import Poly, Symbols, int_div, scalar_str, z_power
+from holodet.walks import candidate_gcycles, closed_edge_walks, enumerate_gcycle_multisets
 
 
 def test_build_two_cycle_matrix():
@@ -374,9 +380,28 @@ def test_wilson_moment_deterministic_distribution():
     assert report.lhs == report.rhs == det_laplacian_cycles(lap)
 
 
+def _multiset_expansion(q, rep, w, multisets):
+    """The cycle expansion of det L listed multiset by multiset: z^(n-v)/C!
+    times the product of -x^e(c) Tr hol(c) / val(c) over the cycles."""
+    z = vertex_z(q, w)
+    trace = product_traces(rep.matrices.__getitem__)
+    total = 0
+    for ms in multisets:
+        term = z_power(z, [n - v for n, v in zip(rep.ranks, ms.visits(q.p))])
+        for cyc, mult in ms:
+            weight = 1
+            for eid in cyc.edges:
+                weight = weight * w[eid]
+            f = int_div(-weight * trace(cyc.edges), cyc.valuation)
+            for _ in range(mult):
+                term = term * f
+        total = total + int_div(term, ms.multiplicity_factorial())
+    return total
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_moment_samples_sides_are_equal_at_each_representation(k):
-    # k = 3 reuses k = 2's draws, which reach 36 multisets: 46,656 triples
+    # k = 3 reuses k = 2's draws, which reach 36 multisets
     rng = random.Random(410 if k == 1 else 411)
     sizes = []
     for _ in range(5):
@@ -391,14 +416,18 @@ def test_moment_samples_sides_are_equal_at_each_representation(k):
             })
             for _ in range(2)
         ]
-        sides = list(moment_samples(q, w, rep.ranks, reps, k, multisets))
+        stats = {}
+        sides = list(moment_samples(q, w, reps, k, stats))
         assert len(sides) == len(reps)
-        for det_k, expansion in sides:
-            assert det_k == expansion
+        for (det_k, expansion), r in zip(sides, reps):
+            assert det_k == expansion == _multiset_expansion(q, r, w, multisets) ** k
+        # the expansion folds one key per visit vector of a cycle
+        keys = len({c.visits(q.p) for c in candidate_gcycles(q, rep.ranks)})
+        assert stats["keys"] == keys
         dists = {eid: [(Fraction(1), m)] for eid, m in rep.matrices.items()}
         report = wilson_moment(q, w, rep.ranks, dists, k)
         assert report.lhs == report.rhs == sides[0][0]
-        assert report.terms == len(multisets) ** k
+        assert report.terms == keys ** k
     assert max(sizes) >= 10  # the seeds reach instances with many cycles
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -237,6 +238,41 @@ def test_product_traces_mixed_exact_and_complex_stay_bit_identical():
         assert type(got) is type(want)
         assert repr(got) == repr(want), seq
     assert type(trace(("x", "y"))) is Fraction
+
+
+def _coefficient_types(x):
+    return {e: type(c) for e, c in x.terms.items()} if isinstance(x, Poly) else None
+
+
+def test_product_traces_mixed_exact_and_poly_keep_the_dense_types():
+    # int and Fraction factors beside a Poly factor with GaussianRational
+    # coefficients (and int entries): a sequence through the Poly factor
+    # is multiplied as Matrix products throughout, exact prefixes shared
+    # with exact sequences included, so its value, type and coefficient
+    # types are the dense product's
+    rng = random.Random(59)
+    syms = Symbols(("x", "y"))
+    x, y = (Poly.variable(syms, n) for n in syms.names)
+    mats = {
+        "i": Matrix(2, 2, [rng.randint(-4, 4) for _ in range(4)]),
+        "j": Matrix(2, 2, [3, 0, rng.randint(-4, 4), 1]),
+        # a Fraction column and an int one
+        "f": Matrix(2, 2, [Fraction(rng.randint(-4, 4), 3), rng.randint(-4, 4),
+                           Fraction(rng.randint(-4, 4), 2), rng.randint(-4, 4)]),
+        "p": Matrix(2, 2, [gauss_rat(rng) * x + gauss_rat(rng) * y, 0,
+                           gauss_rat(rng) * x * y, -3]),
+        "q": Matrix(2, 2, [0, gauss_rat(rng) * y, 2, -1]),
+    }
+    trace = product_traces(mats.__getitem__)
+    seqs = [seq for n in range(1, 5) for seq in itertools.product(sorted(mats), repeat=n)]
+    rng.shuffle(seqs)
+    for seq in seqs:
+        want = _left_to_right_trace(mats, seq)
+        got = trace(seq)
+        assert got == want, seq
+        assert type(got) is type(want), seq
+        assert _coefficient_types(got) == _coefficient_types(want), seq
+    assert {type(trace(seq)) for seq in seqs} == {int, Fraction, Poly}
 
 
 def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):
