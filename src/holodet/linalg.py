@@ -375,7 +375,7 @@ class GaussianMatrix:
     """A matrix (A + iB)/d of exact scalars, A and B integer matrices and
     d > 0: the exact case beside Matrix, multiplied in int arithmetic.
 
-    rows are A's rows, or [A | B] when complex.  A factor, as exact_forms
+    rows are A's rows, or [A | B] when complex.  A factor, as exact_form
     makes it, also holds cols: cols[c] are the columns that multiply rows
     of form c from the right, c telling whether those rows are complex:
     A's columns then B's (none when B is zero) for real rows X, giving
@@ -444,36 +444,52 @@ def _gaussian(rows, d, kind, complex, cols=None):
     return got
 
 
+def _gaussian_factor(n, c, d, re, im, kind):
+    """The GaussianMatrix factor (re + i im)/d of an n x c matrix, re and
+    im its row-major int entries, im None when it is real."""
+    starts = range(0, n * c, c)
+    re_cols = [re[j::c] for j in range(c)]
+    if im is None:
+        zero = [0] * n
+        return _gaussian([re[i:i + c] for i in starts], d, kind, False, (
+            re_cols, [x + zero for x in re_cols] + [zero + x for x in re_cols]))
+    im_cols = [im[j::c] for j in range(c)]
+    return _gaussian([re[i:i + c] + im[i:i + c] for i in starts], d, kind, True, (
+        re_cols + im_cols,
+        [a + [-x for x in b] for a, b in zip(re_cols, im_cols)]
+        + [b + a for a, b in zip(re_cols, im_cols)]))
+
+
+def _gaussian_parts(m):
+    """ring.gaussian_ints of m's entries, or None when an entry is not
+    exact or m has no rows or columns, as a Matrix's empty sums are int 0
+    whatever the entry type."""
+    return gaussian_ints(m.data) if m.rows and m.cols else None
+
+
+def exact_form(m):
+    """m as a GaussianMatrix factor, or None as _gaussian_parts gives it."""
+    got = _gaussian_parts(m)
+    return None if got is None else _gaussian_factor(m.rows, m.cols, *got)
+
+
 def exact_forms(factors):
     """The values of factors (a dict of Matrix values) as GaussianMatrix
     factors over one common denominator, all complex when one is, so that
-    products along walks of one length add; factors itself when an entry
-    is not exact, or a matrix has no rows or columns, as a Matrix's empty
-    sums are int 0 whatever the entry type."""
-    parts = {key: gaussian_ints(m.data) if m.rows and m.cols else None
-             for key, m in factors.items()}
+    products along walks of one length add; factors itself when one is not
+    exact_form's."""
+    parts = {key: _gaussian_parts(m) for key, m in factors.items()}
     if None in parts.values():
         return factors
     d = lcm(*(fd for fd, _, _, _ in parts.values()))
     cplx = any(im is not None for _, _, im, _ in parts.values())
     forms = {}
     for key, (fd, re, im, kind) in parts.items():
-        n, c, s = factors[key].rows, factors[key].cols, d // fd
-        re = [s * x for x in re]
-        starts = range(0, n * c, c)
-        re_cols = [re[j::c] for j in range(c)]
-        if cplx:
-            im = [0] * len(re) if im is None else [s * x for x in im]
-            im_cols = [im[j::c] for j in range(c)]
-            rows = [re[i:i + c] + im[i:i + c] for i in starts]
-            cols = (re_cols + im_cols,
-                    [a + [-x for x in b] for a, b in zip(re_cols, im_cols)]
-                    + [b + a for a, b in zip(re_cols, im_cols)])
-        else:
-            zero = [0] * n
-            rows = [re[i:i + c] for i in starts]
-            cols = (re_cols, [x + zero for x in re_cols] + [zero + x for x in re_cols])
-        forms[key] = _gaussian(rows, d, kind, cplx, cols)
+        s = d // fd
+        if cplx and im is None:
+            im = [0] * len(re)
+        forms[key] = _gaussian_factor(factors[key].rows, factors[key].cols, d,
+                                      [s * x for x in re], im and [s * x for x in im], kind)
     return forms
 
 
@@ -486,12 +502,12 @@ def product_traces(factor):
     sequence.  The last factor is never multiplied in: the trace closes
     the prefix with it (close).
 
-    Each key's factor is kept, once a product first needs it, as
-    exact_forms gives it alone: a GaussianMatrix when every entry is
-    exact, else its Matrix.  A prefix of exact factors is a GaussianMatrix,
-    and only its traces become scalars again: a GaussianRational if a
-    factor holds one, else a Fraction if a factor holds one, else an int,
-    as the dense product gives.  Any other prefix is a Matrix product, each diagonal
+    Each key's factor is kept, once a product first needs it, as a
+    GaussianMatrix when every entry is exact (exact_form), else as its
+    Matrix.  A prefix of exact factors is a GaussianMatrix, and only its
+    traces become scalars again: a GaussianRational if a factor holds one,
+    else a Fraction if a factor holds one, else an int, as the dense
+    product gives.  Any other prefix is a Matrix product, each diagonal
     entry of prefix x last summed in Matrix.__mul__'s order and the
     entries in trace()'s, so its value equals the full product's trace()
     exactly, floats included.  A sequence that mixes exact and other
@@ -505,7 +521,8 @@ def product_traces(factor):
     def form(key):
         got = forms.get(key)
         if got is None:
-            got = forms[key] = exact_forms({key: factor(key)})[key]
+            m = factor(key)
+            got = forms[key] = exact_form(m) or m
         return got
 
     def prefix(head):
