@@ -218,10 +218,10 @@ def _t_coefficients(poly, t, n):
     symbols, or as scalars when t is its only one."""
     i = poly.syms.index(t)
     rest = Symbols(poly.syms.names[:i] + poly.syms.names[i + 1:])
+    terms = poly.terms
     coeffs = []
     for j in range(n + 1):
-        terms = {e[:i] + e[i + 1:]: c for e, c in poly.terms.items() if e[i] == j}
-        cj = Poly(rest, terms)
+        cj = Poly(rest, {e[:i] + e[i + 1:]: c for e, c in terms.items() if e[i] == j})
         coeffs.append(cj if rest else cj.constant_value())
     return coeffs
 

@@ -14,7 +14,9 @@ entries as two int lists over one common denominator, and
 ``gaussian_scalar`` turns an int pair and a denominator back into the
 canonical scalar, so matrix kernels can multiply exact entries as plain
 ints and reduce only their results.  A ``Poly`` with int and Fraction
-coefficients is held the same way: int numerators over one denominator.
+coefficients is held the same way: int numerators over one denominator,
+taken from ``gaussian_ints``, the one function that turns exact values
+into ints over a common denominator.
 """
 
 from __future__ import annotations
@@ -151,6 +153,9 @@ class GaussianRational:
     def conjugate(self):
         return _reduced(self.a, -self.b, self.d)
 
+    def __bool__(self):
+        return bool(self.a or self.b)
+
     def __eq__(self, other):
         o = _parts(other)
         if o is None:
@@ -200,6 +205,7 @@ def _parts(x):
 # bool is an int; a subclass of these types takes the generic path
 _EXACT_TYPES = frozenset((int, bool, Fraction, GaussianRational))
 _RATIONAL_TYPES = frozenset((int, bool, Fraction))
+_INT_TYPES = frozenset((int,))
 
 
 def _power(base, k):
@@ -226,22 +232,18 @@ def gaussian_ints(entries):
     types = set(map(type, entries))
     if not types <= _EXACT_TYPES:
         return None
-    kind = 2 if GaussianRational in types else 1 if Fraction in types else 0
+    if types <= _INT_TYPES:
+        # each int is its own numerator over 1
+        return 1, list(entries), None, 0
+    if GaussianRational not in types:
+        d = lcm(*(x.denominator for x in entries))
+        re = [x.numerator * (d // x.denominator) for x in entries]
+        return d, re, None, 1 if Fraction in types else 0
     parts = list(map(_parts, entries))
     d = lcm(*(xd for _, _, xd in parts))
     re = [a * (d // xd) for a, _, xd in parts]
     im = [b * (d // xd) for _, b, xd in parts]
-    return d, re, (im if any(im) else None), kind
-
-
-def gaussian_parts(x):
-    """(a, b, d, kind) of an exact scalar x = (a + bi)/d in lowest terms,
-    kind as gaussian_ints gives it; None when x's type is not int,
-    Fraction or GaussianRational."""
-    if type(x) not in _EXACT_TYPES:
-        return None
-    a, b, d = _parts(x)
-    return a, b, d, 2 if type(x) is GaussianRational else 1 if type(x) is Fraction else 0
+    return d, re, (im if any(im) else None), 2
 
 
 def gaussian_scalar(a, b, d, kind):
@@ -271,21 +273,21 @@ class Poly:
     ints, Fractions, GaussianRationals, or complex floats.  No zero
     coefficient is ever stored.
 
-    When every coefficient is an int or a Fraction, a Poly also holds them
-    as integer numerators keyed by exponent tuple over one denominator
-    d > 0, kept canonical like a GaussianRational: gcd(d, every numerator)
-    = 1.  Sums and products of two such Polys, or of one and an int or
-    Fraction scalar, run on those ints, in the dense loops' key order; the
-    result's ``terms`` is built on first read and cached, ints when d is 1
-    and Fractions otherwise.  A Poly with a GaussianRational, float or
-    complex coefficient holds only ``terms``, and any sum or product with
-    it takes the dense loops.
+    A Poly holds one coefficient dict, ``_num`` over ``_den``.  When every
+    coefficient is an int or a Fraction, ``_num`` holds int numerators over
+    one denominator ``_den`` > 0, kept canonical like a GaussianRational:
+    gcd(_den, every numerator) = 1.  Otherwise ``_num`` holds the
+    coefficients as they are and ``_den`` is None.  A sum runs one loop,
+    ``_add_terms``, and a product of two Polys one, ``_mul_terms``: on the
+    numerators when both sides are rational, on ``terms`` otherwise; an int
+    or Fraction scalar scales a rational Poly's numerators.  ``terms`` reads
+    rational coefficients as ints when _den is 1, else as Fractions.
 
-    Values are immutable.  ``terms`` is shared, not copied (``p + 0`` may
-    return p itself), so it must not be mutated.
+    Values are immutable.  ``terms`` may be shared, not copied (``p + 0``
+    may return p itself), so it must not be mutated.
     """
 
-    __slots__ = ("syms", "_num", "_den", "_terms")
+    __slots__ = ("syms", "_num", "_den")
 
     def __init__(self, syms, terms=None):
         self.syms = syms
@@ -301,7 +303,6 @@ class Poly:
                     raise ValueError(f"negative exponent in {exps!r}")
                 if not (c == 0):
                     clean[exps] = c
-        self._terms = clean
         self._num, self._den = _int_form(clean)
 
     @classmethod
@@ -318,85 +319,65 @@ class Poly:
 
     @property
     def terms(self):
-        """Map from exponent tuple to nonzero coefficient; shared, not copied."""
-        t = self._terms
-        if t is None:
-            d = self._den
-            t = self._num if d == 1 else {e: Fraction(n, d) for e, n in self._num.items()}
-            self._terms = t
-        return t
+        """Map from exponent tuple to nonzero coefficient; not to be mutated."""
+        d = self._den
+        if d is None or d == 1:
+            return self._num
+        return {e: Fraction(n, d) for e, n in self._num.items()}
 
     @property
     def is_zero(self):
-        return not (self._terms if self._num is None else self._num)
+        return not self._num
+
+    def __bool__(self):
+        return bool(self._num)
 
     def constant_value(self):
         """Value of a polynomial with no surviving indeterminates."""
         zero = (0,) * len(self.syms)
-        if any(e != zero for e in self.terms):
+        if any(e != zero for e in self._num):
             raise HolodetError("polynomial is not constant")
         return self.terms.get(zero, 0)
 
-    def _same_table(self, other):
-        if other.syms is not self.syms and other.syms != self.syms:
-            raise HolodetError(
-                "polynomials over different symbol tables; lift them first"
-            )
-
     def _coerce(self, other):
         if isinstance(other, Poly):
-            self._same_table(other)
+            if other.syms is not self.syms and other.syms != self.syms:
+                raise HolodetError(
+                    "polynomials over different symbol tables; lift them first"
+                )
             return other
         if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
             return Poly.const(self.syms, other)
         return None
 
     def __add__(self, other):
-        t = type(other)
-        if t in _RATIONAL_TYPES:
+        if self._den is not None and type(other) in _RATIONAL_TYPES:
             if not other:
                 return self
-            if self._num is not None:
-                zero = (0,) * len(self.syms)
-                return self._add_ints({zero: other.numerator}, other.denominator)
-        elif t is Poly and self._num is not None and other._num is not None:
-            self._same_table(other)
+            onum, od = {(0,) * len(self.syms): other.numerator}, other.denominator
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            if self._den is None or o._den is None:
+                return _poly(self.syms, *_int_form(_add_terms(dict(self.terms), o.terms)))
             if not self._num:
-                return other
-            return self._add_ints(other._num, other._den) if other._num else self
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        res = dict(self.terms)
-        for e, c in o.terms.items():
-            s = res.get(e, 0) + c
-            if s == 0:
-                res.pop(e, None)
-            else:
-                res[e] = s
-        return _poly(self.syms, *_int_form(res), res)
+                return o
+            if not o._num:
+                return self
+            onum, od = o._num, o._den
+        d = self._den
+        if d == od:
+            num = dict(self._num)
+        else:
+            g = gcd(d, od)
+            s, t = od // g, d // g
+            num = {e: c * s for e, c in self._num.items()}
+            onum = {e: c * t for e, c in onum.items()}
+            d *= s
+        return _rational_poly(self.syms, _add_terms(num, onum), d)
 
     __radd__ = __add__
-
-    def _add_ints(self, num, den):
-        """self + num/den in integer form, its keys in the dense loop's order."""
-        d = self._den
-        if d == den:
-            res = dict(self._num)
-        else:
-            g = gcd(d, den)
-            s, t = den // g, d // g
-            res = {e: c * s for e, c in self._num.items()}
-            num = {e: c * t for e, c in num.items()}
-            d *= s
-        get = res.get
-        for e, c in num.items():
-            c += get(e, 0)
-            if c:
-                res[e] = c
-            else:
-                del res[e]
-        return _rational_poly(self.syms, res, d)
 
     def __sub__(self, other):
         if isinstance(other, (Poly, int, Fraction, GaussianRational, float, complex)):
@@ -410,47 +391,23 @@ class Poly:
         return o + (-self)
 
     def __neg__(self):
-        if self._num is None:
-            return _poly(self.syms, None, None, {e: -c for e, c in self._terms.items()})
-        return _poly(self.syms, {e: -c for e, c in self._num.items()}, self._den, None)
+        return _poly(self.syms, {e: -c for e, c in self._num.items()}, self._den)
 
     def __mul__(self, other):
-        if self._num is not None:
-            t = type(other)
-            if t in _RATIONAL_TYPES:
-                # a scalar keeps every exponent tuple where it is
-                if other == 1:
-                    return self
-                n = other.numerator
-                num = {e: c * n for e, c in self._num.items()} if n else {}
-                return _rational_poly(self.syms, num, self._den * other.denominator)
-            if t is Poly and other._num is not None:
-                self._same_table(other)
-                res = {}
-                get = res.get
-                terms2 = other._num.items()
-                for e1, c1 in self._num.items():
-                    for e2, c2 in terms2:
-                        e = tuple(map(add, e1, e2))
-                        c = get(e, 0) + c1 * c2
-                        if c:
-                            res[e] = c
-                        else:
-                            del res[e]
-                return _rational_poly(self.syms, res, self._den * other._den)
+        d = self._den
+        if d is not None and type(other) in _RATIONAL_TYPES:
+            # a scalar keeps every exponent tuple where it is
+            if other == 1:
+                return self
+            n = other.numerator
+            num = {e: c * n for e, c in self._num.items()} if n else {}
+            return _rational_poly(self.syms, num, d * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, 0) + c1 * c2
-                if s == 0:
-                    res.pop(e, None)
-                else:
-                    res[e] = s
-        return _poly(self.syms, *_int_form(res), res)
+        if d is None or o._den is None:
+            return _poly(self.syms, *_int_form(_mul_terms(self.terms, o.terms)))
+        return _rational_poly(self.syms, _mul_terms(self._num, o._num), d * o._den)
 
     __rmul__ = __mul__
 
@@ -461,33 +418,34 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            if self.syms != other.syms:
+            if other.syms is not self.syms and other.syms != self.syms:
                 return False
-            if self._num is not None and other._num is not None:
-                return self._den == other._den and self._num == other._num
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)) and self._num is not None:
+        elif self._den is not None and type(other) in _RATIONAL_TYPES:
             n = other.numerator
             if not n:
                 return not self._num
             zero = (0,) * len(self.syms)
             return self._den == other.denominator and self._num == {zero: n}
-        if isinstance(other, (int, Fraction, GaussianRational, float, complex)):
-            return self.terms == Poly.const(self.syms, other).terms
-        return NotImplemented
+        elif isinstance(other, (int, Fraction, GaussianRational, float, complex)):
+            other = Poly.const(self.syms, other)
+        else:
+            return NotImplemented
+        if self._den and other._den:
+            return self._den == other._den and self._num == other._num
+        return self.terms == other.terms
 
     __hash__ = None
 
     def divide_int(self, k):
-        if self._num is None:
-            res = {e: int_div(c, k) for e, c in self._terms.items()}
-            return _poly(self.syms, *_int_form(res), res)
+        if self._den is None:
+            res = {e: int_div(c, k) for e, c in self._num.items()}
+            return _poly(self.syms, *_int_form(res))
         return _rational_poly(self.syms, self._num, self._den * k)
 
     def occurring(self):
         """Names of symbols appearing with a positive exponent."""
         seen = set()
-        for exps in self.terms:
+        for exps in self._num:
             for i, e in enumerate(exps):
                 if e:
                     seen.add(self.syms.names[i])
@@ -516,23 +474,51 @@ class Poly:
         return f"Poly({self.syms.names!r}, {self.terms!r})"
 
 
+def _add_terms(res, o):
+    """Add the coefficient dict o into res and return res: res's keys in
+    order, then o's new ones, with every zero sum dropped."""
+    get = res.get
+    for e, c in o.items():
+        c = get(e, 0) + c
+        if c:
+            res[e] = c
+        else:
+            res.pop(e, None)
+    return res
+
+
+def _mul_terms(s, o):
+    """The coefficient dict s * o, its keys in the order the products of
+    s's and o's terms first reach them, with every zero sum dropped."""
+    res = {}
+    get = res.get
+    items = o.items()
+    for e1, c1 in s.items():
+        for e2, c2 in items:
+            e = tuple(map(add, e1, e2))
+            c = get(e, 0) + c1 * c2
+            if c:
+                res[e] = c
+            else:
+                res.pop(e, None)
+    return res
+
+
 def _int_form(terms):
-    """(numerators, denominator) of nonzero int and Fraction coefficients;
-    (None, None) when some coefficient is of another type."""
-    types = set(map(type, terms.values()))
-    if types <= {int}:
-        return terms, 1
-    if not types <= _RATIONAL_TYPES:
-        return None, None
+    """(numerators, denominator) of a coefficient dict: int numerators over
+    the lcm of the denominators when every coefficient is an int or a
+    Fraction, else the coefficients as they are over None."""
+    if not set(map(type, terms.values())) <= _RATIONAL_TYPES:
+        return terms, None
     # each Fraction is in lowest terms, so over the lcm of their
     # denominators the numerators share no prime with it
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+    d, re, _, _ = gaussian_ints(terms.values())
+    return dict(zip(terms, re)), d
 
 
-def _poly(syms, num, den, terms):
+def _poly(syms, num, den):
     out = object.__new__(Poly)
-    out.syms, out._num, out._den, out._terms = syms, num, den, terms
+    out.syms, out._num, out._den = syms, num, den
     return out
 
 
@@ -544,7 +530,7 @@ def _rational_poly(syms, num, den):
         if g != 1:
             num = {e: c // g for e, c in num.items()}
             den //= g
-    return _poly(syms, num, den, None)
+    return _poly(syms, num, den)
 
 
 def lift(value, syms):
@@ -600,7 +586,7 @@ def is_exact(s):
     if isinstance(s, (int, Fraction, GaussianRational)):
         return True
     if isinstance(s, Poly):
-        return s._num is not None or all(is_exact(c) for c in s.terms.values())
+        return s._den is not None or all(is_exact(c) for c in s._num.values())
     return False
 
 

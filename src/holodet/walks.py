@@ -39,7 +39,6 @@ from .ring import (
     Poly,
     Symbols,
     gaussian_ints,
-    gaussian_parts,
     gaussian_scalar,
     int_div,
     lift,
@@ -449,7 +448,7 @@ class VisitSeries:
         and products give it."""
         bound = self.bound
         parts = (None,) if self.lam is None else [
-            gaussian_parts(z) if n else (1, 0, 1, 0) for z, n in zip(zs, bound)]
+            gaussian_ints((z if n else 1,)) for z, n in zip(zs, bound)]
         if None in parts:
             return visit_sum(self.coefficients(), zs, bound)
         total = sum(bound)
@@ -457,7 +456,8 @@ class VisitSeries:
         den = factorial(total) * lam ** total
         # tables[a][x] = Z_a^(n_a - x) d_a^x as an (re, im) pair
         tables = []
-        for (za, zb, zd, _), n in zip(parts, bound):
+        for (zd, (za,), zbs, _), n in zip(parts, bound):
+            zb = zbs[0] if zbs else 0
             den *= zd ** n
             col = [(1, 0)]
             for _ in range(n):

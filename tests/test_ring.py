@@ -207,6 +207,7 @@ def _draw_gaussian(rng):
 def _assert_matches(got, ref):
     assert isinstance(got, GaussianRational)
     assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+    assert bool(got) is not ref.is_zero()
     if ref.is_zero():
         assert (got.a, got.b, got.d) == (0, 0, 1)
     assert (got.re, got.im) == (ref.re, ref.im)
@@ -407,19 +408,21 @@ def _rational(terms):
 
 def _assert_poly_matches(got, want):
     assert isinstance(got, Poly)
+    assert bool(got) == bool(want)
     if _rational(want):
         # key order and values, held as int numerators over the lcm of the
         # denominators
         assert list(got.terms.items()) == list(want.items())
         assert all(type(c) in (int, Fraction) for c in got.terms.values())
         den = math.lcm(*(Fraction(c).denominator for c in want.values()))
-        assert got._den == den and got._num is not None
+        assert type(got._den) is int and got._den == den
+        assert all(type(n) is int for n in got._num.values())
         assert got._den == 1 or math.gcd(got._den, *got._num.values()) == 1
         assert got.is_zero == (not want) and (got == 0) == (not want)
     else:
         # the dense loops' dict, float bits and Gaussian types included; an
         # int coefficient may read as a Fraction with denominator 1, or back
-        assert _typed(got.terms) == _typed(want)
+        assert got._den is None and _typed(got.terms) == _typed(want)
 
 
 def _typed(terms):
@@ -444,8 +447,10 @@ def test_poly_matches_dense_reference():
                 (x - x, {}), (x + Poly(syms), dict(xt)), (x * Poly(syms), {}),
             ):
                 _assert_poly_matches(got, want)
+            assert (x == y) is (xt == yt) and (y == x) is (xt == yt)
             c = _draw_scalar(rng, kind)
             ct = _const_terms(width, c)
+            assert (x == c) is (xt == ct) and (c == x) is (xt == ct)
             for got, want in (
                 (x + c, _dense_add(xt, ct)), (c + x, _dense_add(xt, ct)),
                 (x - c, _dense_add(xt, _dense_neg(ct))), (c - x, _dense_add(ct, _dense_neg(xt))),
