@@ -154,9 +154,7 @@ def det_scalar_diag_integral(sd):
     divided back down; raises if a coefficient fails to be integral."""
     part = sd.part
     p = sd.p
-    nfact = 1
-    for na in part:
-        nfact *= factorial(na)
+    nfact = prod(map(factorial, part))
     trace = product_traces(lambda ab: sd.block.block(*ab))
     total = 0
     for ms in enumerate_gcycle_multisets(_block_quiver(sd.block), part):

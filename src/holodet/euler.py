@@ -13,24 +13,14 @@ from functools import cached_property
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .laplacian import build_laplacian, holonomy
 from .linalg import Matrix, _det_lu, charpoly_oracle, det_oracle
-from .ring import Poly, to_complex
+from .ring import to_complex
 from .walks import prime_cycles, prime_finiteness
 
 
-def _poly_is_zero(z):
-    if isinstance(z, Poly):
-        return z.is_zero
-    if isinstance(z, (float, complex)):
-        return to_complex(z) == 0
-    return z == 0
-
-
-def _det_one_minus_t_h(hol_mat):
-    """Coefficients alpha_j with det(I - t H) = sum alpha_j t^j, exact when
-    H is exact."""
-    n = hol_mat.rows
-    coeffs = charpoly_oracle(-hol_mat)  # det(tI - H), ascending
-    return [coeffs[n - j] for j in range(n + 1)]
+# the longest truncation length det_euler_truncated tries before refusing
+MAX_LEN_CAP = 150
+# power-iteration steps of _perron_upper_bound
+PERRON_ITERS = 5000
 
 
 def det_euler_finite(lap):
@@ -45,20 +35,20 @@ def det_euler_finite(lap):
     ranks = lap.ranks
     on_cycle = set()
     for cyc in fin.cycles:
-        on_cycle.update(cyc.srcs)
-    for cyc in fin.cycles:
         for v in cyc.srcs:
-            if _poly_is_zero(lap.z[v]):
+            if not lap.z[v]:
                 raise HolodetError(
                     f"vertex {v} on a prime cycle has zero outgoing weight sum"
                 )
+            on_cycle.add(v)
     value = 1
     for a in range(lap.quiver.p):
         if a not in on_cycle:
             value = value * lap.z[a] ** ranks[a]
     for cyc in fin.cycles:
-        hol_mat = holonomy(lap.rep, cyc)
-        alphas = _det_one_minus_t_h(hol_mat)
+        # det(I - tH) = t^n det(t^-1 I - H), so det(tI - H)'s coefficients
+        # in reverse
+        alphas = charpoly_oracle(-holonomy(lap.rep, cyc))[::-1]
         # coefficients beyond the minimal rank along the cycle vanish
         # identically; in floating point they only reach roundoff size
         scale = max(
@@ -128,7 +118,7 @@ def _spectral_norm_complex(m):
     return math.sqrt(math.exp(log_lam) * (1.0 + 1e-9))
 
 
-def _perron_upper_bound(rows, iters=5000):
+def _perron_upper_bound(rows):
     """Upper bound on the spectral radius of a nonnegative matrix: for any
     positive vector v, rho(A) <= max_i (Av)_i / v_i.  The matrix is shifted
     by eps I first (which moves the Perron root by exactly eps and makes
@@ -145,7 +135,7 @@ def _perron_upper_bound(rows, iters=5000):
     v = [1.0] * p
     best = math.inf
     stale = 0
-    for _ in range(iters):
+    for _ in range(PERRON_ITERS):
         w = [sum(shifted[i][j] * v[j] for j in range(p)) for i in range(p)]
         bound = max(w[i] / v[i] for i in range(p))
         if not math.isfinite(best) or bound < best - 1e-15 * max(1.0, best):
@@ -235,7 +225,7 @@ def _factor_rounding(r, rho):
     return math.expm1(r * (math.log1p(eta) + math.log1p(e)))
 
 
-def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
+def det_euler_truncated(lap, kappa, tol=1e-9):
     """Truncated Euler product for det(diag(kappa) + Laplacian), with a
     certified error bound from the spectral-radius tail estimate.  When the
     quiver has only finitely many prime cycles the product is finite and
@@ -257,11 +247,11 @@ def det_euler_truncated(lap, kappa, tol=1e-9, max_len_cap=150):
                 f"rho={data.rho:.6f})"
             )
         length = 2
-        while _tail_bound(n, p, data.rho, length) >= tol and length <= max_len_cap:
+        while _tail_bound(n, p, data.rho, length) >= tol and length <= MAX_LEN_CAP:
             length += 1
-        if length > max_len_cap:
+        if length > MAX_LEN_CAP:
             raise MethodRefusal(
-                f"tail bound does not reach {tol} within length {max_len_cap} "
+                f"tail bound does not reach {tol} within length {MAX_LEN_CAP} "
                 f"(rho={data.rho:.6f})"
             )
         primes = prime_cycles(lap.quiver, length)
@@ -343,20 +333,20 @@ def unitary_comparison_check(quiver, weights, rep_factory, N, ts, trials,
         (1,) * quiver.p,
         {e.id: Matrix(1, 1, [1.0 + 0.0j]) for e in quiver.edges},
     )
-    lap0 = build_laplacian(quiver, base_rep, weights)
+    l0 = build_laplacian(quiver, base_rep, weights).matrix.to_complex()
+
+    def shifted_det(m, t):
+        return det_oracle(Matrix.identity(m.rows).scale(complex(t)) + m).real
 
     ok = True
     min_margin = math.inf
     worst_t = float("nan")
     worst_trial = -1
     for trial in range(trials):
-        rep = rep_factory(trial)
-        lap = build_laplacian(quiver, rep, weights)
+        lt = build_laplacian(quiver, rep_factory(trial), weights).matrix.to_complex()
         for t in ts:
-            shifted = Matrix.identity(lap.matrix.rows).scale(complex(t)) + lap.matrix.to_complex()
-            lhs = det_oracle(shifted).real
-            shifted0 = Matrix.identity(lap0.matrix.rows).scale(complex(t)) + lap0.matrix.to_complex()
-            rhs = det_oracle(shifted0).real ** N
+            lhs = shifted_det(lt, t)
+            rhs = shifted_det(l0, t) ** N
             margin = (lhs - rhs) / max(1.0, abs(rhs))
             if margin < min_margin:
                 min_margin = margin

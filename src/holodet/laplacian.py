@@ -225,9 +225,7 @@ def cauchy_binet_decompose(lap):
         raise MethodRefusal(
             f"subset decomposition capped at total rank {CAUCHY_BINET_CAP}, got {n}"
         )
-    offsets = [0]
-    for r in ranks:
-        offsets.append(offsets[-1] + r)
+    offsets = lap.block.offsets
     terms = []
     for sel in _subset_selections(quiver, ranks):
         rows = [[0] * n for _ in range(n)]

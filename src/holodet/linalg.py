@@ -183,9 +183,6 @@ class Matrix:
 
 
 def _field_div(a, b):
-    if isinstance(b, GaussianRational) or isinstance(a, GaussianRational):
-        a = a if isinstance(a, GaussianRational) else GaussianRational(a)
-        return a / b
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b
@@ -319,7 +316,7 @@ def charpoly_oracle(m):
 class BlockMatrix:
     """A square matrix together with a partition of its index range."""
 
-    __slots__ = ("base", "part", "offsets", "_blocks", "_bl")
+    __slots__ = ("base", "part", "offsets", "slots", "_blocks")
 
     def __init__(self, base, part):
         if not base.is_square:
@@ -337,11 +334,9 @@ class BlockMatrix:
         for p in part:
             offsets.append(offsets[-1] + p)
         self.offsets = tuple(offsets)
+        # the block of each index
+        self.slots = tuple(a for a, p in enumerate(part) for _ in range(p))
         self._blocks = {}
-        bl = []
-        for a, p in enumerate(part):
-            bl.extend([a] * p)
-        self._bl = tuple(bl)
 
     @property
     def n(self):
@@ -352,7 +347,7 @@ class BlockMatrix:
         return len(self.part)
 
     def bl(self, i):
-        return self._bl[i]
+        return self.slots[i]
 
     def block(self, a, b):
         key = (a, b)

@@ -438,7 +438,8 @@ class Poly:
 
     def divide_int(self, k):
         if self._den is None:
-            res = {e: int_div(c, k) for e, c in self._num.items()}
+            # a float quotient may underflow to zero, which is not stored
+            res = {e: q for e, c in self._num.items() if (q := int_div(c, k))}
             return _poly(self.syms, *_int_form(res))
         return _rational_poly(self.syms, self._num, self._den * k)
 

@@ -10,7 +10,7 @@ Values are memoized by rotation class, since tau is central.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 
 from .errors import MethodRefusal
 from .linalg import product_traces
@@ -131,10 +131,7 @@ def appendixA_special_check(quiver, rep, weights, N):
     lap = build_laplacian(quiver, rep, weights)
     m = quiver.p
 
-    blocks = {
-        (a, b): lap.block.block(a, b) for a in range(m) for b in range(m)
-    }
-    ctx = TauContext(blocks, tau_one=N)
+    ctx = block_tau_context(lap.block, tau_one=N)
     entries = [[((a, b),) for b in range(m)] for a in range(m)]
     det_tau_blocks = det_tau(entries, ctx)
 
@@ -148,10 +145,7 @@ def appendixA_special_check(quiver, rep, weights, N):
     )
     field_sum = vertex_field_sum(quiver, weights, lambda cyc: 1 - hol_trace(cyc))
 
-    scale = 1
-    for r in rep.ranks:
-        scale *= factorial(r)
-    scaled_det = scale * det_oracle(lap.matrix)
+    scaled_det = prod(map(factorial, rep.ranks)) * det_oracle(lap.matrix)
 
     def same(a, b):
         if is_exact(a) and is_exact(b):

@@ -16,10 +16,6 @@ from .walks import min_rotation, permutations_within, vertex_fields
 DEFAULT_TERM_BUDGET = 10_000_000
 
 
-def _slot_layout(lap):
-    return tuple(a for a, r in enumerate(lap.ranks) for _ in range(r))
-
-
 def stack_cost(lap):
     """Stacks of outgoing edges times n!, the elementary terms of the stack
     sum; 0 when some vertex has no outgoing edge, since then there is no
@@ -56,7 +52,7 @@ def _stack_sum(lap, cost, budget, images, inner):
         )
     if cost == 0:
         return 0
-    bl = _slot_layout(lap)
+    bl = lap.block.slots
     tgt = {e.id: e.tgt for e in lap.quiver.edges}
     out_ids = [[e.id for e in lap.quiver.out_edges(a)] for a in range(lap.quiver.p)]
     perms_by_targets = {}
@@ -143,7 +139,7 @@ def _beta_inner(perms, weight, blocks_slots):
 def det_vector_fields(lap, budget=None):
     """Sum over stacks of outgoing edges and well-chained permutations,
     with stationary freedom counted by factorials of unmoved slots."""
-    bl = _slot_layout(lap)
+    bl = lap.block.slots
     trace = product_traces(lap.rep.matrices.__getitem__)
 
     def inner(xi, _targets, perms):
@@ -157,7 +153,7 @@ def det_vector_fields_variant(lap, variant, budget=None):
     agree exactly with det_vector_fields."""
     if variant not in ("sigma_prime", "beta"):
         raise HolodetError(f"unknown variant '{variant}'")
-    bl = _slot_layout(lap)
+    bl = lap.block.slots
     trace = product_traces(lap.rep.matrices.__getitem__)
     if variant == "sigma_prime":
         cost, images = stack_cost(lap), _sigma_prime_images
@@ -177,7 +173,7 @@ def det_vector_fields_variant(lap, variant, budget=None):
 
 
 def _stack_targets(lap, xi):
-    return _slot_layout(lap), tuple(lap.quiver.edge(eid).tgt for eid in xi)
+    return lap.block.slots, tuple(lap.quiver.edge(eid).tgt for eid in xi)
 
 
 def count_sigma_prime(lap, xi):

@@ -22,7 +22,7 @@ from holodet.quiver import (
     gen_example,
     haar_like_unitary,
 )
-from holodet.ring import GaussianRational, Poly, scalars_close
+from holodet.ring import GaussianRational, Poly, Symbols, scalars_close
 from holodet.walks import prime_cycles, prime_finiteness
 from test_acceptance import _random_submarkov
 
@@ -97,6 +97,28 @@ def test_finite_euler_refuses_infinite_primes():
     lap = build_laplacian(q, rep, w)
     with pytest.raises(MethodRefusal, match="truncated"):
         det_euler_finite(lap)
+
+
+_X = Symbols(("x",))
+
+
+@pytest.mark.parametrize("zero, nonzero", [
+    (0, 2),
+    (Fraction(0), Fraction(1, 2)),
+    (GaussianRational(0), GaussianRational(1, 1)),
+    (0.0, 0.5),
+    (0j, 0.5j),
+    (Poly(_X), Poly.variable(_X, "x")),
+])
+def test_finite_euler_refuses_zero_weight_sum_on_a_prime(zero, nonzero):
+    # a 2-cycle whose vertex 1 has one out-edge, of weight zero
+    q = Quiver(2, [Edge("e", 0, 1), Edge("f", 1, 0)])
+    rep = Representation((1, 1), {k: Matrix(1, 1, [Fraction(1, 2)]) for k in "ef"})
+    lap = build_laplacian(q, rep, {"e": Fraction(3), "f": zero})
+    with pytest.raises(HolodetError, match="zero outgoing weight sum"):
+        det_euler_finite(lap)
+    lap = build_laplacian(q, rep, {"e": Fraction(3), "f": nonzero})
+    assert det_euler_finite(lap) == det_oracle(lap.matrix)
 
 
 def test_finite_euler_float_mixed_ranks():

@@ -208,6 +208,56 @@ def test_json_gaussian_entries():
     assert w2["e"] == Fraction(3, 4)
 
 
+def _json_roundtrip(q, rep, w, mode):
+    doc = json.loads(json.dumps(instance_to_json(q, rep, w)))
+    q2, rep2, w2 = instance_from_json(doc, mode=mode)
+    assert q2.edges == q.edges
+    assert rep2.ranks == rep.ranks
+    assert rep2.matrices == rep.matrices
+    assert w2 == w
+
+
+def _triangle():
+    return Quiver(3, [Edge("e", 0, 1), Edge("f", 1, 2), Edge("g", 2, 0)])
+
+
+def test_json_roundtrip_symbolic():
+    syms = Symbols(("xe", "xf", "xg"))
+    w = {eid: Poly.variable(syms, name) for eid, name in zip("efg", syms.names)}
+    rep = Representation((1, 2, 1), {
+        "e": Matrix(1, 2, [Fraction(1, 3), 2]),
+        "f": Matrix(2, 1, [Fraction(-5, 7), 0]),
+        "g": Matrix(1, 1, [-4]),
+    })
+    _json_roundtrip(_triangle(), rep, w, "symbolic")
+
+
+def test_json_roundtrip_float():
+    w = {"e": 0.1, "f": 2.5, "g": 1.25 + 0j}
+    rep = Representation((1, 2, 1), {
+        "e": Matrix(1, 2, [0.3, -1.5e-7]),
+        "f": Matrix(2, 1, [0.2 - 0.7j, 1j]),
+        "g": Matrix(1, 1, [-0.6 + 0.8j]),
+    })
+    _json_roundtrip(_triangle(), rep, w, "float")
+
+
+_XY = Symbols(("x", "y"))
+
+
+@pytest.mark.parametrize("weight, message", [
+    (2 * Poly.variable(_XY, "x"), "single-symbol"),
+    (Poly.variable(_XY, "x") * Poly.variable(_XY, "y"), "single-symbol"),
+    (Poly.variable(_XY, "x") + 1, "single-symbol"),
+    (1.0 + 0.5j, "nonzero imaginary part"),
+])
+def test_json_refuses_unencodable_weights(weight, message):
+    q = Quiver(2, [Edge("e", 0, 1)])
+    rep = Representation((1, 1), {"e": Matrix(1, 1, [Fraction(1)])})
+    with pytest.raises(HolodetError, match=message):
+        instance_to_json(q, rep, {"e": weight})
+
+
 def _parse_number_reference(x, mode):
     """A number string as every one was parsed before integers were read
     with int: through Fraction."""
