@@ -84,7 +84,7 @@ def det_perm_traces(m):
     if n > PERM_SUM_CAP:
         raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
     # Tr(M^k) for k = 1..n, with M^n closed as a trace and never formed
-    power_trace = product_traces(lambda _: m)
+    power_trace = product_traces({0: m})
     powers = {k: power_trace((0,) * k) for k in range(1, n + 1)}
     total = 0
     for lengths, count in cycle_types(n):
@@ -155,9 +155,10 @@ def det_scalar_diag_integral(sd):
     part = sd.part
     p = sd.p
     nfact = prod(map(factorial, part))
-    trace = product_traces(lambda ab: sd.block.block(*ab))
+    quiver = _block_quiver(sd.block)
+    trace = product_traces({e.id: sd.block.block(*e.id) for e in quiver.edges})
     total = 0
-    for ms in enumerate_gcycle_multisets(_block_quiver(sd.block), part):
+    for ms in enumerate_gcycle_multisets(quiver, part):
         denom = ms.multiplicity_factorial() * ms.valuation_product()
         coeff, rem = divmod(nfact, denom)
         if rem:

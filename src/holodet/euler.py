@@ -33,14 +33,7 @@ def det_euler_finite(lap):
             "infinitely many prime cycles; use the truncated product instead"
         )
     ranks = lap.ranks
-    on_cycle = set()
-    for cyc in fin.cycles:
-        for v in cyc.srcs:
-            if not lap.z[v]:
-                raise HolodetError(
-                    f"vertex {v} on a prime cycle has zero outgoing weight sum"
-                )
-            on_cycle.add(v)
+    on_cycle = {v for cyc in fin.cycles for v in cyc.srcs}
     value = 1
     for a in range(lap.quiver.p):
         if a not in on_cycle:
@@ -60,7 +53,7 @@ def det_euler_finite(lap):
             xprod = xprod * lap.weights[eid]
         factor = 0
         for j, alpha in enumerate(alphas):
-            if alpha == 0:
+            if not alpha:
                 continue
             exact = not isinstance(alpha, (float, complex))
             if not exact and abs(to_complex(alpha)) <= 1e-12 * scale:

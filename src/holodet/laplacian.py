@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HolodetError, MethodRefusal, ValidationError
-from .linalg import BlockMatrix, Matrix, det_oracle
+from .linalg import BlockMatrix, Matrix, block_offsets, det_oracle
 from .quiver import Representation, validate, vertex_z
 from .walks import cycle_series, shifted_visit_sum
 
@@ -55,9 +55,7 @@ def build_laplacian(quiver, rep, weights):
             f"Laplacian size capped at n<={LAPLACIAN_SIZE_CAP}, got {sum(ranks)}"
         )
     z = vertex_z(quiver, weights)
-    offsets = [0]
-    for r in ranks:
-        offsets.append(offsets[-1] + r)
+    offsets = block_offsets(ranks)
     n = offsets[-1]
     rows = [[0] * n for _ in range(n)]
     for a in range(quiver.p):

@@ -10,13 +10,12 @@ polynomial entries (capped at size 8).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
-from .ring import GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
+from .ring import EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
 
 POLY_DET_CAP = 8
 
@@ -313,6 +312,12 @@ def charpoly_oracle(m):
     return coeffs
 
 
+def block_offsets(part):
+    """Where each block of the partition part starts, then its total:
+    (0, part[0], part[0] + part[1], ..., sum(part))."""
+    return tuple(accumulate(part, initial=0))
+
+
 class BlockMatrix:
     """A square matrix together with a partition of its index range."""
 
@@ -330,10 +335,7 @@ class BlockMatrix:
             )
         self.base = base
         self.part = part
-        offsets = [0]
-        for p in part:
-            offsets.append(offsets[-1] + p)
-        self.offsets = tuple(offsets)
+        self.offsets = block_offsets(part)
         # the block of each index
         self.slots = tuple(a for a, p in enumerate(part) for _ in range(p))
         self._blocks = {}
@@ -362,8 +364,13 @@ class BlockMatrix:
             self._blocks[key] = got
         return got
 
+    def blocks(self):
+        """{(a, b): block(a, b)} over every pair of blocks."""
+        p = self.p
+        return {(a, b): self.block(a, b) for a in range(p) for b in range(p)}
+
     def is_zero_block(self, a, b):
-        return all(x == 0 for x in self.block(a, b).data)
+        return not any(self.block(a, b).data)
 
 
 class GaussianMatrix:
@@ -455,27 +462,28 @@ def _gaussian_factor(n, c, d, re, im, kind):
         + [b + a for a, b in zip(re_cols, im_cols)]))
 
 
-def _gaussian_parts(m):
-    """ring.gaussian_ints of m's entries, or None when an entry is not
-    exact or m has no rows or columns, as a Matrix's empty sums are int 0
-    whatever the entry type."""
-    return gaussian_ints(m.data) if m.rows and m.cols else None
+def exact_factors(matrices):
+    """Whether every matrix has rows and columns and only exact entries
+    (ring.EXACT_TYPES): the one test of whether a factor set is multiplied
+    as GaussianMatrix factors.  A matrix with no rows or columns counts as
+    not exact, as a Matrix's empty sums are int 0 whatever the entry type."""
+    return (all(m.rows and m.cols for m in matrices)
+            and set(map(type, chain.from_iterable(m.data for m in matrices))) <= EXACT_TYPES)
 
 
 def exact_form(m):
-    """m as a GaussianMatrix factor, or None as _gaussian_parts gives it."""
-    got = _gaussian_parts(m)
-    return None if got is None else _gaussian_factor(m.rows, m.cols, *got)
+    """m, a matrix exact_factors admits, as a GaussianMatrix factor."""
+    return _gaussian_factor(m.rows, m.cols, *gaussian_ints(m.data))
 
 
 def exact_forms(factors):
     """The values of factors (a dict of Matrix values) as GaussianMatrix
     factors over one common denominator, all complex when one is, so that
-    products along walks of one length add; factors itself when one is not
-    exact_form's."""
-    parts = {key: _gaussian_parts(m) for key, m in factors.items()}
-    if None in parts.values():
+    products along walks of one length add; factors itself when
+    exact_factors does not admit its values."""
+    if not exact_factors(factors.values()):
         return factors
+    parts = {key: gaussian_ints(m.data) for key, m in factors.items()}
     d = lcm(*(fd for fd, _, _, _ in parts.values()))
     cplx = any(im is not None for _, _, im, _ in parts.values())
     forms = {}
@@ -488,66 +496,57 @@ def exact_forms(factors):
     return forms
 
 
-def product_traces(factor):
-    """trace(seq): the trace of factor(seq[0]) * ... * factor(seq[-1]) for
-    a closed key sequence, multiplied left to right.
+def product_traces(factors):
+    """trace(seq): the trace of factors[seq[0]] * ... * factors[seq[-1]]
+    for a closed key sequence over the dict factors of Matrix values,
+    multiplied left to right.
 
     Every proper-prefix product is kept, keyed by its prefix, so sequences
     that share a prefix share its products; every trace is kept by its
     sequence.  The last factor is never multiplied in: the trace closes
     the prefix with it (close).
 
-    Each key's factor is kept, once a product first needs it, as a
-    GaussianMatrix when every entry is exact (exact_form), else as its
-    Matrix.  A prefix of exact factors is a GaussianMatrix, and only its
-    traces become scalars again: a GaussianRational if a factor holds one,
-    else a Fraction if a factor holds one, else an int, as the dense
-    product gives.  Any other prefix is a Matrix product, each diagonal
+    One decision covers every factor.  When exact_factors admits them,
+    each key's factor is kept, once a product first needs it, as its
+    GaussianMatrix (exact_form, over its own denominator), and only traces
+    become scalars again: a GaussianRational if a factor holds one, else a
+    Fraction if a factor holds one, else an int, as the dense product
+    gives.  Otherwise every product is a Matrix product, each diagonal
     entry of prefix x last summed in Matrix.__mul__'s order and the
     entries in trace()'s, so its value equals the full product's trace()
-    exactly, floats included.  A sequence that mixes exact and other
-    factors is multiplied as Matrix products throughout, its exact prefix
-    formed again from the Matrix factors, so that every type is the dense
-    product's too."""
-    forms = {}
+    exactly, floats included."""
+    exact = exact_factors(factors.values())
     prods = {}
     traces = {}
+    if exact:
+        forms = {}
 
-    def form(key):
-        got = forms.get(key)
-        if got is None:
-            m = factor(key)
-            got = forms[key] = exact_form(m) or m
-        return got
+        def form(key):
+            got = forms.get(key)
+            if got is None:
+                got = forms[key] = exact_form(factors[key])
+            return got
+    else:
+        form = factors.__getitem__
 
     def prefix(head):
         got = prods.get(head)
         if got is None:
             got = form(head[-1])
             if len(head) > 1:
-                pre = prefix(head[:-1])
-                if type(pre) is not type(got):
-                    pre, got = dense(head[:-1]), dense(head[-1:])
-                got = pre * got
+                got = prefix(head[:-1]) * got
             prods[head] = got
         return got
-
-    def dense(head):
-        """head's product as Matrix products, left to right."""
-        got = prefix(head)
-        return got if type(got) is Matrix else reduce(mul, map(factor, head))
 
     def trace(seq):
         got = traces.get(seq)
         if got is None:
             if len(seq) == 1:
-                got = factor(seq[0]).trace()
+                got = factors[seq[0]].trace()
             else:
                 pre, last = prefix(seq[:-1]), form(seq[-1])
-                if type(pre) is not type(last):
-                    pre, last = dense(seq[:-1]), dense(seq[-1:])
                 got = pre.close(last)
-                if type(last) is GaussianMatrix:
+                if exact:
                     got = gaussian_scalar(*got, pre.d * last.d, max(pre.kind, last.kind))
             traces[seq] = got
         return got
@@ -558,5 +557,5 @@ def product_traces(factor):
 def block_walk_traces(bm):
     """trace(seq): the trace of the block product along a closed sequence
     of block indices, (s0, s1) (s1, s2) ... (s_last, s0); base-point free."""
-    trace = product_traces(lambda ab: bm.block(*ab))
+    trace = product_traces(bm.blocks())
     return lambda seq: trace(tuple(zip(seq, seq[1:] + seq[:1])))

@@ -203,7 +203,7 @@ def _parts(x):
 
 
 # bool is an int; a subclass of these types takes the generic path
-_EXACT_TYPES = frozenset((int, bool, Fraction, GaussianRational))
+EXACT_TYPES = frozenset((int, bool, Fraction, GaussianRational))
 _RATIONAL_TYPES = frozenset((int, bool, Fraction))
 _INT_TYPES = frozenset((int,))
 
@@ -230,7 +230,7 @@ def gaussian_ints(entries):
     type among them).  None when an entry's type is not int, Fraction or
     GaussianRational."""
     types = set(map(type, entries))
-    if not types <= _EXACT_TYPES:
+    if not types <= EXACT_TYPES:
         return None
     if types <= _INT_TYPES:
         # each int is its own numerator over 1
@@ -301,13 +301,13 @@ class Poly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
-                if not (c == 0):
+                if c:
                     clean[exps] = c
         self._num, self._den = _int_form(clean)
 
     @classmethod
     def const(cls, syms, value):
-        if value == 0:
+        if not value:
             return cls(syms)
         return cls(syms, {(0,) * len(syms): value})
 

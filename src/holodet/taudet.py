@@ -29,7 +29,7 @@ class TauContext:
     _memo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._trace = product_traces(self.blocks.__getitem__)
+        self._trace = product_traces(self.blocks)
 
     def tau(self, word):
         if word is None:
@@ -96,11 +96,7 @@ def block_word_matrix(block_matrix):
 
 
 def block_tau_context(block_matrix, tau_one=None):
-    p = block_matrix.p
-    blocks = {
-        (a, b): block_matrix.block(a, b) for a in range(p) for b in range(p)
-    }
-    return TauContext(blocks, tau_one=tau_one)
+    return TauContext(block_matrix.blocks(), tau_one=tau_one)
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def appendixA_special_check(quiver, rep, weights, N):
     entries = [[((a, b),) for b in range(m)] for a in range(m)]
     det_tau_blocks = det_tau(entries, ctx)
 
-    trace = product_traces(rep.matrices.__getitem__)
+    trace = product_traces(rep.matrices)
 
     def hol_trace(cyc):
         return trace(tuple(e.id for e in cyc))

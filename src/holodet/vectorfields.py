@@ -140,7 +140,7 @@ def det_vector_fields(lap, budget=None):
     """Sum over stacks of outgoing edges and well-chained permutations,
     with stationary freedom counted by factorials of unmoved slots."""
     bl = lap.block.slots
-    trace = product_traces(lap.rep.matrices.__getitem__)
+    trace = product_traces(lap.rep.matrices)
 
     def inner(xi, _targets, perms):
         return _chained_inner(perms, bl, lap.ranks, _cycle_weight(xi, trace))
@@ -154,7 +154,7 @@ def det_vector_fields_variant(lap, variant, budget=None):
     if variant not in ("sigma_prime", "beta"):
         raise HolodetError(f"unknown variant '{variant}'")
     bl = lap.block.slots
-    trace = product_traces(lap.rep.matrices.__getitem__)
+    trace = product_traces(lap.rep.matrices)
     if variant == "sigma_prime":
         cost, images = stack_cost(lap), _sigma_prime_images
 

@@ -29,6 +29,7 @@ import itertools
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, lcm, prod
 
 from .errors import HolodetError, MethodRefusal
@@ -631,13 +632,21 @@ def fold_refusal(quiver, bound):
     bound = _visit_bound(quiver, bound)
     if _pull_bound(bound) <= FOLD_WORK_CAP:
         return None
-    totals = _transfer(quiver, bound, {e.id: None for e in quiver.edges}, COUNT_STATE_CAP)
+    return _counted_refusal(quiver, bound, FOLD_WORK_CAP, COUNT_STATE_CAP)
+
+
+@lru_cache(maxsize=1)
+def _counted_refusal(quiver, bound, work_cap, state_cap):
+    """fold_refusal past the closed-form bound, kept for the last quiver
+    (by identity), bound and caps: compare asks it in the cycles route's
+    fits and again in the kernel, and moment_samples once per
+    representation, each of one quiver and bound."""
+    totals = _transfer(quiver, bound, {e.id: None for e in quiver.edges}, state_cap)
     if totals is None:
-        return (f"cycle expansion capped at {FOLD_WORK_CAP} fold steps; counting "
-                f"them passed {COUNT_STATE_CAP} transfer states")
-    work = fold_work(list(totals), bound, FOLD_WORK_CAP)
-    if work > FOLD_WORK_CAP:
-        return f"cycle expansion capped at {FOLD_WORK_CAP} fold steps; its fold takes more"
+        return (f"cycle expansion capped at {work_cap} fold steps; counting "
+                f"them passed {state_cap} transfer states")
+    if fold_work(list(totals), bound, work_cap) > work_cap:
+        return f"cycle expansion capped at {work_cap} fold steps; its fold takes more"
     return None
 
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from _helpers import gauss_rat
+from _helpers import gauss_rat, random_exact_instance
 from holodet.cli import ROUTES, main
 from holodet.errors import MethodRefusal
 from holodet.laplacian import build_laplacian, det_laplacian_cycles
@@ -22,6 +22,7 @@ from holodet.quiver import (
     gen_example,
     instance_to_json,
     load_instance,
+    vertex_z,
 )
 from holodet.ring import scalar_str
 from holodet.walks import candidate_gcycles, closed_walk_factors, fold_work
@@ -170,6 +171,63 @@ def test_cycles_fits_and_refuses_on_either_side_of_the_cap(monkeypatch):
         else:
             with pytest.raises(MethodRefusal, match=f"capped at {cap} "):
                 det_laplacian_cycles(lap)
+
+
+def test_fold_refusal_is_counted_once_per_quiver_and_bound(tmp_path, capsys, monkeypatch):
+    # a bidirected ring's fold is counted by a transfer with no maps: once
+    # for compare, which asks in the cycles route's fits and its kernel,
+    # and once for moments, which runs the kernel per sample
+    path = tmp_path / "ring14.json"
+    path.write_text(json.dumps(instance_to_json(*_bidirected_ring(14))))
+    counts = []
+    real = walks._transfer
+
+    def counted(quiver, bound, maps, state_cap=None):
+        if all(m is None for m in maps.values()):
+            counts.append(bound)
+        return real(quiver, bound, maps, state_cap)
+
+    monkeypatch.setattr(walks, "_transfer", counted)
+    for args in (["compare"], ["moments", "--mode", "float", "--mc-samples", "3"]):
+        counts.clear()
+        code, _, _ = run_cli([*args, "--input", str(path)], capsys)
+        assert code == 0
+        assert counts == [(1,) * 14], args
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_compare_agrees_on_zero_and_cancelling_weights(tmp_path, capsys, mode):
+    # weights drawn with zeros and opposite signs, so some vertices have
+    # z = 0, on prime cycles or not; every route answers or refuses
+    rng = random.Random(f"degenerate-weights:{mode}")
+    path = tmp_path / "instance.json"
+    vanishing = 0
+    for _ in range(60):
+        q, rep, _ = random_exact_instance(rng, p_max=4, rank_max=2, edge_max=6,
+                                          total_rank_max=6)
+        w = {e.id: rng.choice((0, 0, 1, 2, -1)) for e in q.edges}
+        vanishing += not all(vertex_z(q, w))
+        path.write_text(json.dumps(instance_to_json(q, rep, w)))
+        code, out, err = run_cli(["compare", "--input", str(path), "--mode", mode,
+                                  "--format", "json"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["agree"] is True
+    assert vanishing >= 30
+
+
+def test_compare_answers_a_two_cycle_with_a_zero_weight(tmp_path, capsys):
+    q = Quiver(2, [Edge("e", 0, 1), Edge("f", 1, 0)])
+    rep = Representation((1, 1), {"e": Matrix(1, 1, [2]), "f": Matrix(1, 1, [3])})
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(instance_to_json(q, rep, {"e": 0, "f": 1})))
+    for mode in ("exact", "float"):
+        code, out, _ = run_cli(["compare", "--input", str(path), "--mode", mode,
+                                "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(out)["methods"]
+        assert "euler-finite" in [row["method"] for row in rows]
+        zero = "0" if mode == "exact" else {"re": 0.0, "im": 0.0}
+        assert all(row["value"] == zero for row in rows), rows
 
 
 def test_det_all_methods_agree_two_cycle(capsys):

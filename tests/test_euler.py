@@ -111,14 +111,18 @@ _X = Symbols(("x",))
     (Poly(_X), Poly.variable(_X, "x")),
 ])
 def test_finite_euler_refuses_zero_weight_sum_on_a_prime(zero, nonzero):
-    # a 2-cycle whose vertex 1 has one out-edge, of weight zero
+    # a 2-cycle whose vertex 1 has one out-edge, of weight zero: the
+    # cleared product divides by no z, so z_1 = 0 is answered like any
+    # other value, in every scalar type
     q = Quiver(2, [Edge("e", 0, 1), Edge("f", 1, 0)])
     rep = Representation((1, 1), {k: Matrix(1, 1, [Fraction(1, 2)]) for k in "ef"})
-    lap = build_laplacian(q, rep, {"e": Fraction(3), "f": zero})
-    with pytest.raises(HolodetError, match="zero outgoing weight sum"):
-        det_euler_finite(lap)
-    lap = build_laplacian(q, rep, {"e": Fraction(3), "f": nonzero})
-    assert det_euler_finite(lap) == det_oracle(lap.matrix)
+    for weight in (zero, nonzero):
+        lap = build_laplacian(q, rep, {"e": Fraction(3), "f": weight})
+        got, want = det_euler_finite(lap), det_oracle(lap.matrix)
+        if isinstance(zero, (float, complex)):
+            assert scalars_close(got, want)
+        else:
+            assert got == want
 
 
 def test_finite_euler_float_mixed_ranks():

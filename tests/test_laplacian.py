@@ -195,7 +195,7 @@ def test_product_traces_equal_holonomy_traces():
         assert min(map(len, cycles)) == 2 and max(map(len, cycles)) == 6
         assert any(c.edges[:4] == d.edges[:4] for c in cycles for d in cycles
                    if c != d and len(c) > 4)
-        trace = product_traces(rep.matrices.__getitem__)
+        trace = product_traces(rep.matrices)
         for c in cycles:
             want = holonomy(rep, c).trace()
             assert trace(c.edges) == want
@@ -384,7 +384,7 @@ def _multiset_expansion(q, rep, w, multisets):
     """The cycle expansion of det L listed multiset by multiset: z^(n-v)/C!
     times the product of -x^e(c) Tr hol(c) / val(c) over the cycles."""
     z = vertex_z(q, w)
-    trace = product_traces(rep.matrices.__getitem__)
+    trace = product_traces(rep.matrices)
     total = 0
     for ms in multisets:
         term = z_power(z, [n - v for n, v in zip(rep.ranks, ms.visits(q.p))])

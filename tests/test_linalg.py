@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import gauss_rat, random_quiver
-from holodet.blockdet import det_perm_traces
+from _helpers import gauss_rat, random_exact_instance, random_quiver
+from holodet import linalg
+from holodet.blockdet import det_block_perm, det_perm_traces
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.laplacian import build_laplacian
 from holodet.linalg import (
     BlockMatrix,
+    GaussianMatrix,
     Matrix,
     charpoly_oracle,
     block_walk_traces,
@@ -17,7 +19,8 @@ from holodet.linalg import (
     product_traces,
 )
 from holodet.quiver import Representation
-from holodet.ring import GaussianRational, Poly, Symbols, scalars_close
+from holodet.ring import GaussianRational, Poly, Symbols, scalars_close, to_complex
+from holodet.vectorfields import det_vector_fields
 from holodet.walks import CyclicWalk
 
 
@@ -133,35 +136,40 @@ def test_product_traces_equal_full_products_exactly():
                   lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
         mats = {k: Matrix(r, c, [entry() for _ in range(r * c)])
                 for k, (r, c) in shapes.items()}
-        trace = product_traces(mats.__getitem__)
+        trace = product_traces(mats)
         for seq in seqs:
             assert trace(seq) == _left_to_right_trace(mats, seq)
             assert type(trace(seq)) is type(_left_to_right_trace(mats, seq))
 
 
-def test_product_traces_share_prefix_products():
-    mats = {k: Matrix(2, 2, [k, 1, 0, k]) for k in range(6)}
-    calls = []
-
-    def factor(key):
-        calls.append(key)
-        return mats[key]
-
-    trace = product_traces(factor)
-    trace((0, 1, 2, 3))
-    assert sorted(calls) == [0, 1, 2, 3]
-    calls.clear()
-    trace((0, 1, 2, 4))
-    assert calls == [4]
-    trace((0, 1, 5))
-    assert calls == [4, 5]
-    trace((0, 1, 5))
-    assert calls == [4, 5]
+def test_product_traces_share_prefix_products(monkeypatch):
+    # each proper prefix is multiplied once and each sequence closed once,
+    # over exact factors (GaussianMatrix) and float ones (Matrix) alike
+    seqs = [((0, 1, 2, 3), ["__mul__", "__mul__", "close"]),
+            ((0, 1, 2, 4), ["close"]),
+            ((0, 1, 5), ["close"]),
+            ((0, 1, 5), []),
+            ((0, 1, 2, 3, 4), ["__mul__", "close"])]
+    for entry, kind in ((int, GaussianMatrix), (float, Matrix)):
+        mats = {k: Matrix(2, 2, [entry(x) for x in (k, 1, 0, k)]) for k in range(6)}
+        wants = [_left_to_right_trace(mats, seq) for seq, _ in seqs]
+        calls = []
+        with monkeypatch.context() as patch:
+            for name in ("__mul__", "close"):
+                def counted(self, other, name=name, real=getattr(kind, name)):
+                    calls.append(name)
+                    return real(self, other)
+                patch.setattr(kind, name, counted)
+            trace = product_traces(mats)
+            for (seq, products), want in zip(seqs, wants):
+                calls.clear()
+                assert trace(seq) == want
+                assert calls == products, (entry, seq)
 
 
 def test_product_traces_refuse_a_product_without_trace():
     mats = {"a": Matrix(1, 2, [1, 2]), "b": Matrix(2, 2, [1, 0, 0, 1])}
-    trace = product_traces(mats.__getitem__)
+    trace = product_traces(mats)
     with pytest.raises(ValueError):
         trace(("a", "b"))
     with pytest.raises(ValueError):
@@ -215,7 +223,7 @@ def test_product_traces_exact_chains_match_left_to_right(family):
         mats = {key: Matrix(r, c, [_exact_entry(rng, family) for _ in range(r * c)])
                 for key, (r, c) in shapes.items()}
         mats[(2, 3, 1)] = Matrix(2, 3, [0] * 6)
-        trace = product_traces(mats.__getitem__)
+        trace = product_traces(mats)
         for seq in _closed_sequences(rng, shapes, 60):
             want = _left_to_right_trace(mats, seq)
             got = trace(seq)
@@ -230,7 +238,7 @@ def test_product_traces_mixed_exact_and_complex_stay_bit_identical():
         "y": Matrix(2, 2, [rng.randint(-5, 5) for _ in range(4)]),
         "z": Matrix(2, 2, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]),
     }
-    trace = product_traces(mats.__getitem__)
+    trace = product_traces(mats)
     for seq in [("x", "y"), ("x", "y", "z"), ("x", "z", "y"), ("z", "x", "y", "x"),
                 ("x", "y", "x", "z"), ("y", "y", "z", "x")]:
         want = _left_to_right_trace(mats, seq)
@@ -246,10 +254,9 @@ def _coefficient_types(x):
 
 def test_product_traces_mixed_exact_and_poly_keep_the_dense_types():
     # int and Fraction factors beside a Poly factor with GaussianRational
-    # coefficients (and int entries): a sequence through the Poly factor
-    # is multiplied as Matrix products throughout, exact prefixes shared
-    # with exact sequences included, so its value, type and coefficient
-    # types are the dense product's
+    # coefficients (and int entries): the Poly factor makes every product
+    # a Matrix product, sequences through exact factors only included, so
+    # each value, type and coefficient type is the dense product's
     rng = random.Random(59)
     syms = Symbols(("x", "y"))
     x, y = (Poly.variable(syms, n) for n in syms.names)
@@ -263,7 +270,7 @@ def test_product_traces_mixed_exact_and_poly_keep_the_dense_types():
                            gauss_rat(rng) * x * y, -3]),
         "q": Matrix(2, 2, [0, gauss_rat(rng) * y, 2, -1]),
     }
-    trace = product_traces(mats.__getitem__)
+    trace = product_traces(mats)
     seqs = [seq for n in range(1, 5) for seq in itertools.product(sorted(mats), repeat=n)]
     rng.shuffle(seqs)
     for seq in seqs:
@@ -285,6 +292,29 @@ def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__mul__", no_dense_product)
     assert det_perm_traces(m) == want
+
+
+def test_float_factor_sets_take_no_exact_conversion(monkeypatch):
+    # a float Laplacian's zero blocks hold int 0 beside float blocks: the
+    # factor set is not exact as a whole, so no factor becomes a
+    # GaussianMatrix
+    rng = random.Random(53)
+    laps = []
+    for _ in range(12):
+        q, rep, w = random_exact_instance(rng, p_max=3, rank_max=2, edge_max=5,
+                                          total_rank_max=5, vf_cost_max=20000)
+        repf = Representation(rep.ranks, {k: m.to_complex() for k, m in rep.matrices.items()})
+        laps.append(build_laplacian(q, repf, {k: complex(to_complex(v)) for k, v in w.items()}))
+    wants = [det_oracle(lap.matrix) for lap in laps]
+
+    def no_conversion(*_):
+        raise AssertionError("a float factor set was converted to exact form")
+
+    monkeypatch.setattr(linalg, "exact_form", no_conversion)
+    monkeypatch.setattr(linalg, "gaussian_ints", no_conversion)
+    for lap, want in zip(laps, wants):
+        assert scalars_close(det_block_perm(lap.block), want, rel=1e-9)
+        assert scalars_close(det_vector_fields(lap), want, rel=1e-9)
 
 
 def test_symbolic_routes_take_no_fraction_arithmetic(monkeypatch):
