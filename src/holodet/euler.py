@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .laplacian import build_laplacian, holonomy
-from .linalg import Matrix, _det_lu, charpoly_oracle, det_oracle
-from .ring import to_complex
+from .linalg import Matrix, _det_bareiss, _det_lu_rows, charpoly_oracle, det_oracle
+from .ring import EXACT_TYPES, GaussianRational, to_complex
 from .walks import prime_cycles, prime_finiteness
 
 
@@ -79,18 +80,24 @@ class SubMarkovData:
     reachable: bool        # every vertex reaches killing mass or a sink
 
     @cached_property
-    def rho(self):
-        """Certified upper bound on the Perron root of the vertex-level chain
-        with edge weights p_e ||U_e||_2, which dominates the tail; computed on
-        first read, as a finite prime set has no tail.  A closed length-k walk
-        has |Tr hol| <= n prod ||U_e||, so the p-weighted |Tr hol| over such
+    def chain(self):
+        """Rows of the vertex-level chain with edge weights p_e ||U_e||_2,
+        whose Perron root dominates the tail; formed on first read, as a
+        finite prime set has no tail.  A closed length-k walk has
+        |Tr hol| <= n prod ||U_e||, so the p-weighted |Tr hol| over such
         walks sum to at most n Tr(chain^k) <= n p rho^k."""
         quiver = self.lap.quiver
         vrows = [[0.0] * quiver.p for _ in range(quiver.p)]
         for e in quiver.edges:
             norm = _spectral_norm_complex(self.lap.rep.matrices[e.id].to_complex())
             vrows[e.src][e.tgt] += self.p_edges[e.id] * norm
-        return _perron_upper_bound(vrows)
+        return vrows
+
+    @cached_property
+    def rho(self):
+        """Certified upper bound on the chain's Perron root, from the full
+        power iteration."""
+        return _perron_upper_bound(self.chain)
 
 
 def _spectral_norm_complex(m):
@@ -111,13 +118,15 @@ def _spectral_norm_complex(m):
     return math.sqrt(math.exp(log_lam) * (1.0 + 1e-9))
 
 
-def _perron_upper_bound(rows):
+def _perron_upper_bound(rows, settled=None):
     """Upper bound on the spectral radius of a nonnegative matrix: for any
-    positive vector v, rho(A) <= max_i (Av)_i / v_i.  The matrix is shifted
-    by eps I first (which moves the Perron root by exactly eps and makes
-    the iteration aperiodic), bounded, and shifted back.  Every
-    intermediate v certifies the bound, so the minimum over iterations is
-    itself certified."""
+    positive vector v, min_i (Av)_i / v_i <= rho(A) <= max_i (Av)_i / v_i
+    (Collatz-Wielandt).  The matrix is shifted by eps I first (which moves
+    the Perron root by exactly eps and makes the iteration aperiodic),
+    bounded, and shifted back.  Every intermediate v certifies the bound,
+    so the minimum over iterations is itself certified.  When settled is
+    given, the iteration also stops once settled(lower, upper) holds for
+    the current bounds on the unshifted root."""
     p = len(rows)
     eps = 0.5
     shifted = [
@@ -130,7 +139,8 @@ def _perron_upper_bound(rows):
     stale = 0
     for _ in range(PERRON_ITERS):
         w = [sum(shifted[i][j] * v[j] for j in range(p)) for i in range(p)]
-        bound = max(w[i] / v[i] for i in range(p))
+        ratios = [w[i] / v[i] for i in range(p)]
+        bound = max(ratios)
         if not math.isfinite(best) or bound < best - 1e-15 * max(1.0, best):
             best = min(best, bound)
             stale = 0
@@ -138,6 +148,9 @@ def _perron_upper_bound(rows):
             stale += 1
             if stale > 64:
                 break
+        if settled is not None and settled(max(min(ratios) - eps, 0.0),
+                                           max(best - eps, 0.0)):
+            break
         scale = max(w)
         if scale == 0.0:
             break
@@ -199,6 +212,44 @@ def _tail_bound(n, p, rho, length):
     return n * p * rho ** (length + 1) / ((length + 1) * (1.0 - rho))
 
 
+def _tail_length(n, p, rho, tol, start=2):
+    """The least length >= 2 whose tail bound is below tol, or None when
+    the route must refuse: rho not below 1, or no such length up to
+    MAX_LEN_CAP.  The bound falls as the length grows, so the search may
+    start anywhere; a start near the answer takes few steps."""
+    if rho >= 1.0 - 1e-12:
+        return None
+    length = start
+    while length > 2 and _tail_bound(n, p, rho, length - 1) < tol:
+        length -= 1
+    while _tail_bound(n, p, rho, length) >= tol:
+        if length >= MAX_LEN_CAP:
+            return None
+        length += 1
+    return length
+
+
+def _length_settled(n, p, tol):
+    """A stop test for _perron_upper_bound: whether every root between a
+    lower and an upper bound gets the same tail length, and not None.  The
+    length grows with rho, so it then equals the full run's length, whose
+    bound lies between the two.  Each search starts at the last length, as
+    the upper bound only falls."""
+    last = 2
+
+    def settled(lower, upper):
+        nonlocal last
+        length = _tail_length(n, p, upper, tol, last)
+        if length is None:
+            return False
+        last = length
+        # lower's length is at most upper's; it is the same unless the
+        # bound one step shorter is already below tol at lower
+        return length == 2 or _tail_bound(n, p, lower, length - 1) >= tol
+
+    return settled
+
+
 def _factor_rounding(r, rho):
     """Relative rounding bound on one factor det(I - wH), H at most r x r.
     With e = 8u (u = 2^-53) above any complex operation's relative error
@@ -218,11 +269,51 @@ def _factor_rounding(r, rho):
     return math.expm1(r * (math.log1p(eta) + math.log1p(e)))
 
 
+def _exact(s):
+    """A scalar as the exact number it holds: a float or complex is a
+    binary rational, read as a Fraction or a GaussianRational."""
+    if type(s) in EXACT_TYPES:
+        return s
+    z = to_complex(s)
+    return GaussianRational(z.real, z.imag) if z.imag else Fraction(z.real)
+
+
+def _exact_real(s):
+    """The exact real part of a scalar, as a Fraction."""
+    x = _exact(s)
+    return x.re if isinstance(x, GaussianRational) else Fraction(x)
+
+
+def _finite_product(lap, kappa, primes):
+    """prod_a (z_a + kappa_a)^r_a prod_c det(I - w_c hol(c)) over a finite
+    prime set, formed exactly from the inputs as the route reads them
+    (weights, z + kappa and edge maps, each float read as the rational it
+    holds; each factor by Bareiss) and rounded once."""
+    zk = [_exact_real(z) + Fraction(k) for z, k in zip(lap.z, kappa)]
+    value = 1
+    for a, r in enumerate(lap.ranks):
+        value *= zk[a] ** r
+    for cyc in primes:
+        hol, w = None, 1
+        for eid, src in zip(cyc.edges, cyc.srcs):
+            m = lap.rep.matrices[eid].map(_exact)
+            hol = m if hol is None else hol * m
+            x = _exact_real(lap.weights[eid])
+            w = w * x / zk[src] if x else 0
+        r = hol.rows
+        value *= _det_bareiss(Matrix(r, r, [
+            (1 if i == j else 0) - h * w
+            for i, row in enumerate(hol.to_rows()) for j, h in enumerate(row)
+        ]))
+    return to_complex(value)
+
+
 def det_euler_truncated(lap, kappa, tol=1e-9):
     """Truncated Euler product for det(diag(kappa) + Laplacian), with a
     certified error bound from the spectral-radius tail estimate.  When the
     quiver has only finitely many prime cycles the product is finite and
-    the tail vanishes, so any kappa (including zero) is admissible."""
+    the tail vanishes, so any kappa (including zero) is admissible; it is
+    then formed exactly and rounded once."""
     data = build_submarkov(lap, kappa)
     n = sum(lap.ranks)
     p = lap.quiver.p
@@ -230,25 +321,36 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
     fin = prime_finiteness(lap.quiver)
     if fin.finite:
         primes = list(fin.cycles)
-        length = max((len(c) for c in primes), default=2)
-        log_tail = 0.0
-    else:
-        if data.rho >= 1.0 - 1e-12:
+        value = _finite_product(lap, data.kappa, primes)
+        # rounding each part once moves the value by at most 2^-53 of the
+        # exact one, plus half the least subnormal, far inside this
+        # allowance, which also leaves room for a float LU's own error
+        return TruncatedEuler(
+            value=value,
+            certified_bound=1e-12 * (1.0 + abs(value)),
+            max_len=max((len(c) for c in primes), default=2),
+            rho=None,
+            prime_count=len(primes),
+        )
+
+    # the length grows with rho, so the power iteration stops once its
+    # bounds agree on it; a refusing bound never stops early, so a refusal
+    # quotes the full run's rho
+    rho = _perron_upper_bound(data.chain, _length_settled(n, p, tol))
+    length = _tail_length(n, p, rho, tol)
+    if length is None:
+        if rho >= 1.0 - 1e-12:
             raise MethodRefusal(
                 "spectral-radius bound is not below 1; the sub-Markov "
                 f"assumptions fail (reachability={data.reachable}, "
-                f"rho={data.rho:.6f})"
+                f"rho={rho:.6f})"
             )
-        length = 2
-        while _tail_bound(n, p, data.rho, length) >= tol and length <= MAX_LEN_CAP:
-            length += 1
-        if length > MAX_LEN_CAP:
-            raise MethodRefusal(
-                f"tail bound does not reach {tol} within length {MAX_LEN_CAP} "
-                f"(rho={data.rho:.6f})"
-            )
-        primes = prime_cycles(lap.quiver, length)
-        log_tail = _tail_bound(n, p, data.rho, length)
+        raise MethodRefusal(
+            f"tail bound does not reach {tol} within length {MAX_LEN_CAP} "
+            f"(rho={rho:.6f})"
+        )
+    primes = prime_cycles(lap.quiver, length)
+    log_tail = _tail_bound(n, p, rho, length)
 
     value = 1.0 + 0.0j
     zs = [to_complex(z).real for z in lap.z]
@@ -272,23 +374,23 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
             hol = mats[eid] if hol is None else hol * mats[eid]
             prefix.append((eid, hol, w * data.p_edges[eid]))
         hol = prefix[-1][1].to_complex() if convert else prefix[-1][1]
-        value *= _det_lu(Matrix.identity(hol.rows) - hol.scale(prefix[-1][2]))
+        # the rows of I - wH, each entry the expression that
+        # Matrix.identity(r) - hol.scale(w) would form
+        r, h, w = hol.rows, hol.data, prefix[-1][2]
+        value *= _det_lu_rows([[(1 if i == j else 0) - h[i * r + j] * w
+                                for j in range(r)] for i in range(r)])
 
-    if fin.finite:
-        # no chain bound conditions the factors, so a fixed allowance
-        certified = 1e-12 * (1.0 + abs(value))
-    else:
-        # each factor is off by at most delta, so with a = (1 + delta)^N - 1
-        # |value - det| <= |value| (expm1(tail) + a) / (1 - a), at most
-        # |value| expm1(tail + 2 N log1p(delta)) while a <= 0.6
-        spread = len(primes) * math.log1p(_factor_rounding(max(lap.ranks), data.rho))
-        certified = (abs(value) * math.expm1(log_tail + 2 * spread)
-                     if spread < 0.4 else math.inf)
+    # each factor is off by at most delta, so with a = (1 + delta)^N - 1
+    # |value - det| <= |value| (expm1(tail) + a) / (1 - a), at most
+    # |value| expm1(tail + 2 N log1p(delta)) while a <= 0.6
+    spread = len(primes) * math.log1p(_factor_rounding(max(lap.ranks), rho))
+    certified = (abs(value) * math.expm1(log_tail + 2 * spread)
+                 if spread < 0.4 else math.inf)
     return TruncatedEuler(
         value=value,
         certified_bound=certified,
         max_len=length,
-        rho=None if fin.finite else data.rho,
+        rho=rho,
         prime_count=len(primes),
     )
 

@@ -214,8 +214,13 @@ def det_oracle(m):
 
 
 def _det_lu(m):
-    n = m.rows
-    a = [[complex(x) for x in row] for row in m.to_rows()]
+    return _det_lu_rows([[complex(x) for x in row] for row in m.to_rows()])
+
+
+def _det_lu_rows(a):
+    """Determinant of the square matrix of complex row lists a, by LU with
+    partial pivoting; the rows are overwritten."""
+    n = len(a)
     det = 1.0 + 0.0j
     for k in range(n):
         piv, pmax = k, abs(a[k][k])

@@ -97,6 +97,15 @@ class GCycle:
         self.srcs = srcs[best:] + srcs[:best]
 
     @classmethod
+    def _canonical(cls, edges, srcs):
+        """The cycle of edge and source tuples already in least rotation,
+        as the necklace search yields them, built without rotating."""
+        out = object.__new__(cls)
+        out.edges = edges
+        out.srcs = srcs
+        return out
+
+    @classmethod
     def of_walk(cls, seq):
         """The cycle of a closed vertex sequence on walk_quiver: one edge
         (a, b) per step a -> b, the wrap from the last entry included."""
@@ -712,6 +721,7 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
         outs[e.src].append(r)
     # a walk within max_len visits no vertex more than max_len times
     budget = list(vertex_budget or [max_len] * quiver.p)
+    canonical = GCycle._canonical
     found = []
     nodes = 0
     # the word's edge ranks, the period of each of its prefixes, and the
@@ -742,7 +752,9 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
         cur = tgts[b]
         if (cur == srcs[word[0]] and n >= 2 and not n % per
                 and (per == n or not primes)):
-            found.append(GCycle([ids[a] for a in word], [srcs[a] for a in word]))
+            # the word is a necklace, so already its least rotation
+            found.append(canonical(tuple([ids[a] for a in word]),
+                                   tuple([srcs[a] for a in word])))
         nxt = outs[cur] if n < max_len and budget[cur] else []
         stack.append(iter(nxt[bisect_left(nxt, word[n - per]):]))
     found.sort(key=lambda c: c.sort_key)

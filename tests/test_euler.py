@@ -22,7 +22,7 @@ from holodet.quiver import (
     gen_example,
     haar_like_unitary,
 )
-from holodet.ring import GaussianRational, Poly, Symbols, scalars_close
+from holodet.ring import GaussianRational, Poly, Symbols, scalars_close, to_complex
 from holodet.walks import prime_cycles, prime_finiteness
 from test_acceptance import _random_submarkov
 
@@ -110,7 +110,7 @@ _X = Symbols(("x",))
     (0j, 0.5j),
     (Poly(_X), Poly.variable(_X, "x")),
 ])
-def test_finite_euler_refuses_zero_weight_sum_on_a_prime(zero, nonzero):
+def test_finite_euler_answers_zero_weight_sum_on_a_prime(zero, nonzero):
     # a 2-cycle whose vertex 1 has one out-edge, of weight zero: the
     # cleared product divides by no z, so z_1 = 0 is answered like any
     # other value, in every scalar type
@@ -397,7 +397,12 @@ def test_infinite_primes_compute_the_tail_bound_once(monkeypatch):
     assert len(calls) == 1
     res = det_euler_truncated(lap, (5.0, 5.0, 5.0))
     assert len(calls) == 2
-    assert res.rho == bound(calls[-1]) < 1.0
+    # the call stops once its length is settled: its bound may be above
+    # the full run's, never below, and gives the same length
+    full = bound(calls[-1])
+    assert full <= res.rho < 1.0
+    assert euler._tail_length(3, 3, res.rho, 1e-9) == res.max_len
+    assert euler._tail_length(3, 3, full, 1e-9) == res.max_len
     target = det_oracle(Matrix.identity(3).scale(5.0 + 0j) + lap.matrix.to_complex())
     assert abs(res.value - target) <= res.certified_bound
 
@@ -515,20 +520,17 @@ def test_unitary_comparison_requires_involution():
 
 
 def _truncated_reference(lap, kappa, tol):
-    """(value, certified_bound, prime_count) of det_euler_truncated as it
-    was formed when each prime's holonomy went through to_complex() and
-    each factor through det_oracle; instances it refuses are not asked."""
+    """(value, certified_bound, prime_count) of det_euler_truncated on an
+    infinite prime set as it was formed when each prime's holonomy went
+    through to_complex() and each factor through det_oracle, with the full
+    Perron run's bound; instances it refuses are not asked."""
     data = build_submarkov(lap, kappa)
     n, p = sum(lap.ranks), lap.quiver.p
-    fin = prime_finiteness(lap.quiver)
-    if fin.finite:
-        primes, log_tail = list(fin.cycles), 0.0
-    else:
-        length = 2
-        while euler._tail_bound(n, p, data.rho, length) >= tol:
-            length += 1
-        primes = prime_cycles(lap.quiver, length)
-        log_tail = euler._tail_bound(n, p, data.rho, length)
+    length = 2
+    while euler._tail_bound(n, p, data.rho, length) >= tol:
+        length += 1
+    primes = prime_cycles(lap.quiver, length)
+    log_tail = euler._tail_bound(n, p, data.rho, length)
     value = 1.0 + 0.0j
     for a, r in enumerate(lap.ranks):
         value *= (lap.z[a].real + data.kappa[a]) ** r
@@ -544,25 +546,35 @@ def _truncated_reference(lap, kappa, tol):
             prefix.append((eid, hol, w * data.p_edges[eid]))
         hol = prefix[-1][1].to_complex()
         value *= det_oracle(Matrix.identity(hol.rows) - hol.scale(prefix[-1][2]))
-    if fin.finite:
-        certified = 1e-12 * (1.0 + abs(value))
-    else:
-        spread = len(primes) * math.log1p(euler._factor_rounding(max(lap.ranks), data.rho))
-        certified = (abs(value) * math.expm1(log_tail + 2 * spread)
-                     if spread < 0.4 else math.inf)
+    spread = len(primes) * math.log1p(euler._factor_rounding(max(lap.ranks), data.rho))
+    certified = (abs(value) * math.expm1(log_tail + 2 * spread)
+                 if spread < 0.4 else math.inf)
     return value, certified, len(primes)
 
 
+def _matches_reference(res, want):
+    # the value and prime count bit for bit; the bound may only grow, as
+    # the route's Perron bound may stop above the full run's
+    value, certified, count = want
+    return (res.value, res.prime_count) == (value, count) and res.certified_bound >= certified
+
+
 def test_truncated_euler_factors_skip_conversions_bit_for_bit():
-    # criterion 6's instances: the factors' LU, called without classifying
-    # or converting complex holonomies, leaves every output bit for bit
+    # criterion 6's instances: the factors' LU, called on rows built
+    # without classifying or converting complex holonomies, leaves every
+    # value bit for bit; finite prime sets are formed exactly instead
     rng = random.Random(20240506)
+    infinite = 0
     for _ in range(50):
         q, rep, w, kappa = _random_submarkov(rng)
         lap = build_laplacian(q, rep, w)
         res = det_euler_truncated(lap, kappa, tol=1e-9)
-        want = _truncated_reference(lap, kappa, 1e-9)
-        assert (res.value, res.certified_bound, res.prime_count) == want
+        if prime_finiteness(q).finite:
+            assert res.value == to_complex(_exact_target(lap, kappa))
+            continue
+        infinite += 1
+        assert _matches_reference(res, _truncated_reference(lap, kappa, 1e-9))
+    assert infinite
     # exact edge maps still have their holonomies converted
     q, rep, w, kappa = _random_submarkov(random.Random(8))  # 23 primes
     exact = Representation(rep.ranks, {
@@ -571,5 +583,162 @@ def test_truncated_euler_factors_skip_conversions_bit_for_bit():
     lap = build_laplacian(q, exact, {eid: Fraction(x) for eid, x in w.items()})
     res = det_euler_truncated(lap, kappa, tol=1e-9)
     assert res.prime_count > 1
-    assert (res.value, res.certified_bound, res.prime_count) == _truncated_reference(
-        lap, kappa, 1e-9)
+    assert _matches_reference(res, _truncated_reference(lap, kappa, 1e-9))
+
+
+def _exact_target(lap, kappa):
+    """det(diag(z + kappa) - [x_e U_e]) formed exactly from the inputs as
+    det_euler_truncated reads them: each float weight, map entry and
+    kappa as the rational it holds, and z as the Laplacian holds it."""
+    def exact(x):
+        x = complex(x)
+        return GaussianRational(Fraction(x.real), Fraction(x.imag))
+
+    rep = Representation(lap.ranks, {k: m.map(exact) for k, m in lap.rep.matrices.items()})
+    weights = {k: Fraction(complex(x).real) for k, x in lap.weights.items()}
+    exact_lap = build_laplacian(lap.quiver, rep, weights)
+    rows = exact_lap.matrix.to_rows()
+    for j in range(len(rows)):
+        a = lap.block.bl(j)
+        rows[j][j] += Fraction(complex(lap.z[a]).real) + Fraction(kappa[a]) - exact_lap.z[a]
+    return det_oracle(Matrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("k", [10, 26, 27, 30, 40, 52])
+def test_finite_primes_hold_their_bound_on_cancelling_holonomies(k):
+    # U_a = I - A, U_b = I on a 2-cycle with det A = -1: det L = det A,
+    # the difference of two products near 2^(2k), which a float product
+    # loses for k >= 27; formed exactly, the route returns -1
+    big = 2 ** k
+    a = [[big + 1, big], [big, big - 1]]
+    q = Quiver(2, [Edge("a", 0, 1), Edge("b", 1, 0)])
+    rep = Representation((2, 2), {
+        "a": Matrix.from_rows([[complex((i == j) - a[i][j]) for j in range(2)]
+                               for i in range(2)]),
+        "b": Matrix.identity(2).scale(1.0 + 0j),
+    })
+    lap = build_laplacian(q, rep, {"a": 1.0, "b": 1.0})
+    exact = _exact_target(lap, (0.0, 0.0))
+    assert exact == -1
+    res = det_euler_truncated(lap, (0.0, 0.0))
+    assert res.rho is None and res.prime_count == 1
+    assert res.value == -1
+    assert abs(res.value - to_complex(exact)) <= res.certified_bound
+
+
+def test_finite_primes_round_the_exact_product_once():
+    # criterion 6's finite prime sets, with and without a kappa shift: the
+    # value is the exact product of the inputs, correctly rounded
+    rng = random.Random(6060)
+    checked = 0
+    while checked < 25:
+        q, rep, w, kappa = _random_submarkov(rng)
+        if not prime_finiteness(q).finite:
+            continue
+        lap = build_laplacian(q, rep, w)
+        for shift in (kappa, (0.0,) * q.p):
+            res = det_euler_truncated(lap, shift)
+            exact = to_complex(_exact_target(lap, shift))
+            assert res.value == exact
+            assert abs(res.value - exact) <= res.certified_bound
+        checked += 1
+
+
+def test_tail_length_is_the_least_length_from_any_start():
+    rng = random.Random(77)
+    for _ in range(300):
+        n, p = rng.randint(1, 12), rng.randint(1, 6)
+        rho = rng.choice([rng.random(), 1 - 10 ** -rng.uniform(1, 13)])
+        tol = 10 ** -rng.uniform(1, 14)
+        want = 2
+        while euler._tail_bound(n, p, rho, want) >= tol and want <= euler.MAX_LEN_CAP:
+            want += 1
+        if rho >= 1 - 1e-12 or want > euler.MAX_LEN_CAP:
+            want = None
+        for start in (2, 3, rng.randint(2, euler.MAX_LEN_CAP), euler.MAX_LEN_CAP):
+            assert euler._tail_length(n, p, rho, tol, start) == want
+
+
+def _slow_chain():
+    # two 2-cycles joined by weak edges, whose kappas differ a little: the
+    # chain's two largest roots nearly meet, so the power iteration is slow
+    q = Quiver(4, [Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 2, 3),
+                   Edge("d", 3, 2), Edge("e", 1, 2), Edge("f", 3, 0)])
+    rep = Representation((1, 1, 1, 1), {k: Matrix(1, 1, [1.0 + 0j]) for k in "abcdef"})
+    w = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "e": 1e-3, "f": 1e-3}
+    return build_laplacian(q, rep, w), (2.0, 2.0, 2.05, 2.05)
+
+
+def test_perron_stop_keeps_length_primes_and_value(monkeypatch):
+    # the route's Perron bound stops once its bounds agree on the length:
+    # on criterion 6's infinite prime sets and on a slowly mixing chain it
+    # is at least the full run's, with the same length, primes and value
+    rng = random.Random(20240506)
+    cases = []
+    while len(cases) < 12:
+        q, rep, w, kappa = _random_submarkov(rng)
+        if not prime_finiteness(q).finite:
+            cases.append((build_laplacian(q, rep, w), kappa))
+    cases.append(_slow_chain())
+
+    steps = {True: 0, False: 0}
+    stops = [True]
+    settled = euler._length_settled
+
+    def counted(n, p, tol):
+        inner = settled(n, p, tol)
+
+        def test(lower, upper):
+            steps[stops[0]] += 1
+            return inner(lower, upper) and stops[0]
+
+        return test
+
+    monkeypatch.setattr(euler, "_length_settled", counted)
+    stopped = [det_euler_truncated(lap, kappa) for lap, kappa in cases]
+    stops[0] = False
+    full = [det_euler_truncated(lap, kappa) for lap, kappa in cases]
+    for (lap, kappa), s, f in zip(cases, stopped, full):
+        assert f.rho == build_submarkov(lap, kappa).rho
+        assert f.rho <= s.rho < 1.0
+        assert (s.max_len, s.prime_count, s.value) == (f.max_len, f.prime_count, f.value)
+        assert s.certified_bound >= f.certified_bound
+    assert steps[True] < steps[False] / 2
+
+
+def test_perron_lower_bound_never_passes_the_full_bound():
+    # every stop test sees a Collatz-Wielandt lower bound at or below the
+    # root and an upper bound at or above the full run's
+    lap, kappa = _slow_chain()
+    rows = build_submarkov(lap, kappa).chain
+    seen = []
+    full = euler._perron_upper_bound(rows, lambda lower, upper: seen.append((lower, upper)))
+    assert len(seen) > 1000
+    assert all(lower <= full * (1 + 1e-12) and full <= upper for lower, upper in seen)
+    assert seen[-1][1] - seen[-1][0] < 1e-6 < seen[0][1] - seen[0][0]
+
+
+def test_refusals_quote_the_full_perron_bound():
+    # a refusing bound never stops early, so each refusal prints the full
+    # run's rho: a conservative chain, and one too slow for MAX_LEN_CAP
+    q = Quiver(3, [
+        Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 1, 2), Edge("d", 2, 1),
+    ])
+    rep = Representation((1, 1, 1), {k: Matrix(1, 1, [1.0 + 0j]) for k in "abcd"})
+    lap = build_laplacian(q, rep, {k: 1.0 for k in "abcd"})
+    data = build_submarkov(lap, (0.0, 0.0, 0.0))
+    with pytest.raises(MethodRefusal) as exc:
+        det_euler_truncated(lap, (0.0, 0.0, 0.0))
+    assert str(exc.value) == (
+        "spectral-radius bound is not below 1; the sub-Markov assumptions "
+        f"fail (reachability=False, rho={data.rho:.6f})"
+    )
+    slow = (1e-3, 1e-3, 1e-3)
+    data = build_submarkov(lap, slow)
+    assert data.rho < 1.0 - 1e-12
+    with pytest.raises(MethodRefusal) as exc:
+        det_euler_truncated(lap, slow)
+    assert str(exc.value) == (
+        f"tail bound does not reach 1e-09 within length {euler.MAX_LEN_CAP} "
+        f"(rho={data.rho:.6f})"
+    )

@@ -135,13 +135,17 @@ def test_walk_quiver_cycles_match_brute_force(p, bound):
 def test_cycle_search_builds_each_cycle_once(monkeypatch):
     q = walk_quiver(3)
     builds = []
-    init = GCycle.__init__
+    canonical = GCycle._canonical
 
-    def counting_init(self, edge_ids, src_vertices):
-        builds.append(tuple(edge_ids))
-        init(self, edge_ids, src_vertices)
+    def counting_canonical(edges, srcs):
+        builds.append(edges)
+        return canonical(edges, srcs)
 
-    monkeypatch.setattr(GCycle, "__init__", counting_init)
+    def no_init(self, edge_ids, src_vertices):
+        raise AssertionError("the search rotated a cycle it found")
+
+    monkeypatch.setattr(GCycle, "_canonical", counting_canonical)
+    monkeypatch.setattr(GCycle, "__init__", no_init)
     got = candidate_gcycles(q, (2, 2, 2))
     assert len(builds) == len(set(got)) == len(got)
     # rotations of one cycle through its least vertex more than once, as
@@ -193,6 +197,28 @@ def test_cycle_search_matches_closed_walk_reference():
         want = _closed_walks_reference(q, max_len, kwargs.get("vertex_budget"),
                                        kwargs.get("primes", False))
         assert [(c.edges, c.srcs, c.valuation) for c in got] == want, (case, kwargs)
+
+
+def test_searched_cycles_are_their_least_rotations():
+    # the search builds its cycles without rotating them: each, periodic
+    # ones included, is what __init__ makes of its edges and sources
+    rng = random.Random(2207)
+    periodic = 0
+    for case in range(60):
+        p = rng.randint(2, 4)
+        edges = []
+        for i in range(rng.randint(p, 2 * p + 2)):
+            src = rng.randrange(p)
+            tgt = rng.choice([t for t in range(p) if t != src])
+            edges.append(Edge(f"{rng.choice('abcdefgh')}{i}", src, tgt))
+        q = Quiver(p, edges)
+        for primes in (False, True):
+            for c in closed_edge_walks(q, rng.randint(2, 7), primes=primes):
+                rotated = GCycle(c.edges, c.srcs)
+                assert (c.edges, c.srcs) == (rotated.edges, rotated.srcs), case
+                assert type(c.edges) is type(c.srcs) is tuple
+                periodic += c.valuation > 1
+    assert periodic
 
 
 def test_prime_search_keeps_valuation_one():
