@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
 from .linalg import POLY_DET_CAP, Matrix, charpoly_oracle, det_oracle
-from .ring import FLOAT_ABS_TOL, Poly, Symbols, scalar_str, scalars_close, to_complex
+from .ring import FLOAT_ABS_TOL, Poly, scalar_str, scalars_close, to_complex
 from .quiver import (
     Representation,
     gen_example,
@@ -30,10 +30,12 @@ from .quiver import (
     validate,
 )
 from .laplacian import (
+    SYMBOLIC_TERM_CAP,
     build_laplacian,
     charpoly_laplacian,
     det_laplacian_cycles,
     moment_samples,
+    monomial_bound,
     wilson_moment,
 )
 from .blockdet import PERM_SUM_CAP, det_block_perm, det_perm_traces, det_trace_formal
@@ -91,7 +93,30 @@ def _load(args):
     return q, rep, w
 
 
+def _answer_refusal(lap, args):
+    """The refusal of a symbolic determinant that may have more than
+    SYMBOLIC_TERM_CAP monomials (monomial_bound), or None."""
+    if args.mode != "symbolic":
+        return None
+    m = monomial_bound(lap.quiver, lap.ranks)
+    if m <= SYMBOLIC_TERM_CAP:
+        return None
+    return MethodRefusal(
+        f"symbolic determinant capped at {SYMBOLIC_TERM_CAP} monomials, this one may have {m}"
+    )
+
+
+def _oracle(lap, args):
+    refusal = _answer_refusal(lap, args)
+    if refusal:
+        raise refusal
+    return det_oracle(lap.matrix), None
+
+
 def _cycles(lap, args):
+    refusal = _answer_refusal(lap, args)
+    if refusal:
+        raise refusal
     stats = {"keys": 0}
     return det_laplacian_cycles(lap, stats), stats["keys"]
 
@@ -120,11 +145,12 @@ Route = namedtuple("Route", "run fits reads", defaults=((),))
 
 ROUTES = {
     "oracle": Route(
-        lambda lap, args: (det_oracle(lap.matrix), None),
-        lambda lap, args: args.mode != "symbolic" or sum(lap.ranks) <= POLY_DET_CAP,
+        _oracle,
+        lambda lap, args: args.mode != "symbolic" or (
+            sum(lap.ranks) <= POLY_DET_CAP and _answer_refusal(lap, args) is None),
     ),
-    "cycles": Route(_cycles,
-                    lambda lap, args: fold_refusal(lap.quiver, lap.ranks) is None),
+    "cycles": Route(_cycles, lambda lap, args: (
+        _answer_refusal(lap, args) is None and fold_refusal(lap.quiver, lap.ranks) is None)),
     "perm": Route(lambda lap, args: (det_perm_traces(lap.matrix), None),
                   _size_within(PERM_SUM_CAP)),
     "block-perm": Route(lambda lap, args: (det_block_perm(lap.block), None),
@@ -216,14 +242,8 @@ def cmd_det(args):
 def _t_coefficients(poly, t, n):
     """The coefficients of t^0 .. t^n in poly, as polynomials over its other
     symbols, or as scalars when t is its only one."""
-    i = poly.syms.index(t)
-    rest = Symbols(poly.syms.names[:i] + poly.syms.names[i + 1:])
-    terms = poly.terms
-    coeffs = []
-    for j in range(n + 1):
-        cj = Poly(rest, {e[:i] + e[i + 1:]: c for e, c in terms.items() if e[i] == j})
-        coeffs.append(cj if rest else cj.constant_value())
-    return coeffs
+    coeffs = poly.coefficients(t, n)
+    return coeffs if len(poly.syms) > 1 else [c.constant_value() for c in coeffs]
 
 
 def cmd_charpoly(args):

@@ -24,6 +24,11 @@ MOMENT_OUTCOME_CAP = 2 ** 12
 # n^3 ring operations, which at n = 512 is already far beyond any route's
 # reach in pure Python; larger documents are refused before allocating
 LAPLACIAN_SIZE_CAP = 512
+# symbolic oracle and cycles run only while det L may have at most this many
+# monomials (monomial_bound): on complete digraphs with one symbol per edge
+# they took 0.03-0.08 s at about 1,000, 0.4-1.3 s at 10,000-15,625 and
+# 9-21 s at 100,000-279,936
+SYMBOLIC_TERM_CAP = 2 ** 14
 
 
 @dataclass
@@ -70,6 +75,16 @@ def build_laplacian(quiver, rep, weights):
                 rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] - w * u_mat.at(i, j)
     block = BlockMatrix(Matrix.from_rows(rows), ranks)
     return TwistedLaplacian(quiver, rep, weights, z, block)
+
+
+def monomial_bound(quiver, ranks):
+    """M = prod_v C(d_v + r_v - 1, r_v), d_v the out-degree of v: a bound on
+    the monomials of det L in the edge weights.  Block row v of L is linear
+    in v's out-weights, so det L is homogeneous of degree r_v in them, and
+    there are C(d_v + r_v - 1, r_v) such monomials in d_v weights.
+    Indeterminates in the edge maps are not counted."""
+    return math.prod(math.comb(len(quiver.out_edges(v)) + r - 1, r)
+                     for v, r in enumerate(ranks))
 
 
 def holonomy(rep, gcycle):

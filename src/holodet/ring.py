@@ -17,18 +17,30 @@ ints and reduce only their results.  A ``Poly`` with int and Fraction
 coefficients is held the same way: int numerators over one denominator,
 taken from ``gaussian_ints``, the one function that turns exact values
 into ints over a common denominator.
+
+A ``Poly`` keys each monomial by one int: symbol i's exponent sits in bits
+[EXP_BITS * i, EXP_BITS * (i + 1)), so a product of monomials adds two
+ints and a lookup hashes one.  Exponent tuples appear only where a Poly
+meets the outside: ``Poly(syms, terms)``, ``terms``, printing, ``eval``
+and ``occurring``.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 from .errors import HolodetError
 
 FLOAT_REL_TOL = 1e-9
 FLOAT_ABS_TOL = 1e-12
+
+# Width of one symbol's exponent field in a Poly's monomial keys; an
+# exponent must stay below EXP_LIMIT, or it would carry into the next field.
+EXP_BITS = 32
+EXP_LIMIT = 1 << EXP_BITS
+_EXP_MASK = EXP_LIMIT - 1
 
 
 class Symbols:
@@ -267,11 +279,13 @@ def _add(x, a, b, d):
 
 
 class Poly:
-    """Multivariate polynomial: map from exponent tuples to coefficients.
+    """Multivariate polynomial: map from monomials to coefficients.
 
-    Exponent tuples are dense over the symbol table; coefficients may be
-    ints, Fractions, GaussianRationals, or complex floats.  No zero
-    coefficient is ever stored.
+    Each monomial is one int key, symbol i's exponent in bits
+    [EXP_BITS * i, EXP_BITS * (i + 1)); ``terms`` gives the map with
+    exponent tuples, dense over the symbol table, in the same order.
+    Coefficients may be ints, Fractions, GaussianRationals, or complex
+    floats.  No zero coefficient is ever stored.
 
     A Poly holds one coefficient dict, ``_num`` over ``_den``.  When every
     coefficient is an int or a Fraction, ``_num`` holds int numerators over
@@ -279,19 +293,24 @@ class Poly:
     gcd(_den, every numerator) = 1.  Otherwise ``_num`` holds the
     coefficients as they are and ``_den`` is None.  A sum runs one loop,
     ``_add_terms``, and a product of two Polys one, ``_mul_terms``: on the
-    numerators when both sides are rational, on ``terms`` otherwise; an int
-    or Fraction scalar scales a rational Poly's numerators.  ``terms`` reads
-    rational coefficients as ints when _den is 1, else as Fractions.
+    numerators when both sides are rational, on the coefficients otherwise;
+    an int or Fraction scalar scales a rational Poly's numerators.  ``terms``
+    reads rational coefficients as ints when _den is 1, else as Fractions.
 
-    Values are immutable.  ``terms`` may be shared, not copied (``p + 0``
-    may return p itself), so it must not be mutated.
+    ``_deg`` bounds every exponent from above: a product's bound is the sum
+    of its factors' and a sum's the larger of theirs.  A product whose
+    bound reaches EXP_LIMIT raises instead of carrying into the next
+    symbol's field.
+
+    Values are immutable, and may share their coefficient dicts.
     """
 
-    __slots__ = ("syms", "_num", "_den")
+    __slots__ = ("syms", "_num", "_den", "_deg")
 
     def __init__(self, syms, terms=None):
         self.syms = syms
         clean = {}
+        deg = 0
         if terms:
             width = len(syms)
             for exps, c in terms.items():
@@ -301,25 +320,36 @@ class Poly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps!r}")
+                top = max(exps, default=0)
+                if top >= EXP_LIMIT:
+                    raise ValueError(f"exponent in {exps!r} is not below 2^{EXP_BITS}")
                 if c:
-                    clean[exps] = c
+                    clean[_pack(exps)] = c
+                    deg = max(deg, top)
         self._num, self._den = _int_form(clean)
+        self._deg = deg
 
     @classmethod
     def const(cls, syms, value):
         if not value:
-            return cls(syms)
-        return cls(syms, {(0,) * len(syms): value})
+            return _poly(syms, {}, 1, 0)
+        if type(value) in _RATIONAL_TYPES:
+            return _poly(syms, {0: value.numerator}, value.denominator, 0)
+        return _poly(syms, {0: value}, None, 0)
 
     @classmethod
     def variable(cls, syms, name):
-        exps = [0] * len(syms)
-        exps[syms.index(name)] = 1
-        return cls(syms, {tuple(exps): 1})
+        return _poly(syms, {1 << (EXP_BITS * syms.index(name)): 1}, 1, 1)
 
     @property
     def terms(self):
-        """Map from exponent tuple to nonzero coefficient; not to be mutated."""
+        """Map from exponent tuple to nonzero coefficient."""
+        width = len(self.syms)
+        return {_unpack(e, width): c for e, c in self._coeffs().items()}
+
+    def _coeffs(self):
+        """Map from monomial key to nonzero coefficient: _num itself unless
+        it holds numerators over a denominator above 1."""
         d = self._den
         if d is None or d == 1:
             return self._num
@@ -334,10 +364,10 @@ class Poly:
 
     def constant_value(self):
         """Value of a polynomial with no surviving indeterminates."""
-        zero = (0,) * len(self.syms)
-        if any(e != zero for e in self._num):
+        # the constant monomial is the only key 0
+        if any(self._num):
             raise HolodetError("polynomial is not constant")
-        return self.terms.get(zero, 0)
+        return self._coeffs().get(0, 0)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -351,16 +381,20 @@ class Poly:
         return None
 
     def __add__(self, other):
+        deg = self._deg
         if self._den is not None and type(other) in _RATIONAL_TYPES:
             if not other:
                 return self
-            onum, od = {(0,) * len(self.syms): other.numerator}, other.denominator
+            onum, od = {0: other.numerator}, other.denominator
         else:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
+            if o._deg > deg:
+                deg = o._deg
             if self._den is None or o._den is None:
-                return _poly(self.syms, *_int_form(_add_terms(dict(self.terms), o.terms)))
+                num, den = _int_form(_add_terms(dict(self._coeffs()), o._coeffs()))
+                return _poly(self.syms, num, den, deg)
             if not self._num:
                 return o
             if not o._num:
@@ -375,7 +409,7 @@ class Poly:
             num = {e: c * s for e, c in self._num.items()}
             onum = {e: c * t for e, c in onum.items()}
             d *= s
-        return _rational_poly(self.syms, _add_terms(num, onum), d)
+        return _rational_poly(self.syms, _add_terms(num, onum), d, deg)
 
     __radd__ = __add__
 
@@ -391,23 +425,29 @@ class Poly:
         return o + (-self)
 
     def __neg__(self):
-        return _poly(self.syms, {e: -c for e, c in self._num.items()}, self._den)
+        return _poly(self.syms, {e: -c for e, c in self._num.items()}, self._den, self._deg)
 
     def __mul__(self, other):
         d = self._den
         if d is not None and type(other) in _RATIONAL_TYPES:
-            # a scalar keeps every exponent tuple where it is
+            # a scalar keeps every monomial where it is
             if other == 1:
                 return self
             n = other.numerator
             num = {e: c * n for e, c in self._num.items()} if n else {}
-            return _rational_poly(self.syms, num, d * other.denominator)
+            return _rational_poly(self.syms, num, d * other.denominator, self._deg)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        deg = self._deg + o._deg
+        if deg >= EXP_LIMIT:
+            raise HolodetError(
+                f"a product's exponents may reach 2^{EXP_BITS}, past a monomial field"
+            )
         if d is None or o._den is None:
-            return _poly(self.syms, *_int_form(_mul_terms(self.terms, o.terms)))
-        return _rational_poly(self.syms, _mul_terms(self._num, o._num), d * o._den)
+            num, den = _int_form(_mul_terms(self._coeffs(), o._coeffs()))
+            return _poly(self.syms, num, den, deg)
+        return _rational_poly(self.syms, _mul_terms(self._num, o._num), d * o._den, deg)
 
     __rmul__ = __mul__
 
@@ -424,15 +464,14 @@ class Poly:
             n = other.numerator
             if not n:
                 return not self._num
-            zero = (0,) * len(self.syms)
-            return self._den == other.denominator and self._num == {zero: n}
+            return self._den == other.denominator and self._num == {0: n}
         elif isinstance(other, (int, Fraction, GaussianRational, float, complex)):
             other = Poly.const(self.syms, other)
         else:
             return NotImplemented
         if self._den and other._den:
             return self._den == other._den and self._num == other._num
-        return self.terms == other.terms
+        return self._coeffs() == other._coeffs()
 
     __hash__ = None
 
@@ -440,17 +479,32 @@ class Poly:
         if self._den is None:
             # a float quotient may underflow to zero, which is not stored
             res = {e: q for e, c in self._num.items() if (q := int_div(c, k))}
-            return _poly(self.syms, *_int_form(res))
-        return _rational_poly(self.syms, self._num, self._den * k)
+            return _poly(self.syms, *_int_form(res), self._deg)
+        return _rational_poly(self.syms, self._num, self._den * k, self._deg)
 
     def occurring(self):
         """Names of symbols appearing with a positive exponent."""
-        seen = set()
-        for exps in self._num:
-            for i, e in enumerate(exps):
-                if e:
-                    seen.add(self.syms.names[i])
-        return seen
+        seen = 0
+        for e in self._num:
+            seen |= e
+        exps = _unpack(seen, len(self.syms))
+        return {name for name, e in zip(self.syms.names, exps) if e}
+
+    def coefficients(self, name, n):
+        """The coefficients of name^0 .. name^n, as Polys over this table
+        without name; each key only loses name's field."""
+        i = self.syms.index(name)
+        rest = Symbols(self.syms.names[:i] + self.syms.names[i + 1:])
+        shift = EXP_BITS * i
+        low = (1 << shift) - 1
+        parts = [{} for _ in range(n + 1)]
+        for e, c in self._num.items():
+            j = e >> shift & _EXP_MASK
+            if j <= n:
+                parts[j][(e & low) | (e >> (shift + EXP_BITS) << shift)] = c
+        if self._den is None:
+            return [_poly(rest, *_int_form(part), self._deg) for part in parts]
+        return [_rational_poly(rest, part, self._den, self._deg) for part in parts]
 
     def eval(self, assignment):
         missing = self.occurring() - set(assignment)
@@ -475,6 +529,22 @@ class Poly:
         return f"Poly({self.syms.names!r}, {self.terms!r})"
 
 
+# a key's fields are its little-endian unsigned 32-bit words, EXP_BITS
+# each, so struct packs and unpacks a whole exponent tuple in one call
+_FIELD = "I"
+
+
+def _pack(exps):
+    """The monomial key of an exponent tuple whose entries lie in
+    [0, EXP_LIMIT)."""
+    return int.from_bytes(struct.pack(f"<{len(exps)}{_FIELD}", *exps), "little")
+
+
+def _unpack(e, width):
+    """The exponent tuple of the monomial key e over width symbols."""
+    return struct.unpack(f"<{width}{_FIELD}", e.to_bytes(EXP_BITS // 8 * width, "little"))
+
+
 def _add_terms(res, o):
     """Add the coefficient dict o into res and return res: res's keys in
     order, then o's new ones, with every zero sum dropped."""
@@ -490,13 +560,15 @@ def _add_terms(res, o):
 
 def _mul_terms(s, o):
     """The coefficient dict s * o, its keys in the order the products of
-    s's and o's terms first reach them, with every zero sum dropped."""
+    s's and o's terms first reach them, with every zero sum dropped.  The
+    caller has checked that no exponent sum reaches EXP_LIMIT, so adding
+    two keys adds their fields without a carry."""
     res = {}
     get = res.get
     items = o.items()
     for e1, c1 in s.items():
         for e2, c2 in items:
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             c = get(e, 0) + c1 * c2
             if c:
                 res[e] = c
@@ -517,13 +589,13 @@ def _int_form(terms):
     return dict(zip(terms, re)), d
 
 
-def _poly(syms, num, den):
+def _poly(syms, num, den, deg):
     out = object.__new__(Poly)
-    out.syms, out._num, out._den = syms, num, den
+    out.syms, out._num, out._den, out._deg = syms, num, den, deg
     return out
 
 
-def _rational_poly(syms, num, den):
+def _rational_poly(syms, num, den, deg):
     """The Poly with int numerators num (none zero) over den > 0, reduced to
     lowest terms; the zero Poly has den 1."""
     if den != 1:
@@ -531,22 +603,27 @@ def _rational_poly(syms, num, den):
         if g != 1:
             num = {e: c // g for e, c in num.items()}
             den //= g
-    return _poly(syms, num, den)
+    return _poly(syms, num, den, deg)
 
 
 def lift(value, syms):
     """Embed a scalar (or a polynomial over a sub-table) into Poly over syms."""
     if isinstance(value, Poly):
-        if value.syms == syms:
+        old = value.syms
+        if old == syms:
             return value
-        mapping = [syms.index(n) for n in value.syms.names]
-        terms = {}
-        for exps, c in value.terms.items():
-            new = [0] * len(syms)
-            for src, dst in enumerate(mapping):
-                new[dst] = exps[src]
-            terms[tuple(new)] = c
-        return Poly(syms, terms)
+        if syms.names[:len(old)] == old.names:
+            # syms extends the old table, so every field keeps its place
+            return _poly(syms, value._num, value._den, value._deg)
+        shifts = [EXP_BITS * syms.index(n) for n in old.names]
+        num = {}
+        for e, c in value._num.items():
+            new = 0
+            for s in shifts:
+                new |= (e & _EXP_MASK) << s
+                e >>= EXP_BITS
+            num[new] = c
+        return _poly(syms, num, value._den, value._deg)
     return Poly.const(syms, value)
 
 

@@ -12,7 +12,12 @@ import pytest
 from _helpers import gauss_rat, random_exact_instance
 from holodet.cli import ROUTES, main
 from holodet.errors import MethodRefusal
-from holodet.laplacian import build_laplacian, det_laplacian_cycles
+from holodet.laplacian import (
+    SYMBOLIC_TERM_CAP,
+    build_laplacian,
+    det_laplacian_cycles,
+    monomial_bound,
+)
 from holodet.linalg import Matrix, det_oracle
 from holodet import walks
 from holodet.quiver import (
@@ -24,7 +29,7 @@ from holodet.quiver import (
     load_instance,
     vertex_z,
 )
-from holodet.ring import scalar_str
+from holodet.ring import Poly, Symbols, scalar_str
 from holodet.walks import candidate_gcycles, closed_walk_factors, fold_work
 
 
@@ -110,6 +115,60 @@ def test_cycles_refuses_past_its_work_cap_up_front(tmp_path, capsys):
         lap = build_laplacian(*_directed_ring(n))
         assert ROUTES["cycles"].fits(lap, args)
         assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+
+
+def _symbolic_complete_digraph(p):
+    """Complete digraph on p vertices at rank 1, one symbol per edge."""
+    q = Quiver(p, [Edge(f"e{a}_{b}", a, b) for a in range(p) for b in range(p) if a != b])
+    rng = random.Random(p)
+    syms = Symbols(tuple(e.id for e in q.edges))
+    rep = Representation((1,) * p, {
+        e.id: Matrix(1, 1, [Fraction(rng.randint(-2, 2), rng.randint(1, 2))])
+        for e in q.edges})
+    return q, rep, {e.id: Poly.variable(syms, e.id) for e in q.edges}
+
+
+def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys):
+    # complete (1,)*8 passes the oracle's size cap (n = 8) and the fold's
+    # (3^8 steps), but its determinant may have 7^8 monomials
+    inst = _symbolic_complete_digraph(8)
+    assert monomial_bound(inst[0], inst[1].ranks) == 7 ** 8 > SYMBOLIC_TERM_CAP
+    path = tmp_path / "complete8.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    for method in ("oracle", "cycles"):
+        start = time.perf_counter()
+        code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
+                                  "--method", method], capsys)
+        assert time.perf_counter() - start < 1, method
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "refusal"
+        assert f"capped at {SYMBOLIC_TERM_CAP} monomials" in error["message"]
+    # compare leaves both out of its default set, and skips them when named
+    start = time.perf_counter()
+    code, out, _ = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
+                            "--format", "json"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert not {"oracle", "cycles"} & {row["method"] for row in json.loads(out)["methods"]}
+    code, out, _ = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
+                            "--methods", "oracle,cycles", "--format", "json"], capsys)
+    assert code == 0
+    assert all("monomials" in row["skipped"] for row in json.loads(out)["methods"])
+
+
+@pytest.mark.parametrize("p,fits", [(6, True), (7, False)])
+def test_symbolic_monomial_cap_sits_between_complete_digraphs(p, fits):
+    # complete (1,)*6 may have 5^6 = 15,625 monomials and (1,)*7 6^7 = 279,936;
+    # the cap admits the first and refuses the second, in symbolic mode only
+    lap = build_laplacian(*_symbolic_complete_digraph(p))
+    for method in ("oracle", "cycles"):
+        assert ROUTES[method].fits(lap, SimpleNamespace(mode="symbolic")) is fits
+        if not fits:
+            with pytest.raises(MethodRefusal, match="monomials"):
+                ROUTES[method].run(lap, SimpleNamespace(mode="symbolic"))
+    exact = build_laplacian(*_complete_digraph(p, 1))
+    assert ROUTES["oracle"].fits(exact, SimpleNamespace(mode="exact"))
 
 
 def test_monte_carlo_moments_refuse_past_the_fold_cap(tmp_path, capsys):
@@ -906,7 +965,7 @@ def test_charpoly_symbolic_weight_named_like_the_shift(tmp_path, capsys, name):
     from holodet.laplacian import build_laplacian
     from holodet.linalg import charpoly_oracle
     from holodet.quiver import load_instance
-    from holodet.ring import scalar_str
+    from holodet.ring import Poly, Symbols, scalar_str
 
     doc = {
         "p": 2,

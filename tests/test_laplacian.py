@@ -20,6 +20,7 @@ from holodet.laplacian import (
     hol_trace,
     holonomy,
     moment_samples,
+    monomial_bound,
     wilson_moment,
 )
 from holodet.linalg import (
@@ -239,6 +240,30 @@ def test_cycles_match_oracle_symbolically():
         q, rep, w = random_symbolic_instance(rng, total_rank_max=5)
         lap = build_laplacian(q, rep, w)
         assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+
+
+def test_monomial_bound_bounds_the_symbolic_determinant():
+    # det L is homogeneous of degree r_v in v's out-weights, so it has at
+    # most monomial_bound terms, and on bidirected rings with these maps
+    # exactly that many
+    rng = random.Random(181)
+    for _ in range(20):
+        q, rep, w = random_symbolic_instance(rng, total_rank_max=5)
+        det = det_laplacian_cycles(build_laplacian(q, rep, w))
+        terms = len(det.terms) if isinstance(det, Poly) else 0
+        assert terms <= monomial_bound(q, rep.ranks)
+    for n, r, bound in ((6, 1, 2 ** 6), (4, 2, 3 ** 4), (3, 3, 4 ** 3)):
+        q = Quiver(n, [Edge(f"e{a}{d}", a if d == "f" else (a + 1) % n,
+                            (a + 1) % n if d == "f" else a)
+                       for a in range(n) for d in "fr"])
+        syms = Symbols(tuple(e.id for e in q.edges))
+        rep = Representation((r,) * n, {
+            e.id: Matrix(r, r, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in range(r * r)])
+            for e in q.edges})
+        lap = build_laplacian(q, rep, {e.id: Poly.variable(syms, e.id) for e in q.edges})
+        assert monomial_bound(q, rep.ranks) == bound
+        assert len(det_laplacian_cycles(lap).terms) == bound
 
 
 def test_edge_level_refinement_of_walk_traces():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from _helpers import gauss_rat, random_exact_instance, random_quiver
+from _helpers import gauss_rat, random_exact_instance, random_quiver, random_symbolic_instance
 from holodet import linalg
-from holodet.blockdet import det_block_perm, det_perm_traces
+from holodet.blockdet import det_block_perm, det_perm_traces, det_trace_formal
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.laplacian import build_laplacian
 from holodet.linalg import (
@@ -237,10 +237,14 @@ def test_product_traces_mixed_exact_and_complex_stay_bit_identical():
         "x": Matrix(2, 2, [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(4)]),
         "y": Matrix(2, 2, [rng.randint(-5, 5) for _ in range(4)]),
         "z": Matrix(2, 2, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]),
+        # int zeros beside signed float zeros: leaving out an int 0 times a
+        # float would change the sign of a zero sum
+        "w": Matrix(2, 2, [0, complex(-0.0, -0.0), -0.0, 0]),
     }
     trace = product_traces(mats)
     for seq in [("x", "y"), ("x", "y", "z"), ("x", "z", "y"), ("z", "x", "y", "x"),
-                ("x", "y", "x", "z"), ("y", "y", "z", "x")]:
+                ("x", "y", "x", "z"), ("y", "y", "z", "x"), ("w", "w"), ("w", "z"),
+                ("z", "w", "w"), ("w", "x", "w", "z")]:
         want = _left_to_right_trace(mats, seq)
         got = trace(seq)
         assert type(got) is type(want)
@@ -280,6 +284,52 @@ def test_product_traces_mixed_exact_and_poly_keep_the_dense_types():
         assert type(got) is type(want), seq
         assert _coefficient_types(got) == _coefficient_types(want), seq
     assert {type(trace(seq)) for seq in seqs} == {int, Fraction, Poly}
+
+
+def test_poly_product_traces_match_dense_products_with_float_coefficients():
+    # Poly factors with complex coefficients beside int zeros: leaving out
+    # each int 0 times a Poly keeps every coefficient's bits and order
+    rng = random.Random(67)
+    syms = Symbols(("x", "y"))
+    x, y = (Poly.variable(syms, n) for n in syms.names)
+
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1)) * rng.choice((x, y, x * y))
+
+    mats = {k: Matrix(2, 2, [entry() for _ in range(4)]) for k in "abc"}
+    trace = product_traces(mats)
+    seqs = [seq for n in range(1, 5) for seq in itertools.product("abc", repeat=n)]
+    for seq in seqs:
+        want = _left_to_right_trace(mats, seq)
+        got = trace(seq)
+        assert got == want, seq
+        if isinstance(got, Poly) and isinstance(want, Poly):
+            assert repr(got) == repr(want), seq
+
+
+def test_symbolic_routes_form_no_zero_times_poly(monkeypatch):
+    # a symbolic Laplacian holds int 0 where no edge is; the permutation
+    # routes' products and traces leave out each int 0 times a Poly
+    rng = random.Random(61)
+    laps = [build_laplacian(*random_symbolic_instance(rng, total_rank_max=5))
+            for _ in range(12)]
+    wants = [det_oracle(lap.matrix) for lap in laps]
+    seen = []
+    real = Poly.__mul__
+
+    def counted(self, other):
+        seen.append(type(other) is int and not other)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    for lap, want in zip(laps, wants):
+        assert det_perm_traces(lap.matrix) == want
+        assert det_block_perm(lap.block) == want
+        assert det_trace_formal(lap.block) == want
+    assert len(seen) > 1000 and not any(seen)
 
 
 def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):

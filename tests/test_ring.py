@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from holodet.cli import _t_coefficients
 from holodet.errors import HolodetError
 from holodet.ring import (
+    EXP_LIMIT,
     GaussianRational,
     Poly,
     Symbols,
+    _sign_split,
     int_div,
     lift,
     poly_eval,
@@ -437,6 +440,35 @@ def _typed(terms):
     return repr([(e, Fraction(c) if type(c) is int else c) for e, c in terms.items()])
 
 
+def _dense_str(names, terms):
+    """scalar_str of the Poly with these exponent-tuple terms: monomials by
+    degree, then by exponents, each as [coefficient*]name^e*..."""
+    parts = []
+    for exps, c in sorted(terms.items(), key=lambda item: (sum(item[0]), item[0])):
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+        neg, mag = _sign_split(c)
+        text = scalar_str(mag)
+        if any(ch in text[1:] for ch in "+-"):
+            text = f"({text})"
+        body = text if not mono else mono if mag == 1 else f"{text}*{mono}"
+        parts.append(("- " if neg else "+ ") + body)
+    if not parts:
+        return "0"
+    first = parts[0]
+    return " ".join([first[2:] if first[0] == "+" else "-" + first[2:]] + parts[1:])
+
+
+def _lifted_terms(terms, names, table):
+    where = [table.index(n) for n in names]
+    out = {}
+    for exps, c in terms.items():
+        new = [0] * len(table)
+        for i, e in zip(where, exps):
+            new[i] = e
+        out[tuple(new)] = c
+    return out
+
+
 def test_poly_matches_dense_reference():
     rng = random.Random(29)
     for width in range(4):
@@ -474,3 +506,41 @@ def test_poly_matches_dense_reference():
                 for j in range(4):
                     assert (x ** j).terms == want
                     want = _dense_mul(want, xt)
+            # the boundary: printing, lifting onto an extended and a
+            # reordered table, and splitting out one symbol's powers
+            assert scalar_str(x) == _dense_str(syms.names, xt)
+            for table in (syms.extended(("d",)), Symbols(syms.names[::-1] + ("d",))):
+                got = lift(x, table)
+                assert got.syms == table
+                _assert_poly_matches(got, _lifted_terms(xt, syms.names, table))
+            if width:
+                i, n = rng.randrange(width), rng.randint(0, 3)
+                for j, got in enumerate(_t_coefficients(x, syms.names[i], n)):
+                    want = {e[:i] + e[i + 1:]: c for e, c in xt.items() if e[i] == j}
+                    if width > 1:
+                        _assert_poly_matches(got, want)
+                    else:
+                        assert _typed({(): got} if got else {}) == _typed(want)
+
+
+def test_poly_exponent_fields_do_not_carry():
+    # each symbol's exponent has a field of its own in a monomial key; the
+    # largest exponent a field holds reads back exactly beside its
+    # neighbours' exponents, and no product may carry past it
+    syms = Symbols(("x", "y", "z"))
+    x, y = Poly.variable(syms, "x"), Poly.variable(syms, "y")
+    top = EXP_LIMIT - 1
+    assert (Poly(syms, {(1, 0, 1): 1}) ** top).terms == {(top, 0, top): 1}
+    assert (Poly(syms, {(0, 1, 1): -1}) ** top).terms == {(0, top, top): -1}
+    assert x ** top == Poly(syms, {(top, 0, 0): 1})
+    high = Poly(syms, {(top, 5, 0): Fraction(1, 2), (0, 7, top): 2})
+    assert high.terms == {(top, 5, 0): Fraction(1, 2), (0, 7, top): 2}
+    assert str(high) == f"1/2*x^{top}*y^5 + 2*y^7*z^{top}"
+    assert high.occurring() == {"x", "y", "z"}
+    for reach in (lambda: x ** EXP_LIMIT, lambda: (x ** top) * x,
+                  lambda: x * (x ** top), lambda: (x ** top) * y,
+                  lambda: high * high, lambda: (1.5 * x) ** EXP_LIMIT):
+        with pytest.raises(HolodetError, match="exponents may reach"):
+            reach()
+    with pytest.raises(ValueError, match="not below"):
+        Poly(syms, {(EXP_LIMIT, 0, 0): 1})
