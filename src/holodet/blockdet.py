@@ -14,11 +14,11 @@ from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .linalg import block_walk_traces, product_traces
 from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
+    cycle_cover_sum,
     cycle_series,
     cycle_types,
     enumerate_gcycle_multisets,
     min_rotation,
-    permutations_within,
     shifted_visit_sum,
     walk_quiver,
 )
@@ -96,26 +96,27 @@ def det_perm_traces(m):
 
 
 def det_block_perm(bm):
-    """Permutation sum with each cycle contributing the trace of the block
-    product it traverses, normalized by the block-size factorials; only
-    permutations through nonzero blocks are visited."""
+    """Signed sum over permutations through nonzero blocks, each cycle
+    contributing the trace of the block product it traverses, normalized
+    by the block-size factorials; folded over cycle covers of the slots
+    (cycle_cover_sum), each block word's trace kept by the word as read."""
     n = bm.n
     if n > PERM_SUM_CAP:
         raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
     trace = block_walk_traces(bm)
-    allowed = [
-        [j for j in range(n) if not bm.is_zero_block(bm.bl(i), bm.bl(j))]
-        for i in range(n)
-    ]
-    total = 0
-    for _, cycles, sign in permutations_within(allowed):
-        term = 1
-        for cyc in cycles:
-            term = term * trace(min_rotation(tuple(bm.bl(i) for i in cyc)))
-            if term == 0:
-                break
-        total = total + (term if sign > 0 else -term)
-    return int_div(total, prod(map(factorial, bm.part)))
+    bl = bm.slots
+    allowed = [[j for j in range(n) if not bm.is_zero_block(bl[i], bl[j])]
+               for i in range(n)]
+    read = {}
+
+    def weight(cyc):
+        word = tuple(bl[i] for i in cyc)
+        got = read.get(word)
+        if got is None:
+            got = read[word] = trace(min_rotation(word))
+        return got
+
+    return int_div(cycle_cover_sum(allowed, weight), prod(map(factorial, bm.part)))
 
 
 def det_trace_formal(bm):

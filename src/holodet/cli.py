@@ -324,6 +324,11 @@ def cmd_compare(args):
             continue
         rows.append(row)
         values.append(value)
+    if not values:
+        # with no value there is nothing to agree on
+        skipped = "; ".join(f"{row['method']}: {row['skipped']}" for row in rows)
+        raise MethodRefusal(f"no route answers ({skipped})" if rows else
+                            f"no route fits this instance in {args.mode} mode")
 
     agree = True
     max_disc = 0.0

@@ -291,8 +291,10 @@ def _det_cofactor(m):
                 continue
             x = m.at(row, j)
             if not (x == 0):
-                acc = acc + (x * rec(row + 1, mask & ~bit) if sign > 0
-                             else -(x * rec(row + 1, mask & ~bit)))
+                # a zero minor adds nothing, so x never multiplies it
+                minor = rec(row + 1, mask & ~bit)
+                if minor:
+                    acc = acc + (x * minor if sign > 0 else -(x * minor))
             sign = -sign
         memo[key] = acc
         return acc

@@ -15,7 +15,7 @@ from math import factorial, prod
 from .errors import MethodRefusal
 from .linalg import product_traces
 from .vectorfields import vertex_field_sum
-from .walks import min_rotation, permutations_within
+from .walks import cycle_cover_sum, min_rotation
 
 TAU_DET_CAP = 7
 
@@ -59,28 +59,21 @@ def word_concat(*words):
 
 
 def det_tau(entries, ctx):
-    """Sum over permutations of sign times tau of the entry word
-    multiplied along each cycle; only permutations through non-None
-    entries are visited, since None is the zero word."""
+    """Sum over permutations through non-None entries (None is the zero
+    word) of sign times tau of the entry word multiplied along each cycle,
+    folded over cycle covers of the slots (cycle_cover_sum)."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise MethodRefusal("tau-determinant needs a square array")
     if n > TAU_DET_CAP:
         raise MethodRefusal(f"tau-determinant capped at n<={TAU_DET_CAP}, got {n}")
     allowed = [[j for j in range(n) if entries[i][j] is not None] for i in range(n)]
-    total = 0
-    for _, cycles, sign in permutations_within(allowed):
-        term = 1
-        for cyc in cycles:
-            word = ()
-            for pos, i in enumerate(cyc):
-                word = word_concat(word, entries[i][cyc[(pos + 1) % len(cyc)]])
-            term = term * ctx.tau(word)
-            if term == 0:
-                break
-        else:
-            total = total + (term if sign > 0 else -term)
-    return total
+
+    def weight(cyc):
+        steps = zip(cyc, cyc[1:] + cyc[:1])
+        return ctx.tau(word_concat(*(entries[i][j] for i, j in steps)))
+
+    return cycle_cover_sum(allowed, weight)
 
 
 def block_word_matrix(block_matrix):

@@ -6,6 +6,7 @@ factor, and the classical rank-one vector-field sum.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from math import factorial, prod
 
 from .errors import HolodetError, MethodRefusal
@@ -40,11 +41,13 @@ def _sigma_prime_images(bl, targets):
     ]
 
 
-def _stack_sum(lap, cost, budget, images, inner):
+def _stack_sum(lap, cost, budget, terms):
     """Sum over stacks xi of outgoing edges of the weight monomial times
-    inner(xi, targets, perms), divided by the block-size factorials; perms
-    are the permutations within images(bl, targets), where targets[i] is
-    the block that xi[i] points to, listed once per target vector."""
+    inner, divided by the block-size factorials.  terms(targets), where
+    targets[i] is the block that xi[i] points to, lists pairs (stat,
+    cycles) once per target vector; inner sums stat times the product
+    over cycles of -Tr of the holonomy along xi's edges on the cycle, each
+    distinct cycle weighed once per stack."""
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if cost > budget:
         raise MethodRefusal(
@@ -55,97 +58,77 @@ def _stack_sum(lap, cost, budget, images, inner):
     bl = lap.block.slots
     tgt = {e.id: e.tgt for e in lap.quiver.edges}
     out_ids = [[e.id for e in lap.quiver.out_edges(a)] for a in range(lap.quiver.p)]
-    perms_by_targets = {}
+    trace = product_traces(lap.rep.matrices)
+    plans = {}
     total = 0
     for xi in itertools.product(*(out_ids[b] for b in bl)):
         xw = 1
         for eid in xi:
             xw = xw * lap.weights[eid]
         targets = tuple(tgt[eid] for eid in xi)
-        perms = perms_by_targets.get(targets)
-        if perms is None:
-            perms = list(permutations_within(images(bl, targets)))
-            perms_by_targets[targets] = perms
-        total = total + xw * inner(xi, targets, perms)
+        plan = plans.get(targets)
+        if plan is None:
+            plan = plans[targets] = _plan(terms(targets))
+        cycles, stats = plan
+        weights = [-trace(min_rotation(tuple(xi[i] for i in cyc))) for cyc in cycles]
+        inner = 0
+        for stat, idx in stats:
+            term = 1
+            for k in idx:
+                term = term * weights[k]
+            inner = inner + stat * term
+        total = total + xw * inner
     return int_div(total, prod(map(factorial, lap.ranks)))
 
 
-def _cycle_weight(xi, trace):
-    """-Tr of the holonomy along the stack edges of a moved slot cycle."""
-    return lambda cyc: -trace(min_rotation(tuple(xi[i] for i in cyc)))
+def _plan(terms):
+    """The distinct cycles of terms, pairs (stat, cycles), and each pair's
+    stat with its cycles as indices into them."""
+    index = {}
+    stats = [(stat, [index.setdefault(c, len(index)) for c in cycles])
+             for stat, cycles in terms]
+    return list(index), stats
 
 
-def _chained_inner(perms, bl, ranks, weight):
-    """Sum over well-chained sigma of the factorials of unmoved slots per
-    block times the product of weight over the moved cycles."""
-    inner = 0
-    for _perm, cycles, _sign in perms:
-        moved = [0] * len(ranks)
-        term = 1
-        for cyc in cycles:
-            if len(cyc) == 1:
-                continue
+def _chained_terms(bl, ranks, targets):
+    """Per well-chained sigma, the factorials of its unmoved slots per
+    block and its moved cycles."""
+    for _perm, cycles, _sign in permutations_within(_chained_images(bl, targets)):
+        moved = [cyc for cyc in cycles if len(cyc) > 1]
+        unmoved = list(ranks)
+        for cyc in moved:
             for i in cyc:
-                moved[bl[i]] += 1
-            term = term * weight(cyc)
-        stat = 1
-        for a, r in enumerate(ranks):
-            stat *= factorial(r - moved[a])
-        inner = inner + stat * term
-    return inner
+                unmoved[bl[i]] -= 1
+        yield prod(map(factorial, unmoved)), moved
 
 
-def _sigma_prime_inner(perms, bl, targets, weight):
+def _sigma_prime_terms(bl, targets):
     """Permutations whose cycles are each either stationary within one
-    block or step into the target block at every move; moving cycles
-    contribute their weight, stationary cycles contribute nothing."""
-    inner = 0
-    for perm, cycles, _sign in perms:
+    block or step into the target block at every move, with their moving
+    cycles; stationary cycles contribute nothing."""
+    for perm, cycles, _sign in permutations_within(_sigma_prime_images(bl, targets)):
         moving = [cyc for cyc in cycles if len({bl[i] for i in cyc}) > 1]
-        if any(targets[i] != bl[perm[i]] for cyc in moving for i in cyc):
-            continue
-        term = 1
-        for cyc in moving:
-            term = term * weight(cyc)
-        inner = inner + term
-    return inner
+        if all(targets[i] == bl[perm[i]] for cyc in moving for i in cyc):
+            yield 1, moving
 
 
-def _beta_inner(perms, weight, blocks_slots):
-    """Sum over block-preserving permutations beta and well-chained sigma
-    whose support beta fixes pointwise."""
-    sigmas = []
-    for perm, cycles, _sign in perms:
-        support = frozenset(i for i, j in enumerate(perm) if i != j)
-        term = 1
-        for cyc in cycles:
-            if len(cyc) > 1:
-                term = term * weight(cyc)
-        sigmas.append((support, term))
-
-    inner = 0
-    for beta in itertools.product(*map(itertools.permutations, blocks_slots)):
-        fixed = set()
-        for slots, image in zip(blocks_slots, beta):
-            for s, t in zip(slots, image):
-                if s == t:
-                    fixed.add(s)
-        for support, term in sigmas:
-            if support <= fixed:
-                inner = inner + term
-    return inner
+def _beta_terms(bl, fixed_sets, targets):
+    """Per well-chained sigma, the number of block-preserving permutations
+    beta, given by their sets of fixed slots, that fix sigma's support
+    pointwise, and its moved cycles."""
+    for perm, cycles, _sign in permutations_within(_chained_images(bl, targets)):
+        support = {i for i, j in enumerate(perm) if i != j}
+        moved = [cyc for cyc in cycles if len(cyc) > 1]
+        yield sum(support <= fixed for fixed in fixed_sets), moved
 
 
 def det_vector_fields(lap, budget=None):
     """Sum over stacks of outgoing edges and well-chained permutations,
-    with stationary freedom counted by factorials of unmoved slots."""
-    bl = lap.block.slots
-    trace = product_traces(lap.rep.matrices)
-
-    def inner(xi, _targets, perms):
-        return _chained_inner(perms, bl, lap.ranks, _cycle_weight(xi, trace))
-
-    return _stack_sum(lap, stack_cost(lap), budget, _chained_images, inner)
+    with stationary freedom counted by factorials of unmoved slots; each
+    target vector's permutations are planned once, and each stack weighs
+    each of their distinct moved cycles once."""
+    terms = partial(_chained_terms, lap.block.slots, lap.ranks)
+    return _stack_sum(lap, stack_cost(lap), budget, terms)
 
 
 def det_vector_fields_variant(lap, variant, budget=None):
@@ -154,22 +137,15 @@ def det_vector_fields_variant(lap, variant, budget=None):
     if variant not in ("sigma_prime", "beta"):
         raise HolodetError(f"unknown variant '{variant}'")
     bl = lap.block.slots
-    trace = product_traces(lap.rep.matrices)
     if variant == "sigma_prime":
-        cost, images = stack_cost(lap), _sigma_prime_images
-
-        def inner(xi, targets, perms):
-            return _sigma_prime_inner(perms, bl, targets, _cycle_weight(xi, trace))
-    else:
-        cost = stack_cost(lap) * prod(map(factorial, lap.ranks))
-        images = _chained_images
-        offsets = lap.block.offsets
-        blocks_slots = [range(a, b) for a, b in zip(offsets, offsets[1:])]
-
-        def inner(xi, _targets, perms):
-            return _beta_inner(perms, _cycle_weight(xi, trace), blocks_slots)
-
-    return _stack_sum(lap, cost, budget, images, inner)
+        return _stack_sum(lap, stack_cost(lap), budget, partial(_sigma_prime_terms, bl))
+    offsets = lap.block.offsets
+    blocks_slots = [range(a, b) for a, b in zip(offsets, offsets[1:])]
+    fixed_sets = [{s for slots, image in zip(blocks_slots, beta)
+                   for s, t in zip(slots, image) if s == t}
+                  for beta in itertools.product(*map(itertools.permutations, blocks_slots))]
+    cost = stack_cost(lap) * prod(map(factorial, lap.ranks))
+    return _stack_sum(lap, cost, budget, partial(_beta_terms, bl, fixed_sets))
 
 
 def _stack_targets(lap, xi):
@@ -177,18 +153,15 @@ def _stack_targets(lap, xi):
 
 
 def count_sigma_prime(lap, xi):
-    """|Sigma'(xi)|: the sigma_prime inner sum with unit cycle weight."""
-    bl, targets = _stack_targets(lap, xi)
-    perms = permutations_within(_sigma_prime_images(bl, targets))
-    return _sigma_prime_inner(perms, bl, targets, lambda cyc: 1)
+    """|Sigma'(xi)|: the sigma_prime terms counted with unit cycle weight."""
+    return sum(stat for stat, _ in _sigma_prime_terms(*_stack_targets(lap, xi)))
 
 
 def count_sigma_weighted(lap, xi):
     """Sum over well-chained sigma of the product of factorials of unmoved
     slots per block; equals |Sigma'(xi)|."""
     bl, targets = _stack_targets(lap, xi)
-    perms = permutations_within(_chained_images(bl, targets))
-    return _chained_inner(perms, bl, lap.ranks, lambda cyc: 1)
+    return sum(stat for stat, _ in _chained_terms(bl, lap.ranks, targets))
 
 
 def vertex_field_sum(quiver, weights, cycle_factor):

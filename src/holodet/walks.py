@@ -937,6 +937,43 @@ def permutations_within(allowed):
             stack.append(iter(options[i + 1]))
 
 
+def cycle_cover_sum(allowed, weight):
+    """Sum over the permutations perm with perm[i] in allowed[i] of sign
+    times the product of weight(cyc) over their cycles (i, perm[i], ...),
+    each from its least slot, fixed points included.  On the set S of
+    slots not yet covered, f(S) sums (-1)^(|C|-1) weight(C) f(S - C) over
+    the cycles C through min S inside S; it is memoized on S, and a zero
+    f(S - C) or weight(C) cuts off every permutation below it."""
+    options = [sorted(set(a)) for a in allowed]
+    memo = {0: 1}
+
+    def cover(left):
+        if left in memo:
+            return memo[left]
+        start = (left & -left).bit_length() - 1
+        path = [start]
+        total = 0
+
+        def extend(v, free):
+            nonlocal total
+            for j in options[v]:
+                if j == start:
+                    rest = cover(free)
+                    w = rest and weight(tuple(path))
+                    if w:
+                        total = total + w * rest if len(path) % 2 else total - w * rest
+                elif free >> j & 1:
+                    path.append(j)
+                    extend(j, free & ~(1 << j))
+                    path.pop()
+
+        extend(start, left & ~(1 << start))
+        memo[left] = total
+        return total
+
+    return cover((1 << len(options)) - 1)
+
+
 def cycle_types(n):
     """Each cycle type of the permutations of range(n), as a nonincreasing
     tuple of cycle lengths, with its sign times its class size n!/z."""

@@ -1,10 +1,16 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
-from _helpers import gauss_rat, random_invertible_exact
+from _helpers import (
+    gauss_rat,
+    random_exact_instance,
+    random_invertible_exact,
+    random_symbolic_instance,
+)
+from test_acceptance import _random_submarkov
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.blockdet import (
     PERM_SUM_CAP,
@@ -17,9 +23,26 @@ from holodet.blockdet import (
     det_scalar_diag_integral,
     det_trace_formal,
 )
-from holodet.linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle
-from holodet.ring import Poly, Symbols
-from holodet.walks import candidate_gcycles, cycle_types, walk_quiver
+from holodet.cli import _hadamard_bound
+from holodet.laplacian import build_laplacian
+from holodet.linalg import (
+    BlockMatrix,
+    Matrix,
+    block_walk_traces,
+    charpoly_oracle,
+    det_oracle,
+)
+from holodet.ring import (
+    FLOAT_ABS_TOL,
+    GaussianRational,
+    Poly,
+    Symbols,
+    int_div,
+    scalars_close,
+    to_complex,
+)
+from holodet.taudet import block_tau_context, block_word_matrix, det_tau, word_concat
+from holodet.walks import candidate_gcycles, cycle_types, permutations_within, walk_quiver
 
 
 def random_block_matrix(rng, part):
@@ -111,6 +134,55 @@ def test_det_block_perm_extreme_partitions():
     assert d != 0
     assert det_block_perm(sparse) == d
     assert det_trace_formal(sparse) == d
+
+
+def _permutation_sum(allowed, weight):
+    """Sign times the product of weight over the cycles, summed over the
+    permutations listed by permutations_within."""
+    total = 0
+    for _, cycles, sign in permutations_within(allowed):
+        term = 1
+        for cyc in cycles:
+            term = term * weight(cyc)
+        total = total + (term if sign > 0 else -term)
+    return total
+
+
+def test_cycle_cover_routes_match_a_permutation_sum():
+    # block-perm and the tau-determinant, each against its own weight
+    # summed permutation by permutation, on exact and symbolic Laplacians
+    rng = random.Random(113)
+    instances = [random_exact_instance(rng) for _ in range(10)]
+    instances += [random_symbolic_instance(rng, total_rank_max=5) for _ in range(10)]
+    for inst in instances:
+        bm = build_laplacian(*inst).block
+        bl = bm.slots
+        trace = block_walk_traces(bm)
+        entries = block_word_matrix(bm)
+        ctx = block_tau_context(bm)
+        allowed = [[j for j, w in enumerate(row) if w is not None] for row in entries]
+        want = _permutation_sum(allowed, lambda cyc: trace(tuple(bl[i] for i in cyc)))
+        assert det_block_perm(bm) == int_div(want, prod(map(factorial, bm.part)))
+        want = _permutation_sum(allowed, lambda cyc: ctx.tau(word_concat(
+            *(entries[i][j] for i, j in zip(cyc, cyc[1:] + cyc[:1])))))
+        assert det_tau(entries, ctx) == want
+
+
+def test_float_cycle_cover_routes_hold_compare_tolerance():
+    # 30 sink-free criterion-6 shapes: block-perm and trace-formal on the
+    # float Laplacian against Bareiss on the exact rationals of its entries
+    rng = random.Random(20240606)
+    for _ in range(30):
+        q, rep, w, _kappa = _random_submarkov(rng)
+        while not all(q.outdeg(v) for v in range(q.p)):
+            q, rep, w, _kappa = _random_submarkov(rng)
+        lap = build_laplacian(q, rep, w)
+        exact = lap.matrix.map(lambda x: GaussianRational(to_complex(x).real,
+                                                          to_complex(x).imag))
+        want = to_complex(det_oracle(exact))
+        tol = FLOAT_ABS_TOL * max(1.0, _hadamard_bound(lap.matrix))
+        for got in (det_block_perm(lap.block), det_trace_formal(lap.block)):
+            assert scalars_close(got, want, abs_=tol), (got, want)
 
 
 def test_det_trace_formal_matches_oracle():

@@ -144,17 +144,25 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
         error = json.loads(err)["error"]
         assert error["type"] == "refusal"
         assert f"capped at {SYMBOLIC_TERM_CAP} monomials" in error["message"]
-    # compare leaves both out of its default set, and skips them when named
+    # compare leaves both out of its default set, which no other route fits
+    # either, and skips them when named; with no value left, it refuses
     start = time.perf_counter()
-    code, out, _ = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
-                            "--format", "json"], capsys)
+    code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
+                              "--format", "json"], capsys)
     assert time.perf_counter() - start < 1
-    assert code == 0
-    assert not {"oracle", "cycles"} & {row["method"] for row in json.loads(out)["methods"]}
-    code, out, _ = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
-                            "--methods", "oracle,cycles", "--format", "json"], capsys)
-    assert code == 0
-    assert all("monomials" in row["skipped"] for row in json.loads(out)["methods"])
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    assert error["message"] == "no route fits this instance in symbolic mode"
+    code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
+                              "--methods", "oracle,cycles", "--format", "json"], capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    message = error["message"]
+    assert message.startswith("no route answers (oracle: symbolic determinant capped")
+    assert "; cycles: symbolic determinant capped" in message
+    assert message.count(f"capped at {SYMBOLIC_TERM_CAP} monomials") == 2
 
 
 @pytest.mark.parametrize("p,fits", [(6, True), (7, False)])

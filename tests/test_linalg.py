@@ -309,13 +309,15 @@ def test_poly_product_traces_match_dense_products_with_float_coefficients():
             assert repr(got) == repr(want), seq
 
 
-def test_symbolic_routes_form_no_zero_times_poly(monkeypatch):
-    # a symbolic Laplacian holds int 0 where no edge is; the permutation
-    # routes' products and traces leave out each int 0 times a Poly
+def _symbolic_laplacians():
     rng = random.Random(61)
-    laps = [build_laplacian(*random_symbolic_instance(rng, total_rank_max=5))
+    return [build_laplacian(*random_symbolic_instance(rng, total_rank_max=5))
             for _ in range(12)]
-    wants = [det_oracle(lap.matrix) for lap in laps]
+
+
+def _zero_times_poly(monkeypatch):
+    """Record, for each Poly product from now on, whether its other factor
+    is an int 0."""
     seen = []
     real = Poly.__mul__
 
@@ -325,11 +327,30 @@ def test_symbolic_routes_form_no_zero_times_poly(monkeypatch):
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     monkeypatch.setattr(Poly, "__rmul__", counted)
+    return seen
+
+
+def test_symbolic_routes_form_no_zero_times_poly(monkeypatch):
+    # a symbolic Laplacian holds int 0 where no edge is; the permutation
+    # routes' products and traces leave out each int 0 times a Poly
+    laps = _symbolic_laplacians()
+    wants = [det_oracle(lap.matrix) for lap in laps]
+    seen = _zero_times_poly(monkeypatch)
     for lap, want in zip(laps, wants):
         assert det_perm_traces(lap.matrix) == want
         assert det_block_perm(lap.block) == want
         assert det_trace_formal(lap.block) == want
     assert len(seen) > 1000 and not any(seen)
+
+
+def test_cofactor_oracle_forms_no_zero_times_poly(monkeypatch):
+    # the memoized cofactor expansion skips an entry whose minor came out 0
+    laps = _symbolic_laplacians()
+    wants = [det_perm_traces(lap.matrix) for lap in laps]
+    seen = _zero_times_poly(monkeypatch)
+    for lap, want in zip(laps, wants):
+        assert det_oracle(lap.matrix) == want
+    assert len(seen) > 50 and not any(seen)
 
 
 def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):

@@ -46,6 +46,15 @@ def test_det_tau_scalar_entries_is_leibniz():
     assert det_tau(entries, ctx) == det_oracle(plain)
 
 
+def test_det_tau_refuses_an_undeclared_empty_word():
+    # a fixed point on an empty entry, and a 2-cycle whose entries are empty
+    blocks = {(0, 0): Matrix(1, 1, [Fraction(1)])}
+    for entries in ([[()]], [[None, ()], [(), None]]):
+        with pytest.raises(MethodRefusal, match="empty word is not declared"):
+            det_tau(entries, TauContext(blocks))
+    assert det_tau([[None, ()], [(), None]], TauContext(blocks, tau_one=3)) == -3
+
+
 def test_det_tau_size_refusal():
     ctx = scalar_context({(0, 0): Fraction(1)})
     entries = [[((0, 0),)] * 8 for _ in range(8)]

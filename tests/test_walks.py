@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from _helpers import gauss_rat
@@ -18,6 +18,7 @@ from holodet.walks import (
     candidate_gcycles,
     closed_edge_walks,
     closed_walk_factors,
+    cycle_cover_sum,
     cycle_series,
     cycle_types,
     enumerate_gcycle_multisets,
@@ -779,6 +780,29 @@ def test_permutations_within_matches_filtered_brute_force():
             if all(perm[i] in allowed[i] for i in range(n))
         ]
         assert list(permutations_within(allowed)) == want
+
+
+def test_cycle_cover_sum_matches_signed_permutation_sum():
+    # int cycle weights, a third of them 0, drawn per cycle from its slots
+    rng = random.Random(409)
+    for trial in range(80):
+        n = trial % 8
+        density = rng.random()
+        allowed = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+
+        drawn = {}
+
+        def weight(cyc):
+            if cyc not in drawn:
+                drawn[cyc] = random.Random(f"{trial}:{cyc}").choice((0, 0, 1, -1, 2, -3))
+            return drawn[cyc]
+
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            if all(perm[i] in allowed[i] for i in range(n)):
+                cycles, sign = _cycles_and_sign(perm)
+                want += sign * prod(map(weight, cycles))
+        assert cycle_cover_sum(allowed, weight) == want, (allowed, trial)
 
 
 def test_cycle_types_are_conjugacy_classes():
