@@ -300,6 +300,8 @@ def _requested_methods(spec):
 def cmd_compare(args):
     wanted = None if args.methods is None else _requested_methods(args.methods)
     lap = build_laplacian(*_load(args))
+    # formed once here, so that no route's timing_s includes the dense build
+    lap.block
     # without --methods, --budget picks the default set, as vector-fields'
     # fits reads it, even when that leaves vector-fields out
     chose = ("budget",) if wanted is None else ()

@@ -14,7 +14,7 @@ from functools import cached_property
 from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .laplacian import build_laplacian, holonomy
 from .linalg import Matrix, _det_bareiss, _det_lu_rows, charpoly_oracle, det_oracle
-from .ring import EXACT_TYPES, GaussianRational, to_complex
+from .ring import EXACT_TYPES, GaussianRational, to_complex, zero_times_poly
 from .walks import prime_cycles, prime_finiteness
 
 
@@ -38,7 +38,8 @@ def det_euler_finite(lap):
     value = 1
     for a in range(lap.quiver.p):
         if a not in on_cycle:
-            value = value * lap.z[a] ** ranks[a]
+            f = lap.z[a] ** ranks[a]
+            value = 0 if zero_times_poly(value, f) else value * f
     for cyc in fin.cycles:
         # det(I - tH) = t^n det(t^-1 I - H), so det(tI - H)'s coefficients
         # in reverse
@@ -68,7 +69,7 @@ def det_euler_finite(lap):
                 if ranks[v] > j:
                     term = term * lap.z[v] ** (ranks[v] - j)
             factor = factor + term
-        value = value * factor
+        value = 0 if zero_times_poly(value, factor) else value * factor
     return value
 
 

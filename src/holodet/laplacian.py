@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import HolodetError, MethodRefusal, ValidationError
 from .linalg import BlockMatrix, Matrix, block_offsets, det_oracle
@@ -33,11 +34,32 @@ SYMBOLIC_TERM_CAP = 2 ** 14
 
 @dataclass
 class TwistedLaplacian:
+    """A validated instance and its vertex z, with the dense block operator
+    formed on first read: the cycles and Euler routes never read it."""
     quiver: object
     rep: object
     weights: dict
     z: tuple
-    block: BlockMatrix
+
+    @cached_property
+    def block(self):
+        """The block operator with diagonal z_a I and off-diagonal minus the
+        weight-scaled sum of edge matrices."""
+        quiver, rep, weights, ranks = self.quiver, self.rep, self.weights, self.ranks
+        offsets = block_offsets(ranks)
+        n = offsets[-1]
+        rows = [[0] * n for _ in range(n)]
+        for a in range(quiver.p):
+            for i in range(ranks[a]):
+                rows[offsets[a] + i][offsets[a] + i] = self.z[a]
+        for e in quiver.edges:
+            u_mat = rep.matrices[e.id]
+            w = weights[e.id]
+            r0, c0 = offsets[e.src], offsets[e.tgt]
+            for i in range(u_mat.rows):
+                for j in range(u_mat.cols):
+                    rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] - w * u_mat.at(i, j)
+        return BlockMatrix(Matrix.from_rows(rows), ranks)
 
     @property
     def matrix(self):
@@ -49,32 +71,17 @@ class TwistedLaplacian:
 
 
 def build_laplacian(quiver, rep, weights):
-    """Assemble the block operator with diagonal z_a I and off-diagonal
-    minus the weight-scaled sum of edge matrices."""
+    """The TwistedLaplacian of a valid instance: validated, refused past
+    LAPLACIAN_SIZE_CAP and given its vertex z here, before any route runs;
+    its dense block is formed when a route first reads it."""
     bad = validate(quiver, rep, weights)
     if bad:
         raise ValidationError(bad)
-    ranks = tuple(rep.ranks)
-    if sum(ranks) > LAPLACIAN_SIZE_CAP:
+    if sum(rep.ranks) > LAPLACIAN_SIZE_CAP:
         raise MethodRefusal(
-            f"Laplacian size capped at n<={LAPLACIAN_SIZE_CAP}, got {sum(ranks)}"
+            f"Laplacian size capped at n<={LAPLACIAN_SIZE_CAP}, got {sum(rep.ranks)}"
         )
-    z = vertex_z(quiver, weights)
-    offsets = block_offsets(ranks)
-    n = offsets[-1]
-    rows = [[0] * n for _ in range(n)]
-    for a in range(quiver.p):
-        for i in range(ranks[a]):
-            rows[offsets[a] + i][offsets[a] + i] = z[a]
-    for e in quiver.edges:
-        u_mat = rep.matrices[e.id]
-        w = weights[e.id]
-        r0, c0 = offsets[e.src], offsets[e.tgt]
-        for i in range(u_mat.rows):
-            for j in range(u_mat.cols):
-                rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] - w * u_mat.at(i, j)
-    block = BlockMatrix(Matrix.from_rows(rows), ranks)
-    return TwistedLaplacian(quiver, rep, weights, z, block)
+    return TwistedLaplacian(quiver, rep, weights, vertex_z(quiver, weights))
 
 
 def monomial_bound(quiver, ranks):

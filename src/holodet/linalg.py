@@ -15,7 +15,8 @@ from math import lcm
 from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
-from .ring import EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
+from .ring import (EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div,
+                   zero_times_poly)
 
 POLY_DET_CAP = 8
 
@@ -483,12 +484,10 @@ def exact_factors(matrices):
 
 def _sum_poly_products(pairs):
     """The sum of x * y over pairs, in order, leaving out each product of an
-    exact int 0 and a Poly: a zero Poly, which changes no sum, and which
-    costs about as much to form as a nonzero term."""
+    exact int 0 and a Poly (ring.zero_times_poly)."""
     acc = 0
     for x, y in pairs:
-        if not (x.__class__ is int and not x and y.__class__ is Poly
-                or y.__class__ is int and not y and x.__class__ is Poly):
+        if not zero_times_poly(x, y):
             acc = acc + x * y
     return acc
 

@@ -651,6 +651,13 @@ def int_div(s, k):
     raise TypeError(f"unsupported scalar {type(s).__name__}")
 
 
+def zero_times_poly(x, y):
+    """Whether x * y is an exact int 0 times a Poly: a zero Poly, which
+    changes no sum and costs about as much to form as a nonzero term."""
+    return (x.__class__ is int and not x and y.__class__ is Poly
+            or y.__class__ is int and not y and x.__class__ is Poly)
+
+
 def z_power(zs, exponents):
     """prod_a zs_a^exponents_a, leaving out the zero exponents."""
     acc = 1

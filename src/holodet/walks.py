@@ -43,6 +43,7 @@ from .ring import (
     gaussian_scalar,
     int_div,
     lift,
+    zero_times_poly,
 )
 
 # search states a prime-cycle search visits before it refuses
@@ -256,16 +257,22 @@ def _visit_bound(quiver, bound):
 def _transfer(quiver, bound, maps, state_cap=None):
     """{u: (closes, u_s)} over the visit vectors u on which a closed walk
     closes: closes lists m.close(f) for the walks with visit vector u that
-    start at s, the least vertex u visits, and stay on vertices >= s, m the
+    start at s, the root of u, and stay on vertices at or after s, m the
     product of maps along the walk but its last edge and f the last edge's
     map; None once the frontiers have held more than state_cap states in
     all.  With every map None, no state holds a product and every close is
-    None: the run finds the keys alone."""
+    None: the run finds the keys alone.
+
+    The root of u is the first vertex u visits in the order of (bound,
+    index): a frontier product costs r_s r_cur r_next at a root of rank
+    r_s, and walks come back to s up to bound_s times."""
     p = quiver.p
     outs = [[(e.tgt, maps[e.id]) for e in quiver.out_edges(v)] for v in range(p)]
+    order = sorted(range(p), key=lambda a: (bound[a], a))
+    pos = [order.index(a) for a in range(p)]
     out = {}
     states = 0
-    for s in range(p):
+    for s in order:
         if not bound[s]:
             continue
         closes = defaultdict(list)
@@ -280,7 +287,7 @@ def _transfer(quiver, bound, maps, state_cap=None):
                         closes[w].append(f and m.close(f))
                         if w[s] == bound[s]:
                             continue
-                    elif t < s or w[t] == bound[t]:
+                    elif pos[t] < pos[s] or w[t] == bound[t]:
                         continue
                     got = f if m is None else m * f
                     key = (t, w)
@@ -329,20 +336,22 @@ def _factor(d, kind, k, total, q):
 def closed_walk_factors(quiver, bound, maps):
     """{u: F_u} over the visit vectors u within bound on which a closed
     walk closes, with F_u = (-1)^(|u|-1) Tr(sum_w W(w)) / u_s: w runs over
-    the closed walks with visit vector u that start at s, the least vertex
-    u visits, and stay on vertices >= s, and W(w) is the product of
-    maps[e.id] along w.  Visits are counted at each edge's source, as
-    candidate_gcycles counts them, and the quiver has no self-loops.
+    the closed walks with visit vector u that start at s, the first vertex
+    u visits in the order of (bound, index), and stay on vertices at or
+    after s in that order, and W(w) is the product of maps[e.id] along w.
+    Visits are counted at each edge's source, as candidate_gcycles counts
+    them, and the quiver has no self-loops.
 
     A cycle of valuation m that visits s u_s times has u_s/m rotations
     that start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c)
-    over the cycles c that candidate_gcycles lists with visit vector u;
-    a u whose sum is 0 keeps its key.  No cycle is listed: for each root
-    s, a frontier keyed by (current vertex, visits so far) holds the sum of
-    W over the walks that reach that state.  A step is taken only while its
-    source is under its bound, so a state whose vertex has no visit left
-    is not kept.  Each step back to s adds Tr(state x map) to the sum of
-    the visit vector it closes on, without forming that product.
+    over the cycles c that candidate_gcycles lists with visit vector u,
+    whichever vertex roots u; a u whose sum is 0 keeps its key.  No cycle
+    is listed: for each root s, a frontier keyed by (current vertex, visits
+    so far) holds the sum of W over the walks that reach that state.  A
+    step is taken only while its source is under its bound, so a state
+    whose vertex has no visit left is not kept.  Each step back to s adds
+    Tr(state x map) to the sum of the visit vector it closes on, without
+    forming that product.
 
     The sums and products are of linalg.exact_forms' values:
     GaussianMatrix factors over one common denominator when every entry
@@ -669,7 +678,7 @@ def visit_sum(series, zs, bound):
     for v, g in series.items():
         for pw, n, a in zip(powers, bound, v):
             if n > a:
-                g = g * pw[n - a]
+                g = 0 if zero_times_poly(g, pw[n - a]) else g * pw[n - a]
         total = total + g
     return total
 

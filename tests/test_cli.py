@@ -11,14 +11,15 @@ import pytest
 
 from _helpers import gauss_rat, random_exact_instance
 from holodet.cli import ROUTES, main
-from holodet.errors import MethodRefusal
+from holodet import cli, laplacian
+from holodet.errors import MethodRefusal, ValidationError
 from holodet.laplacian import (
     SYMBOLIC_TERM_CAP,
     build_laplacian,
     det_laplacian_cycles,
     monomial_bound,
 )
-from holodet.linalg import Matrix, det_oracle
+from holodet.linalg import BlockMatrix, Matrix, det_oracle
 from holodet import walks
 from holodet.quiver import (
     Edge,
@@ -456,6 +457,79 @@ def test_oversized_instance_refused_before_building(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "refusal"
 
 
+def _count_dense_builds(monkeypatch, fail=False):
+    """Count the Laplacian's dense block builds from now on, or make each
+    one raise."""
+    built = []
+
+    def counted(base, part):
+        if fail:
+            raise AssertionError("a route read the dense Laplacian")
+        built.append(part)
+        return BlockMatrix(base, part)
+
+    monkeypatch.setattr(laplacian, "BlockMatrix", counted)
+    return built
+
+
+@pytest.mark.parametrize("method,mode,extra", [
+    ("cycles", "exact", []),
+    ("cycles", "float", []),
+    ("euler-truncated", "float", ["--kappa", "1.0"]),
+])
+def test_det_cycles_and_euler_truncated_form_no_dense_laplacian(
+        tmp_path, capsys, monkeypatch, method, mode, extra):
+    doc = copy.deepcopy(TWO_CYCLE_DOC)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    _count_dense_builds(monkeypatch, fail=True)
+    code, out, _ = run_cli(["det", "--input", str(path), "--mode", mode,
+                            "--method", method, "--format", "json"] + extra, capsys)
+    assert code == 0 and json.loads(out)["method"] == method
+
+
+@pytest.mark.parametrize("doc,code", [
+    ({**TWO_CYCLE_DOC, "ranks": [1, 2]}, 2),
+    ({"p": 1, "ranks": [100000], "edges": []}, 3),
+])
+def test_bad_instances_stop_before_any_route(tmp_path, capsys, monkeypatch, doc, code):
+    # the size cap and validation stay eager: a route that ran would raise
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    _count_dense_builds(monkeypatch, fail=True)
+
+    def ran(lap, *args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(cli, "det_laplacian_cycles", ran)
+    got, out, err = run_cli(["det", "--input", str(path), "--method", "cycles"], capsys)
+    assert got == code and out == ""
+    assert json.loads(err)["error"]["type"] == ("validation" if code == 2 else "refusal")
+
+
+def test_build_laplacian_checks_before_the_dense_build(monkeypatch):
+    built = _count_dense_builds(monkeypatch)
+    q = Quiver(2, [Edge("e", 0, 1)])
+    with pytest.raises(ValidationError):
+        build_laplacian(q, Representation((1, 1), {}), {"e": 1})
+    rep = Representation((300, 300), {"e": Matrix.zeros(300, 300)})
+    with pytest.raises(MethodRefusal, match="size capped"):
+        build_laplacian(q, rep, {"e": 1})
+    lap = build_laplacian(q, Representation((1, 2), {"e": Matrix(1, 2, [1, 0])}), {"e": 1})
+    assert built == [] and lap.z == (1, 0)
+    assert lap.matrix is lap.block.base and built == [(1, 2)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_compare_builds_the_dense_laplacian_once(capsys, monkeypatch, mode):
+    built = _count_dense_builds(monkeypatch)
+    code, out, _ = run_cli(["compare", "--example", "random", "--seed", "3",
+                            "--mode", mode, "--timing", "--format", "json"], capsys)
+    rows = json.loads(out)["methods"]
+    assert code == 0 and len(built) == 1
+    assert {"oracle", "cycles", "perm"} <= {row["method"] for row in rows}
+
+
 def test_unreadable_input_and_bad_kappa_exit_2(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(TWO_CYCLE_DOC)[:-5])
@@ -841,8 +915,6 @@ def test_compare_float_singular_laplacian_agrees(capsys):
 
 
 def test_compare_float_flags_route_past_scaled_floor(capsys, monkeypatch):
-    from holodet import cli
-
     delta = 100 * _scaled_float_floor()
     perm = cli.det_perm_traces
     monkeypatch.setattr(cli, "det_perm_traces", lambda m: perm(m) + delta)
@@ -929,8 +1001,6 @@ def test_compare_refuses_unknown_empty_or_repeated_methods(capsys, methods):
     lambda m: 10.0 ** 400,
 ])
 def test_compare_skips_a_non_finite_float_row(capsys, monkeypatch, broken):
-    from holodet import cli
-
     monkeypatch.setattr(cli, "det_perm_traces", broken)
     code, out, _ = run_cli(SINGULAR_FLOAT, capsys)
     assert code == 0
@@ -955,8 +1025,6 @@ ROUTE_KERNELS = {
 
 @pytest.mark.parametrize("method", list(ROUTES))
 def test_each_route_looks_its_kernel_up_when_it_runs(capsys, monkeypatch, method):
-    from holodet import cli
-
     value = complex(12.5, -3)
     out = SimpleNamespace(value=value, prime_count=7) if method == "euler-truncated" else value
     monkeypatch.setattr(cli, ROUTE_KERNELS[method], lambda *args, **kwargs: out)

@@ -10,7 +10,9 @@ from _helpers import (
     random_invertible_exact,
     random_symbolic_instance,
 )
+from test_acceptance import _random_submarkov
 from holodet.blockdet import ScalarDiagBlockMatrix, det_scalar_diag
+from holodet.cli import _hadamard_bound
 from holodet.errors import ValidationError
 from holodet.laplacian import (
     build_laplacian,
@@ -31,7 +33,17 @@ from holodet.linalg import (
     product_traces,
 )
 from holodet.quiver import Edge, Quiver, Representation, bidirected, gen_example, vertex_z
-from holodet.ring import Poly, Symbols, int_div, scalar_str, z_power
+from holodet.ring import (
+    FLOAT_ABS_TOL,
+    GaussianRational,
+    Poly,
+    Symbols,
+    int_div,
+    scalar_str,
+    scalars_close,
+    to_complex,
+    z_power,
+)
 from holodet.walks import candidate_gcycles, closed_edge_walks, enumerate_gcycle_multisets
 
 
@@ -204,8 +216,6 @@ def test_product_traces_equal_holonomy_traces():
 
 
 def test_cycles_match_oracle_float_mode():
-    from holodet.ring import scalars_close, to_complex
-
     rng = random.Random(303)
     for _ in range(100):
         q, rep, w = random_exact_instance(rng, p_max=4, rank_max=3, edge_max=6,
@@ -218,6 +228,24 @@ def test_cycles_match_oracle_float_mode():
         got = det_laplacian_cycles(lap)
         want = det_oracle(lap.matrix)
         assert scalars_close(got, want, rel=1e-9)
+
+
+def test_float_cycles_holds_compare_tolerance_against_exact_targets():
+    # 30 sink-free criterion-6 shapes, ranks 1 and 2: the float cycles
+    # route against Bareiss on the exact rationals of its float Laplacian,
+    # within compare's tolerances; the worst error is 3.9e-16 relative
+    rng = random.Random(20240606)
+    for _ in range(30):
+        q, rep, w, _kappa = _random_submarkov(rng)
+        while not all(q.outdeg(v) for v in range(q.p)):
+            q, rep, w, _kappa = _random_submarkov(rng)
+        lap = build_laplacian(q, rep, w)
+        exact = lap.matrix.map(lambda x: GaussianRational(to_complex(x).real,
+                                                          to_complex(x).imag))
+        want = to_complex(det_oracle(exact))
+        tol = FLOAT_ABS_TOL * max(1.0, _hadamard_bound(lap.matrix))
+        got = det_laplacian_cycles(lap)
+        assert scalars_close(got, want, abs_=tol), (got, want)
 
 
 def test_json_roundtrip_preserves_determinant():

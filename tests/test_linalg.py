@@ -8,7 +8,8 @@ from _helpers import gauss_rat, random_exact_instance, random_quiver, random_sym
 from holodet import linalg
 from holodet.blockdet import det_block_perm, det_perm_traces, det_trace_formal
 from holodet.errors import HolodetError, MethodRefusal
-from holodet.laplacian import build_laplacian
+from holodet.euler import det_euler_finite
+from holodet.laplacian import build_laplacian, charpoly_laplacian, det_laplacian_cycles
 from holodet.linalg import (
     BlockMatrix,
     GaussianMatrix,
@@ -351,6 +352,27 @@ def test_cofactor_oracle_forms_no_zero_times_poly(monkeypatch):
     for lap, want in zip(laps, wants):
         assert det_oracle(lap.matrix) == want
     assert len(seen) > 50 and not any(seen)
+
+
+def test_cycle_and_euler_routes_form_no_zero_times_poly(monkeypatch):
+    # the visit sum leaves out a zero G_v times a Poly power of z, and a
+    # Poly G_v times a sink's int 0 power; the finite Euler product leaves
+    # out its sinks' int 0 factors times the Poly ones
+    laps = _symbolic_laplacians()
+    wants = [det_oracle(lap.matrix) for lap in laps]
+    charpolys = [charpoly_oracle(lap.matrix) for lap in laps]
+    seen = _zero_times_poly(monkeypatch)
+    finite = 0
+    for lap, want, charpoly in zip(laps, wants, charpolys):
+        assert det_laplacian_cycles(lap) == want
+        got = charpoly_laplacian(lap, ("t",) * lap.quiver.p).coefficients("t", len(charpoly) - 1)
+        assert all(a == b for a, b in zip(got, charpoly))
+        try:
+            assert det_euler_finite(lap) == want
+            finite += 1
+        except MethodRefusal:
+            pass
+    assert finite >= 6 and len(seen) > 500 and not any(seen)
 
 
 def test_det_perm_traces_takes_no_dense_product_when_exact(monkeypatch):

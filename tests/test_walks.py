@@ -7,7 +7,7 @@ import pytest
 from _helpers import gauss_rat
 
 from holodet.errors import HolodetError
-from holodet.linalg import Matrix
+from holodet.linalg import GaussianMatrix, Matrix
 from holodet.quiver import Edge, Quiver, gen_example
 from holodet.ring import Poly, Symbols, int_div, scalars_close
 from holodet import walks
@@ -575,6 +575,82 @@ def test_cycle_series_matches_reference_fold(quiver, ranks, bound, entry):
     total = series.visit_sum(zs)
     ref = _visit_sum_reference(want, zs, bound)
     assert type(total) is type(ref) and total == ref
+
+
+def _relabelled(quiver, perm):
+    """The quiver with vertex a renamed perm[a], edge ids and order kept."""
+    return Quiver(quiver.p, [Edge(e.id, perm[e.src], perm[e.tgt]) for e in quiver.edges])
+
+
+@pytest.mark.parametrize("entry", ["gaussian", "fraction", "poly"])
+def test_transfer_is_invariant_under_vertex_relabelling(entry):
+    """Seeded quivers with parallel edges, zero bounds and tied or distinct
+    bounds: relabelling the vertices moves which vertex roots each visit
+    vector, but with the keys mapped back the factors and the folded
+    series are equal."""
+    rng = random.Random(f"relabel:{entry}")
+    syms = Symbols(("s",))
+    shapes = 0
+    while shapes < 12:
+        p = rng.randint(2, 4)
+        edges = []
+        for i in range(rng.randint(p, 2 * p + 2)):
+            src = rng.randrange(p)
+            tgt = rng.choice([b for b in range(p) if b != src])
+            edges.append(Edge(f"e{i}", src, tgt))
+            if rng.random() < 0.3:
+                edges.append(Edge(f"e{i}'", src, tgt))
+        quiver = Quiver(p, edges)
+        ranks = tuple(rng.randint(1, 3) for _ in range(p))
+        bound = tuple(rng.choice([0, r, r, 3 - r]) if shapes % 3 else 2 for r in ranks)
+        maps = {e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                             [_ENTRIES[entry](rng, syms)
+                              for _ in range(ranks[e.src] * ranks[e.tgt])])
+                for e in quiver.edges}
+        want = closed_walk_factors(quiver, bound, maps)
+        if not want:
+            continue
+        shapes += 1
+        want_series = cycle_series(quiver, bound, maps).coefficients()
+        for perm in rng.sample(list(itertools.permutations(range(p))), min(4, factorial(p))):
+            moved = _relabelled(quiver, perm)
+            moved_bound = tuple(bound[perm.index(b)] for b in range(p))
+
+            def back(v):
+                return tuple(v[perm[a]] for a in range(p))
+
+            got = closed_walk_factors(moved, moved_bound, maps)
+            assert {back(u): f for u, f in got.items()} == want
+            series = cycle_series(moved, moved_bound, maps).coefficients()
+            assert {back(v): g for v, g in series.items()} == want_series
+
+
+def test_transfer_products_do_not_depend_on_vertex_labels(monkeypatch):
+    # on a complete digraph of ranks (3, 2, 1) every labelling roots each
+    # visit vector at its lowest-rank vertex, so each takes the same 9
+    # GaussianMatrix products; rooting at the least index took 9 to 22,
+    # depending on the labelling
+    rng = random.Random(71)
+    ranks = (3, 2, 1)
+    calls = []
+    real = GaussianMatrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(GaussianMatrix, "__mul__", counted)
+    counts = set()
+    for perm in itertools.permutations(range(3)):
+        moved = tuple(ranks[perm.index(b)] for b in range(3))
+        quiver = _complete_quiver(3)
+        maps = {e.id: Matrix(moved[e.src], moved[e.tgt],
+                             [gauss_rat(rng) for _ in range(moved[e.src] * moved[e.tgt])])
+                for e in quiver.edges}
+        calls.clear()
+        closed_walk_factors(quiver, moved, maps)
+        counts.add(len(calls))
+    assert counts == {9}
 
 
 def test_fold_work_counts_cells_and_the_smaller_pull():
