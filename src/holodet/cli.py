@@ -106,17 +106,17 @@ def _answer_refusal(lap, args):
     )
 
 
-def _oracle(lap, args):
-    refusal = _answer_refusal(lap, args)
-    if refusal:
-        raise refusal
-    return det_oracle(lap.matrix), None
+def _refusing(run):
+    """run, after refusing up front what _answer_refusal refuses."""
+    def checked(lap, args):
+        refusal = _answer_refusal(lap, args)
+        if refusal:
+            raise refusal
+        return run(lap, args)
+    return checked
 
 
 def _cycles(lap, args):
-    refusal = _answer_refusal(lap, args)
-    if refusal:
-        raise refusal
     stats = {"keys": 0}
     return det_laplacian_cycles(lap, stats), stats["keys"]
 
@@ -145,17 +145,17 @@ Route = namedtuple("Route", "run fits reads", defaults=((),))
 
 ROUTES = {
     "oracle": Route(
-        _oracle,
+        _refusing(lambda lap, args: (det_oracle(lap.matrix), None)),
         lambda lap, args: args.mode != "symbolic" or (
             sum(lap.ranks) <= POLY_DET_CAP and _answer_refusal(lap, args) is None),
     ),
-    "cycles": Route(_cycles, lambda lap, args: (
+    "cycles": Route(_refusing(_cycles), lambda lap, args: (
         _answer_refusal(lap, args) is None and fold_refusal(lap.quiver, lap.ranks) is None)),
     "perm": Route(lambda lap, args: (det_perm_traces(lap.matrix), None),
                   _size_within(PERM_SUM_CAP)),
-    "block-perm": Route(lambda lap, args: (det_block_perm(lap.block), None),
+    "block-perm": Route(_refusing(lambda lap, args: (det_block_perm(lap.block), None)),
                         _size_within(PERM_SUM_CAP)),
-    "trace-formal": Route(lambda lap, args: (det_trace_formal(lap.block), None),
+    "trace-formal": Route(_refusing(lambda lap, args: (det_trace_formal(lap.block), None)),
                           _size_within(TAU_DET_CAP)),
     "vector-fields": Route(
         lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
@@ -255,7 +255,7 @@ def cmd_charpoly(args):
     else:
         # det(tI + L): one shift symbol at every vertex, named apart from
         # the instance's indeterminates; it is never printed
-        taken = next((x.syms for x in lap.matrix.data if isinstance(x, Poly)), ())
+        taken = next((x.syms for x in lap.scalars if isinstance(x, Poly)), ())
         t = "t"
         while t in taken:
             t += "'"

@@ -9,11 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
-from .errors import HolodetError, InvariantViolation, MethodRefusal
-from .laplacian import build_laplacian, holonomy
-from .linalg import Matrix, _det_bareiss, _det_lu_rows, charpoly_oracle, det_oracle
+from .errors import HolodetError, MethodRefusal
+from .laplacian import build_laplacian
+from .linalg import Matrix, _det_lu_rows, charpoly_oracle, det_oracle
 from .ring import EXACT_TYPES, GaussianRational, to_complex, zero_times_poly
 from .walks import prime_cycles, prime_finiteness
 
@@ -33,41 +34,36 @@ def det_euler_finite(lap):
         raise MethodRefusal(
             "infinitely many prime cycles; use the truncated product instead"
         )
-    ranks = lap.ranks
-    on_cycle = {v for cyc in fin.cycles for v in cyc.srcs}
+    return _cleared_product(lap.ranks, lap.z, fin.cycles, lap.rep.matrices, lap.weights)
+
+
+def _cleared_product(ranks, z, cycles, maps, weights):
+    """prod_a z_a^r_a prod_c det(I - w_c hol(c)), w_c = prod_(e in c) x_e /
+    z_src(e), over finitely many (so vertex-disjoint) primes, cleared: a
+    prime's vertices give sum_j alpha_j x_c^j prod_(v in c) z_v^(r_v - j),
+    alpha_j from det(I - tH).  rank H is at most the least rank m on the
+    cycle, so alpha_j for j > m is zero, or roundoff in floating point, and
+    is never read.  maps and weights need hold only the cycle edges."""
+    on_cycle = {v for cyc in cycles for v in cyc.srcs}
     value = 1
-    for a in range(lap.quiver.p):
+    for a, r in enumerate(ranks):
         if a not in on_cycle:
-            f = lap.z[a] ** ranks[a]
+            f = z[a] ** r
             value = 0 if zero_times_poly(value, f) else value * f
-    for cyc in fin.cycles:
+    for cyc in cycles:
+        hol = reduce(mul, (maps[eid] for eid in cyc.edges))
+        xprod = math.prod(weights[eid] for eid in cyc.edges)
         # det(I - tH) = t^n det(t^-1 I - H), so det(tI - H)'s coefficients
         # in reverse
-        alphas = charpoly_oracle(-holonomy(lap.rep, cyc))[::-1]
-        # coefficients beyond the minimal rank along the cycle vanish
-        # identically; in floating point they only reach roundoff size
-        scale = max(
-            (abs(a) for a in alphas if isinstance(a, (float, complex))),
-            default=0.0,
-        )
-        xprod = 1
-        for eid in cyc.edges:
-            xprod = xprod * lap.weights[eid]
+        alphas = charpoly_oracle(-hol)[::-1][:min(ranks[v] for v in cyc.srcs) + 1]
         factor = 0
         for j, alpha in enumerate(alphas):
             if not alpha:
                 continue
-            exact = not isinstance(alpha, (float, complex))
-            if not exact and abs(to_complex(alpha)) <= 1e-12 * scale:
-                continue
-            if any(ranks[v] < j for v in cyc.srcs):
-                raise InvariantViolation(
-                    "holonomy rank exceeds the minimal rank along its cycle"
-                )
             term = alpha * xprod ** j
             for v in cyc.srcs:
                 if ranks[v] > j:
-                    term = term * lap.z[v] ** (ranks[v] - j)
+                    term = term * z[v] ** (ranks[v] - j)
             factor = factor + term
         value = 0 if zero_times_poly(value, factor) else value * factor
     return value
@@ -279,36 +275,6 @@ def _exact(s):
     return GaussianRational(z.real, z.imag) if z.imag else Fraction(z.real)
 
 
-def _exact_real(s):
-    """The exact real part of a scalar, as a Fraction."""
-    x = _exact(s)
-    return x.re if isinstance(x, GaussianRational) else Fraction(x)
-
-
-def _finite_product(lap, kappa, primes):
-    """prod_a (z_a + kappa_a)^r_a prod_c det(I - w_c hol(c)) over a finite
-    prime set, formed exactly from the inputs as the route reads them
-    (weights, z + kappa and edge maps, each float read as the rational it
-    holds; each factor by Bareiss) and rounded once."""
-    zk = [_exact_real(z) + Fraction(k) for z, k in zip(lap.z, kappa)]
-    value = 1
-    for a, r in enumerate(lap.ranks):
-        value *= zk[a] ** r
-    for cyc in primes:
-        hol, w = None, 1
-        for eid, src in zip(cyc.edges, cyc.srcs):
-            m = lap.rep.matrices[eid].map(_exact)
-            hol = m if hol is None else hol * m
-            x = _exact_real(lap.weights[eid])
-            w = w * x / zk[src] if x else 0
-        r = hol.rows
-        value *= _det_bareiss(Matrix(r, r, [
-            (1 if i == j else 0) - h * w
-            for i, row in enumerate(hol.to_rows()) for j, h in enumerate(row)
-        ]))
-    return to_complex(value)
-
-
 def det_euler_truncated(lap, kappa, tol=1e-9):
     """Truncated Euler product for det(diag(kappa) + Laplacian), with a
     certified error bound from the spectral-radius tail estimate.  When the
@@ -321,17 +287,25 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
 
     fin = prime_finiteness(lap.quiver)
     if fin.finite:
-        primes = list(fin.cycles)
-        value = _finite_product(lap, data.kappa, primes)
+        # z and the weights as build_submarkov reads them, real parts, and
+        # these, kappa and the maps as the rationals they hold
+        edges = [eid for cyc in fin.cycles for eid in cyc.edges]
+        value = to_complex(_cleared_product(
+            lap.ranks,
+            [Fraction(to_complex(z).real) + Fraction(k) for z, k in zip(lap.z, data.kappa)],
+            fin.cycles,
+            {eid: lap.rep.matrices[eid].map(_exact) for eid in edges},
+            {eid: Fraction(to_complex(lap.weights[eid]).real) for eid in edges},
+        ))
         # rounding each part once moves the value by at most 2^-53 of the
         # exact one, plus half the least subnormal, far inside this
         # allowance, which also leaves room for a float LU's own error
         return TruncatedEuler(
             value=value,
             certified_bound=1e-12 * (1.0 + abs(value)),
-            max_len=max((len(c) for c in primes), default=2),
+            max_len=max((len(c) for c in fin.cycles), default=2),
             rho=None,
-            prime_count=len(primes),
+            prime_count=len(fin.cycles),
         )
 
     # the length grows with rho, so the power iteration stops once its
@@ -354,9 +328,8 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
     log_tail = _tail_bound(n, p, rho, length)
 
     value = 1.0 + 0.0j
-    zs = [to_complex(z).real for z in lap.z]
-    for a, r in enumerate(lap.ranks):
-        value *= (zs[a] + data.kappa[a]) ** r
+    for z, k, r in zip(lap.z, data.kappa, lap.ranks):
+        value *= (to_complex(z).real + k) ** r
 
     # (edge id, holonomy, weight) of each prefix of the last prime: the left
     # folds holonomy() and a product of p_edges take, extended by new edges

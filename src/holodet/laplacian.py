@@ -66,6 +66,12 @@ class TwistedLaplacian:
         return self.block.base
 
     @property
+    def scalars(self):
+        """The weights and edge-map entries, which hold L's symbol table."""
+        return itertools.chain(self.weights.values(),
+                               *(m.data for m in self.rep.matrices.values()))
+
+    @property
     def ranks(self):
         return self.rep.ranks
 
@@ -132,7 +138,7 @@ def charpoly_laplacian(lap, t_names=None):
     """det(T + Laplacian) as a polynomial in per-vertex shift symbols;
     t_names = (t,) * p gives det(tI + Laplacian)."""
     series = _cycle_series(lap).coefficients()
-    return shifted_visit_sum(series, lap.z, lap.ranks, lap.matrix.data, t_names)
+    return shifted_visit_sum(series, lap.z, lap.ranks, lap.scalars, t_names)
 
 
 def moment_samples(quiver, weights, reps, k, stats=None):

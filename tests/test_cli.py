@@ -19,7 +19,7 @@ from holodet.laplacian import (
     det_laplacian_cycles,
     monomial_bound,
 )
-from holodet.linalg import BlockMatrix, Matrix, det_oracle
+from holodet.linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle
 from holodet import walks
 from holodet.quiver import (
     Edge,
@@ -30,8 +30,9 @@ from holodet.quiver import (
     load_instance,
     vertex_z,
 )
-from holodet.ring import Poly, Symbols, scalar_str
+from holodet.ring import Poly, Symbols, scalar_str, to_complex
 from holodet.walks import candidate_gcycles, closed_walk_factors, fold_work
+from test_euler import _exact_target, rank_two_one_cycle
 
 
 def run_cli(args, capsys):
@@ -136,7 +137,7 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
     assert monomial_bound(inst[0], inst[1].ranks) == 7 ** 8 > SYMBOLIC_TERM_CAP
     path = tmp_path / "complete8.json"
     path.write_text(json.dumps(instance_to_json(*inst)))
-    for method in ("oracle", "cycles"):
+    for method in ("oracle", "cycles", "block-perm", "trace-formal"):
         start = time.perf_counter()
         code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
                                   "--method", method], capsys)
@@ -486,6 +487,42 @@ def test_det_cycles_and_euler_truncated_form_no_dense_laplacian(
     code, out, _ = run_cli(["det", "--input", str(path), "--mode", mode,
                             "--method", method, "--format", "json"] + extra, capsys)
     assert code == 0 and json.loads(out)["method"] == method
+
+
+@pytest.mark.parametrize("mode", ["exact", "symbolic"])
+def test_exact_and_symbolic_charpoly_form_no_dense_laplacian(
+        tmp_path, capsys, monkeypatch, mode):
+    # the shift symbol is named apart from the symbols of the weights and
+    # maps, which are L's, so neither the command nor the fold reads L
+    if mode == "symbolic":
+        argv = ["--example", "two_cycle"]
+        want = ["x1*x2 - x1*x2*u*v", "x2 + x1", "1"]
+    else:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(TWO_CYCLE_DOC))
+        argv = ["--input", str(path)]
+        lap = build_laplacian(*load_instance(str(path)))
+        want = [scalar_str(c) for c in charpoly_oracle(lap.matrix)]
+    _count_dense_builds(monkeypatch, fail=True)
+    code, out, _ = run_cli(["charpoly", "--mode", mode, "--format", "json"] + argv, capsys)
+    assert code == 0 and json.loads(out)["coefficients"] == want
+
+
+@pytest.mark.parametrize("seed,s", [(145, 1), (13, 100), (27, 100), (36, 100),
+                                    (46, 100), (78, 100)])
+def test_euler_finite_float_answers_rank_deficient_holonomies(tmp_path, capsys, seed, s):
+    # the seeds whose roundoff once read as a holonomy rank above the
+    # least rank on its cycle, and exited 1
+    q, rep, w = rank_two_one_cycle(seed, s)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(q, rep, w)))
+    code, out, _ = run_cli(["det", "--input", str(path), "--mode", "float",
+                            "--method", "euler-finite", "--format", "json"], capsys)
+    assert code == 0
+    value = json.loads(out)["value"]
+    value = complex(value["re"], value["im"])
+    want = to_complex(_exact_target(build_laplacian(q, rep, w), (0.0, 0.0)))
+    assert abs(value - want) <= 1e-9 * abs(want)
 
 
 @pytest.mark.parametrize("doc,code", [

@@ -21,6 +21,8 @@ from holodet.quiver import (
     bidirected,
     gen_example,
     haar_like_unitary,
+    instance_from_json,
+    instance_to_json,
 )
 from holodet.ring import GaussianRational, Poly, Symbols, scalars_close, to_complex
 from holodet.walks import prime_cycles, prime_finiteness
@@ -127,7 +129,7 @@ def test_finite_euler_answers_zero_weight_sum_on_a_prime(zero, nonzero):
 
 def test_finite_euler_float_mixed_ranks():
     # rank-deficient holonomy: the trailing charpoly coefficients vanish
-    # only up to roundoff in float mode and must not trip the rank check
+    # only up to roundoff in float mode, and the product never reads them
     rng = random.Random(1)
     q = Quiver(3, [Edge("a", 0, 1), Edge("b", 1, 2), Edge("c", 2, 0)])
     big = haar_like_unitary(2, rng)
@@ -141,6 +143,29 @@ def test_finite_euler_float_mixed_ranks():
     got = det_euler_finite(lap)
     want = det_oracle(lap.matrix.to_complex())
     assert scalars_close(got, want, rel=1e-9)
+
+
+def rank_two_one_cycle(seed, s):
+    """A 2-cycle at ranks (2, 1): a 2x1 map on 0 -> 1 with weight 0.7 and a
+    1x2 map back with weight 0.9, entries uniform in (-s, s), first map
+    first; read back in float mode, as the command line reads it."""
+    rng = random.Random(seed)
+    a, b = ([rng.uniform(-1, 1) * s for _ in range(2)] for _ in range(2))
+    q = Quiver(2, [Edge("e1", 0, 1), Edge("e2", 1, 0)])
+    rep = Representation((2, 1), {"e1": Matrix(2, 1, a), "e2": Matrix(1, 2, b)})
+    return instance_from_json(instance_to_json(q, rep, {"e1": 0.7, "e2": 0.9}),
+                              mode="float")
+
+
+@pytest.mark.parametrize("s", [1, 100])
+def test_finite_euler_float_sums_coefficients_only_to_the_least_rank(s):
+    # the 2x2 holonomy has rank 1, so det(I - tH)'s t^2 coefficient is zero
+    # exactly but roundoff in float mode; read, it once tripped a rank
+    # check (seed 145 at s = 1, 13, 27, 36, 46, 78, ... at s = 100)
+    for seed in range(300):
+        lap = build_laplacian(*rank_two_one_cycle(seed, s))
+        want = to_complex(_exact_target(lap, (0.0, 0.0)))
+        assert abs(det_euler_finite(lap) - want) <= 1e-9 * abs(want), seed
 
 
 def test_factor_rotation_independence():
@@ -242,20 +267,9 @@ def test_truncated_euler_certified_bound_honest():
         q, rep, w, kappa = _random_submarkov_instance(rng)
         lap = build_laplacian(q, rep, w)
         res = det_euler_truncated(lap, kappa, tol=1e-9)
-        shift = Matrix(
-            lap.matrix.rows, lap.matrix.rows,
-            [0.0 + 0j] * lap.matrix.rows ** 2,
-        )
-        offsets = [0]
-        for r in rep.ranks:
-            offsets.append(offsets[-1] + r)
-        rows = [[0.0 + 0j] * lap.matrix.rows for _ in range(lap.matrix.rows)]
-        for a in range(q.p):
-            for i in range(offsets[a], offsets[a + 1]):
-                rows[i][i] = kappa[a]
-        target = det_oracle(
-            Matrix.from_rows(rows) + lap.matrix.to_complex()
-        )
+        # exact, so a float target's own roundoff cannot hide a bound
+        # that undershoots
+        target = to_complex(_exact_target(lap, kappa))
         assert abs(res.value - target) <= res.certified_bound
         assert abs(res.value - target) <= 1e-8 * max(1.0, abs(target))
 
