@@ -30,12 +30,14 @@ from .quiver import (
     validate,
 )
 from .laplacian import (
+    PERM_TERM_CAP,
     SYMBOLIC_TERM_CAP,
     build_laplacian,
     charpoly_laplacian,
     det_laplacian_cycles,
     moment_samples,
     monomial_bound,
+    trace_monomial_bound,
     wilson_moment,
 )
 from .blockdet import PERM_SUM_CAP, det_block_perm, det_perm_traces, det_trace_formal
@@ -93,17 +95,21 @@ def _load(args):
     return q, rep, w
 
 
-def _answer_refusal(lap, args):
-    """The refusal of a symbolic determinant that may have more than
-    SYMBOLIC_TERM_CAP monomials (monomial_bound), or None."""
-    if args.mode != "symbolic":
-        return None
-    m = monomial_bound(lap.quiver, lap.ranks)
-    if m <= SYMBOLIC_TERM_CAP:
-        return None
-    return MethodRefusal(
-        f"symbolic determinant capped at {SYMBOLIC_TERM_CAP} monomials, this one may have {m}"
-    )
+def _term_refusal(what, bound, cap):
+    """refuse(lap, args): the refusal of a symbolic what that may have more
+    than cap monomials, as bound(quiver, ranks) counts them, or None."""
+    def refuse(lap, args):
+        if args.mode != "symbolic":
+            return None
+        m = bound(lap.quiver, lap.ranks)
+        if m <= cap:
+            return None
+        return MethodRefusal(f"symbolic {what} capped at {cap} monomials, this one may have {m}")
+    return refuse
+
+
+_answer_refusal = _term_refusal("determinant", monomial_bound, SYMBOLIC_TERM_CAP)
+_trace_refusal = _term_refusal("Tr(L^k)", trace_monomial_bound, PERM_TERM_CAP)
 
 
 def _refusing(run):
@@ -119,6 +125,13 @@ def _refusing(run):
 def _cycles(lap, args):
     stats = {"keys": 0}
     return det_laplacian_cycles(lap, stats), stats["keys"]
+
+
+def _perm(lap, args):
+    refusal = _trace_refusal(lap, args)
+    if refusal:
+        raise refusal
+    return det_perm_traces(lap.matrix), None
 
 
 def _euler_truncated(lap, args):
@@ -151,8 +164,8 @@ ROUTES = {
     ),
     "cycles": Route(_refusing(_cycles), lambda lap, args: (
         _answer_refusal(lap, args) is None and fold_refusal(lap.quiver, lap.ranks) is None)),
-    "perm": Route(lambda lap, args: (det_perm_traces(lap.matrix), None),
-                  _size_within(PERM_SUM_CAP)),
+    "perm": Route(_perm, lambda lap, args: (
+        _size_within(PERM_SUM_CAP)(lap, args) and _trace_refusal(lap, args) is None)),
     "block-perm": Route(_refusing(lambda lap, args: (det_block_perm(lap.block), None)),
                         _size_within(PERM_SUM_CAP)),
     "trace-formal": Route(_refusing(lambda lap, args: (det_trace_formal(lap.block), None)),

@@ -15,7 +15,7 @@ from operator import mul
 from .errors import HolodetError, MethodRefusal
 from .laplacian import build_laplacian
 from .linalg import Matrix, _det_lu_rows, charpoly_oracle, det_oracle
-from .ring import EXACT_TYPES, GaussianRational, to_complex, zero_times_poly
+from .ring import EXACT_TYPES, GaussianRational, to_complex
 from .walks import prime_cycles, prime_finiteness
 
 
@@ -48,8 +48,7 @@ def _cleared_product(ranks, z, cycles, maps, weights):
     value = 1
     for a, r in enumerate(ranks):
         if a not in on_cycle:
-            f = z[a] ** r
-            value = 0 if zero_times_poly(value, f) else value * f
+            value = value * z[a] ** r
     for cyc in cycles:
         hol = reduce(mul, (maps[eid] for eid in cyc.edges))
         xprod = math.prod(weights[eid] for eid in cyc.edges)
@@ -65,7 +64,7 @@ def _cleared_product(ranks, z, cycles, maps, weights):
                 if ranks[v] > j:
                     term = term * z[v] ** (ranks[v] - j)
             factor = factor + term
-        value = 0 if zero_times_poly(value, factor) else value * factor
+        value = value * factor
     return value
 
 
@@ -165,7 +164,7 @@ def build_submarkov(lap, kappa):
     if any(k < 0 for k in kappa):
         raise HolodetError("kappa values must be nonnegative")
     xs = {e.id: to_complex(lap.weights[e.id]).real for e in quiver.edges}
-    if any(x < 0 for x in xs.values()):
+    if any(x < 0 or to_complex(lap.weights[eid]).imag for eid, x in xs.items()):
         raise HolodetError("edge weights must be nonnegative reals")
     zs = [to_complex(z).real for z in lap.z]
 

@@ -30,6 +30,10 @@ LAPLACIAN_SIZE_CAP = 512
 # they took 0.03-0.08 s at about 1,000, 0.4-1.3 s at 10,000-15,625 and
 # 9-21 s at 100,000-279,936
 SYMBOLIC_TERM_CAP = 2 ** 14
+# symbolic perm runs only while its power traces may have at most this many
+# monomials (trace_monomial_bound): with one symbol per edge it took 0.5 s
+# at 42,504, 1.3-5.8 s at 75,582-77,520 and 15-32 s past 490,000
+PERM_TERM_CAP = 2 ** 16
 
 
 @dataclass
@@ -98,6 +102,14 @@ def monomial_bound(quiver, ranks):
     Indeterminates in the edge maps are not counted."""
     return math.prod(math.comb(len(quiver.out_edges(v)) + r - 1, r)
                      for v, r in enumerate(ranks))
+
+
+def trace_monomial_bound(quiver, ranks):
+    """C(|E| + n - 1, n), n = sum(ranks): a bound on the monomials of a
+    product of traces Tr(L^k) of total degree at most n, as L's entries are
+    linear in the |E| weights.  Edge-map indeterminates are not counted."""
+    n = sum(ranks)
+    return math.comb(len(quiver.edges) + n - 1, n)
 
 
 def holonomy(rep, gcycle):

@@ -15,8 +15,7 @@ from math import lcm
 from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
-from .ring import (EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div,
-                   zero_times_poly)
+from .ring import EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
 
 POLY_DET_CAP = 8
 
@@ -470,51 +469,13 @@ def _gaussian_factor(n, c, d, re, im, kind):
         + [b + a for a, b in zip(re_cols, im_cols)]))
 
 
-def _entry_types(matrices):
-    return set(map(type, chain.from_iterable(m.data for m in matrices)))
-
-
 def exact_factors(matrices):
     """Whether every matrix has rows and columns and only exact entries
     (ring.EXACT_TYPES): the one test of whether a factor set is multiplied
     as GaussianMatrix factors.  A matrix with no rows or columns counts as
     not exact, as a Matrix's empty sums are int 0 whatever the entry type."""
-    return all(m.rows and m.cols for m in matrices) and _entry_types(matrices) <= EXACT_TYPES
-
-
-def _sum_poly_products(pairs):
-    """The sum of x * y over pairs, in order, leaving out each product of an
-    exact int 0 and a Poly (ring.zero_times_poly)."""
-    acc = 0
-    for x, y in pairs:
-        if not zero_times_poly(x, y):
-            acc = acc + x * y
-    return acc
-
-
-def _poly_times(x, y):
-    """x * y for Matrix values holding Polys, each entry summed in
-    Matrix.__mul__'s order by _sum_poly_products."""
-    if x.cols != y.rows:
-        raise ValueError(f"cannot multiply {x.rows}x{x.cols} by {y.rows}x{y.cols}")
-    k, m = x.cols, y.cols
-    a, b = x.data, y.data
-    cols = [b[j::m] for j in range(m)]
-    return Matrix(x.rows, m, [_sum_poly_products(zip(a[i:i + k], col))
-                              for i in range(0, x.rows * k, k) for col in cols])
-
-
-def _poly_close(x, last):
-    """x.close(last) for Matrix values holding Polys, each diagonal entry
-    summed in Matrix.close's order by _sum_poly_products."""
-    n, k = x.rows, x.cols
-    if k != last.rows or n != last.cols:
-        raise ValueError(f"{n}x{k} times {last.rows}x{last.cols} has no trace")
-    a, b = x.data, last.data
-    got = 0
-    for i in range(n):
-        got = got + _sum_poly_products(zip(a[i * k:(i + 1) * k], b[i::n]))
-    return got
+    return (all(m.rows and m.cols for m in matrices)
+            and set(map(type, chain.from_iterable(m.data for m in matrices))) <= EXACT_TYPES)
 
 
 def exact_form(m):
@@ -560,11 +521,8 @@ def product_traces(factors):
     gives.  Otherwise every product is a Matrix product, each diagonal
     entry of prefix x last summed in Matrix.__mul__'s order and the
     entries in trace()'s, so its value equals the full product's trace()
-    exactly, floats included.  When a factor holds a Poly, the products and
-    traces also leave out each product of an exact int 0 and a Poly, which
-    adds nothing (_sum_poly_products).  Matrix's own loops do not test for
-    it: on the small float matrices of the Euler routes, one type scan per
-    product would cost about half the product."""
+    exactly, floats included; an int 0 entry times a Poly one is the int 0
+    (ring.Poly), so no zero Poly is formed."""
     exact = exact_factors(factors.values())
     prods = {}
     traces = {}
@@ -576,20 +534,16 @@ def product_traces(factors):
             if got is None:
                 got = forms[key] = exact_form(factors[key])
             return got
-        times, close = mul, GaussianMatrix.close
+        close = GaussianMatrix.close
     else:
-        form = factors.__getitem__
-        if Poly in _entry_types(factors.values()):
-            times, close = _poly_times, _poly_close
-        else:
-            times, close = mul, Matrix.close
+        form, close = factors.__getitem__, Matrix.close
 
     def prefix(head):
         got = prods.get(head)
         if got is None:
             got = form(head[-1])
             if len(head) > 1:
-                got = times(prefix(head[:-1]), got)
+                got = prefix(head[:-1]) * got
             prods[head] = got
         return got
 

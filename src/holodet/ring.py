@@ -5,7 +5,8 @@ Every algebraic routine in this package is generic over the scalars the
 caller supplies.  Only ring operations are ever needed: addition, negation,
 multiplication, integer multiples, and exact division by a nonzero integer.
 Nothing here inverts a general ring element.  Python ints act as the
-universal zero/one, so ``0`` and ``1`` literals seed every accumulator.
+universal zero/one, so ``0`` and ``1`` literals seed every accumulator:
+a ``Poly`` times an exact int 0 is the int 0, so no caller tests for it.
 
 A ``GaussianRational`` is one triple of ints (a, b, d), the value
 (a + bi)/d in lowest terms, so its arithmetic builds no ``Fraction``.
@@ -297,6 +298,11 @@ class Poly:
     an int or Fraction scalar scales a rational Poly's numerators.  ``terms``
     reads rational coefficients as ints when _den is 1, else as Fractions.
 
+    An exact int 0 is the zero of every product: ``p * 0`` and ``0 * p``
+    are the int 0, whatever p's coefficients, and ``p + 0`` and ``0 + p``
+    are p itself, as ``p * 1`` is.  Any other zero scalar (``Fraction(0)``,
+    ``0.0``, ``False``) times a Poly is a zero Poly.
+
     ``_deg`` bounds every exponent from above: a product's bound is the sum
     of its factors' and a sum's the larger of theirs.  A product whose
     bound reaches EXP_LIMIT raises instead of carrying into the next
@@ -381,10 +387,10 @@ class Poly:
         return None
 
     def __add__(self, other):
+        if type(other) in _RATIONAL_TYPES and not other:
+            return self
         deg = self._deg
         if self._den is not None and type(other) in _RATIONAL_TYPES:
-            if not other:
-                return self
             onum, od = {0: other.numerator}, other.denominator
         else:
             o = self._coerce(other)
@@ -428,6 +434,8 @@ class Poly:
         return _poly(self.syms, {e: -c for e, c in self._num.items()}, self._den, self._deg)
 
     def __mul__(self, other):
+        if other.__class__ is int and not other:
+            return 0
         d = self._den
         if d is not None and type(other) in _RATIONAL_TYPES:
             # a scalar keeps every monomial where it is
@@ -649,13 +657,6 @@ def int_div(s, k):
     if isinstance(s, (float, complex)):
         return s / k
     raise TypeError(f"unsupported scalar {type(s).__name__}")
-
-
-def zero_times_poly(x, y):
-    """Whether x * y is an exact int 0 times a Poly: a zero Poly, which
-    changes no sum and costs about as much to form as a nonzero term."""
-    return (x.__class__ is int and not x and y.__class__ is Poly
-            or y.__class__ is int and not y and x.__class__ is Poly)
 
 
 def z_power(zs, exponents):

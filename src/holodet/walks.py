@@ -43,7 +43,6 @@ from .ring import (
     gaussian_scalar,
     int_div,
     lift,
-    zero_times_poly,
 )
 
 # search states a prime-cycle search visits before it refuses
@@ -678,7 +677,7 @@ def visit_sum(series, zs, bound):
     for v, g in series.items():
         for pw, n, a in zip(powers, bound, v):
             if n > a:
-                g = 0 if zero_times_poly(g, pw[n - a]) else g * pw[n - a]
+                g = g * pw[n - a]
         total = total + g
     return total
 

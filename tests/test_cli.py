@@ -14,10 +14,12 @@ from holodet.cli import ROUTES, main
 from holodet import cli, laplacian
 from holodet.errors import MethodRefusal, ValidationError
 from holodet.laplacian import (
+    PERM_TERM_CAP,
     SYMBOLIC_TERM_CAP,
     build_laplacian,
     det_laplacian_cycles,
     monomial_bound,
+    trace_monomial_bound,
 )
 from holodet.linalg import BlockMatrix, Matrix, charpoly_oracle, det_oracle
 from holodet import walks
@@ -30,8 +32,9 @@ from holodet.quiver import (
     load_instance,
     vertex_z,
 )
-from holodet.ring import Poly, Symbols, scalar_str, to_complex
+from holodet.ring import FLOAT_ABS_TOL, Poly, Symbols, scalar_str, scalars_close, to_complex
 from holodet.walks import candidate_gcycles, closed_walk_factors, fold_work
+from test_acceptance import _random_submarkov
 from test_euler import _exact_target, rank_two_one_cycle
 
 
@@ -137,7 +140,7 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
     assert monomial_bound(inst[0], inst[1].ranks) == 7 ** 8 > SYMBOLIC_TERM_CAP
     path = tmp_path / "complete8.json"
     path.write_text(json.dumps(instance_to_json(*inst)))
-    for method in ("oracle", "cycles", "block-perm", "trace-formal"):
+    for method in ("oracle", "cycles", "block-perm", "trace-formal", "perm"):
         start = time.perf_counter()
         code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
                                   "--method", method], capsys)
@@ -145,7 +148,8 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "refusal"
-        assert f"capped at {SYMBOLIC_TERM_CAP} monomials" in error["message"]
+        cap = PERM_TERM_CAP if method == "perm" else SYMBOLIC_TERM_CAP
+        assert f"capped at {cap} monomials" in error["message"]
     # compare leaves both out of its default set, which no other route fits
     # either, and skips them when named; with no value left, it refuses
     start = time.perf_counter()
@@ -165,6 +169,33 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
     assert message.startswith("no route answers (oracle: symbolic determinant capped")
     assert "; cycles: symbolic determinant capped" in message
     assert message.count(f"capped at {SYMBOLIC_TERM_CAP} monomials") == 2
+
+
+@pytest.mark.parametrize("p", [5, 6, 7])
+def test_symbolic_perm_refuses_past_its_power_trace_cap(tmp_path, capsys, p):
+    # Tr(L^k) is homogeneous of degree k in the p(p - 1) weights: complete
+    # (1,)*5 may have C(24, 5) = 42,504 monomials and answers the oracle's
+    # value; (1,)*6 may have C(35, 6) = 1,623,160 and (1,)*7 C(48, 7), and
+    # both refuse up front
+    inst = _symbolic_complete_digraph(p)
+    lap = build_laplacian(*inst)
+    fits = p == 5
+    assert (trace_monomial_bound(inst[0], inst[1].ranks) <= PERM_TERM_CAP) is fits
+    assert ROUTES["perm"].fits(lap, SimpleNamespace(mode="symbolic")) is fits
+    path = tmp_path / f"complete{p}.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    start = time.perf_counter()
+    code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
+                              "--method", "perm", "--format", "json"], capsys)
+    if fits:
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == scalar_str(det_oracle(lap.matrix))
+    else:
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "refusal"
+        assert f"capped at {PERM_TERM_CAP} monomials" in error["message"]
 
 
 @pytest.mark.parametrize("p,fits", [(6, True), (7, False)])
@@ -523,6 +554,52 @@ def test_euler_finite_float_answers_rank_deficient_holonomies(tmp_path, capsys, 
     value = complex(value["re"], value["im"])
     want = to_complex(_exact_target(build_laplacian(q, rep, w), (0.0, 0.0)))
     assert abs(value - want) <= 1e-9 * abs(want)
+
+
+def _float_compare_instances():
+    """30 criterion-1 shapes with float values, then 30 criterion-6 shapes
+    with a sink, whose Laplacian is exactly singular."""
+    shapes, values = random.Random(20240501), random.Random(20240601)
+    out = []
+    for _ in range(30):
+        q, rep, _ = random_exact_instance(shapes, p_max=4, rank_max=3, edge_max=6,
+                                          total_rank_max=6, vf_cost_max=80_000)
+        mats = {k: Matrix(m.rows, m.cols, [complex(values.uniform(-2, 2), values.uniform(-1, 1))
+                                           for _ in m.data])
+                for k, m in rep.matrices.items()}
+        out.append((q, Representation(rep.ranks, mats),
+                    {e.id: values.uniform(0.2, 2.0) for e in q.edges}))
+    rng = random.Random(20240506)
+    while len(out) < 60:
+        q, rep, w, _ = _random_submarkov(rng)
+        if not all(q.outdeg(v) for v in range(q.p)):
+            out.append((q, rep, w))
+    return out
+
+
+def test_float_compare_holds_every_route_to_its_tolerances_of_the_exact_target(
+        tmp_path, capsys):
+    # each value compare --mode float prints lies within compare's own
+    # tolerances of Bareiss on the exact rationals of the float Laplacian:
+    # 1e-9 relative, or 1e-12 times the Hadamard bound; the worst error is
+    # 3.3e-5 of the relative tolerance on a nonzero target and 0.0098 of
+    # the absolute one (on a sink shape), both from perm
+    answered = set()
+    for i, (q, rep, w) in enumerate(_float_compare_instances()):
+        path = tmp_path / f"inst{i}.json"
+        path.write_text(json.dumps(instance_to_json(q, rep, w)))
+        code, out, _ = run_cli(["compare", "--input", str(path), "--mode", "float",
+                                "--format", "json"], capsys)
+        assert code == 0, i
+        lap = build_laplacian(*load_instance(str(path), mode="float"))
+        want = to_complex(_exact_target(lap, (0.0,) * q.p))
+        abs_tol = FLOAT_ABS_TOL * max(1.0, cli._hadamard_bound(lap.matrix))
+        for row in json.loads(out)["methods"]:
+            if "value" in row:
+                answered.add(row["method"])
+                got = complex(row["value"]["re"], row["value"]["im"])
+                assert scalars_close(got, want, abs_=abs_tol), (i, row["method"])
+    assert answered == set(ROUTES) - {"euler-truncated"}
 
 
 @pytest.mark.parametrize("doc,code", [

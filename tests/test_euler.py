@@ -439,6 +439,22 @@ def test_submarkov_data_checks():
         build_submarkov(lap, (-1.0, 0.0))
 
 
+def test_submarkov_refuses_a_weight_with_an_imaginary_part():
+    # the chain reads each weight's real part, so a weight 1+0.5j would
+    # give 5.45-0.15j where det(diag kappa + L) is 5.525+1.075j; a weight
+    # 2+0j is real and still answers
+    q = Quiver(2, [Edge("e", 0, 1), Edge("f", 1, 0)])
+    rep = Representation((1, 1), {"e": Matrix(1, 1, [0.5 + 0.25j]),
+                                   "f": Matrix(1, 1, [0.5 - 0.1j])})
+    lap = build_laplacian(q, rep, {"e": 1 + 0.5j, "f": 2.0})
+    with pytest.raises(HolodetError, match="edge weights must be nonnegative reals"):
+        det_euler_truncated(lap, (1.0, 1.0))
+    lap = build_laplacian(q, rep, {"e": 2 + 0j, "f": 2.0})
+    res = det_euler_truncated(lap, (1.0, 1.0))
+    want = complex(_exact_target(lap, (1.0, 1.0)))
+    assert abs(res.value - want) <= min(res.certified_bound, 1e-12 * abs(want))
+
+
 def test_truncated_euler_refuses_non_contraction_edges():
     # U_e = 2 on every edge: the plain chain has rho = 1/sqrt(3), but the
     # product does not converge (det(kappa + L) = -2); weighting the chain

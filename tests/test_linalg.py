@@ -318,13 +318,15 @@ def _symbolic_laplacians():
 
 def _zero_times_poly(monkeypatch):
     """Record, for each Poly product from now on, whether its other factor
-    is an int 0."""
+    is an int 0 and it still forms a Poly: a zero Poly, which adds nothing
+    to a sum."""
     seen = []
     real = Poly.__mul__
 
     def counted(self, other):
-        seen.append(type(other) is int and not other)
-        return real(self, other)
+        got = real(self, other)
+        seen.append(type(other) is int and not other and isinstance(got, Poly))
+        return got
 
     monkeypatch.setattr(Poly, "__mul__", counted)
     monkeypatch.setattr(Poly, "__rmul__", counted)
@@ -332,8 +334,8 @@ def _zero_times_poly(monkeypatch):
 
 
 def test_symbolic_routes_form_no_zero_times_poly(monkeypatch):
-    # a symbolic Laplacian holds int 0 where no edge is; the permutation
-    # routes' products and traces leave out each int 0 times a Poly
+    # a symbolic Laplacian holds int 0 where no edge is; in the permutation
+    # routes' products and traces each int 0 times a Poly is the int 0
     laps = _symbolic_laplacians()
     wants = [det_oracle(lap.matrix) for lap in laps]
     seen = _zero_times_poly(monkeypatch)
@@ -355,9 +357,9 @@ def test_cofactor_oracle_forms_no_zero_times_poly(monkeypatch):
 
 
 def test_cycle_and_euler_routes_form_no_zero_times_poly(monkeypatch):
-    # the visit sum leaves out a zero G_v times a Poly power of z, and a
-    # Poly G_v times a sink's int 0 power; the finite Euler product leaves
-    # out its sinks' int 0 factors times the Poly ones
+    # a zero G_v times a Poly power of z in the visit sum, a Poly G_v times
+    # a sink's int 0 power, and the finite Euler product's int 0 sink
+    # factors times the Poly ones are each the int 0
     laps = _symbolic_laplacians()
     wants = [det_oracle(lap.matrix) for lap in laps]
     charpolys = [charpoly_oracle(lap.matrix) for lap in laps]

@@ -478,8 +478,11 @@ def test_poly_matches_dense_reference():
             x = _draw_poly(rng, syms, kind)
             y = _draw_poly(rng, syms, _draw_kind(rng, kind))
             if rng.random() < 0.2:
-                # cancellation to zero, or a scaled copy
+                # cancellation to zero, or a scaled copy; an int 0 scale
+                # gives the int 0, drawn here as the zero Poly
                 y = -x if rng.random() < 0.5 else x * _draw_scalar(rng, kind)
+                if type(y) is int:
+                    y = Poly(syms)
             xt, yt = x.terms, y.terms
             for got, want in (
                 (x + y, _dense_add(xt, yt)), (x - y, _dense_add(xt, _dense_neg(yt))),
@@ -494,9 +497,13 @@ def test_poly_matches_dense_reference():
             for got, want in (
                 (x + c, _dense_add(xt, ct)), (c + x, _dense_add(xt, ct)),
                 (x - c, _dense_add(xt, _dense_neg(ct))), (c - x, _dense_add(ct, _dense_neg(xt))),
-                (x * c, _dense_mul(xt, ct)), (c * x, _dense_mul(xt, ct)),
             ):
                 _assert_poly_matches(got, want)
+            for got in (x * c, c * x):
+                if type(c) is int and not c:
+                    assert type(got) is int and got == 0
+                else:
+                    _assert_poly_matches(got, _dense_mul(xt, ct))
             k = rng.randint(1, 9)
             want = {e: q for e, c in xt.items() if (q := int_div(c, k))}
             _assert_poly_matches(x.divide_int(k), want)
@@ -521,6 +528,23 @@ def test_poly_matches_dense_reference():
                         _assert_poly_matches(got, want)
                     else:
                         assert _typed({(): got} if got else {}) == _typed(want)
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), GaussianRational(1, -2), 0.5, 1.5 - 2j])
+def test_an_int_zero_is_the_zero_of_every_poly_product(c):
+    # an exact int 0 times a Poly, on either side, is the int 0, and a Poly
+    # plus it is the Poly itself, for rational, Gaussian, float and complex
+    # coefficients alike; any other zero scalar still gives a zero Poly
+    syms = Symbols(("x", "y"))
+    x, y = (Poly.variable(syms, n) for n in syms.names)
+    p = c * x * y + 2 * x
+    assert p and (p._den is None) is (type(c) is not Fraction)
+    for got in (p * 0, 0 * p):
+        assert type(got) is int and got == 0
+    assert p + 0 is p and 0 + p is p
+    for zero in (Fraction(0), 0.0, False):
+        for got in (p * zero, zero * p):
+            assert type(got) is Poly and got.is_zero
 
 
 def test_poly_exponent_fields_do_not_carry():
