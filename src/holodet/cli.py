@@ -30,6 +30,7 @@ from .quiver import (
     validate,
 )
 from .laplacian import (
+    CHARPOLY_TERM_CAP,
     PERM_TERM_CAP,
     SYMBOLIC_TERM_CAP,
     build_laplacian,
@@ -64,8 +65,9 @@ def _value_text(value, mode):
     return scalar_str(value)
 
 
-def _load(args):
-    """The validated (quiver, representation, weights) of --example or --input."""
+def _load(args, check=True):
+    """The (quiver, representation, weights) of --example or --input,
+    validated unless check is false, as build_laplacian validates them."""
     if args.example:
         q, rep, w = gen_example(
             args.example,
@@ -89,7 +91,7 @@ def _load(args):
         q, rep, w = load_instance(args.input, mode=args.mode)
     else:
         raise ValidationError(["no input: pass --input FILE or --example NAME"])
-    bad = validate(q, rep, w)
+    bad = check and validate(q, rep, w)
     if bad:
         raise ValidationError(bad)
     return q, rep, w
@@ -110,6 +112,8 @@ def _term_refusal(what, bound, cap):
 
 _answer_refusal = _term_refusal("determinant", monomial_bound, SYMBOLIC_TERM_CAP)
 _trace_refusal = _term_refusal("Tr(L^k)", trace_monomial_bound, PERM_TERM_CAP)
+_charpoly_refusal = _term_refusal("det(tI + L)", lambda q, r: monomial_bound(q, r, 1),
+                                  CHARPOLY_TERM_CAP)
 
 
 def _refusing(run):
@@ -245,7 +249,7 @@ def _emit(args, payload, text_lines):
 
 def cmd_det(args):
     _check_route_options(args, [args.method])
-    lap = build_laplacian(*_load(args))
+    lap = build_laplacian(*_load(args, check=False))
     row, value = _run_route(args.method, lap, args)
     payload = {"command": "det", "method": args.method, "mode": args.mode, **row}
     _emit(args, payload, [_value_text(value, args.mode)])
@@ -260,7 +264,10 @@ def _t_coefficients(poly, t, n):
 
 
 def cmd_charpoly(args):
-    lap = build_laplacian(*_load(args))
+    lap = build_laplacian(*_load(args, check=False))
+    refusal = _charpoly_refusal(lap, args)
+    if refusal:
+        raise refusal
     if args.mode == "float":
         coeffs = charpoly_oracle(lap.matrix.to_complex())
         if not all(cmath.isfinite(to_complex(c)) for c in coeffs):
@@ -312,7 +319,7 @@ def _requested_methods(spec):
 
 def cmd_compare(args):
     wanted = None if args.methods is None else _requested_methods(args.methods)
-    lap = build_laplacian(*_load(args))
+    lap = build_laplacian(*_load(args, check=False))
     # formed once here, so that no route's timing_s includes the dense build
     lap.block
     # without --methods, --budget picks the default set, as vector-fields'

@@ -34,6 +34,10 @@ SYMBOLIC_TERM_CAP = 2 ** 14
 # monomials (trace_monomial_bound): with one symbol per edge it took 0.5 s
 # at 42,504, 1.3-5.8 s at 75,582-77,520 and 15-32 s past 490,000
 PERM_TERM_CAP = 2 ** 16
+# symbolic charpoly runs only while det(tI + L) may have at most this many
+# monomials (monomial_bound, shifted): with one symbol per edge it took
+# 0.07 s at 3,125, 1.3 s at 46,656 and 52 s at 823,543
+CHARPOLY_TERM_CAP = 2 ** 16
 
 
 @dataclass
@@ -94,13 +98,13 @@ def build_laplacian(quiver, rep, weights):
     return TwistedLaplacian(quiver, rep, weights, vertex_z(quiver, weights))
 
 
-def monomial_bound(quiver, ranks):
+def monomial_bound(quiver, ranks, shift=0):
     """M = prod_v C(d_v + r_v - 1, r_v), d_v the out-degree of v: a bound on
     the monomials of det L in the edge weights.  Block row v of L is linear
     in v's out-weights, so det L is homogeneous of degree r_v in them, and
-    there are C(d_v + r_v - 1, r_v) such monomials in d_v weights.
-    Indeterminates in the edge maps are not counted."""
-    return math.prod(math.comb(len(quiver.out_edges(v)) + r - 1, r)
+    there are C(d_v + r_v - 1, r_v) such monomials in d_v weights; shift=1
+    counts t as one more, for det(tI + L).  Edge-map symbols are not counted."""
+    return math.prod(math.comb(len(quiver.out_edges(v)) + r - 1 + shift, r)
                      for v, r in enumerate(ranks))
 
 
@@ -129,9 +133,9 @@ def _cycle_series(lap):
     -(x^e(c) Tr hol(c)) / val(c) over the cycles visiting u: the
     closed-walk transfer of the weighted edge maps -x_e U_e, whose product
     along a cycle of length k is (-1)^k x^e(c) hol(c)."""
-    maps = {e.id: lap.rep.matrices[e.id].scale(-lap.weights[e.id])
-            for e in lap.quiver.edges}
-    return cycle_series(lap.quiver, lap.ranks, maps)
+    edges = lap.quiver.edges
+    return cycle_series(lap.quiver, lap.ranks, {e.id: lap.rep.matrices[e.id] for e in edges},
+                        {e.id: -lap.weights[e.id] for e in edges})
 
 
 def det_laplacian_cycles(lap, stats=None):

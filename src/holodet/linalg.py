@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
-from operator import add, mul
+from operator import mul
 
 from .errors import HolodetError, MethodRefusal
 from .ring import EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
@@ -380,21 +380,38 @@ class BlockMatrix:
         return not any(self.block(a, b).data)
 
 
+def int_product(rows, cols):
+    """The int rows of rows x cols: each row of rows times each column of
+    cols, all int lists of one length."""
+    # a loop over rows: on Python 3.11 an outer comprehension is one more
+    # function call per product
+    out = []
+    for row in rows:
+        out.append([sum(map(mul, row, col)) for col in cols])
+    return out
+
+
+def int_close(rows, cols, re=0, im=0):
+    """(re, im) plus the int parts of Tr(rows x cols), not forming it: row i
+    of the n rows times column i, then n + i (none when both are real)."""
+    n = len(rows)
+    flat = list(chain.from_iterable(rows))
+    return (sum(map(mul, flat, chain.from_iterable(cols[:n])), re),
+            sum(map(mul, flat, chain.from_iterable(cols[n:])), im))
+
+
 class GaussianMatrix:
     """A matrix (A + iB)/d of exact scalars, A and B integer matrices and
-    d > 0: the exact case beside Matrix, multiplied in int arithmetic.
+    d > 0: product_traces' exact case beside Matrix, multiplied by
+    int_product and closed by int_close.
 
     rows are A's rows, or [A | B] when complex.  A factor, as exact_form
     makes it, also holds cols: cols[c] are the columns that multiply rows
-    of form c from the right, c telling whether those rows are complex:
-    A's columns then B's (none when B is zero) for real rows X, giving
-    [XA | XB]; (A; -B) then (B; A) for complex rows [X | Y], giving
-    [XA - YB | XB + YA].  Either way the product's rows come out in the
-    same form.  A product or a sum holds no cols, so it stands only on the
-    left.  kind is ring.gaussian_ints' kind of the entries, and so of any
-    sum of products of them: the widest type among them.  Values are made
-    without __init__, its call being a measurable share of a product of
-    small matrices, and the transfer over walks makes one per step."""
+    of form c from the right (_int_form).  A product holds no cols, so it
+    stands only on the left.  kind is ring.gaussian_ints' kind of the
+    entries, and so of any sum of products of them: the widest type among
+    them.  Values are made without __init__, its call being a measurable
+    share of a product of small matrices."""
 
     __slots__ = ("rows", "cols", "d", "kind", "complex")
 
@@ -404,26 +421,9 @@ class GaussianMatrix:
         # a column for self's rows is as long as a row when the shapes chain
         if len(cols[0]) != len(rows[0]):
             raise ValueError(f"cannot multiply {self._shape()} by {other._shape()}")
-        got = _new(GaussianMatrix)
-        # a loop over rows: on Python 3.11 an outer comprehension is one
-        # more function call per product
-        got.rows = out = []
-        for row in rows:
-            out.append([sum(map(mul, row, col)) for col in cols])
-        got.cols = None
-        got.d = self.d * other.d
-        got.kind = self.kind if self.kind >= other.kind else other.kind
-        got.complex = self.complex or other.complex
-        return got
-
-    def __add__(self, other):
-        """self + other, for other over the same denominator and with rows
-        of the same form."""
-        if self.d != other.d or self.complex != other.complex:
-            raise ValueError("sum of Gaussian matrices in different forms")
-        return _gaussian([list(map(add, r, r2)) for r, r2 in zip(self.rows, other.rows)],
-                         self.d, self.kind if self.kind >= other.kind else other.kind,
-                         self.complex)
+        return _gaussian(int_product(rows, cols), self.d * other.d,
+                         self.kind if self.kind >= other.kind else other.kind,
+                         self.complex or other.complex)
 
     def _shape(self):
         return f"{len(self.rows)}x{len(self.rows[0]) >> self.complex}"
@@ -432,41 +432,37 @@ class GaussianMatrix:
         """Tr(self x last), for a factor last, without forming the
         product: the int parts (re, im) of a Gaussian integer over
         self.d * last.d, which ring.gaussian_scalar makes a canonical
-        scalar of kind max(self.kind, last.kind).  Row i times column i of
-        the real part, then of the imaginary part (none when both sides are
-        real)."""
+        scalar of kind max(self.kind, last.kind)."""
         rows, cols = self.rows, last.cols[self.complex]
-        n = len(rows)
-        if len(cols[0]) != len(rows[0]) or len(last.rows[0]) >> last.complex != n:
+        if len(cols[0]) != len(rows[0]) or len(last.rows[0]) >> last.complex != len(rows):
             raise ValueError(f"{self._shape()} times {last._shape()} has no trace")
-        flat = list(chain.from_iterable(rows))
-        return (sum(map(mul, flat, chain.from_iterable(cols[:n]))),
-                sum(map(mul, flat, chain.from_iterable(cols[n:]))))
-
-
-_new = object.__new__
+        return int_close(rows, cols)
 
 
 def _gaussian(rows, d, kind, complex, cols=None):
-    got = _new(GaussianMatrix)
+    got = object.__new__(GaussianMatrix)
     got.rows, got.cols, got.d, got.kind, got.complex = rows, cols, d, kind, complex
     return got
 
 
-def _gaussian_factor(n, c, d, re, im, kind):
-    """The GaussianMatrix factor (re + i im)/d of an n x c matrix, re and
-    im its row-major int entries, im None when it is real."""
-    starts = range(0, n * c, c)
-    re_cols = [re[j::c] for j in range(c)]
+def _int_form(c, re, im, forms):
+    """(rows, [cols for each form in forms]) of A + iB with c columns, re
+    and im its row-major int entries, im None when it is real: its rows,
+    [A | B] when complex, and the columns by which it multiplies rows of a
+    form from the right: A's then B's (none when B is zero) for real rows
+    X, giving [XA | XB]; (A; -B) then (B; A) for complex rows [X | Y],
+    giving [XA - YB | XB + YA]."""
+    starts, re_cols = range(0, len(re), c), [re[j::c] for j in range(c)]
     if im is None:
-        zero = [0] * n
-        return _gaussian([re[i:i + c] for i in starts], d, kind, False, (
-            re_cols, [x + zero for x in re_cols] + [zero + x for x in re_cols]))
+        zero = [0] * (len(re) // c)
+        return [re[i:i + c] for i in starts], [
+            [x + zero for x in re_cols] + [zero + x for x in re_cols] if cplx else re_cols
+            for cplx in forms]
     im_cols = [im[j::c] for j in range(c)]
-    return _gaussian([re[i:i + c] + im[i:i + c] for i in starts], d, kind, True, (
-        re_cols + im_cols,
+    return [re[i:i + c] + im[i:i + c] for i in starts], [
         [a + [-x for x in b] for a, b in zip(re_cols, im_cols)]
-        + [b + a for a, b in zip(re_cols, im_cols)]))
+        + [b + a for a, b in zip(re_cols, im_cols)] if cplx else re_cols + im_cols
+        for cplx in forms]
 
 
 def exact_factors(matrices):
@@ -480,27 +476,37 @@ def exact_factors(matrices):
 
 def exact_form(m):
     """m, a matrix exact_factors admits, as a GaussianMatrix factor."""
-    return _gaussian_factor(m.rows, m.cols, *gaussian_ints(m.data))
+    d, re, im, kind = gaussian_ints(m.data)
+    rows, cols = _int_form(m.cols, re, im, (False, True))
+    return _gaussian(rows, d, kind, im is not None, cols)
 
 
-def exact_forms(factors):
-    """The values of factors (a dict of Matrix values) as GaussianMatrix
-    factors over one common denominator, all complex when one is, so that
-    products along walks of one length add; factors itself when
-    exact_factors does not admit its values."""
-    if not exact_factors(factors.values()):
-        return factors
-    parts = {key: gaussian_ints(m.data) for key, m in factors.items()}
-    d = lcm(*(fd for fd, _, _, _ in parts.values()))
-    cplx = any(im is not None for _, _, im, _ in parts.values())
+def exact_forms(factors, weights=None):
+    """(d, kind, {key: _int_form}) of the dict factors of matrices times
+    their weights, if given, over one denominator d, all complex when one
+    is, so that products along walks of one length add, and of
+    gaussian_ints' kind; None when one is not exact.  Each goes through
+    gaussian_ints once: an int or Fraction weight's numerator scales its
+    ints and its denominator joins d; another weight scales the entries."""
+    parts, kind = {}, 0
+    for key, m in factors.items():
+        w = 1 if weights is None else weights[key]
+        got = gaussian_ints(m.data) if type(w) in (int, Fraction) else None
+        if got is None and weights is not None:
+            got, w = gaussian_ints(m.scale(w).data), 1
+        if got is None or not (m.rows and m.cols):
+            return None
+        kind = max(kind, got[3], 1 if type(w) is Fraction else 0)
+        parts[key] = got[0] * w.denominator, w.numerator, got[1], got[2]
+    d = lcm(*(fd for fd, *_ in parts.values()))
+    cplx = any(im is not None for *_, im in parts.values())
     forms = {}
-    for key, (fd, re, im, kind) in parts.items():
-        s = d // fd
-        if cplx and im is None:
-            im = [0] * len(re)
-        forms[key] = _gaussian_factor(factors[key].rows, factors[key].cols, d,
-                                      [s * x for x in re], im and [s * x for x in im], kind)
-    return forms
+    for key, (fd, n, re, im) in parts.items():
+        s = n * (d // fd)
+        im = [s * x for x in im or [0] * len(re)] if cplx else None
+        rows, (cols,) = _int_form(factors[key].cols, [s * x for x in re], im, (cplx,))
+        forms[key] = rows, cols
+    return d, kind, forms
 
 
 def product_traces(factors):

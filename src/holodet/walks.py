@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm, prod
+from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
-from .linalg import exact_forms
+from .linalg import exact_forms, int_close, int_product
 from .quiver import Edge, Quiver
 from .ring import (
     GaussianRational,
@@ -259,14 +259,22 @@ def _transfer(quiver, bound, maps, state_cap=None):
     start at s, the root of u, and stay on vertices at or after s, m the
     product of maps along the walk but its last edge and f the last edge's
     map; None once the frontiers have held more than state_cap states in
-    all.  With every map None, no state holds a product and every close is
-    None: the run finds the keys alone.
+    all.  On bare int forms (linalg.exact_forms) closes is their sum, an
+    int pair (re, im).  With every map None, no state holds a product and
+    every close is None: the run finds the keys alone.
 
     The root of u is the first vertex u visits in the order of (bound,
     index): a frontier product costs r_s r_cur r_next at a root of rank
     r_s, and walks come back to s up to bound_s times."""
     p = quiver.p
-    outs = [[(e.tgt, maps[e.id]) for e in quiver.out_edges(v)] for v in range(p)]
+    exact = type(next(iter(maps.values()), None)) is tuple
+    times, plus = mul, add
+    if exact:
+        times, plus = int_product, lambda a, b: [list(map(add, r, r2)) for r, r2 in zip(a, b)]
+    else:
+        # a Matrix map is its own rows and its own columns
+        maps = {key: (m, m) for key, m in maps.items()}
+    outs = [[(e.tgt, *maps[e.id]) for e in quiver.out_edges(v)] for v in range(p)]
     order = sorted(range(p), key=lambda a: (bound[a], a))
     pos = [order.index(a) for a in range(p)]
     out = {}
@@ -274,53 +282,56 @@ def _transfer(quiver, bound, maps, state_cap=None):
     for s in order:
         if not bound[s]:
             continue
-        closes = defaultdict(list)
+        closes = {}
         # the state before the first step holds no product
         level = {(s, (0,) * p): None}
         while level:
             nxt = {}
             for (cur, v), m in level.items():
                 w = v[:cur] + (v[cur] + 1,) + v[cur + 1:]
-                for t, f in outs[cur]:
+                for t, rows, cols in outs[cur]:
                     if t == s:
-                        closes[w].append(f and m.close(f))
+                        if exact:
+                            closes[w] = int_close(m, cols, *closes.get(w, (0, 0)))
+                        else:
+                            closes.setdefault(w, []).append(m and m.close(cols))
                         if w[s] == bound[s]:
                             continue
                     elif pos[t] < pos[s] or w[t] == bound[t]:
                         continue
-                    got = f if m is None else m * f
+                    got = rows if m is None else times(m, cols)
                     key = (t, w)
                     prev = nxt.get(key)
-                    nxt[key] = got if prev is None else prev + got
+                    nxt[key] = got if prev is None else plus(prev, got)
             level = nxt
             states += len(level)
             if state_cap is not None and states > state_cap:
                 return None
-        for u, traces in closes.items():
-            out[u] = traces, u[s]
+        for u, total in closes.items():
+            out[u] = total, u[s]
     return out
 
 
-def _walk_totals(quiver, bound, maps):
+def _walk_totals(quiver, bound, maps, weights=None):
     """The checked bound, d, kind and {u: (total, u_s)}: total the sum of
-    the transfer's closes on u, over the maps as linalg.exact_forms gives
-    them.  When they are exact, d is their common denominator, kind at
-    least 1, as an int sum divided by a count is a Fraction, and total the
-    int pair (re, im) of a Gaussian integer over d^|u|; otherwise d and
-    kind are None and total a scalar.  Refused, before any product, past
-    the fold's work cap."""
+    the transfer's closes on u, over the maps times their weights (none
+    when weights is None).  When linalg.exact_forms admits them, d is
+    their common denominator, kind at least 1, as an int sum divided by a
+    count is a Fraction, and total the int pair (re, im) of a Gaussian
+    integer over d^|u|; otherwise d and kind are None and total a scalar.
+    Refused, before any product, past the fold's work cap."""
     bound = _visit_bound(quiver, bound)
     why = fold_refusal(quiver, bound)
     if why is not None:
         raise MethodRefusal(why)
-    forms = exact_forms(maps)
-    totals = _transfer(quiver, bound, forms)
-    if forms is maps:
+    forms = exact_forms(maps, weights)
+    if forms is None:
+        if weights is not None:
+            maps = {key: m.scale(weights[key]) for key, m in maps.items()}
+        totals = _transfer(quiver, bound, maps)
         return bound, None, None, {u: (sum(c), q) for u, (c, q) in totals.items()}
-    d = next((f.d for f in forms.values()), 1)
-    kind = max([1] + [f.kind for f in forms.values()])
-    return bound, d, kind, {u: (tuple(map(sum, zip(*c))), q)
-                            for u, (c, q) in totals.items()}
+    d, kind, forms = forms
+    return bound, d, max(1, kind), _transfer(quiver, bound, forms)
 
 
 def _factor(d, kind, k, total, q):
@@ -352,22 +363,23 @@ def closed_walk_factors(quiver, bound, maps):
     Tr(state x map) to the sum of the visit vector it closes on, without
     forming that product.
 
-    The sums and products are of linalg.exact_forms' values:
-    GaussianMatrix factors over one common denominator when every entry
-    is exact, Matrix values otherwise.  Refused, before any product, when
+    The sums and products are of linalg.exact_forms' values: bare int
+    rows over one common denominator when every entry is exact, Matrix
+    values otherwise.  Refused, before any product, when
     fold_refusal refuses the bound: cycle_series folds these factors, and
     the same transfer feeds it."""
     bound, d, kind, totals = _walk_totals(quiver, bound, maps)
     return {u: _factor(d, kind, sum(u), t, q) for u, (t, q) in totals.items()}
 
 
-def cycle_series(quiver, bound, maps):
+def cycle_series(quiver, bound, maps, weights=None):
     """The truncated exponential of closed_walk_factors(quiver, bound,
-    maps), as a VisitSeries.  Exact factors are never made scalars: with D
+    maps), the maps times their weights when weights are given, as a
+    VisitSeries.  Exact factors are never made scalars: with D
     the transfer's common denominator and L = lcm(1 .. max bound), each
     s_u = |u| (DL)^|u| F_u = (-1)^(|u|-1) |u| (L^|u| / u_s) x total is a
     Gaussian integer, since u_s <= max bound divides L."""
-    bound, d, kind, totals = _walk_totals(quiver, bound, maps)
+    bound, d, kind, totals = _walk_totals(quiver, bound, maps, weights)
     if d is None:
         return _dense_series({u: sum(u) * _factor(d, kind, sum(u), t, q)
                               for u, (t, q) in totals.items()}, bound)
@@ -462,8 +474,8 @@ class VisitSeries:
         from coefficients().  When the H_v are exact and so is every z_a
         with bound_a > 0, the sum is formed over the common denominator
         N! lam^N prod_a d_a^bound_a, z_a = Z_a / d_a, and made a scalar once:
-        of the widest type among the G_v and those z_a, as the ring's sums
-        and products give it."""
+        of the widest type among kind, G_0 included, and those z_a, as the
+        dense determinant of the same entries gives it."""
         bound = self.bound
         parts = (None,) if self.lam is None else [
             gaussian_ints((z if n else 1,)) for z, n in zip(zs, bound)]
@@ -492,8 +504,7 @@ class VisitSeries:
                 cr, ci = cr * tr - ci * ti, cr * ti + ci * tr
             acc_re += re * cr - im * ci
             acc_im += re * ci + im * cr
-        kind = max([self.kind if len(self.values) > 1 else 1]
-                   + [z_kind for _, _, _, z_kind in parts])
+        kind = max([self.kind] + [z_kind for _, _, _, z_kind in parts])
         return gaussian_scalar(acc_re, acc_im, den, kind)
 
 

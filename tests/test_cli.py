@@ -14,6 +14,7 @@ from holodet.cli import ROUTES, main
 from holodet import cli, laplacian
 from holodet.errors import MethodRefusal, ValidationError
 from holodet.laplacian import (
+    CHARPOLY_TERM_CAP,
     PERM_TERM_CAP,
     SYMBOLIC_TERM_CAP,
     build_laplacian,
@@ -196,6 +197,78 @@ def test_symbolic_perm_refuses_past_its_power_trace_cap(tmp_path, capsys, p):
         error = json.loads(err)["error"]
         assert error["type"] == "refusal"
         assert f"capped at {PERM_TERM_CAP} monomials" in error["message"]
+
+
+@pytest.mark.parametrize("p", [6, 7, 8])
+def test_symbolic_charpoly_refuses_past_its_shifted_monomial_cap(tmp_path, capsys, p):
+    # with the shift t, block row v of tI + L is linear in v's p - 1
+    # out-weights and t: complete (1,)*6 may have 6^6 = 46,656 monomials
+    # and answers, (1,)*7 7^7 and (1,)*8 8^8, and both refuse up front
+    inst = _symbolic_complete_digraph(p)
+    bound = monomial_bound(inst[0], inst[1].ranks, shift=1)
+    assert bound == p ** p
+    path = tmp_path / f"complete{p}.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    start = time.perf_counter()
+    code, out, err = run_cli(["charpoly", "--input", str(path), "--mode", "symbolic",
+                              "--format", "json"], capsys)
+    if p == 6:
+        assert bound <= CHARPOLY_TERM_CAP
+        assert code == 0 and err == ""
+        coeffs = json.loads(out)["coefficients"]
+        # t^6 and t^5 of det(tI + L): 1 and Tr L, the sum of the weights
+        assert len(coeffs) == 7 and coeffs[6] == "1"
+        assert coeffs[5] == scalar_str(sum(vertex_z(inst[0], inst[2])))
+    else:
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "refusal"
+        assert error["message"] == (f"symbolic det(tI + L) capped at {CHARPOLY_TERM_CAP} "
+                                    f"monomials, this one may have {bound}")
+    # exact charpoly is not capped
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps(instance_to_json(*_complete_digraph(p, 1))))
+    code, _, _ = run_cli(["charpoly", "--input", str(exact), "--mode", "exact"], capsys)
+    assert code == 0
+
+
+def test_each_command_validates_its_instance_once(tmp_path, capsys, monkeypatch):
+    # det, charpoly and compare validate in build_laplacian, primes and
+    # moments in the CLI: once either way, with the same messages in the
+    # same order and exit 2; exact moments then build, and so validate,
+    # one Laplacian per outcome of the sign distribution, 2^6 here
+    calls = []
+
+    def counted(where, real):
+        def validate(*args):
+            calls.append(where)
+            return real(*args)
+        return validate
+
+    monkeypatch.setattr(cli, "validate", counted("cli", cli.validate))
+    monkeypatch.setattr(laplacian, "validate", counted("kernel", laplacian.validate))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(instance_to_json(*_complete_digraph(3, 1))))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 2, "ranks": [1, 1], "edges": [
+        {"id": "e", "src": 2, "tgt": 2, "weight": 1, "matrix": [[1]]},
+        {"id": "f", "src": 1, "tgt": 2, "weight": 1, "matrix": [[1, 0]]}]}))
+    errors = set()
+    for args, where in ((["det"], "kernel"), (["charpoly"], "kernel"),
+                        (["compare"], "kernel"), (["primes"], "cli"), (["moments"], "cli")):
+        calls.clear()
+        code, _, _ = run_cli([*args, "--input", str(good)], capsys)
+        assert code == 0, args
+        assert calls == [where] + ["kernel"] * (64 if args == ["moments"] else 0), args
+        calls.clear()
+        code, out, err = run_cli([*args, "--input", str(bad)], capsys)
+        assert code == 2 and out == "" and calls == [where], args
+        errors.add(err)
+    (err,) = errors
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation"
+    assert error["message"].index("self-loop") < error["message"].index("shape mismatch")
 
 
 @pytest.mark.parametrize("p,fits", [(6, True), (7, False)])

@@ -25,6 +25,7 @@ from holodet.laplacian import (
     monomial_bound,
     wilson_moment,
 )
+from holodet import linalg
 from holodet.linalg import (
     Matrix,
     block_walk_traces,
@@ -140,6 +141,54 @@ def test_cycles_match_oracle_on_random_exact_instances():
                                           total_rank_max=6)
         lap = build_laplacian(q, rep, w)
         assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+
+
+@pytest.mark.parametrize("values", ["int", "gaussian-weights", "zero-weights"])
+def test_cycles_match_oracle_value_and_type_on_every_weight_kind(values):
+    # int and Fraction weights join the int rows of their edge maps; any
+    # other exact weight scales the map first.  Int maps with int weights
+    # give kind 0, Gaussian-rational weights set from Python kind 2, and
+    # zero weights (int 0 and Fraction 0) zero whole maps
+    rng = random.Random(f"weight-kinds:{values}")
+    for trial in range(25):
+        q, rep, w = random_exact_instance(rng, p_max=4, rank_max=2, edge_max=7,
+                                          total_rank_max=6)
+        if values == "int":
+            rep = Representation(rep.ranks, {k: m.map(lambda _: rng.randint(-3, 3))
+                                             for k, m in rep.matrices.items()})
+            w = {k: rng.randint(-2, 3) for k in w}
+        elif values == "gaussian-weights":
+            w = {k: gauss_rat(rng) if rng.random() < 0.7 else x for k, x in w.items()}
+        else:
+            w = {k: rng.choice([0, Fraction(0), x]) if trial else 0 for k, x in w.items()}
+        lap = build_laplacian(q, rep, w)
+        got, want = det_laplacian_cycles(lap), det_oracle(lap.matrix)
+        assert got == want and type(got) is type(want), (values, trial)
+
+
+def test_exact_cycles_route_converts_each_edge_map_once(monkeypatch):
+    # with exact maps and Fraction weights, each edge map goes through
+    # gaussian_ints once and the weight joins its ints: no Matrix.scale
+    rng = random.Random(191)
+    laps = [build_laplacian(*random_exact_instance(rng, p_max=4, rank_max=3, edge_max=6,
+                                                   total_rank_max=6)) for _ in range(12)]
+    wants = [det_oracle(lap.matrix) for lap in laps]
+    calls = []
+    real = linalg.gaussian_ints
+
+    def counted(entries):
+        calls.append(1)
+        return real(entries)
+
+    def no_scale(self, s):
+        raise AssertionError("an exact edge map was scaled entry by entry")
+
+    monkeypatch.setattr(linalg, "gaussian_ints", counted)
+    monkeypatch.setattr(Matrix, "scale", no_scale)
+    for lap, want in zip(laps, wants):
+        calls.clear()
+        assert det_laplacian_cycles(lap) == want
+        assert len(calls) == len(lap.quiver.edges)
 
 
 def _complete_digraph(rng, ranks, entry=None):
