@@ -22,6 +22,7 @@ from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationE
 from .linalg import POLY_DET_CAP, Matrix, charpoly_oracle, det_oracle
 from .ring import FLOAT_ABS_TOL, Poly, scalar_str, scalars_close, to_complex
 from .quiver import (
+    SYMBOLIC_EXAMPLES,
     Representation,
     gen_example,
     haar_like_unitary,
@@ -76,11 +77,8 @@ def _load(args, check=True):
             max_edges=args.max_edges,
             max_rank=args.max_rank,
         )
-        if args.example in ("two_cycle", "acyclic", "unicyclic", "figure5"):
-            if args.mode != "symbolic":
-                raise MethodRefusal(
-                    f"example '{args.example}' is symbolic; use --mode symbolic"
-                )
+        if args.example in SYMBOLIC_EXAMPLES and args.mode != "symbolic":
+            raise MethodRefusal(f"example '{args.example}' is symbolic; use --mode symbolic")
         if args.example == "random" and args.mode == "float":
             rep = Representation(
                 rep.ranks,
@@ -116,10 +114,10 @@ _charpoly_refusal = _term_refusal("det(tI + L)", lambda q, r: monomial_bound(q, 
                                   CHARPOLY_TERM_CAP)
 
 
-def _refusing(run):
-    """run, after refusing up front what _answer_refusal refuses."""
+def _refusing(refuse, run):
+    """run, after refusing up front what refuse(lap, args) refuses."""
     def checked(lap, args):
-        refusal = _answer_refusal(lap, args)
+        refusal = refuse(lap, args)
         if refusal:
             raise refusal
         return run(lap, args)
@@ -129,13 +127,6 @@ def _refusing(run):
 def _cycles(lap, args):
     stats = {"keys": 0}
     return det_laplacian_cycles(lap, stats), stats["keys"]
-
-
-def _perm(lap, args):
-    refusal = _trace_refusal(lap, args)
-    if refusal:
-        raise refusal
-    return det_perm_traces(lap.matrix), None
 
 
 def _euler_truncated(lap, args):
@@ -162,18 +153,22 @@ Route = namedtuple("Route", "run fits reads", defaults=((),))
 
 ROUTES = {
     "oracle": Route(
-        _refusing(lambda lap, args: (det_oracle(lap.matrix), None)),
+        _refusing(_answer_refusal, lambda lap, args: (det_oracle(lap.matrix), None)),
         lambda lap, args: args.mode != "symbolic" or (
             sum(lap.ranks) <= POLY_DET_CAP and _answer_refusal(lap, args) is None),
     ),
-    "cycles": Route(_refusing(_cycles), lambda lap, args: (
+    "cycles": Route(_refusing(_answer_refusal, _cycles), lambda lap, args: (
         _answer_refusal(lap, args) is None and fold_refusal(lap.quiver, lap.ranks) is None)),
-    "perm": Route(_perm, lambda lap, args: (
-        _size_within(PERM_SUM_CAP)(lap, args) and _trace_refusal(lap, args) is None)),
-    "block-perm": Route(_refusing(lambda lap, args: (det_block_perm(lap.block), None)),
-                        _size_within(PERM_SUM_CAP)),
-    "trace-formal": Route(_refusing(lambda lap, args: (det_trace_formal(lap.block), None)),
-                          _size_within(TAU_DET_CAP)),
+    "perm": Route(
+        _refusing(_trace_refusal, lambda lap, args: (det_perm_traces(lap.matrix), None)),
+        lambda lap, args: (
+            _size_within(PERM_SUM_CAP)(lap, args) and _trace_refusal(lap, args) is None)),
+    "block-perm": Route(
+        _refusing(_answer_refusal, lambda lap, args: (det_block_perm(lap.block), None)),
+        _size_within(PERM_SUM_CAP)),
+    "trace-formal": Route(
+        _refusing(_answer_refusal, lambda lap, args: (det_trace_formal(lap.block), None)),
+        _size_within(TAU_DET_CAP)),
     "vector-fields": Route(
         lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
         lambda lap, args: stack_cost(lap) <= (
@@ -533,7 +528,7 @@ def _instance_options(sp):
     sp.add_argument("--input", help="quiver instance JSON file")
     sp.add_argument(
         "--example",
-        choices=("two_cycle", "acyclic", "unicyclic", "figure5", "random"),
+        choices=(*SYMBOLIC_EXAMPLES, "random"),
         help="use a built-in instance family instead of --input",
     )
     sp.add_argument("--mode", choices=("float", "exact", "symbolic"), default="exact")

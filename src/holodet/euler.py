@@ -164,8 +164,9 @@ def build_submarkov(lap, kappa):
     if any(k < 0 for k in kappa):
         raise HolodetError("kappa values must be nonnegative")
     xs = {e.id: to_complex(lap.weights[e.id]).real for e in quiver.edges}
+    # outside the route's hypothesis, so a refusal, which compare skips
     if any(x < 0 or to_complex(lap.weights[eid]).imag for eid, x in xs.items()):
-        raise HolodetError("edge weights must be nonnegative reals")
+        raise MethodRefusal("edge weights must be nonnegative reals")
     zs = [to_complex(z).real for z in lap.z]
 
     p_edges = {}

@@ -467,9 +467,9 @@ def _int_form(c, re, im, forms):
 
 def exact_factors(matrices):
     """Whether every matrix has rows and columns and only exact entries
-    (ring.EXACT_TYPES): the one test of whether a factor set is multiplied
-    as GaussianMatrix factors.  A matrix with no rows or columns counts as
-    not exact, as a Matrix's empty sums are int 0 whatever the entry type."""
+    (ring.EXACT_TYPES): the one test of whether factors are multiplied as
+    Gaussian integers, by product_traces and exact_forms.  An empty matrix
+    is not exact, as its empty sums are int 0 whatever its entry type."""
     return (all(m.rows and m.cols for m in matrices)
             and set(map(type, chain.from_iterable(m.data for m in matrices))) <= EXACT_TYPES)
 
@@ -485,17 +485,20 @@ def exact_forms(factors, weights=None):
     """(d, kind, {key: _int_form}) of the dict factors of matrices times
     their weights, if given, over one denominator d, all complex when one
     is, so that products along walks of one length add, and of
-    gaussian_ints' kind; None when one is not exact.  Each goes through
-    gaussian_ints once: an int or Fraction weight's numerator scales its
-    ints and its denominator joins d; another weight scales the entries."""
+    gaussian_ints' kind; None, before any map is scaled or converted, when
+    exact_factors rejects them or a weight is not in ring.EXACT_TYPES.
+    Each goes through gaussian_ints once: an int or Fraction weight's
+    numerator scales its ints and its denominator joins d; another weight
+    scales the map once."""
+    if not exact_factors(factors.values()) or (
+            weights is not None and not {type(weights[key]) for key in factors} <= EXACT_TYPES):
+        return None
     parts, kind = {}, 0
     for key, m in factors.items():
         w = 1 if weights is None else weights[key]
-        got = gaussian_ints(m.data) if type(w) in (int, Fraction) else None
-        if got is None and weights is not None:
-            got, w = gaussian_ints(m.scale(w).data), 1
-        if got is None or not (m.rows and m.cols):
-            return None
+        if type(w) not in (int, Fraction):
+            m, w = m.scale(w), 1
+        got = gaussian_ints(m.data)
         kind = max(kind, got[3], 1 if type(w) is Fraction else 0)
         parts[key] = got[0] * w.denominator, w.numerator, got[1], got[2]
     d = lcm(*(fd for fd, *_ in parts.values()))

@@ -259,16 +259,19 @@ def _symbolic_figure5():
     return q, Representation((1,) * 8, mats), weights
 
 
+# the named instances with symbolic weights, by name, in the CLI's order
+SYMBOLIC_EXAMPLES = {
+    "two_cycle": _symbolic_two_cycle,
+    "acyclic": _symbolic_acyclic,
+    "unicyclic": _symbolic_unicyclic,
+    "figure5": _symbolic_figure5,
+}
+
+
 def gen_example(name, seed=0, p=None, max_edges=None, max_rank=None):
     """Named instance families used across the tests and the CLI."""
-    if name == "two_cycle":
-        return _symbolic_two_cycle()
-    if name == "acyclic":
-        return _symbolic_acyclic()
-    if name == "unicyclic":
-        return _symbolic_unicyclic()
-    if name == "figure5":
-        return _symbolic_figure5()
+    if name in SYMBOLIC_EXAMPLES:
+        return SYMBOLIC_EXAMPLES[name]()
     if name == "random":
         return random_instance(seed, p=p, max_edges=max_edges, max_rank=max_rank)
     raise HolodetError(f"unknown example '{name}'")

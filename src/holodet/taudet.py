@@ -3,13 +3,14 @@ entries live in a monoid of words, evaluated through a central map tau.
 
 Words are tuples of block-index pairs; the zero element is None.  tau of a
 word multiplies the concrete blocks it names and takes the trace, returning
-0 whenever dimensions fail to chain or the final product is not square.
-Values are memoized by rotation class, since tau is central.
+0 when a pair names no block or the blocks do not chain into a square
+product.  tau is central, so a word is read as its least rotation, whose
+trace linalg.product_traces keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import MethodRefusal
@@ -26,7 +27,6 @@ class TauContext:
 
     blocks: dict            # (a, b) -> Matrix
     tau_one: object = None  # declared value of tau on the empty word
-    _memo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._trace = product_traces(self.blocks)
@@ -38,15 +38,10 @@ class TauContext:
             if self.tau_one is None:
                 raise MethodRefusal("tau of the empty word is not declared")
             return self.tau_one
-        key = min_rotation(word)
-        got = self._memo.get(key)
-        if got is None:
-            mats = [self.blocks.get(pair) for pair in key]
-            chained = all(m is not None for m in mats) and all(
-                a.cols == b.rows for a, b in zip(mats, mats[1:] + mats[:1])
-            )
-            got = self._memo[key] = self._trace(key) if chained else 0
-        return got
+        try:
+            return self._trace(min_rotation(word))
+        except (KeyError, ValueError):  # a pair with no block, or no chain
+            return 0
 
 
 def word_concat(*words):

@@ -869,18 +869,10 @@ def prime_finiteness(quiver):
                 if step[v] is not None:
                     return PrimeFiniteness(False, ())
                 step[v] = e
-    cycles = []
-    for start in range(p):
-        ids, srcs, v = [], [], start
-        while step[v] is not None:
-            e, step[v] = step[v], None
-            ids.append(e.id)
-            srcs.append(v)
-            v = e.tgt
-        if ids:
-            cycles.append(GCycle(ids, srcs))
-    cycles.sort(key=lambda c: c.sort_key)
-    return PrimeFiniteness(True, tuple(cycles))
+    # such edges form disjoint simple cycles: following them permutes vertices
+    _, orbits, _ = _cycles_of(tuple(v if e is None else e.tgt for v, e in enumerate(step)))
+    cycles = (GCycle([step[v].id for v in orbit], orbit) for orbit in orbits if len(orbit) > 1)
+    return PrimeFiniteness(True, tuple(sorted(cycles, key=lambda c: c.sort_key)))
 
 
 def vertex_fields(quiver):

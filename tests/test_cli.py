@@ -813,6 +813,28 @@ def test_compare_runs_euler_truncated_unshifted(capsys):
     assert [row["method"] for row in rows] == ["oracle", "euler-truncated"]
 
 
+def test_euler_truncated_refuses_a_negative_weight(tmp_path, capsys):
+    # a negative weight is outside the sub-Markov hypothesis: det refuses
+    # (exit 3), and compare skips the route and answers with the oracle
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"p": 2, "ranks": [1, 1], "edges": [
+        {"id": "e", "src": 1, "tgt": 2, "weight": "-1", "matrix": [["0.5"]]},
+        {"id": "f", "src": 2, "tgt": 1, "weight": "2", "matrix": [["0.5"]]}]}))
+    base = ["--input", str(path), "--mode", "float", "--format", "json"]
+    code, out, err = run_cli(["det", "--method", "euler-truncated", "--kappa", "1", *base],
+                             capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"type": "refusal",
+                                        "message": "edge weights must be nonnegative reals"}
+    code, out, err = run_cli(["compare", "--methods", "oracle,euler-truncated", *base], capsys)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["methods"] == [
+        {"method": "oracle", "value": {"re": -1.5, "im": 0.0}},
+        {"method": "euler-truncated", "skipped": "edge weights must be nonnegative reals"}]
+    assert doc["agree"] is True
+
+
 FUZZ_VALUES = ("abc", "1/0", "", -1, 0, 2, 3, 1.5, True, None, [], {}, [1, 2, 3],
                {"sym": 3}, {"sym": "x"}, float("nan"))
 
@@ -1109,6 +1131,37 @@ def test_compare_float_flags_route_past_scaled_floor(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["agree"] is False
     assert json.loads(err)["error"]["type"] == "invariant"
+
+
+def test_compare_exact_flags_a_route_that_disagrees(capsys, monkeypatch):
+    block_perm = cli.det_block_perm
+    monkeypatch.setattr(cli, "det_block_perm", lambda m: block_perm(m) + 1)
+    code, out, err = run_cli(["compare", "--example", "random", "--seed", "2", "--mode", "exact",
+                              "--methods", "oracle,block-perm", "--format", "json"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["agree"] is False and doc["max_discrepancy"] == "nonzero"
+    assert json.loads(err)["error"]["type"] == "invariant"
+
+
+def test_exact_moments_flag_a_failed_identity(tmp_path, capsys, monkeypatch):
+    # rank 1 with det L = 12, and E[det L] = 6 over the sign distribution;
+    # the cycle side made one too large breaks the identity
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"p": 2, "ranks": [1, 1], "edges": [
+        {"id": "e", "src": 1, "tgt": 2, "weight": "2", "matrix": [["1"]]},
+        {"id": "f", "src": 2, "tgt": 1, "weight": "3", "matrix": [["-1"]]}]}))
+    code, out, _ = run_cli(["det", "--input", str(path)], capsys)
+    assert (code, out) == (0, "12\n")
+    cycles = laplacian.det_laplacian_cycles
+    monkeypatch.setattr(laplacian, "det_laplacian_cycles",
+                        lambda lap, stats=None: cycles(lap, stats) + 1)
+    code, out, err = run_cli(["moments", "--input", str(path), "--k", "1", "--format", "json"],
+                             capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["agree"] is False and doc["lhs"] == "6" and doc["rhs"] == "7"
+    assert json.loads(err)["error"] == {"type": "invariant", "message": "moment identity failed"}
 
 
 @pytest.fixture

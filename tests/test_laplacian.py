@@ -191,6 +191,49 @@ def test_exact_cycles_route_converts_each_edge_map_once(monkeypatch):
         assert len(calls) == len(lap.quiver.edges)
 
 
+def test_cycles_route_scales_each_non_exact_weighted_map_once(monkeypatch):
+    # exact_forms turns Poly weights away before it scales or converts any
+    # map, so the transfer's own scaling is the only one: one call per edge
+    lap = build_laplacian(*random_symbolic_instance(random.Random(3)))
+    want = det_oracle(lap.matrix)
+    calls = []
+    real = Matrix.scale
+
+    def counted(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(Matrix, "scale", counted)
+    assert det_laplacian_cycles(lap) == want
+    assert len(calls) == len(lap.quiver.edges) == 2
+
+
+def test_exact_forms_refuse_before_any_scaling_or_conversion(monkeypatch):
+    # a Poly or float weight, or a float entry, is turned away by the one
+    # exactness test; a Gaussian-rational weight scales its map once
+    x = Poly.variable(Symbols(("x",)), "x")
+    exact = {"a": Matrix(1, 2, [Fraction(1, 2), 3]), "b": Matrix(2, 1, [1, Fraction(2, 3)])}
+    real_scale, real_ints = Matrix.scale, linalg.gaussian_ints
+    calls = []
+
+    def scale(self, s):
+        calls.append("scale")
+        return real_scale(self, s)
+
+    def ints(entries):
+        calls.append("ints")
+        return real_ints(entries)
+
+    monkeypatch.setattr(Matrix, "scale", scale)
+    monkeypatch.setattr(linalg, "gaussian_ints", ints)
+    for factors, weights in ((exact, {"a": 2, "b": x}), (exact, {"a": 0.5, "b": 1}),
+                             ({"a": Matrix(1, 1, [0.5]), "b": exact["b"]}, None)):
+        assert linalg.exact_forms(factors, weights) is None
+    assert calls == []
+    d, kind, forms = linalg.exact_forms(exact, {"a": GaussianRational(1, 1), "b": Fraction(1, 2)})
+    assert calls == ["scale", "ints", "ints"] and kind == 2 and set(forms) == {"a", "b"}
+
+
 def _complete_digraph(rng, ranks, entry=None):
     entry = entry or (lambda: gauss_rat(rng))
     p = len(ranks)

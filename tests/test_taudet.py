@@ -96,6 +96,8 @@ def test_tau_dimension_mismatch_is_zero():
     assert ctx.tau(((0, 0), (1, 0))) == 0
     # non-square final product: a single (0,1) block is 2x1
     assert ctx.tau(((0, 1),)) == 0
+    # a pair that names no block: the partition has blocks 0 and 1 only
+    assert ctx.tau(((0, 2), (2, 0))) == 0
 
 
 def test_appendix_check_rank_one_is_classical_identity():
