@@ -14,6 +14,7 @@ from .errors import HolodetError, InvariantViolation, MethodRefusal
 from .linalg import block_walk_traces, product_traces
 from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
+    PERM_SUM_CAP,
     cycle_cover_sum,
     cycle_series,
     cycle_types,
@@ -24,7 +25,6 @@ from .walks import (
 )
 from . import taudet
 
-PERM_SUM_CAP = 8
 SCALAR_DIAG_FLOAT_TOL = 1e-12
 
 
@@ -101,8 +101,6 @@ def det_block_perm(bm):
     by the block-size factorials; folded over cycle covers of the slots
     (cycle_cover_sum), each block word's trace kept by the word as read."""
     n = bm.n
-    if n > PERM_SUM_CAP:
-        raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
     trace = block_walk_traces(bm)
     bl = bm.slots
     allowed = [[j for j in range(n) if not bm.is_zero_block(bl[i], bl[j])]

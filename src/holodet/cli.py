@@ -33,6 +33,7 @@ from .quiver import (
 from .laplacian import (
     CHARPOLY_TERM_CAP,
     PERM_TERM_CAP,
+    SYMBOLIC_SLOT_CAP,
     SYMBOLIC_TERM_CAP,
     build_laplacian,
     charpoly_laplacian,
@@ -42,28 +43,34 @@ from .laplacian import (
     trace_monomial_bound,
     wilson_moment,
 )
-from .blockdet import PERM_SUM_CAP, det_block_perm, det_perm_traces, det_trace_formal
-from .taudet import TAU_DET_CAP
+from .blockdet import det_block_perm, det_perm_traces, det_trace_formal
 from .vectorfields import DEFAULT_TERM_BUDGET, det_vector_fields, stack_cost
 from .euler import det_euler_finite, det_euler_truncated
-from .walks import fold_refusal, prime_cycles, prime_finiteness
+from .walks import PERM_SUM_CAP, fold_refusal, prime_cycles, prime_finiteness
 # bound for the benchmark's tracer (perfbench/spans.py), which wraps this
 # name and refuses to run when it is missing; no command calls it
 from .walks import enumerate_gcycle_multisets  # noqa: F401
+
+
+def _written(convert, *args, **kwargs):
+    """convert(*args, **kwargs), refused past Python's digit limit on writing
+    an int out, a limit load_instance relies on to reject long numbers."""
+    try:
+        return convert(*args, **kwargs)
+    except ValueError:
+        raise MethodRefusal(f"a value has an integer past Python's {sys.get_int_max_str_digits()}"
+                            "-digit limit for integer string conversion") from None
 
 
 def _value_json(value, mode):
     if mode == "float":
         z = to_complex(value)
         return {"re": z.real, "im": z.imag}
-    return scalar_str(value)
+    return _value_text(value, mode)
 
 
 def _value_text(value, mode):
-    if mode == "float":
-        z = to_complex(value)
-        return scalar_str(z)
-    return scalar_str(value)
+    return _written(scalar_str, to_complex(value) if mode == "float" else value)
 
 
 def _load(args, check=True):
@@ -138,18 +145,26 @@ def _euler_truncated(lap, args):
     return res.value, res.prime_count
 
 
-def _size_within(cap):
-    """fits while the Laplacian's size is within cap; permutation sums over
-    polynomial entries blow up well before the numeric caps, so symbolic
-    mode gates them at 5."""
-    return lambda lap, args: sum(lap.ranks) <= (5 if args.mode == "symbolic" else cap)
-
-
 # run(lap, args) -> (value, terms or None); fits(lap, args): whether compare
 # runs the route unasked; reads: the route options only it reads.  A run
 # looks its kernel up in this module when called, so a wrapper set on that
 # name, as a tracer sets, sees every call.
 Route = namedtuple("Route", "run fits reads", defaults=((),))
+
+
+def _perm_sum_route(refuse, run):
+    """A sum over permutations of the slots, refusing up front what refuse
+    does, then a symbolic sum past SYMBOLIC_SLOT_CAP slots; it fits while
+    n <= PERM_SUM_CAP and nothing is refused."""
+    def gate(lap, args):
+        n = sum(lap.ranks)
+        refusal = refuse(lap, args)
+        if refusal or args.mode != "symbolic" or n <= SYMBOLIC_SLOT_CAP:
+            return refusal
+        return MethodRefusal(f"symbolic permutation sum capped at n<={SYMBOLIC_SLOT_CAP}, got {n}")
+    return Route(_refusing(gate, run),
+                 lambda lap, args: sum(lap.ranks) <= PERM_SUM_CAP and gate(lap, args) is None)
+
 
 ROUTES = {
     "oracle": Route(
@@ -159,16 +174,12 @@ ROUTES = {
     ),
     "cycles": Route(_refusing(_answer_refusal, _cycles), lambda lap, args: (
         _answer_refusal(lap, args) is None and fold_refusal(lap.quiver, lap.ranks) is None)),
-    "perm": Route(
-        _refusing(_trace_refusal, lambda lap, args: (det_perm_traces(lap.matrix), None)),
-        lambda lap, args: (
-            _size_within(PERM_SUM_CAP)(lap, args) and _trace_refusal(lap, args) is None)),
-    "block-perm": Route(
-        _refusing(_answer_refusal, lambda lap, args: (det_block_perm(lap.block), None)),
-        _size_within(PERM_SUM_CAP)),
-    "trace-formal": Route(
-        _refusing(_answer_refusal, lambda lap, args: (det_trace_formal(lap.block), None)),
-        _size_within(TAU_DET_CAP)),
+    "perm": _perm_sum_route(
+        _trace_refusal, lambda lap, args: (det_perm_traces(lap.matrix), None)),
+    "block-perm": _perm_sum_route(
+        _answer_refusal, lambda lap, args: (det_block_perm(lap.block), None)),
+    "trace-formal": _perm_sum_route(
+        _answer_refusal, lambda lap, args: (det_trace_formal(lap.block), None)),
     "vector-fields": Route(
         lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
         lambda lap, args: stack_cost(lap) <= (
@@ -236,7 +247,7 @@ def _parse_kappa(args, p):
 
 def _emit(args, payload, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(_written(json.dumps, payload, indent=2, sort_keys=False))
     else:
         for line in text_lines:
             print(line)

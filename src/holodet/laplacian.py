@@ -1,7 +1,7 @@
 """The twisted Laplacian of a quiver representation, and identities for its
 determinant: the cycle-multiset expansion, the characteristic polynomial,
 moment identities for random representations, and a Cauchy-Binet splitting
-into edge-subset terms.
+into stack terms.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import cached_property
 from .errors import HolodetError, MethodRefusal, ValidationError
 from .linalg import BlockMatrix, Matrix, block_offsets, det_oracle
 from .quiver import Representation, validate, vertex_z
+from .vectorfields import stacks
 from .walks import cycle_series, shifted_visit_sum
 
 CAUCHY_BINET_CAP = 6
@@ -34,6 +35,10 @@ SYMBOLIC_TERM_CAP = 2 ** 14
 # monomials (trace_monomial_bound): with one symbol per edge it took 0.5 s
 # at 42,504, 1.3-5.8 s at 75,582-77,520 and 15-32 s past 490,000
 PERM_TERM_CAP = 2 ** 16
+# slots of a symbolic perm, block-perm or trace-formal run: no monomial
+# bound caps folds of polynomial traces times polynomial partial sums
+# (block-perm took 42 s at M = 1,225); at n <= 5 the slowest took 3.7 s
+SYMBOLIC_SLOT_CAP = 5
 # symbolic charpoly runs only while det(tI + L) may have at most this many
 # monomials (monomial_bound, shifted): with one symbol per edge it took
 # 0.07 s at 3,125, 1.3 s at 46,656 and 52 s at 823,543
@@ -223,65 +228,22 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
     return WilsonMomentReport(lhs=lhs, rhs=rhs, terms=stats["keys"] ** k)
 
 
-def _subset_selections(quiver, ranks):
-    """All collections of per-edge row subsets with per-vertex sizes
-    summing to the vertex rank."""
-    per_vertex = []
-    for a in range(quiver.p):
-        es = quiver.out_edges(a)
-        choices = []
-
-        def rec(i, remaining, acc):
-            if i == len(es):
-                if remaining == 0:
-                    choices.append(tuple(acc))
-                return
-            for size in range(remaining + 1):
-                for comb in itertools.combinations(range(ranks[a]), size):
-                    acc.append((es[i].id, comb))
-                    rec(i + 1, remaining - size, acc)
-                    acc.pop()
-
-        rec(0, ranks[a], [])
-        if not choices:
-            return []
-        per_vertex.append(choices)
-    out = []
-    for combo in itertools.product(*per_vertex):
-        sel = {}
-        for group in combo:
-            for eid, comb in group:
-                sel[eid] = comb
-        out.append(sel)
-    return out
-
-
 def cauchy_binet_decompose(lap):
-    """Split det L over collections of per-edge coordinate subsets: each
-    term is the determinant of the Laplacian-like composite built from the
-    projected edge maps; the terms sum to det L."""
-    quiver = lap.quiver
-    ranks = lap.ranks
-    n = sum(ranks)
+    """Split det L over stacks (vectorfields.stacks): row r of a stack's
+    term is x_e e_r - x_e U_e[i, :] at the target's columns, for the stack's
+    edge e at r, r being row i of its block.  Row r of L sums those rows
+    over r's out-edges, so the terms, each (stack, det), sum to det L."""
+    n = sum(lap.ranks)
     if n > CAUCHY_BINET_CAP:
-        raise MethodRefusal(
-            f"subset decomposition capped at total rank {CAUCHY_BINET_CAP}, got {n}"
-        )
+        raise MethodRefusal(f"stack decomposition capped at total rank {CAUCHY_BINET_CAP}, got {n}")
     offsets = lap.block.offsets
     terms = []
-    for sel in _subset_selections(quiver, ranks):
+    for xi in stacks(lap):
         rows = [[0] * n for _ in range(n)]
-        for e in quiver.edges:
-            chosen = sel.get(e.id, ())
-            if not chosen:
-                continue
-            w = lap.weights[e.id]
-            u_mat = lap.rep.matrices[e.id]
-            r0 = offsets[e.src]
-            c0 = offsets[e.tgt]
-            for i in chosen:
-                rows[r0 + i][r0 + i] = rows[r0 + i][r0 + i] + w
-                for j in range(u_mat.cols):
-                    rows[r0 + i][c0 + j] = rows[r0 + i][c0 + j] - w * u_mat.at(i, j)
-        terms.append((sel, det_oracle(Matrix.from_rows(rows))))
+        for r, eid in enumerate(xi):
+            e, w = lap.quiver.edge(eid), lap.weights[eid]
+            u_row = lap.rep.matrices[eid].to_rows()[r - offsets[e.src]]
+            rows[r][r] = w
+            rows[r][offsets[e.tgt]:offsets[e.tgt + 1]] = [-w * u for u in u_row]
+        terms.append((xi, det_oracle(Matrix.from_rows(rows))))
     return terms

@@ -304,7 +304,8 @@ def _det_cofactor(m):
 
 def charpoly_oracle(m):
     """Coefficients of det(tI + M), ascending in t, by the
-    Faddeev-LeVerrier recursion (exact division by integers only)."""
+    Faddeev-LeVerrier recursion (exact division by integers only); each
+    step's A M_k, formed for its trace, starts the next step."""
     if not m.is_square:
         raise HolodetError("characteristic polynomial of a non-square matrix")
     n = m.rows
@@ -312,10 +313,11 @@ def charpoly_oracle(m):
     ident = Matrix.identity(n)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
-    mk = Matrix.zeros(n, n)
+    # formed, not assumed zero, for the signed zeros of its float entries
+    amk = a * Matrix.zeros(n, n)
     for k in range(1, n + 1):
-        mk = a * mk + ident.scale(coeffs[n - k + 1])
-        coeffs[n - k] = int_div(-( (a * mk).trace() ), k)
+        amk = a * (amk + ident.scale(coeffs[n - k + 1]))
+        coeffs[n - k] = int_div(-amk.trace(), k)
     return coeffs
 
 

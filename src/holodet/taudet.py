@@ -18,8 +18,6 @@ from .linalg import product_traces
 from .vectorfields import vertex_field_sum
 from .walks import cycle_cover_sum, min_rotation
 
-TAU_DET_CAP = 7
-
 
 @dataclass
 class TauContext:
@@ -47,10 +45,7 @@ class TauContext:
 def word_concat(*words):
     if any(w is None for w in words):
         return None
-    out = ()
-    for w in words:
-        out = out + tuple(w)
-    return out
+    return tuple(x for w in words for x in w)
 
 
 def det_tau(entries, ctx):
@@ -60,8 +55,6 @@ def det_tau(entries, ctx):
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise MethodRefusal("tau-determinant needs a square array")
-    if n > TAU_DET_CAP:
-        raise MethodRefusal(f"tau-determinant capped at n<={TAU_DET_CAP}, got {n}")
     allowed = [[j for j in range(n) if entries[i][j] is not None] for i in range(n)]
 
     def weight(cyc):

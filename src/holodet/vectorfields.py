@@ -21,10 +21,14 @@ def stack_cost(lap):
     """Stacks of outgoing edges times n!, the elementary terms of the stack
     sum; 0 when some vertex has no outgoing edge, since then there is no
     stack and the sum is 0."""
-    stacks = 1
-    for a in range(lap.quiver.p):
-        stacks *= lap.quiver.outdeg(a) ** lap.ranks[a]
-    return stacks * factorial(sum(lap.ranks))
+    count = prod(lap.quiver.outdeg(a) ** r for a, r in enumerate(lap.ranks))
+    return count * factorial(sum(lap.ranks))
+
+
+def stacks(lap):
+    """Every stack: one id per slot of an edge leaving the slot's vertex."""
+    out_ids = [[e.id for e in lap.quiver.out_edges(a)] for a in range(lap.quiver.p)]
+    return itertools.product(*(out_ids[b] for b in lap.block.slots))
 
 
 def _chained_images(bl, targets):
@@ -55,13 +59,11 @@ def _stack_sum(lap, cost, budget, terms):
         )
     if cost == 0:
         return 0
-    bl = lap.block.slots
     tgt = {e.id: e.tgt for e in lap.quiver.edges}
-    out_ids = [[e.id for e in lap.quiver.out_edges(a)] for a in range(lap.quiver.p)]
     trace = product_traces(lap.rep.matrices)
     plans = {}
     total = 0
-    for xi in itertools.product(*(out_ids[b] for b in bl)):
+    for xi in stacks(lap):
         xw = 1
         for eid in xi:
             xw = xw * lap.weights[eid]

@@ -285,6 +285,148 @@ def test_symbolic_monomial_cap_sits_between_complete_digraphs(p, fits):
     assert ROUTES["oracle"].fits(exact, SimpleNamespace(mode="exact"))
 
 
+def _symbolic_parallel(ranks, k):
+    """Two vertices of the given ranks joined by k edges each way, one
+    symbol per edge, with exact maps."""
+    q = Quiver(2, [Edge(f"{d}{i}", a, 1 - a) for a, d in ((0, "a"), (1, "b"))
+                   for i in range(k)])
+    rng = random.Random(k)
+    syms = Symbols(tuple(e.id for e in q.edges))
+    rep = Representation(ranks, {
+        e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                     [Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                      for _ in range(ranks[e.src] * ranks[e.tgt])])
+        for e in q.edges})
+    return q, rep, {e.id: Poly.variable(syms, e.id) for e in q.edges}
+
+
+def test_symbolic_permutation_sums_refuse_past_five_slots(tmp_path, capsys):
+    # ranks (4, 3) with six edges each way: n = 7 and M = 126 * 56 = 7,056,
+    # under the monomial cap, which does not bound a fold multiplying
+    # polynomial traces by polynomial partial sums; the three permutation
+    # sums refuse up front, and the oracle still answers
+    inst = _symbolic_parallel((4, 3), 6)
+    lap = build_laplacian(*inst)
+    assert monomial_bound(inst[0], inst[1].ranks) == 7056 <= SYMBOLIC_TERM_CAP
+    assert trace_monomial_bound(inst[0], inst[1].ranks) <= PERM_TERM_CAP
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    args = SimpleNamespace(mode="symbolic")
+    for method in ("block-perm", "trace-formal", "perm"):
+        assert not ROUTES[method].fits(lap, args)
+        start = time.perf_counter()
+        code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
+                                  "--method", method], capsys)
+        assert time.perf_counter() - start < 1, method
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {"type": "refusal",
+                         "message": "symbolic permutation sum capped at n<=5, got 7"}
+    code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
+                              "--methods", "oracle,block-perm", "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    oracle, block_perm = json.loads(out)["methods"]
+    assert oracle["value"] == scalar_str(det_oracle(lap.matrix))
+    assert block_perm == {"method": "block-perm",
+                          "skipped": "symbolic permutation sum capped at n<=5, got 7"}
+
+
+def test_compare_leaves_out_permutation_sums_past_the_monomial_cap(tmp_path, capsys):
+    # ranks (3, 2) with twelve edges each way: n = 5, but M = 364 * 78 =
+    # 28,392; block-perm and trace-formal no longer fit, as oracle, cycles
+    # and perm do not, so compare has no route to run
+    inst = _symbolic_parallel((3, 2), 12)
+    lap = build_laplacian(*inst)
+    assert monomial_bound(inst[0], inst[1].ranks) == 28392 > SYMBOLIC_TERM_CAP
+    for method in ("oracle", "cycles", "perm", "block-perm", "trace-formal"):
+        assert not ROUTES[method].fits(lap, SimpleNamespace(mode="symbolic")), method
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
+                              "--format", "json"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "no route fits this instance in symbolic mode")
+
+
+@pytest.mark.parametrize("p,rank", [(8, 1), (4, 2)])
+def test_trace_formal_answers_eight_slots(tmp_path, capsys, p, rank):
+    # trace-formal folds the cycle covers that block-perm folds, under the
+    # same cap of 8 slots
+    inst = _complete_digraph(p, rank)
+    lap = build_laplacian(*inst)
+    assert ROUTES["trace-formal"].fits(lap, SimpleNamespace(mode="exact"))
+    path = tmp_path / "complete.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    code, out, err = run_cli(["det", "--input", str(path), "--method", "trace-formal",
+                              "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == scalar_str(det_oracle(lap.matrix))
+
+
+def _long_cycle(tmp_path):
+    """A directed 50-cycle of rank 1 whose determinant, a product of 50
+    weights of 99 digits, is past Python's 4,300-digit limit on integer
+    string conversion."""
+    q = Quiver(50, [Edge(f"e{i}", i, (i + 1) % 50) for i in range(50)])
+    rep = Representation((1,) * 50, {e.id: Matrix(1, 1, [Fraction(10 ** 99 + 7, 3)])
+                                     for e in q.edges})
+    path = tmp_path / "cycle50.json"
+    path.write_text(json.dumps(instance_to_json(
+        q, rep, {e.id: Fraction(10 ** 99 + 1, 7) for e in q.edges})))
+    return path
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+digit_limited = pytest.mark.skipif(not DIGIT_LIMIT, reason="no limit on int-to-str conversion")
+
+
+@digit_limited
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["det", "--method", "oracle"],
+    ["det", "--method", "cycles"],
+    ["compare", "--methods", "oracle,cycles"],
+    ["charpoly"],
+])
+def test_values_past_the_digit_limit_are_refused(tmp_path, capsys, argv, fmt):
+    code, out, err = run_cli([*argv, "--input", str(_long_cycle(tmp_path)),
+                              "--format", fmt], capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    assert f"past Python's {DIGIT_LIMIT}-digit limit" in error["message"]
+
+
+@digit_limited
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_moments_past_the_digit_limit_are_refused(tmp_path, capsys, fmt):
+    # E[(det L)^4000] on complete (1,)*3 with weights 1/3 has a denominator
+    # of 27^4000; on two disjoint 2-cycles E[(det L)^20000] is 1/4, but
+    # terms, 2^20000, is past the limit, and only the JSON report writes it
+    q, rep, _ = _complete_digraph(3, 1)
+    rep = Representation(rep.ranks, {e.id: Matrix(1, 1, [Fraction(1, 2)]) for e in q.edges})
+    dense = tmp_path / "complete3.json"
+    dense.write_text(json.dumps(instance_to_json(
+        q, rep, {e.id: Fraction(1, 3) for e in q.edges})))
+    q = Quiver(4, [Edge("e", 0, 1), Edge("f", 1, 0), Edge("g", 2, 3), Edge("h", 3, 2)])
+    rep = Representation((1,) * 4, {e.id: Matrix(1, 1, [Fraction(1)]) for e in q.edges})
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps(instance_to_json(
+        q, rep, {"e": Fraction(1), "f": Fraction(1, 2), "g": Fraction(1), "h": Fraction(1, 2)})))
+    for path, k, refused in ((dense, 4000, True), (pairs, 20000, fmt == "json")):
+        code, out, err = run_cli(["moments", "--input", str(path), "--k", str(k),
+                                  "--format", fmt], capsys)
+        if refused:
+            assert code == 3 and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "refusal"
+            assert f"past Python's {DIGIT_LIMIT}-digit limit" in error["message"]
+        else:
+            assert code == 0 and err == ""
+            assert out == "lhs: 1/4\nrhs: 1/4\nagree: True\n"
+
+
 def test_monte_carlo_moments_refuse_past_the_fold_cap(tmp_path, capsys):
     # each sample's right side is its cycle expansion, so the fold's cap
     # refuses complete (2,)*9 while counting, with no cycle multiset listed

@@ -26,6 +26,7 @@ from holodet.laplacian import (
     wilson_moment,
 )
 from holodet import linalg
+from holodet.vectorfields import stacks
 from holodet.linalg import (
     Matrix,
     block_walk_traces,
@@ -643,6 +644,27 @@ def test_cauchy_binet_sums_to_det():
         for _, term in cauchy_binet_decompose(lap):
             total = total + term
         assert total == det_oracle(lap.matrix)
+
+
+def test_cauchy_binet_terms_are_keyed_by_stacks():
+    # a vertex of rank 3 with three out-edges gives 3^3 stacks, and its
+    # partner of rank 1 with one out-edge 1^1: one term per stack, where
+    # the overlapping per-edge row subsets gave C(9, 3) = 84 terms
+    q = Quiver(2, [Edge("a", 0, 1), Edge("b", 0, 1), Edge("c", 0, 1), Edge("d", 1, 0)])
+    rng = random.Random(227)
+    ranks = (3, 1)
+    rep = Representation(ranks, {
+        e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                     [gauss_rat(rng) for _ in range(ranks[e.src] * ranks[e.tgt])])
+        for e in q.edges})
+    lap = build_laplacian(q, rep, {e.id: gauss_rat(rng) for e in q.edges})
+    terms = cauchy_binet_decompose(lap)
+    assert [xi for xi, _ in terms] == list(stacks(lap))
+    assert len(terms) == 3 ** 3 * 1 ** 1
+    total = 0
+    for _, term in terms:
+        total = total + term
+    assert total == det_oracle(lap.matrix)
 
 
 def test_cauchy_binet_unicyclic_term_is_closed_form():

@@ -84,6 +84,33 @@ def test_charpoly_constant_term_is_det():
         assert coeffs[n] == 1
 
 
+def test_charpoly_keeps_each_step_product(monkeypatch):
+    # each step's A M_k, formed for its trace, starts the next step: n + 1
+    # products, and the same floats, signed zeros included, as forming it
+    # twice
+    rng = random.Random(31)
+    n = 5
+    m = Matrix(n, n, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n * n)])
+    a = -m
+    ident = Matrix.identity(n)
+    want = [0] * n + [1]
+    mk = Matrix.zeros(n, n)
+    for k in range(1, n + 1):
+        mk = a * mk + ident.scale(want[n - k + 1])
+        want[n - k] = -((a * mk).trace()) / k
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    got = charpoly_oracle(m)
+    assert len(calls) == n + 1
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
 def test_walk_trace_zero_block():
     m = Matrix.from_rows([[3, 0], [5, 7]])
     bm = BlockMatrix(m, (1, 1))

@@ -57,8 +57,9 @@ def test_det_tau_refuses_an_undeclared_empty_word():
 
 def test_det_tau_size_refusal():
     ctx = scalar_context({(0, 0): Fraction(1)})
-    entries = [[((0, 0),)] * 8 for _ in range(8)]
-    with pytest.raises(MethodRefusal):
+    # the cycle-cover fold's cap, shared with block-perm, admits 8 slots
+    entries = [[((0, 0),)] * 9 for _ in range(9)]
+    with pytest.raises(MethodRefusal, match="capped at n<=8, got 9"):
         det_tau(entries, ctx)
 
 

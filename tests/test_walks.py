@@ -6,12 +6,13 @@ from math import factorial, prod
 import pytest
 from _helpers import gauss_rat
 
-from holodet.errors import HolodetError
+from holodet.errors import HolodetError, MethodRefusal
 from holodet.linalg import Matrix
 from holodet.quiver import Edge, Quiver, gen_example
 from holodet.ring import Poly, Symbols, int_div, scalars_close
 from holodet import walks
 from holodet.walks import (
+    PERM_SUM_CAP,
     CycleMultiset,
     CyclicWalk,
     GCycle,
@@ -879,6 +880,17 @@ def test_cycle_cover_sum_matches_signed_permutation_sum():
                 cycles, sign = _cycles_and_sign(perm)
                 want += sign * prod(map(weight, cycles))
         assert cycle_cover_sum(allowed, weight) == want, (allowed, trial)
+
+
+def test_cycle_cover_sum_refuses_past_its_cap_before_reading_a_weight():
+    # the one cap of block-perm's and trace-formal's fold, which
+    # det_perm_traces reads too
+    def weight(cyc):
+        raise AssertionError("a weight was read")
+
+    assert PERM_SUM_CAP == 8
+    with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
+        cycle_cover_sum([range(9)] * 9, weight)
 
 
 def test_cycle_types_are_conjugacy_classes():
