@@ -194,8 +194,8 @@ ROUTES = {
 
 
 def _run_route(method, lap, args):
-    """The route's report row and value, refusing a float value that
-    overflows or is not finite."""
+    """The route's report row, its value not yet written out (_written_row),
+    refusing a float value that overflows or is not finite."""
     start = time.perf_counter()
     try:
         value, terms = ROUTES[method].run(lap, args)
@@ -204,12 +204,17 @@ def _run_route(method, lap, args):
     if args.mode == "float" and not cmath.isfinite(to_complex(value)):
         raise MethodRefusal(f"{method} gives a non-finite value in floating point")
     elapsed = time.perf_counter() - start
-    row = {"method": method, "value": _value_json(value, args.mode)}
+    row = {"method": method, "value": value}
     if terms is not None:
         row["terms"] = terms
     if args.timing:
         row["timing_s"] = elapsed
-    return row, value
+    return row
+
+
+def _written_row(row, mode):
+    """A route's row with its value written out, in its place."""
+    return {**row, "value": _value_json(row["value"], mode)}
 
 
 def _check_route_options(args, methods, chose=()):
@@ -256,9 +261,10 @@ def _emit(args, payload, text_lines):
 def cmd_det(args):
     _check_route_options(args, [args.method])
     lap = build_laplacian(*_load(args, check=False))
-    row, value = _run_route(args.method, lap, args)
-    payload = {"command": "det", "method": args.method, "mode": args.mode, **row}
-    _emit(args, payload, [_value_text(value, args.mode)])
+    row = _run_route(args.method, lap, args)
+    payload = {"command": "det", "method": args.method, "mode": args.mode,
+               **_written_row(row, args.mode)}
+    _emit(args, payload, [_value_text(row["value"], args.mode)])
     return 0
 
 
@@ -343,20 +349,20 @@ def cmd_compare(args):
         if not math.isfinite(abs_tol):
             raise MethodRefusal("the Hadamard floor overflows, so any two values would agree")
     rows = []
-    values = []
     for method in wanted:
         try:
-            row, value = _run_route(method, lap, args)
+            rows.append(_run_route(method, lap, args))
         except MethodRefusal as exc:
             rows.append({"method": method, "skipped": str(exc)})
-            continue
-        rows.append(row)
-        values.append(value)
+    values = [row["value"] for row in rows if "value" in row]
     if not values:
         # with no value there is nothing to agree on
         skipped = "; ".join(f"{row['method']}: {row['skipped']}" for row in rows)
         raise MethodRefusal(f"no route answers ({skipped})" if rows else
                             f"no route fits this instance in {args.mode} mode")
+    # written once every route has run, so a value past the digit limit
+    # refuses the command as det's does, not the route that gave it
+    rows = [row if "skipped" in row else _written_row(row, args.mode) for row in rows]
 
     agree = True
     max_disc = 0.0

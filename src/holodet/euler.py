@@ -332,13 +332,18 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
         value *= (to_complex(z).real + k) ** r
 
     # (edge id, holonomy, weight) of each prefix of the last prime: the left
-    # folds holonomy() and a product of p_edges take, extended by new edges
+    # folds holonomy() and a product of p_edges take, extended by new edges.
+    # The primes are walked in edge order, so each prefix is formed once for
+    # every prime that extends it, whatever its length, and their factors
+    # are multiplied back in the list's (length, edges) order
     mats = lap.rep.matrices
     # float-mode edge maps are complex already, and so is every product of
     # them; det_oracle sends a complex I - wH to its LU, called here directly
     convert = not all(type(x) is complex for m in mats.values() for x in m.data)
     prefix = []
-    for cyc in primes:
+    factors = [None] * len(primes)
+    for at in sorted(range(len(primes)), key=lambda at: primes[at].edges):
+        cyc = primes[at]
         k = 0
         while k < len(prefix) and prefix[k][0] == cyc.edges[k]:
             k += 1
@@ -351,8 +356,10 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
         # the rows of I - wH, each entry the expression that
         # Matrix.identity(r) - hol.scale(w) would form
         r, h, w = hol.rows, hol.data, prefix[-1][2]
-        value *= _det_lu_rows([[(1 if i == j else 0) - h[i * r + j] * w
-                                for j in range(r)] for i in range(r)])
+        factors[at] = _det_lu_rows([[(1 if i == j else 0) - h[i * r + j] * w
+                                     for j in range(r)] for i in range(r)])
+    for factor in factors:
+        value *= factor
 
     # each factor is off by at most delta, so with a = (1 + delta)^N - 1
     # |value - det| <= |value| (expm1(tail) + a) / (1 - a), at most

@@ -96,6 +96,12 @@ def build_laplacian(quiver, rep, weights):
     bad = validate(quiver, rep, weights)
     if bad:
         raise ValidationError(bad)
+    return _sized_laplacian(quiver, rep, weights)
+
+
+def _sized_laplacian(quiver, rep, weights):
+    """build_laplacian past validation, for an instance known to be valid:
+    refused past LAPLACIAN_SIZE_CAP all the same."""
     if sum(rep.ranks) > LAPLACIAN_SIZE_CAP:
         raise MethodRefusal(
             f"Laplacian size capped at n<={LAPLACIAN_SIZE_CAP}, got {sum(rep.ranks)}"
@@ -169,9 +175,11 @@ def moment_samples(quiver, weights, reps, k, stats=None):
     along its cycles.  A tuple's weight and trace product are the products of
     its members', so that sum is the k-th power of the one-multiset sum, the
     cycle expansion det_laplacian_cycles folds, which is what is formed.
-    stats, when a dict, receives "keys" as det_laplacian_cycles gives it."""
+    stats, when a dict, receives "keys" as det_laplacian_cycles gives it.
+    The caller has validated the quiver and weights, and each rep has the
+    ranks and map shapes of a valid instance, so none is validated again."""
     for rep in reps:
-        lap = build_laplacian(quiver, rep, weights)
+        lap = _sized_laplacian(quiver, rep, weights)
         yield det_oracle(lap.matrix) ** k, det_laplacian_cycles(lap, stats) ** k
 
 
@@ -192,7 +200,9 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
     only the holonomy traces sit inside the expectation.
 
     edge_dists maps each edge id to a list of (probability, Matrix) pairs
-    with exact probabilities summing to 1; edges are independent.
+    with exact probabilities summing to 1; edges are independent.  The
+    quiver and weights are a validated instance's, and each matrix has its
+    edge's shape under ranks, as moment_samples takes them.
     """
     if k < 1:
         raise HolodetError("moment order k must be >= 1")

@@ -12,12 +12,96 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
 from .ring import EXACT_TYPES, GaussianRational, Poly, gaussian_ints, gaussian_scalar, int_div
 
 POLY_DET_CAP = 8
+# the largest blocks that products and closes run as generated kernels:
+# SMALL rows, columns and inner length, and twice that for the row length
+# and column count of linalg's int forms, as their complex [A | B] doubles
+# both; a kernel's first use builds it (a 6x12x12 one took 6 ms), so
+# larger shapes, such as perm's n x n powers, keep their loops
+SMALL = 3
+
+# the straight-line function of each (source, shape) used so far
+_KERNELS = {}
+
+
+def _kernel(source, shape):
+    """The function source(*shape) writes out, built on first use.  Its
+    entries are written in the order of the loop it replaces, so every
+    scalar type, floats and their signed zeros included, gives the same
+    value bit for bit."""
+    key = source, shape
+    got = _KERNELS.get(key)
+    if got is None:
+        params, result = source(*shape)
+        lines = [f"def kernel({', '.join(name for name, _ in params)}):"]
+        lines += [f"    {_target(names)} = {name}" for name, names in params if names is not None]
+        lines.append(f"    return {result}")
+        scope = {}
+        exec("\n".join(lines), scope)
+        got = _KERNELS[key] = scope["kernel"]
+    return got
+
+
+def _target(names):
+    """A nested list of names as an assignment target that unpacks it."""
+    return names if isinstance(names, str) else f"[{', '.join(map(_target, names))}]"
+
+
+def _names(prefix, *shape):
+    """prefix{i}, or prefix{i}_{j} for a two-part shape, as nested lists."""
+    if len(shape) == 1:
+        return [f"{prefix}{i}" for i in range(shape[0])]
+    return [[f"{prefix}{i}_{j}" for j in range(shape[1])] for i in range(shape[0])]
+
+
+def _sum(start, terms):
+    # left to right, from start, as acc = acc + term adds them
+    return " + ".join([start, *terms])
+
+
+def _matrix_product(n, k, m):
+    """Matrix.__mul__ on row-major entries a (n x k) and b (k x m)."""
+    a, b = _names("a", n * k), _names("b", k * m)
+    entries = (_sum("0", [f"{a[i * k + t]} * {b[t * m + j]}" for t in range(k)])
+               for i in range(n) for j in range(m))
+    return (("a", a), ("b", b)), f"({', '.join(entries)},)" if n * m else "()"
+
+
+def _matrix_close(n, k):
+    """Matrix.close on row-major entries a (n x k) and b (k x n)."""
+    a, b = _names("a", n * k), _names("b", k * n)
+    diagonal = (_sum("0", [f"{a[i * k + t]} * {b[t * n + i]}" for t in range(k)])
+                for i in range(n))
+    return (("a", a), ("b", b)), _sum("0", (f"({x})" for x in diagonal))
+
+
+def _int_product(n, k, m):
+    """int_product on n int rows and m int columns, each of length k."""
+    rows, cols = _names("r", n, k), _names("c", m, k)
+    entries = [[" + ".join(map("{} * {}".format, row, col)) or "0" for col in cols]
+               for row in rows]
+    return (("rows", rows), ("cols", cols)), _target(entries)
+
+
+def _int_close(n, k, m):
+    """int_close on n int rows of length k and m int columns: row i times
+    column i for re, and times column n + i, when there is one, for im."""
+    rows, cols = _names("r", n, k), _names("c", m, k)
+    dots = lambda part: [f"{x} * {y}" for row, col in zip(rows, part) for x, y in zip(row, col)]
+    return ((("rows", rows), ("cols", cols), ("re", None), ("im", None)),
+            f"({_sum('re', dots(cols[:n]))}, {_sum('im', dots(cols[n:]))})")
+
+
+def _int_sum(n, k):
+    """int_sum on two lists of n int rows of length k."""
+    a, b = _names("a", n, k), _names("b", n, k)
+    return (("a", a), ("b", b)), _target([[f"{x} + {y}" for x, y in zip(r, s)]
+                                          for r, s in zip(a, b)])
 
 
 class Matrix:
@@ -92,6 +176,8 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         n, m, k = self.rows, other.cols, self.cols
+        if n <= SMALL and m <= SMALL and k <= SMALL:
+            return _matrix(n, m, _kernel(_matrix_product, (n, k, m))(self.data, other.data))
         out = []
         for i in range(n):
             base = i * k
@@ -118,6 +204,8 @@ class Matrix:
         if k != last.rows or n != last.cols:
             raise ValueError(f"{n}x{k} times {last.rows}x{last.cols} has no trace")
         a, b = self.data, last.data
+        if n <= SMALL and k <= SMALL:
+            return _kernel(_matrix_close, (n, k))(a, b)
         got = 0
         for i in range(n):
             acc = 0
@@ -179,6 +267,14 @@ class Matrix:
                     cof = -cof
                 out[j][i] = _field_div(cof, d)
         return Matrix.from_rows(out)
+
+
+def _matrix(rows, cols, data):
+    # a kernel's tuple of entries, made a Matrix without __init__, whose
+    # call is a measurable share of a product of small matrices
+    got = object.__new__(Matrix)
+    got.rows, got.cols, got.data = rows, cols, data
+    return got
 
 
 def _field_div(a, b):
@@ -385,6 +481,9 @@ class BlockMatrix:
 def int_product(rows, cols):
     """The int rows of rows x cols: each row of rows times each column of
     cols, all int lists of one length."""
+    n, k, m = len(rows), len(rows[0]), len(cols)
+    if n <= SMALL and k <= 2 * SMALL and m <= 2 * SMALL:
+        return _kernel(_int_product, (n, k, m))(rows, cols)
     # a loop over rows: on Python 3.11 an outer comprehension is one more
     # function call per product
     out = []
@@ -396,10 +495,20 @@ def int_product(rows, cols):
 def int_close(rows, cols, re=0, im=0):
     """(re, im) plus the int parts of Tr(rows x cols), not forming it: row i
     of the n rows times column i, then n + i (none when both are real)."""
-    n = len(rows)
+    n, k, m = len(rows), len(rows[0]), len(cols)
+    if n <= SMALL and k <= 2 * SMALL and m <= 2 * SMALL:
+        return _kernel(_int_close, (n, k, m))(rows, cols, re, im)
     flat = list(chain.from_iterable(rows))
     return (sum(map(mul, flat, chain.from_iterable(cols[:n])), re),
             sum(map(mul, flat, chain.from_iterable(cols[n:])), im))
+
+
+def int_sum(a, b):
+    """The int rows of a + b, two lists of int rows of one shape."""
+    n, k = len(a), len(a[0])
+    if n <= SMALL and k <= 2 * SMALL:
+        return _kernel(_int_sum, (n, k))(a, b)
+    return [list(map(add, r, s)) for r, s in zip(a, b)]
 
 
 class GaussianMatrix:

@@ -33,7 +33,7 @@ from math import factorial, lcm, prod
 from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
-from .linalg import exact_forms, int_close, int_product
+from .linalg import exact_forms, int_close, int_product, int_sum
 from .quiver import Edge, Quiver
 from .ring import (
     GaussianRational,
@@ -273,7 +273,7 @@ def _transfer(quiver, bound, maps, state_cap=None):
     exact = type(next(iter(maps.values()), None)) is tuple
     times, plus = mul, add
     if exact:
-        times, plus = int_product, lambda a, b: [list(map(add, r, r2)) for r, r2 in zip(a, b)]
+        times, plus = int_product, int_sum
     else:
         # a Matrix map is its own rows and its own columns
         maps = {key: (m, m) for key, m in maps.items()}

@@ -322,6 +322,39 @@ def test_prefix_shared_holonomies_are_bit_identical():
         checked += 1
 
 
+def test_truncated_euler_forms_each_prefix_once(monkeypatch):
+    # the primes are walked in edge order, so a prefix shared by primes of
+    # different lengths, which the (length, edges) order keeps apart, is
+    # multiplied out once: one product per distinct prefix of 2 or more
+    # edges, besides those of the chain's edge-map norms
+    calls = []
+    real = Matrix.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    rng = random.Random(1601)
+    checked = 0
+    while checked < 6:
+        q, rep, w, kappa = _random_submarkov_instance(rng, p_max=4, edge_max=7)
+        if prime_finiteness(q).finite:
+            continue
+        lap = build_laplacian(q, rep, w)
+        calls.clear()
+        build_submarkov(lap, kappa).chain
+        own = len(calls)
+        calls.clear()
+        res = det_euler_truncated(lap, kappa, tol=1e-9)
+        if res.prime_count < 20:
+            continue
+        primes = prime_cycles(q, res.max_len)
+        prefixes = {c.edges[:j] for c in primes for j in range(2, len(c.edges) + 1)}
+        assert len(calls) - own == len(prefixes)
+        checked += 1
+
+
 def test_finite_primes_zero_kappa_is_exact():
     # conservative two-cycle: not sub-Markovian, but the prime set is
     # finite so the product needs no tail and stays exact

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
@@ -202,6 +203,176 @@ def test_product_traces_refuse_a_product_without_trace():
         trace(("a", "b"))
     with pytest.raises(ValueError):
         trace(("b", "b", "a"))
+
+
+# the loops that small shapes' generated kernels replace, kept as the reference
+
+def _loop_product(a, b):
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = 0
+            for t in range(a.cols):
+                acc = acc + a.data[i * a.cols + t] * b.data[t * b.cols + j]
+            out.append(acc)
+    return out
+
+
+def _loop_close(a, b):
+    got = 0
+    for i in range(a.rows):
+        acc = 0
+        for t in range(a.cols):
+            acc = acc + a.data[i * a.cols + t] * b.data[t * a.rows + i]
+        got = got + acc
+    return got
+
+
+def _loop_int_product(rows, cols):
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _loop_int_close(rows, cols, re=0, im=0):
+    n = len(rows)
+    flat = list(itertools.chain.from_iterable(rows))
+    return (sum(map(mul, flat, itertools.chain.from_iterable(cols[:n])), re),
+            sum(map(mul, flat, itertools.chain.from_iterable(cols[n:])), im))
+
+
+def _loop_int_sum(a, b):
+    return [list(map(add, r, s)) for r, s in zip(a, b)]
+
+
+def _bits(values):
+    """Each value's type and value, a float or complex by the bits of its
+    parts, so that 0.0 and -0.0 differ."""
+    def bits(x):
+        if isinstance(x, complex):
+            return complex, x.real.hex(), x.imag.hex()
+        if isinstance(x, float):
+            return float, x.hex()
+        return type(x), x
+    return [bits(x) for x in values]
+
+
+_XY = Symbols(("x", "y"))
+
+
+def _kernel_entries(rng):
+    """Random scalars of each type a Matrix product meets: complex floats
+    (a third of them signed zeros, the rest of mixed magnitude, so a
+    reordered sum rounds differently), ints, Fractions, GaussianRationals,
+    and Polys among int 0s, whose products with a Poly are the int 0."""
+    x, y = (Poly.variable(_XY, name) for name in _XY.names)
+    zeros = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0))
+    return {
+        "complex": lambda: rng.choice(zeros) if rng.random() < 0.35 else complex(
+            rng.gauss(0, 1), rng.gauss(0, 1)) * 10.0 ** rng.randint(-9, 9),
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+        "gaussian": lambda: gauss_rat(rng),
+        "poly": lambda: rng.choice((0, 0, x, y, x * y - 3, 2 * x + Fraction(1, 2))),
+    }
+
+
+def test_matrix_kernels_match_the_loops_bit_for_bit(monkeypatch):
+    # every kernel shape of Matrix.__mul__ and Matrix.close, empty ones too
+    monkeypatch.setattr(linalg, "_KERNELS", {})
+    rng = random.Random(3131)
+    dims = range(linalg.SMALL + 1)
+    types = set()
+    for family, entry in _kernel_entries(rng).items():
+        for n, k, m in itertools.product(dims, repeat=3):
+            for _ in range(3):
+                a = Matrix(n, k, [entry() for _ in range(n * k)])
+                b = Matrix(k, m, [entry() for _ in range(k * m)])
+                got = a * b
+                assert (got.rows, got.cols) == (n, m)
+                assert _bits(got.data) == _bits(_loop_product(a, b)), (family, n, k, m)
+                back = Matrix(m, k, [entry() for _ in range(m * k)])
+                assert _bits([b.close(back)]) == _bits([_loop_close(b, back)]), family
+                if k:
+                    types.update((family, type(x)) for x in got.data)
+    # a Poly entry made of int 0 products only stays the int 0
+    assert {("poly", int), ("poly", Poly), ("complex", complex)} <= types
+    assert len(linalg._KERNELS) == len(dims) ** 3 + len(dims) ** 2
+
+
+def test_int_kernels_match_the_loops(monkeypatch):
+    # every kernel shape of int_product, int_close and int_sum: up to SMALL
+    # rows, and twice that for the row length and the column count, as in
+    # the complex [A | B] forms, whose close takes n columns when real, 2n
+    # when complex
+    monkeypatch.setattr(linalg, "_KERNELS", {})
+    rng = random.Random(3132)
+    small = linalg.SMALL
+
+    def ints(count, length):
+        return [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(length)] for _ in range(count)]
+
+    for n in range(1, small + 1):
+        for k in range(1, 2 * small + 1):
+            rows = ints(n, k)
+            for m in range(1, 2 * small + 1):
+                cols = ints(m, k)
+                assert linalg.int_product(rows, cols) == _loop_int_product(rows, cols)
+            for cols in (ints(n, k), ints(2 * n, k)):
+                assert linalg.int_close(rows, cols) == _loop_int_close(rows, cols)
+                assert linalg.int_close(rows, cols, 5, -7) == _loop_int_close(rows, cols, 5, -7)
+            other = ints(n, k)
+            assert linalg.int_sum(rows, other) == _loop_int_sum(rows, other)
+    assert len(linalg._KERNELS) == small * 2 * small * (2 * small + 2 + 1)
+    # real and complex forms, as exact_form makes them, chain through them
+    for a_shape, b_shape in (((2, 3), (3, 2)), ((3, 1), (1, 3)), ((1, 2), (2, 1))):
+        for family in ("real", "mixed"):
+            a, b = (Matrix(r, c, [_exact_entry(rng, family) for _ in range(r * c)])
+                    for r, c in (a_shape, b_shape))
+            fa, fb = linalg.exact_form(a), linalg.exact_form(b)
+            cols = fb.cols[fa.complex]
+            assert (fa * fb).rows == _loop_int_product(fa.rows, cols)
+            assert fa.close(fb) == _loop_int_close(fa.rows, cols)
+
+
+def test_a_shape_past_the_bound_takes_the_loop(monkeypatch):
+    # one past SMALL in any dimension: no kernel is built, and the loop's
+    # value is the one a kernel for that shape gives
+    monkeypatch.setattr(linalg, "_KERNELS", {})
+    rng = random.Random(3133)
+    entry = _kernel_entries(rng)["complex"]
+    s = linalg.SMALL
+    for n, k, m in ((s + 1, s, s), (s, s + 1, s), (s, s, s + 1)):
+        a = Matrix(n, k, [entry() for _ in range(n * k)])
+        b = Matrix(k, m, [entry() for _ in range(k * m)])
+        got = a * b
+        assert not linalg._KERNELS
+        product = linalg._kernel(linalg._matrix_product, (n, k, m))
+        assert _bits(got.data) == _bits(product(a.data, b.data)) == _bits(_loop_product(a, b))
+        linalg._KERNELS.clear()
+    for n, k in ((s + 1, s), (s, s + 1)):
+        a = Matrix(n, k, [entry() for _ in range(n * k)])
+        back = Matrix(k, n, [entry() for _ in range(k * n)])
+        got = a.close(back)
+        assert not linalg._KERNELS
+        close = linalg._kernel(linalg._matrix_close, (n, k))
+        assert _bits([got]) == _bits([close(a.data, back.data)]) == _bits([_loop_close(a, back)])
+        linalg._KERNELS.clear()
+
+    def ints(count, length):
+        return [[rng.randint(-10 ** 12, 10 ** 12) for _ in range(length)] for _ in range(count)]
+
+    for n, k, m in ((s + 1, 2 * s, 2 * s), (s, 2 * s + 1, 2 * s), (s, 2 * s, 2 * s + 1)):
+        rows, cols = ints(n, k), ints(m, k)
+        got = linalg.int_product(rows, cols), linalg.int_close(rows, cols, 3, 4)
+        assert not linalg._KERNELS
+        assert got == (linalg._kernel(linalg._int_product, (n, k, m))(rows, cols),
+                       linalg._kernel(linalg._int_close, (n, k, m))(rows, cols, 3, 4))
+        linalg._KERNELS.clear()
+    for n, k in ((s + 1, 2 * s), (s, 2 * s + 1)):
+        rows, other = ints(n, k), ints(n, k)
+        got = linalg.int_sum(rows, other)
+        assert not linalg._KERNELS
+        assert got == linalg._kernel(linalg._int_sum, (n, k))(rows, other)
+        linalg._KERNELS.clear()
 
 
 def _exact_entry(rng, family):
