@@ -362,7 +362,7 @@ def cmd_compare(args):
                             f"no route fits this instance in {args.mode} mode")
     # written once every route has run, so a value past the digit limit
     # refuses the command as det's does, not the route that gave it
-    rows = [row if "skipped" in row else _written_row(row, args.mode) for row in rows]
+    written = [row if "skipped" in row else _written_row(row, args.mode) for row in rows]
 
     agree = True
     max_disc = 0.0
@@ -379,16 +379,18 @@ def cmd_compare(args):
     payload = {
         "command": "compare",
         "mode": args.mode,
-        "methods": rows,
+        "methods": written,
         "max_discrepancy": 0 if (exact_mode and agree) else max_disc,
         "agree": agree,
     }
     lines = []
-    for row in rows:
+    for row, out in zip(rows, written):
         if "skipped" in row:
             lines.append(f"{row['method']}: skipped ({row['skipped']})")
         else:
-            lines.append(f"{row['method']}: {row['value']}")
+            # as det writes it: an exact value's JSON is its text already
+            text = out["value"] if exact_mode else _value_text(row["value"], args.mode)
+            lines.append(f"{row['method']}: {text}")
     lines.append(f"agree: {agree}")
     _emit(args, payload, lines)
     if not agree:

@@ -16,7 +16,8 @@ from .errors import HolodetError, MethodRefusal
 from .laplacian import build_laplacian
 from .linalg import Matrix, _det_lu_rows, charpoly_oracle, det_oracle
 from .ring import EXACT_TYPES, GaussianRational, to_complex
-from .walks import prime_cycles, prime_finiteness
+from . import walks
+from .walks import cycle_words, prime_finiteness, ranked_edges
 
 
 # the longest truncation length det_euler_truncated tries before refusing
@@ -266,6 +267,17 @@ def _factor_rounding(r, rho):
     return math.expm1(r * (math.log1p(eta) + math.log1p(e)))
 
 
+def _factor_rows(hol, w):
+    """The rows of I - w hol, each entry the expression that
+    Matrix.identity(r) - hol.scale(w) forms, written out for r <= 2."""
+    r, h = hol.rows, hol.data
+    if r == 1:
+        return [[1 - h[0] * w]]
+    if r == 2:
+        return [[1 - h[0] * w, 0 - h[1] * w], [0 - h[2] * w, 1 - h[3] * w]]
+    return [[(1 if i == j else 0) - h[i * r + j] * w for j in range(r)] for i in range(r)]
+
+
 def _exact(s):
     """A scalar as the exact number it holds: a float or complex is a
     binary rational, read as a Fraction or a GaussianRational."""
@@ -324,47 +336,46 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
             f"tail bound does not reach {tol} within length {MAX_LEN_CAP} "
             f"(rho={rho:.6f})"
         )
-    primes = prime_cycles(lap.quiver, length)
     log_tail = _tail_bound(n, p, rho, length)
 
+    # the maps and transition weights by edge rank, the search's alphabet
+    edges = ranked_edges(lap.quiver)
+    mats = [lap.rep.matrices[e.id] for e in edges]
+    weights = [data.p_edges[e.id] for e in edges]
+    # float-mode edge maps are complex already, and so is every product of
+    # them; det_oracle sends a complex I - wH to its LU, called here directly
+    convert = not all(type(x) is complex for m in mats for x in m.data)
+    # (holonomy, weight) of each prefix of the last prime: the left folds
+    # holonomy() and a product of p_edges take, extended by the edges past
+    # the prefix the next prime shares.  The search yields the primes in
+    # lex order of their words, so each prefix is formed once for every
+    # prime that extends it, whatever its length; within one length that
+    # order is the primes' sort_key order, and the factors are multiplied
+    # length by length in it
+    prefix = []
+    factors = [[] for _ in range(length + 1)]
+    # the budget is read when the route runs, as prime_cycles reads it
+    for word, shared in cycle_words(lap.quiver, length, primes=True,
+                                    node_budget=walks.PRIME_SEARCH_NODES):
+        del prefix[shared:]
+        for a in word[shared:]:
+            hol, w = prefix[-1] if prefix else (None, 1.0)
+            prefix.append((mats[a] if hol is None else hol * mats[a], w * weights[a]))
+        hol, w = prefix[-1]
+        factors[len(word)].append(_det_lu_rows(_factor_rows(
+            hol.to_complex() if convert else hol, w)))
     value = 1.0 + 0.0j
     for z, k, r in zip(lap.z, data.kappa, lap.ranks):
         value *= (to_complex(z).real + k) ** r
-
-    # (edge id, holonomy, weight) of each prefix of the last prime: the left
-    # folds holonomy() and a product of p_edges take, extended by new edges.
-    # The primes are walked in edge order, so each prefix is formed once for
-    # every prime that extends it, whatever its length, and their factors
-    # are multiplied back in the list's (length, edges) order
-    mats = lap.rep.matrices
-    # float-mode edge maps are complex already, and so is every product of
-    # them; det_oracle sends a complex I - wH to its LU, called here directly
-    convert = not all(type(x) is complex for m in mats.values() for x in m.data)
-    prefix = []
-    factors = [None] * len(primes)
-    for at in sorted(range(len(primes)), key=lambda at: primes[at].edges):
-        cyc = primes[at]
-        k = 0
-        while k < len(prefix) and prefix[k][0] == cyc.edges[k]:
-            k += 1
-        del prefix[k:]
-        for eid in cyc.edges[k:]:
-            _, hol, w = prefix[-1] if prefix else (None, None, 1.0)
-            hol = mats[eid] if hol is None else hol * mats[eid]
-            prefix.append((eid, hol, w * data.p_edges[eid]))
-        hol = prefix[-1][1].to_complex() if convert else prefix[-1][1]
-        # the rows of I - wH, each entry the expression that
-        # Matrix.identity(r) - hol.scale(w) would form
-        r, h, w = hol.rows, hol.data, prefix[-1][2]
-        factors[at] = _det_lu_rows([[(1 if i == j else 0) - h[i * r + j] * w
-                                     for j in range(r)] for i in range(r)])
-    for factor in factors:
-        value *= factor
+    for same_length in factors:
+        for factor in same_length:
+            value *= factor
+    count = sum(map(len, factors))
 
     # each factor is off by at most delta, so with a = (1 + delta)^N - 1
     # |value - det| <= |value| (expm1(tail) + a) / (1 - a), at most
     # |value| expm1(tail + 2 N log1p(delta)) while a <= 0.6
-    spread = len(primes) * math.log1p(_factor_rounding(max(lap.ranks), rho))
+    spread = count * math.log1p(_factor_rounding(max(lap.ranks), rho))
     certified = (abs(value) * math.expm1(log_tail + 2 * spread)
                  if spread < 0.4 else math.inf)
     return TruncatedEuler(
@@ -372,7 +383,7 @@ def det_euler_truncated(lap, kappa, tol=1e-9):
         certified_bound=certified,
         max_len=length,
         rho=rho,
-        prime_count=len(primes),
+        prime_count=count,
     )
 
 

@@ -315,8 +315,36 @@ def _det_lu(m):
 
 def _det_lu_rows(a):
     """Determinant of the square matrix of complex row lists a, by LU with
-    partial pivoting; the rows are overwritten."""
+    partial pivoting; the caller's rows may be overwritten.  Orders 1 and
+    2 are written out: the loop's operations in the loop's order, so the
+    same bits and exceptions, less the last pivot's unread inverse, which
+    cannot raise once its absolute value is not 0."""
     n = len(a)
+    if n == 1:
+        (a00,), = a
+        if abs(a00) == 0.0:
+            return 0.0 + 0.0j
+        return (1.0 + 0.0j) * a00
+    if n == 2:
+        (a00, a01), (a10, a11) = a
+        det = 1.0 + 0.0j
+        pmax = abs(a00)
+        p10 = abs(a10)
+        swap = p10 > pmax
+        if swap:
+            pmax = p10
+        if pmax == 0.0:
+            return 0.0 + 0.0j
+        if swap:
+            a00, a01, a10, a11 = a10, a11, a00, a01
+            det = -det
+        det *= a00
+        f = a10 * (1.0 / a00)
+        if f != 0:
+            a11 -= f * a01
+        if abs(a11) == 0.0:
+            return 0.0 + 0.0j
+        return det * a11
     det = 1.0 + 0.0j
     for k in range(n):
         piv, pmax = k, abs(a[k][k])

@@ -1,12 +1,13 @@
 """Cycles on a quiver, their multisets, powers and primes, and the
 permutations and vertex fields that the determinant routes sum over.
 
-``closed_edge_walks`` is the one cycle search and ``GCycle`` the one
-rotation-class type.  The search extends only walks whose edge word is a
-prenecklace, as the Fredricksen-Kessler-Maiorana necklace generator does,
-so it reaches each cycle once, in its least rotation.  A cyclic walk on
-range(p) is a cycle on ``walk_quiver(p)``, whose edge (a, b) steps from a
-to b; the block routes walk its subquiver of nonzero off-diagonal blocks.
+``cycle_words`` is the one cycle search and ``GCycle`` the one
+rotation-class type, which ``closed_edge_walks`` builds from its words.
+The search extends only walks whose edge word is a prenecklace, as the
+Fredricksen-Kessler-Maiorana necklace generator does, so it reaches each
+cycle once, in its least rotation.  A cyclic walk on range(p) is a cycle
+on ``walk_quiver(p)``, whose edge (a, b) steps from a to b; the block
+routes walk its subquiver of nonzero off-diagonal blocks.
 Canonical form everywhere is the lexicographically minimal rotation; the
 valuation of a cycle is the order of its rotation stabiliser.
 
@@ -719,12 +720,22 @@ def shifted_visit_sum(series, zs, bound, entries, t_names=None):
     return visit_sum(lifted, shifted, bound)
 
 
-def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
-                      primes=False):
-    """Canonical cycles on the quiver, length-capped, optionally
+def ranked_edges(quiver):
+    """The quiver's edges sorted by id: a cycle word's edge ranks index
+    this list, so lex order on rank words is lex order on id words."""
+    return sorted(quiver.edges, key=lambda e: e.id)
+
+
+def cycle_words(quiver, max_len, vertex_budget=None, node_budget=None,
+                primes=False):
+    """The canonical cycles on the quiver, length-capped, optionally
     visit-bounded per vertex (budget consumed at the source of each edge),
-    and only those of valuation 1 when primes is set.  node_budget caps
-    the number of edges pushed.
+    and only those of valuation 1 when primes is set, each as the word of
+    its edges' ranks in ranked_edges(quiver), with the length of the prefix
+    it shares with the word before it.  node_budget caps the number of
+    edges pushed.  The words come in search order, which is lex order, so
+    among words of one length it is sort_key's order.  Each word yielded is
+    the search's own list, valid until the next is asked for.
 
     A canonical cycle is a necklace over the edges ranked by id, and every
     prefix of a necklace is a prenecklace (Ruskey, Savage and Wang,
@@ -733,8 +744,7 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
     when b = a_(t+1-p), else taking t + 1.  A chained one that returns to
     the source of a_1 is a cycle when p divides its length n, of valuation
     n / p.  The stack is explicit, so a long walk needs no deep recursion."""
-    edges = sorted(quiver.edges, key=lambda e: e.id)
-    ids = [e.id for e in edges]
+    edges = ranked_edges(quiver)
     srcs = [e.src for e in edges]
     tgts = [e.tgt for e in edges]
     # the ranks of each vertex's out-edges, increasing
@@ -743,13 +753,15 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
         outs[e.src].append(r)
     # a walk within max_len visits no vertex more than max_len times
     budget = list(vertex_budget or [max_len] * quiver.p)
-    canonical = GCycle._canonical
-    found = []
     nodes = 0
-    # the word's edge ranks, the period of each of its prefixes, and the
-    # untried next edges after each prefix (the first: any edge)
+    # the word's edge ranks, the period of each of its prefixes, the
+    # untried next edges after each prefix (the first: any edge), and the
+    # least length the word has had since the last yield: the prefix the
+    # next word shares with that one, as a word that pops to a length and
+    # grows again has a new entry there
     word, periods = [], []
     stack = [iter(range(len(edges)))]
+    shared = 0
     while stack:
         b = next(stack[-1], None)
         if b is None:
@@ -757,6 +769,8 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
             if word:
                 periods.pop()
                 budget[srcs[word.pop()]] += 1
+                if len(word) < shared:
+                    shared = len(word)
             continue
         if not budget[srcs[b]]:
             continue
@@ -774,11 +788,22 @@ def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
         cur = tgts[b]
         if (cur == srcs[word[0]] and n >= 2 and not n % per
                 and (per == n or not primes)):
-            # the word is a necklace, so already its least rotation
-            found.append(canonical(tuple([ids[a] for a in word]),
-                                   tuple([srcs[a] for a in word])))
+            yield word, shared
+            shared = n
         nxt = outs[cur] if n < max_len and budget[cur] else []
         stack.append(iter(nxt[bisect_left(nxt, word[n - per]):]))
+
+
+def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
+                      primes=False):
+    """The cycles of cycle_words as GCycles, sorted by sort_key."""
+    edges = ranked_edges(quiver)
+    ids = [e.id for e in edges]
+    srcs = [e.src for e in edges]
+    # a necklace is already its least rotation
+    canonical = GCycle._canonical
+    found = [canonical(tuple([ids[a] for a in word]), tuple([srcs[a] for a in word]))
+             for word, _ in cycle_words(quiver, max_len, vertex_budget, node_budget, primes)]
     found.sort(key=lambda c: c.sort_key)
     return found
 

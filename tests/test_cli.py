@@ -562,6 +562,18 @@ def test_det_all_methods_agree_two_cycle(capsys):
     assert values == {"x1*x2 - x1*x2*u*v"}
 
 
+def test_float_compare_text_writes_each_value_as_det_does(capsys):
+    # each text row is the route's det line, not the JSON pair
+    base = ["--example", "random", "--seed", "3", "--mode", "float"]
+    code, out, _ = run_cli(["compare", *base], capsys)
+    assert code == 0
+    *rows, last = out.splitlines()
+    assert last == "agree: True" and len(rows) >= 5
+    for row in rows:
+        method, text = row.split(": ", 1)
+        assert run_cli(["det", "--method", method, *base], capsys) == (0, text + "\n", "")
+
+
 def test_compare_figure5_discrepancy_zero(capsys):
     code, out, err = run_cli(
         ["compare", "--example", "figure5", "--mode", "symbolic",
@@ -600,6 +612,20 @@ def test_primes_figure5(capsys):
 
 def test_primes_max_len_refuses_past_search_budget(capsys, monkeypatch):
     argv = ["primes", "--example", "figure5", "--mode", "symbolic", "--max-len", "8"]
+    assert run_cli(argv, capsys)[0] == 0
+    monkeypatch.setattr("holodet.walks.PRIME_SEARCH_NODES", 10)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "refusal"
+    assert "node budget of 10" in error["message"]
+
+
+def test_euler_truncated_refuses_past_search_budget(capsys, monkeypatch):
+    # the route's prime search reads the same budget as primes --max-len,
+    # on a random instance with infinitely many primes
+    argv = ["det", "--example", "random", "--seed", "2", "--mode", "float",
+            "--method", "euler-truncated", "--kappa", "4"]
     assert run_cli(argv, capsys)[0] == 0
     monkeypatch.setattr("holodet.walks.PRIME_SEARCH_NODES", 10)
     code, out, err = run_cli(argv, capsys)

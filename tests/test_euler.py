@@ -355,6 +355,44 @@ def test_truncated_euler_forms_each_prefix_once(monkeypatch):
         checked += 1
 
 
+def test_truncated_euler_multiplies_on_the_search_words(monkeypatch):
+    # the factors are formed on the words the prime search yields, in one
+    # pass: no prime list is made, and no cycle object is built
+    def listed(*args, **kwargs):
+        raise AssertionError("the route built its primes as cycles")
+
+    rng = random.Random(1601)
+    cases, want = [], []
+    while len(cases) < 6:
+        q, rep, w, kappa = _random_submarkov_instance(rng, p_max=4, edge_max=7)
+        if prime_finiteness(q).finite:
+            continue
+        lap = build_laplacian(q, rep, w)
+        res = det_euler_truncated(lap, kappa, tol=1e-9)
+        if res.prime_count >= 20:
+            cases.append((lap, kappa))
+            want.append(res)
+    monkeypatch.setattr("holodet.walks.prime_cycles", listed)
+    monkeypatch.setattr(euler, "prime_cycles", listed, raising=False)
+    monkeypatch.setattr("holodet.walks.GCycle._canonical", listed)
+    assert [det_euler_truncated(lap, kappa, tol=1e-9) for lap, kappa in cases] == want
+
+
+def test_factor_rows_are_identity_minus_the_scaled_holonomy():
+    # bit for bit, signed zeros included, at ranks 1 to 3
+    rng = random.Random(1602)
+    parts = (0.0, -0.0, 0.25, -1.5)
+    for r in (1, 2, 3):
+        for _ in range(200):
+            hol = Matrix(r, r, [complex(rng.choice(parts), rng.choice(parts))
+                                for _ in range(r * r)])
+            w = rng.choice((0.0, 0.5, 2.0))
+            want = (Matrix.identity(r) - hol.scale(w)).to_rows()
+            got = euler._factor_rows(hol, w)
+            assert [[(x.real.hex(), x.imag.hex()) for x in row] for row in got] == \
+                [[(x.real.hex(), x.imag.hex()) for x in row] for row in want]
+
+
 def test_finite_primes_zero_kappa_is_exact():
     # conservative two-cycle: not sub-Markovian, but the prime set is
     # finite so the product needs no tail and stays exact

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import add, mul
@@ -243,6 +244,29 @@ def _loop_int_sum(a, b):
     return [list(map(add, r, s)) for r, s in zip(a, b)]
 
 
+def _loop_det_lu(a):
+    n = len(a)
+    det = 1.0 + 0.0j
+    for k in range(n):
+        piv, pmax = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > pmax:
+                piv, pmax = i, abs(a[i][k])
+        if pmax == 0.0:
+            return 0.0 + 0.0j
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1.0 / a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] * inv
+            if f != 0:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+    return det
+
+
 def _bits(values):
     """Each value's type and value, a float or complex by the bits of its
     parts, so that 0.0 and -0.0 differ."""
@@ -331,6 +355,49 @@ def test_int_kernels_match_the_loops(monkeypatch):
             cols = fb.cols[fa.complex]
             assert (fa * fb).rows == _loop_int_product(fa.rows, cols)
             assert fa.close(fb) == _loop_int_close(fa.rows, cols)
+
+
+# parts of the LU's entries: signed zeros, a subnormal, magnitudes whose
+# abs overflows when paired, inf and nan
+_LU_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, 1e-300, 1e300, 1.5e308,
+             math.inf, -math.inf, math.nan)
+
+
+def _lu_outcome(det, rows):
+    """det's value by its bits, or the exception it raises, on a copy."""
+    try:
+        return _bits([det([list(row) for row in rows])])
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_written_out_lu_matches_the_loop_bit_for_bit():
+    # orders 1 and 2 are written out: the loop's bits or its exception on
+    # zero and tied pivots, and every pairing of the special parts
+    specials = [complex(x, y) for x in _LU_PARTS for y in _LU_PARTS]
+    for z in specials:
+        assert _lu_outcome(linalg._det_lu_rows, [[z]]) == _lu_outcome(_loop_det_lu, [[z]])
+    rng = random.Random(3133)
+
+    def entry():
+        if rng.random() < 0.5:
+            return rng.choice(specials)
+        return complex(rng.uniform(-2, 2), rng.choice((0.0, -0.0, rng.uniform(-2, 2))))
+
+    seen = set()
+    for case in range(30000):
+        n = 1 + case % 2
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if n == 2 and case % 3 == 0:
+            # |a10| = |a00|: the strict test keeps the first row
+            rows[1][0] = rng.choice((1, -1, 1j, -1j)) * rows[0][0]
+        want = _lu_outcome(_loop_det_lu, rows)
+        assert _lu_outcome(linalg._det_lu_rows, rows) == want, rows
+        seen.add(want[0] if isinstance(want[0], type) else "value")
+    assert {"value", OverflowError} <= seen
+    # larger orders keep the loop
+    rows = [[entry() for _ in range(3)] for _ in range(3)]
+    assert _lu_outcome(linalg._det_lu_rows, rows) == _lu_outcome(_loop_det_lu, rows)
 
 
 def test_a_shape_past_the_bound_takes_the_loop(monkeypatch):
