@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from math import factorial, prod
 
-from .errors import HolodetError, InvariantViolation, MethodRefusal
+from .errors import HolodetError, InvariantViolation
 from .linalg import block_walk_traces, product_traces
 from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
-    PERM_SUM_CAP,
+    PERM_SUM_CAP,  # noqa: F401  (the slot cap of the permutation sums here)
+    check_perm_sum_slots,
     cycle_cover_sum,
     cycle_series,
     cycle_types,
@@ -81,8 +82,7 @@ def det_perm_traces(m):
     if not m.is_square:
         raise HolodetError("square matrix required")
     n = m.rows
-    if n > PERM_SUM_CAP:
-        raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
+    check_perm_sum_slots(n)
     # Tr(M^k) for k = 1..n, with M^n closed as a trace and never formed
     power_trace = product_traces({0: m})
     powers = {k: power_trace((0,) * k) for k in range(1, n + 1)}
@@ -99,8 +99,10 @@ def det_block_perm(bm):
     """Signed sum over permutations through nonzero blocks, each cycle
     contributing the trace of the block product it traverses, normalized
     by the block-size factorials; folded over cycle covers of the slots
-    (cycle_cover_sum), each block word's trace kept by the word as read."""
+    (cycle_cover_sum), each block word's trace kept by the word as read.
+    Past PERM_SUM_CAP slots it refuses before forming any trace."""
     n = bm.n
+    check_perm_sum_slots(n)
     trace = block_walk_traces(bm)
     bl = bm.slots
     allowed = [[j for j in range(n) if not bm.is_zero_block(bl[i], bl[j])]
@@ -119,7 +121,9 @@ def det_block_perm(bm):
 
 def det_trace_formal(bm):
     """Trace-determinant of the block-symbol word matrix divided by the
-    block-size factorials."""
+    block-size factorials; past PERM_SUM_CAP slots it refuses before
+    forming the matrix."""
+    check_perm_sum_slots(bm.n)
     ctx = taudet.block_tau_context(bm)
     entries = taudet.block_word_matrix(bm)
     value = taudet.det_tau(entries, ctx)

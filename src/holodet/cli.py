@@ -19,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import HolodetError, InvariantViolation, MethodRefusal, ValidationError
-from .linalg import POLY_DET_CAP, Matrix, charpoly_oracle, det_oracle
+from .linalg import Matrix, charpoly_oracle, det_oracle
 from .ring import FLOAT_ABS_TOL, Poly, scalar_str, scalars_close, to_complex
 from .quiver import (
     SYMBOLIC_EXAMPLES,
@@ -44,9 +44,9 @@ from .laplacian import (
     wilson_moment,
 )
 from .blockdet import det_block_perm, det_perm_traces, det_trace_formal
-from .vectorfields import DEFAULT_TERM_BUDGET, det_vector_fields, stack_cost
+from .vectorfields import DEFAULT_TERM_BUDGET, det_vector_fields
 from .euler import det_euler_finite, det_euler_truncated
-from .walks import PERM_SUM_CAP, fold_refusal, prime_cycles, prime_finiteness
+from .walks import prime_cycles, prime_finiteness
 # bound for the benchmark's tracer (perfbench/spans.py), which wraps this
 # name and refuses to run when it is missing; no command calls it
 from .walks import enumerate_gcycle_multisets  # noqa: F401
@@ -102,33 +102,40 @@ def _load(args, check=True):
     return q, rep, w
 
 
-def _term_refusal(what, bound, cap):
-    """refuse(lap, args): the refusal of a symbolic what that may have more
-    than cap monomials, as bound(quiver, ranks) counts them, or None."""
-    def refuse(lap, args):
-        if args.mode != "symbolic":
-            return None
-        m = bound(lap.quiver, lap.ranks)
-        if m <= cap:
-            return None
-        return MethodRefusal(f"symbolic {what} capped at {cap} monomials, this one may have {m}")
-    return refuse
+def _term_cap(what, bound, cap):
+    """check(lap, args): refuse a symbolic what that may have more than cap
+    monomials, as bound(quiver, ranks) counts them."""
+    def check(lap, args):
+        if args.mode == "symbolic":
+            m = bound(lap.quiver, lap.ranks)
+            if m > cap:
+                raise MethodRefusal(f"symbolic {what} capped at {cap} monomials, "
+                                    f"this one may have {m}")
+    return check
 
 
-_answer_refusal = _term_refusal("determinant", monomial_bound, SYMBOLIC_TERM_CAP)
-_trace_refusal = _term_refusal("Tr(L^k)", trace_monomial_bound, PERM_TERM_CAP)
-_charpoly_refusal = _term_refusal("det(tI + L)", lambda q, r: monomial_bound(q, r, 1),
-                                  CHARPOLY_TERM_CAP)
+_answer_cap = _term_cap("determinant", monomial_bound, SYMBOLIC_TERM_CAP)
+_trace_cap = _term_cap("Tr(L^k)", trace_monomial_bound, PERM_TERM_CAP)
+_charpoly_cap = _term_cap("det(tI + L)", lambda q, r: monomial_bound(q, r, 1),
+                          CHARPOLY_TERM_CAP)
 
 
-def _refusing(refuse, run):
-    """run, after refusing up front what refuse(lap, args) refuses."""
-    def checked(lap, args):
-        refusal = refuse(lap, args)
-        if refusal:
-            raise refusal
+def _slot_cap(lap, args):
+    """Refuse a symbolic sum over permutations of more than SYMBOLIC_SLOT_CAP
+    slots."""
+    n = sum(lap.ranks)
+    if args.mode == "symbolic" and n > SYMBOLIC_SLOT_CAP:
+        raise MethodRefusal(f"symbolic permutation sum capped at n<={SYMBOLIC_SLOT_CAP}, got {n}")
+
+
+def _gated(*checks, run):
+    """run, after each of checks(lap, args), in order, has raised what it
+    refuses."""
+    def gated(lap, args):
+        for check in checks:
+            check(lap, args)
         return run(lap, args)
-    return checked
+    return gated
 
 
 def _cycles(lap, args):
@@ -145,64 +152,43 @@ def _euler_truncated(lap, args):
     return res.value, res.prime_count
 
 
-# run(lap, args) -> (value, terms or None); fits(lap, args): whether compare
-# runs the route unasked; reads: the route options only it reads.  A run
-# looks its kernel up in this module when called, so a wrapper set on that
-# name, as a tracer sets, sees every call.
-Route = namedtuple("Route", "run fits reads", defaults=((),))
-
-
-def _perm_sum_route(refuse, run):
-    """A sum over permutations of the slots, refusing up front what refuse
-    does, then a symbolic sum past SYMBOLIC_SLOT_CAP slots; it fits while
-    n <= PERM_SUM_CAP and nothing is refused."""
-    def gate(lap, args):
-        n = sum(lap.ranks)
-        refusal = refuse(lap, args)
-        if refusal or args.mode != "symbolic" or n <= SYMBOLIC_SLOT_CAP:
-            return refusal
-        return MethodRefusal(f"symbolic permutation sum capped at n<={SYMBOLIC_SLOT_CAP}, got {n}")
-    return Route(_refusing(gate, run),
-                 lambda lap, args: sum(lap.ranks) <= PERM_SUM_CAP and gate(lap, args) is None)
+# run(lap, args) -> (value, terms or None), raising MethodRefusal where the
+# route cannot answer, which is all that decides whether compare lists it
+# unasked; reads: the route options only it reads; unasked: whether compare
+# runs it without --methods.  A run looks its kernel up in this module when
+# called, so a wrapper set on that name, as a tracer sets, sees every call.
+Route = namedtuple("Route", "run reads unasked", defaults=((), True))
 
 
 ROUTES = {
-    "oracle": Route(
-        _refusing(_answer_refusal, lambda lap, args: (det_oracle(lap.matrix), None)),
-        lambda lap, args: args.mode != "symbolic" or (
-            sum(lap.ranks) <= POLY_DET_CAP and _answer_refusal(lap, args) is None),
-    ),
-    "cycles": Route(_refusing(_answer_refusal, _cycles), lambda lap, args: (
-        _answer_refusal(lap, args) is None and fold_refusal(lap.quiver, lap.ranks) is None)),
-    "perm": _perm_sum_route(
-        _trace_refusal, lambda lap, args: (det_perm_traces(lap.matrix), None)),
-    "block-perm": _perm_sum_route(
-        _answer_refusal, lambda lap, args: (det_block_perm(lap.block), None)),
-    "trace-formal": _perm_sum_route(
-        _answer_refusal, lambda lap, args: (det_trace_formal(lap.block), None)),
-    "vector-fields": Route(
-        lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
-        lambda lap, args: stack_cost(lap) <= (
-            DEFAULT_TERM_BUDGET if args.budget is None else args.budget),
-        reads=("budget",),
-    ),
-    "euler-finite": Route(lambda lap, args: (det_euler_finite(lap), None),
-                          lambda lap, args: prime_finiteness(lap.quiver).finite),
-    "euler-truncated": Route(_euler_truncated, lambda lap, args: False,
-                             reads=("kappa", "tol")),
+    "oracle": Route(_gated(_answer_cap, run=lambda lap, args: (det_oracle(lap.matrix), None))),
+    "cycles": Route(_gated(_answer_cap, run=_cycles)),
+    "perm": Route(_gated(_trace_cap, _slot_cap,
+                         run=lambda lap, args: (det_perm_traces(lap.matrix), None))),
+    "block-perm": Route(_gated(_answer_cap, _slot_cap,
+                               run=lambda lap, args: (det_block_perm(lap.block), None))),
+    "trace-formal": Route(_gated(_answer_cap, _slot_cap,
+                                 run=lambda lap, args: (det_trace_formal(lap.block), None))),
+    "vector-fields": Route(lambda lap, args: (det_vector_fields(lap, budget=args.budget), None),
+                           reads=("budget",)),
+    "euler-finite": Route(lambda lap, args: (det_euler_finite(lap), None)),
+    # det(diag(kappa) + L) to within its tolerance, so run only when named
+    "euler-truncated": Route(_euler_truncated, reads=("kappa", "tol"), unasked=False),
 }
 
 
 def _run_route(method, lap, args):
     """The route's report row, its value not yet written out (_written_row),
-    refusing a float value that overflows or is not finite."""
+    or its skipped row when a float value overflows or is not finite;
+    raises the route's own refusal."""
     start = time.perf_counter()
     try:
         value, terms = ROUTES[method].run(lap, args)
     except OverflowError:
-        raise MethodRefusal(f"{method} overflows floating point") from None
+        return {"method": method, "skipped": f"{method} overflows floating point"}
     if args.mode == "float" and not cmath.isfinite(to_complex(value)):
-        raise MethodRefusal(f"{method} gives a non-finite value in floating point")
+        return {"method": method,
+                "skipped": f"{method} gives a non-finite value in floating point"}
     elapsed = time.perf_counter() - start
     row = {"method": method, "value": value}
     if terms is not None:
@@ -217,12 +203,10 @@ def _written_row(row, mode):
     return {**row, "value": _value_json(row["value"], mode)}
 
 
-def _check_route_options(args, methods, chose=()):
+def _check_route_options(args, methods):
     """Refuse a route option that no route in methods reads, a --tol not
-    finite and > 0, and a negative --budget.  The options in chose picked
-    methods, so they count as read."""
+    finite and > 0, and a negative --budget."""
     read = {opt for method in methods for opt in ROUTES[method].reads}
-    read.update(chose)
     bad = [f"--{opt} is read only by {name}" for name, route in ROUTES.items()
            for opt in route.reads if getattr(args, opt) is not None and opt not in read]
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
@@ -262,6 +246,8 @@ def cmd_det(args):
     _check_route_options(args, [args.method])
     lap = build_laplacian(*_load(args, check=False))
     row = _run_route(args.method, lap, args)
+    if "skipped" in row:
+        raise MethodRefusal(row["skipped"])
     payload = {"command": "det", "method": args.method, "mode": args.mode,
                **_written_row(row, args.mode)}
     _emit(args, payload, [_value_text(row["value"], args.mode)])
@@ -277,9 +263,7 @@ def _t_coefficients(poly, t, n):
 
 def cmd_charpoly(args):
     lap = build_laplacian(*_load(args, check=False))
-    refusal = _charpoly_refusal(lap, args)
-    if refusal:
-        raise refusal
+    _charpoly_cap(lap, args)
     if args.mode == "float":
         coeffs = charpoly_oracle(lap.matrix.to_complex())
         if not all(cmath.isfinite(to_complex(c)) for c in coeffs):
@@ -334,11 +318,8 @@ def cmd_compare(args):
     lap = build_laplacian(*_load(args, check=False))
     # formed once here, so that no route's timing_s includes the dense build
     lap.block
-    # without --methods, --budget picks the default set, as vector-fields'
-    # fits reads it, even when that leaves vector-fields out
-    chose = ("budget",) if wanted is None else ()
-    wanted = wanted or [m for m, route in ROUTES.items() if route.fits(lap, args)]
-    _check_route_options(args, wanted, chose)
+    methods = wanted or [m for m, route in ROUTES.items() if route.unasked]
+    _check_route_options(args, methods)
     exact_mode = args.mode != "float"
     # perm's roundoff grows with the size of its terms, which the Hadamard
     # bound measures; on an exactly singular L that roundoff is all there
@@ -349,11 +330,13 @@ def cmd_compare(args):
         if not math.isfinite(abs_tol):
             raise MethodRefusal("the Hadamard floor overflows, so any two values would agree")
     rows = []
-    for method in wanted:
+    for method in methods:
         try:
             rows.append(_run_route(method, lap, args))
         except MethodRefusal as exc:
-            rows.append({"method": method, "skipped": str(exc)})
+            # a route run unasked that refuses is left out
+            if wanted:
+                rows.append({"method": method, "skipped": str(exc)})
     values = [row["value"] for row in rows if "value" in row]
     if not values:
         # with no value there is nothing to agree on

@@ -67,6 +67,12 @@ BOX_WALK_RATIO = 8
 PERM_SUM_CAP = 8
 
 
+def check_perm_sum_slots(n):
+    """Refuse a sum over the permutations of n slots past PERM_SUM_CAP."""
+    if n > PERM_SUM_CAP:
+        raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
+
+
 def _least_rotation(seq):
     """Start of the first lexicographically least rotation of seq.  It
     starts at an occurrence of the least entry, so only those compete."""
@@ -670,9 +676,9 @@ def fold_refusal(quiver, bound):
 @lru_cache(maxsize=1)
 def _counted_refusal(quiver, bound, work_cap, state_cap):
     """fold_refusal past the closed-form bound, kept for the last quiver
-    (by identity), bound and caps: compare asks it in the cycles route's
-    fits and again in the kernel, and moment_samples once per
-    representation, each of one quiver and bound."""
+    (by identity), bound and caps: compare asks it once, in the cycles
+    route's kernel, but moment_samples asks it once per representation,
+    each of one quiver and bound."""
     totals = _transfer(quiver, bound, {e.id: None for e in quiver.edges}, state_cap)
     if totals is None:
         return (f"cycle expansion capped at {work_cap} fold steps; counting "
@@ -984,8 +990,7 @@ def cycle_cover_sum(allowed, weight):
     the cycles C through min S inside S; it is memoized on S, and a zero
     f(S - C) or weight(C) cuts off every permutation below it.  Past
     PERM_SUM_CAP slots it refuses before reading any weight."""
-    if len(allowed) > PERM_SUM_CAP:
-        raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {len(allowed)}")
+    check_perm_sum_slots(len(allowed))
     options = [sorted(set(a)) for a in allowed]
     memo = {0: 1}
 

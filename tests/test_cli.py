@@ -102,11 +102,11 @@ def test_cycles_refuses_past_its_work_cap_up_front(tmp_path, capsys):
     # pulls about 6^9 times; counting that refuses before any product
     lap = build_laplacian(*_complete_digraph(9, 2))
     args = SimpleNamespace(mode="exact")
-    assert not ROUTES["cycles"].fits(lap, args)
-    start = time.perf_counter()
-    with pytest.raises(MethodRefusal):
-        det_laplacian_cycles(lap)
-    assert time.perf_counter() - start < 1
+    for run in (lambda: ROUTES["cycles"].run(lap, args), lambda: det_laplacian_cycles(lap)):
+        start = time.perf_counter()
+        with pytest.raises(MethodRefusal, match="fold steps"):
+            run()
+        assert time.perf_counter() - start < 1
     path = tmp_path / "complete9.json"
     path.write_text(json.dumps(instance_to_json(*_complete_digraph(9, 2))))
     start = time.perf_counter()
@@ -119,8 +119,7 @@ def test_cycles_refuses_past_its_work_cap_up_front(tmp_path, capsys):
     # cycle, so its fold reaches two cells
     for n in (12, 26):
         lap = build_laplacian(*_directed_ring(n))
-        assert ROUTES["cycles"].fits(lap, args)
-        assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+        assert ROUTES["cycles"].run(lap, args) == (det_oracle(lap.matrix), 1)
 
 
 def _symbolic_complete_digraph(p):
@@ -151,8 +150,8 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
         assert error["type"] == "refusal"
         cap = PERM_TERM_CAP if method == "perm" else SYMBOLIC_TERM_CAP
         assert f"capped at {cap} monomials" in error["message"]
-    # compare leaves both out of its default set, which no other route fits
-    # either, and skips them when named; with no value left, it refuses
+    # compare leaves both out of its default set, as every other route
+    # refuses too, and skips them when named; with no value left, it refuses
     start = time.perf_counter()
     code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
                               "--format", "json"], capsys)
@@ -180,15 +179,19 @@ def test_symbolic_perm_refuses_past_its_power_trace_cap(tmp_path, capsys, p):
     # both refuse up front
     inst = _symbolic_complete_digraph(p)
     lap = build_laplacian(*inst)
-    fits = p == 5
-    assert (trace_monomial_bound(inst[0], inst[1].ranks) <= PERM_TERM_CAP) is fits
-    assert ROUTES["perm"].fits(lap, SimpleNamespace(mode="symbolic")) is fits
+    admitted = p == 5
+    assert (trace_monomial_bound(inst[0], inst[1].ranks) <= PERM_TERM_CAP) is admitted
+    if not admitted:
+        start = time.perf_counter()
+        with pytest.raises(MethodRefusal, match=f"capped at {PERM_TERM_CAP} monomials"):
+            ROUTES["perm"].run(lap, SimpleNamespace(mode="symbolic"))
+        assert time.perf_counter() - start < 1
     path = tmp_path / f"complete{p}.json"
     path.write_text(json.dumps(instance_to_json(*inst)))
     start = time.perf_counter()
     code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
                               "--method", "perm", "--format", "json"], capsys)
-    if fits:
+    if admitted:
         assert code == 0 and err == ""
         assert json.loads(out)["value"] == scalar_str(det_oracle(lap.matrix))
     else:
@@ -271,18 +274,23 @@ def test_each_command_validates_its_instance_once(tmp_path, capsys, monkeypatch)
     assert error["message"].index("self-loop") < error["message"].index("shape mismatch")
 
 
-@pytest.mark.parametrize("p,fits", [(6, True), (7, False)])
-def test_symbolic_monomial_cap_sits_between_complete_digraphs(p, fits):
+@pytest.mark.parametrize("p,admitted", [(6, True), (7, False)])
+def test_symbolic_monomial_cap_sits_between_complete_digraphs(p, admitted, monkeypatch):
     # complete (1,)*6 may have 5^6 = 15,625 monomials and (1,)*7 6^7 = 279,936;
     # the cap admits the first and refuses the second, in symbolic mode only
+    exact = build_laplacian(*_complete_digraph(p, 1))
+    assert ROUTES["oracle"].run(exact, SimpleNamespace(mode="exact")) == (
+        det_oracle(exact.matrix), None)
     lap = build_laplacian(*_symbolic_complete_digraph(p))
+    # an admitted run reaches its kernel, stubbed here
+    monkeypatch.setattr(cli, "det_oracle", lambda m: "kernel")
+    monkeypatch.setattr(cli, "det_laplacian_cycles", lambda lap, stats: "kernel")
     for method in ("oracle", "cycles"):
-        assert ROUTES[method].fits(lap, SimpleNamespace(mode="symbolic")) is fits
-        if not fits:
+        if admitted:
+            assert ROUTES[method].run(lap, SimpleNamespace(mode="symbolic"))[0] == "kernel"
+        else:
             with pytest.raises(MethodRefusal, match="monomials"):
                 ROUTES[method].run(lap, SimpleNamespace(mode="symbolic"))
-    exact = build_laplacian(*_complete_digraph(p, 1))
-    assert ROUTES["oracle"].fits(exact, SimpleNamespace(mode="exact"))
 
 
 def _symbolic_parallel(ranks, k):
@@ -313,7 +321,8 @@ def test_symbolic_permutation_sums_refuse_past_five_slots(tmp_path, capsys):
     path.write_text(json.dumps(instance_to_json(*inst)))
     args = SimpleNamespace(mode="symbolic")
     for method in ("block-perm", "trace-formal", "perm"):
-        assert not ROUTES[method].fits(lap, args)
+        with pytest.raises(MethodRefusal, match="symbolic permutation sum capped"):
+            ROUTES[method].run(lap, args)
         start = time.perf_counter()
         code, out, err = run_cli(["det", "--input", str(path), "--mode", "symbolic",
                                   "--method", method], capsys)
@@ -333,13 +342,16 @@ def test_symbolic_permutation_sums_refuse_past_five_slots(tmp_path, capsys):
 
 def test_compare_leaves_out_permutation_sums_past_the_monomial_cap(tmp_path, capsys):
     # ranks (3, 2) with twelve edges each way: n = 5, but M = 364 * 78 =
-    # 28,392; block-perm and trace-formal no longer fit, as oracle, cycles
-    # and perm do not, so compare has no route to run
+    # 28,392; block-perm and trace-formal refuse, as oracle, cycles and perm
+    # do, and vector-fields and euler-finite, so compare has no row to list
     inst = _symbolic_parallel((3, 2), 12)
     lap = build_laplacian(*inst)
     assert monomial_bound(inst[0], inst[1].ranks) == 28392 > SYMBOLIC_TERM_CAP
     for method in ("oracle", "cycles", "perm", "block-perm", "trace-formal"):
-        assert not ROUTES[method].fits(lap, SimpleNamespace(mode="symbolic")), method
+        start = time.perf_counter()
+        with pytest.raises(MethodRefusal, match="monomials"):
+            ROUTES[method].run(lap, SimpleNamespace(mode="symbolic"))
+        assert time.perf_counter() - start < 1, method
     path = tmp_path / "parallel.json"
     path.write_text(json.dumps(instance_to_json(*inst)))
     code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
@@ -352,10 +364,14 @@ def test_compare_leaves_out_permutation_sums_past_the_monomial_cap(tmp_path, cap
 @pytest.mark.parametrize("p,rank", [(8, 1), (4, 2)])
 def test_trace_formal_answers_eight_slots(tmp_path, capsys, p, rank):
     # trace-formal folds the cycle covers that block-perm folds, under the
-    # same cap of 8 slots
+    # same cap of 8 slots, and refuses one more up front
     inst = _complete_digraph(p, rank)
     lap = build_laplacian(*inst)
-    assert ROUTES["trace-formal"].fits(lap, SimpleNamespace(mode="exact"))
+    past = build_laplacian(*_complete_digraph(p + 1, rank))
+    start = time.perf_counter()
+    with pytest.raises(MethodRefusal, match=f"capped at n<=8, got {sum(past.ranks)}"):
+        ROUTES["trace-formal"].run(past, SimpleNamespace(mode="exact"))
+    assert time.perf_counter() - start < 1
     path = tmp_path / "complete.json"
     path.write_text(json.dumps(instance_to_json(*inst)))
     code, out, err = run_cli(["det", "--input", str(path), "--method", "trace-formal",
@@ -456,26 +472,32 @@ def test_det_cycles_answers_on_a_forty_vertex_ring(tmp_path, capsys):
     assert json.loads(out)["terms"] == 1
 
 
-@pytest.mark.parametrize("build,fits", [
+@pytest.mark.parametrize("build,answers", [
     (lambda: _complete_digraph(5, 1), True),   # admitted by the closed form
     (lambda: _bidirected_ring(14), True),      # counted and admitted
     (lambda: _bidirected_ring(24), False),     # counted and refused
     (lambda: _complete_digraph(9, 2), False),  # refused while counting
 ])
-def test_cycles_fits_exactly_when_its_kernel_answers(build, fits):
-    lap = build_laplacian(*build())
-    assert ROUTES["cycles"].fits(lap, SimpleNamespace(mode="exact")) is fits
-    if fits:
-        assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
+def test_compare_lists_cycles_exactly_when_its_kernel_answers(tmp_path, capsys, build, answers):
+    inst = build()
+    lap = build_laplacian(*inst)
+    if answers:
+        assert ROUTES["cycles"].run(lap, SimpleNamespace(mode="exact"))[0] == (
+            det_oracle(lap.matrix))
     else:
         with pytest.raises(MethodRefusal, match="fold steps"):
-            det_laplacian_cycles(lap)
+            ROUTES["cycles"].run(lap, SimpleNamespace(mode="exact"))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_json(*inst)))
+    code, out, err = run_cli(["compare", "--input", str(path), "--format", "json"], capsys)
+    assert code == 0, err
+    assert ("cycles" in [row["method"] for row in json.loads(out)["methods"]]) is answers
 
 
-def test_cycles_fits_and_refuses_on_either_side_of_the_cap(monkeypatch):
+def test_cycles_route_answers_and_refuses_on_either_side_of_the_cap(monkeypatch):
     # a bidirected ring's closed-form bound is far past the cap, so its
-    # fold is counted; with the cap at that count it answers, one below
-    # it refuses, and fits agrees both times
+    # fold is counted; with the cap at that count the route and its kernel
+    # answer, and one below it both refuse
     lap = build_laplacian(*_bidirected_ring(12))
     maps = {e.id: lap.rep.matrices[e.id].scale(-lap.weights[e.id]) for e in lap.quiver.edges}
     work = fold_work(list(closed_walk_factors(lap.quiver, lap.ranks, maps)), lap.ranks)
@@ -483,18 +505,19 @@ def test_cycles_fits_and_refuses_on_either_side_of_the_cap(monkeypatch):
     for cap, answers in ((work, True), (work - 1, False)):
         monkeypatch.setattr(walks, "FOLD_WORK_CAP", cap)
         assert walks._pull_bound(lap.ranks) > cap
-        assert ROUTES["cycles"].fits(lap, args) is answers
-        if answers:
-            assert det_laplacian_cycles(lap) == det_oracle(lap.matrix)
-        else:
-            with pytest.raises(MethodRefusal, match=f"capped at {cap} "):
-                det_laplacian_cycles(lap)
+        for run in (lambda: ROUTES["cycles"].run(lap, args)[0],
+                    lambda: det_laplacian_cycles(lap)):
+            if answers:
+                assert run() == det_oracle(lap.matrix)
+            else:
+                with pytest.raises(MethodRefusal, match=f"capped at {cap} "):
+                    run()
 
 
 def test_fold_refusal_is_counted_once_per_quiver_and_bound(tmp_path, capsys, monkeypatch):
     # a bidirected ring's fold is counted by a transfer with no maps: once
-    # for compare, which asks in the cycles route's fits and its kernel,
-    # and once for moments, which runs the kernel per sample
+    # for compare, whose cycles route asks in its kernel, and once for
+    # moments, whose kernel asks again for each sample
     path = tmp_path / "ring14.json"
     path.write_text(json.dumps(instance_to_json(*_bidirected_ring(14))))
     counts = []
@@ -511,6 +534,63 @@ def test_fold_refusal_is_counted_once_per_quiver_and_bound(tmp_path, capsys, mon
         code, _, _ = run_cli([*args, "--input", str(path)], capsys)
         assert code == 0
         assert counts == [(1,) * 14], args
+
+
+def _past_the_monomial_cap():
+    """A 2-cycle on vertices of rank 2 with 19 parallel edges from each to
+    one vertex of a 2-cycle of rank 1, one symbol on one edge: det L may
+    have C(21, 2)^2 = 44,100 monomials, but its primes are finite."""
+    edges = [Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 2, 3), Edge("d", 3, 2)]
+    edges += [Edge(f"s{i}", 0, 2) for i in range(19)] + [Edge(f"t{i}", 1, 3) for i in range(19)]
+    q = Quiver(4, edges)
+    ranks = (2, 2, 1, 1)
+    rep = Representation(ranks, {
+        e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                     [Fraction((i + len(e.id)) % 3 - 1, 2)
+                      for i in range(ranks[e.src] * ranks[e.tgt])])
+        for e in q.edges})
+    w = {e.id: Fraction(1, 2) for e in q.edges}
+    w["a"] = Poly.variable(Symbols(("x",)), "x")
+    assert monomial_bound(q, ranks) == 44100 > SYMBOLIC_TERM_CAP
+    return q, rep, w
+
+
+# instance options, or a document and its mode
+COMPARE_SET = {
+    "random-exact": ["--example", "random", "--seed", "3"],
+    "random-float": ["--example", "random", "--seed", "3", "--mode", "float"],
+    # n = 9 and no Poly entry: the oracle's polynomial cap does not apply
+    "random-symbolic": ["--example", "random", "--seed", "20", "--mode", "symbolic"],
+    "two-cycle": ["--example", "two_cycle", "--mode", "symbolic"],
+    "past-the-monomial-cap": (_past_the_monomial_cap, "symbolic"),
+    "past-the-fold-cap": (lambda: _complete_digraph(9, 2), "exact"),
+    "edgeless-nine": (lambda: (Quiver(3, []), Representation((3, 3, 3), {}), {}), "symbolic"),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPARE_SET))
+def test_compare_lists_exactly_the_routes_det_answers(tmp_path, capsys, name):
+    # compare runs every route but euler-truncated and leaves out those that
+    # refuse: its rows are the routes det answers, with det's value text
+    argv = COMPARE_SET[name]
+    if isinstance(argv, tuple):
+        build, mode = argv
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance_to_json(*build())))
+        argv = ["--input", str(path), "--mode", mode]
+    argv = [*argv, "--format", "json"]
+    want = {}
+    for method in ROUTES:
+        if method != "euler-truncated":
+            code, out, err = run_cli(["det", *argv, "--method", method], capsys)
+            assert code in (0, 3), (method, err)
+            if code == 0:
+                want[method] = json.loads(out)["value"]
+    code, out, err = run_cli(["compare", *argv], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert [(row["method"], row.get("value")) for row in doc["methods"]] == list(want.items())
+    assert doc["agree"] is True
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -1228,8 +1308,8 @@ def test_budget_zero_leaves_vector_fields_out(capsys):
     # no route in the run set reads --budget
     (["det", "--example", "random", "--method", "oracle", "--budget", "5"], 2),
     (["compare", "--example", "random", "--methods", "oracle,cycles", "--budget", "5"], 2),
-    # vector-fields reads it (without --methods it picks the default set,
-    # see test_budget_zero_leaves_vector_fields_out)
+    # vector-fields reads it, and is in compare's default set (see
+    # test_budget_zero_leaves_vector_fields_out)
     (["compare", "--example", "random", "--methods", "oracle,vector-fields",
       "--budget", "5"], 0),
 ])
