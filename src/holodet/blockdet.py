@@ -14,7 +14,6 @@ from .errors import HolodetError, InvariantViolation
 from .linalg import block_walk_traces, product_traces
 from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
-    PERM_SUM_CAP,  # noqa: F401  (the slot cap of the permutation sums here)
     check_perm_sum_slots,
     cycle_cover_sum,
     cycle_series,

@@ -1,7 +1,6 @@
 """The twisted Laplacian of a quiver representation, and identities for its
-determinant: the cycle-multiset expansion, the characteristic polynomial,
-moment identities for random representations, and a Cauchy-Binet splitting
-into stack terms.
+determinant: the cycle-multiset expansion, the characteristic polynomial
+and moment identities for random representations.
 """
 
 from __future__ import annotations
@@ -14,10 +13,8 @@ from functools import cached_property
 from .errors import HolodetError, MethodRefusal, ValidationError
 from .linalg import BlockMatrix, Matrix, block_offsets, det_oracle
 from .quiver import Representation, validate, vertex_z
-from .vectorfields import stacks
 from .walks import cycle_series, shifted_visit_sum
 
-CAUCHY_BINET_CAP = 6
 # exact moments run one oracle determinant per joint outcome, the product
 # of the edges' support sizes (2^|E| for the CLI's sign distribution); at
 # 2^12 outcomes a run already takes seconds
@@ -237,23 +234,3 @@ def wilson_moment(quiver, weights, ranks, edge_dists, k):
         rhs = rhs + prob * expansion
     return WilsonMomentReport(lhs=lhs, rhs=rhs, terms=stats["keys"] ** k)
 
-
-def cauchy_binet_decompose(lap):
-    """Split det L over stacks (vectorfields.stacks): row r of a stack's
-    term is x_e e_r - x_e U_e[i, :] at the target's columns, for the stack's
-    edge e at r, r being row i of its block.  Row r of L sums those rows
-    over r's out-edges, so the terms, each (stack, det), sum to det L."""
-    n = sum(lap.ranks)
-    if n > CAUCHY_BINET_CAP:
-        raise MethodRefusal(f"stack decomposition capped at total rank {CAUCHY_BINET_CAP}, got {n}")
-    offsets = lap.block.offsets
-    terms = []
-    for xi in stacks(lap):
-        rows = [[0] * n for _ in range(n)]
-        for r, eid in enumerate(xi):
-            e, w = lap.quiver.edge(eid), lap.weights[eid]
-            u_row = lap.rep.matrices[eid].to_rows()[r - offsets[e.src]]
-            rows[r][r] = w
-            rows[r][offsets[e.tgt]:offsets[e.tgt + 1]] = [-w * u for u in u_row]
-        terms.append((xi, det_oracle(Matrix.from_rows(rows))))
-    return terms

@@ -60,9 +60,6 @@ class Quiver:
         except KeyError:
             raise HolodetError(f"unknown edge id '{edge_id}'") from None
 
-    def edges_between(self, u, v):
-        return tuple(e for e in self._out[u] if e.tgt == v)
-
     def __repr__(self):
         return f"Quiver(p={self.p}, edges={[e.id for e in self.edges]})"
 

@@ -11,11 +11,9 @@ trace linalg.product_traces keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
 
 from .errors import MethodRefusal
 from .linalg import product_traces
-from .vectorfields import vertex_field_sum
 from .walks import cycle_cover_sum, min_rotation
 
 
@@ -79,62 +77,3 @@ def block_word_matrix(block_matrix):
 def block_tau_context(block_matrix, tau_one=None):
     return TauContext(block_matrix.blocks(), tau_one=tau_one)
 
-
-@dataclass(frozen=True)
-class VectorFieldTauReport:
-    """Side-by-side evaluation of tau-determinant identities on a graph
-    with constant rank N, with the index set read as the assignments of one
-    outgoing edge per vertex."""
-
-    rank: int
-    det_tau_blocks: object      # tau-det of the vertex-level block matrix
-    corrected_rhs: object       # N^m sum over fields of prod(1 - N^-len tau(hol))
-    scaled_det: object          # prod of rank factorials times the plain det
-    field_sum: object           # sum over fields of prod(1 - tau(hol))
-    corrected_agrees: bool
-    corollary_agrees: bool
-
-
-def appendixA_special_check(quiver, rep, weights, N):
-    """Evaluate both candidate sides of the trace-map identities with
-    tau = matrix trace (so tau of the empty word is N) and report, rather
-    than assert, their agreement."""
-    from .laplacian import build_laplacian
-    from .linalg import det_oracle
-    from .ring import int_div, scalars_close, is_exact
-
-    if any(r != N for r in rep.ranks):
-        raise MethodRefusal("constant rank N is required for this check")
-    lap = build_laplacian(quiver, rep, weights)
-    m = quiver.p
-
-    ctx = block_tau_context(lap.block, tau_one=N)
-    entries = [[((a, b),) for b in range(m)] for a in range(m)]
-    det_tau_blocks = det_tau(entries, ctx)
-
-    trace = product_traces(rep.matrices)
-
-    def hol_trace(cyc):
-        return trace(tuple(e.id for e in cyc))
-
-    corrected_rhs = (N ** m) * vertex_field_sum(
-        quiver, weights, lambda cyc: 1 - int_div(hol_trace(cyc), N ** len(cyc))
-    )
-    field_sum = vertex_field_sum(quiver, weights, lambda cyc: 1 - hol_trace(cyc))
-
-    scaled_det = prod(map(factorial, rep.ranks)) * det_oracle(lap.matrix)
-
-    def same(a, b):
-        if is_exact(a) and is_exact(b):
-            return a == b
-        return scalars_close(a, b)
-
-    return VectorFieldTauReport(
-        rank=N,
-        det_tau_blocks=det_tau_blocks,
-        corrected_rhs=corrected_rhs,
-        scaled_det=scaled_det,
-        field_sum=field_sum,
-        corrected_agrees=same(det_tau_blocks, corrected_rhs),
-        corollary_agrees=same(scaled_det, field_sum),
-    )

@@ -1,6 +1,6 @@
 """Determinant expansions over stacks of outgoing edges and well-chained
-permutations of slots, the two reinterpretations of their combinatorial
-factor, and the classical rank-one vector-field sum.
+permutations of slots, and the two reinterpretations of their
+combinatorial factor.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from math import factorial, prod
 from .errors import HolodetError, MethodRefusal
 from .linalg import product_traces
 from .ring import int_div
-from .walks import min_rotation, permutations_within, vertex_fields
+from .walks import min_rotation, permutations_within
 
 DEFAULT_TERM_BUDGET = 10_000_000
 
@@ -149,51 +149,3 @@ def det_vector_fields_variant(lap, variant, budget=None):
     cost = stack_cost(lap) * prod(map(factorial, lap.ranks))
     return _stack_sum(lap, cost, budget, partial(_beta_terms, bl, fixed_sets))
 
-
-def _stack_targets(lap, xi):
-    return lap.block.slots, tuple(lap.quiver.edge(eid).tgt for eid in xi)
-
-
-def count_sigma_prime(lap, xi):
-    """|Sigma'(xi)|: the sigma_prime terms counted with unit cycle weight."""
-    return sum(stat for stat, _ in _sigma_prime_terms(*_stack_targets(lap, xi)))
-
-
-def count_sigma_weighted(lap, xi):
-    """Sum over well-chained sigma of the product of factorials of unmoved
-    slots per block; equals |Sigma'(xi)|."""
-    bl, targets = _stack_targets(lap, xi)
-    return sum(stat for stat, _ in _chained_terms(bl, lap.ranks, targets))
-
-
-def vertex_field_sum(quiver, weights, cycle_factor):
-    """Sum over assignments of one outgoing edge per vertex of the weight
-    monomial times the product of cycle_factor over the limit cycles of the
-    assignment, each an edge list."""
-    total = 0
-    for choice, cycles in vertex_fields(quiver):
-        xw = 1
-        for e in choice:
-            xw = xw * weights[e.id]
-        factor = 1
-        for cyc in cycles:
-            factor = factor * cycle_factor(cyc)
-        total = total + xw * factor
-    return total
-
-
-def det_forman_classic(lap):
-    """Rank-one vector-field sum: over assignments of one outgoing edge per
-    vertex, the weight monomial times the product of (1 - holonomy) over
-    the limit cycles of the assignment."""
-    if any(r != 1 for r in lap.ranks):
-        raise MethodRefusal("classical vector-field sum requires all ranks 1")
-    matrices = lap.rep.matrices
-
-    def one_minus_hol(cyc):
-        hol = 1
-        for e in cyc:
-            hol = hol * matrices[e.id].at(0, 0)
-        return 1 - hol
-
-    return vertex_field_sum(lap.quiver, lap.weights, one_minus_hol)

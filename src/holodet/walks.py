@@ -1,5 +1,5 @@
 """Cycles on a quiver, their multisets, powers and primes, and the
-permutations and vertex fields that the determinant routes sum over.
+permutations that the determinant routes sum over.
 
 ``cycle_words`` is the one cycle search and ``GCycle`` the one
 rotation-class type, which ``closed_edge_walks`` builds from its words.
@@ -17,11 +17,10 @@ order, so every multiset within the visit bound appears exactly once.  The
 generating series of those multisets, graded by visit vector, is the
 truncated exponential that ``cycle_series`` folds without listing them,
 from the cycle factors summed by visit vector, which a closed-walk
-transfer (``closed_walk_factors``) takes without listing a cycle.  The
-fold walks only the cells of the visit box that sums of those visit
-vectors reach, in Gaussian integers when the factors are exact, and is
-refused before any product when ``fold_refusal`` counts more steps than
-``FOLD_WORK_CAP``.
+transfer takes without listing a cycle.  The fold walks only the cells of
+the visit box that sums of those visit vectors reach, in Gaussian
+integers when the factors are exact, and is refused before any product
+when ``fold_refusal`` counts more steps than ``FOLD_WORK_CAP``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .errors import HolodetError, MethodRefusal
 from .linalg import exact_forms, int_close, int_product, int_sum
 from .quiver import Edge, Quiver
 from .ring import (
-    GaussianRational,
     Poly,
     Symbols,
     gaussian_ints,
@@ -125,18 +123,6 @@ class GCycle:
             raise HolodetError(f"equal adjacent entries in {seq!r}")
         return cls(edges, seq)
 
-    @classmethod
-    def from_quiver(cls, quiver, edge_ids):
-        ids = list(edge_ids)
-        es = [quiver.edge(i) for i in ids]
-        k = len(es)
-        for i in range(k):
-            if es[i].tgt != es[(i + 1) % k].src:
-                raise HolodetError(
-                    f"edges {es[i].id} -> {es[(i + 1) % k].id} are not chained"
-                )
-        return cls(ids, [e.src for e in es])
-
     def __len__(self):
         return len(self.edges)
 
@@ -158,15 +144,6 @@ class GCycle:
             if edges[r] == edges[0] and edges[r:] + edges[:r] == edges:
                 return len(edges) // r
         return 1
-
-    def power(self, m):
-        if m < 1:
-            raise ValueError("power exponent must be >= 1")
-        return GCycle(self.edges * m, self.srcs * m)
-
-    def prime_root(self):
-        period = len(self.edges) // self.valuation
-        return GCycle(self.edges[:period], self.srcs[:period])
 
     @property
     def sort_key(self):
@@ -275,7 +252,15 @@ def _transfer(quiver, bound, maps, state_cap=None):
 
     The root of u is the first vertex u visits in the order of (bound,
     index): a frontier product costs r_s r_cur r_next at a root of rank
-    r_s, and walks come back to s up to bound_s times."""
+    r_s, and walks come back to s up to bound_s times.  Visits are counted
+    at each edge's source, as candidate_gcycles counts them, and the
+    quiver has no self-loops.  No cycle is listed: for each root s, a
+    frontier keyed by (current vertex, visits so far) holds the sum of the
+    products over the walks that reach that state.  A step is taken only
+    while its source is under its bound, so a state whose vertex has no
+    visit left is not kept.  Each step back to s adds Tr(state x map) to
+    the sum of the visit vector it closes on, without forming that
+    product."""
     p = quiver.p
     exact = type(next(iter(maps.values()), None)) is tuple
     times, plus = mul, add
@@ -344,54 +329,24 @@ def _walk_totals(quiver, bound, maps, weights=None):
     return bound, d, max(1, kind), _transfer(quiver, bound, forms)
 
 
-def _factor(d, kind, k, total, q):
-    """(-1)^(k-1) total / q as a canonical scalar, for a total of closes of
-    k factors over d, as _walk_totals gives them."""
-    if d is None:
-        return int_div(total if k % 2 else -total, q)
-    sign = 1 if k % 2 else -1
-    return gaussian_scalar(sign * total[0], sign * total[1], d ** k * q, kind)
-
-
-def closed_walk_factors(quiver, bound, maps):
-    """{u: F_u} over the visit vectors u within bound on which a closed
-    walk closes, with F_u = (-1)^(|u|-1) Tr(sum_w W(w)) / u_s: w runs over
-    the closed walks with visit vector u that start at s, the first vertex
-    u visits in the order of (bound, index), and stay on vertices at or
-    after s in that order, and W(w) is the product of maps[e.id] along w.
-    Visits are counted at each edge's source, as candidate_gcycles counts
-    them, and the quiver has no self-loops.
-
-    A cycle of valuation m that visits s u_s times has u_s/m rotations
-    that start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c)
-    over the cycles c that candidate_gcycles lists with visit vector u,
-    whichever vertex roots u; a u whose sum is 0 keeps its key.  No cycle
-    is listed: for each root s, a frontier keyed by (current vertex, visits
-    so far) holds the sum of W over the walks that reach that state.  A
-    step is taken only while its source is under its bound, so a state
-    whose vertex has no visit left is not kept.  Each step back to s adds
-    Tr(state x map) to the sum of the visit vector it closes on, without
-    forming that product.
-
-    The sums and products are of linalg.exact_forms' values: bare int
-    rows over one common denominator when every entry is exact, Matrix
-    values otherwise.  Refused, before any product, when
-    fold_refusal refuses the bound: cycle_series folds these factors, and
-    the same transfer feeds it."""
-    bound, d, kind, totals = _walk_totals(quiver, bound, maps)
-    return {u: _factor(d, kind, sum(u), t, q) for u, (t, q) in totals.items()}
-
-
 def cycle_series(quiver, bound, maps, weights=None):
-    """The truncated exponential of closed_walk_factors(quiver, bound,
-    maps), the maps times their weights when weights are given, as a
-    VisitSeries.  Exact factors are never made scalars: with D
-    the transfer's common denominator and L = lcm(1 .. max bound), each
+    """The truncated exponential of the cycle factors F_u over the visit
+    vectors u within bound on which a closed walk closes, the maps times
+    their weights when weights are given, as a VisitSeries.  F_u is
+    (-1)^(|u|-1) Tr(sum_w W(w)) / u_s, W(w) the product of the maps along
+    w, over the walks w that _transfer closes on u from its root s.  A
+    cycle of valuation m that visits s u_s times has u_s/m rotations that
+    start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c) over
+    the cycles c that candidate_gcycles lists with visit vector u,
+    whichever vertex roots u; a u whose sum is 0 keeps its key.
+
+    Exact factors are never made scalars: with D the transfer's common
+    denominator and L = lcm(1 .. max bound), each
     s_u = |u| (DL)^|u| F_u = (-1)^(|u|-1) |u| (L^|u| / u_s) x total is a
     Gaussian integer, since u_s <= max bound divides L."""
     bound, d, kind, totals = _walk_totals(quiver, bound, maps, weights)
     if d is None:
-        return _dense_series({u: sum(u) * _factor(d, kind, sum(u), t, q)
+        return _dense_series({u: sum(u) * int_div(t if sum(u) % 2 else -t, q)
                               for u, (t, q) in totals.items()}, bound)
     ell = lcm(*range(1, max(bound, default=0) + 1))
     scaled = {}
@@ -402,27 +357,6 @@ def cycle_series(quiver, bound, maps, weights=None):
             c = -c
         scaled[u] = c * a, c * b
     return _exact_series(scaled, bound, d * ell, kind)
-
-
-def visit_series(factors, bound):
-    """exp(sum_u F_u y^u) over the visit box prod_a [0, bound_a], for
-    factors = {u: F_u}, as a VisitSeries.  Exact factors all of one ring
-    (GaussianRational, or int and Fraction) fold as Gaussian integers over
-    the lcm lam of their denominators, s_u = |u| lam^|u| F_u; any other
-    mix folds as scalars, since a cell's type then depends on which
-    factors reach it."""
-    bound = tuple(bound)
-    values = list(factors.values())
-    got = (gaussian_ints(values)
-           if len({type(f) is GaussianRational for f in values}) < 2 else None)
-    if got is None:
-        return _dense_series({u: sum(u) * f for u, f in factors.items()}, bound)
-    lam, re, im, kind = got
-    scaled = {}
-    for u, a, b in zip(factors, re, im or [0] * len(re)):
-        c = sum(u) * (lam ** sum(u) // lam)
-        scaled[u] = c * a, c * b
-    return _exact_series(scaled, bound, lam, max(1, kind))
 
 
 def _exact_series(scaled, bound, lam, kind):
@@ -907,27 +841,6 @@ def prime_finiteness(quiver):
     _, orbits, _ = _cycles_of(tuple(v if e is None else e.tgt for v, e in enumerate(step)))
     cycles = (GCycle([step[v].id for v in orbit], orbit) for orbit in orbits if len(orbit) > 1)
     return PrimeFiniteness(True, tuple(sorted(cycles, key=lambda c: c.sort_key)))
-
-
-def vertex_fields(quiver):
-    """Every choice of one outgoing edge per vertex (a tuple indexed by
-    vertex), with the limit cycles of its functional graph as edge lists;
-    nothing when some vertex has no outgoing edge."""
-    for choice in itertools.product(*(quiver.out_edges(v) for v in range(quiver.p))):
-        done = set()
-        cycles = []
-        for start in range(quiver.p):
-            path = []
-            on_path = {}
-            v = start
-            while v not in done and v not in on_path:
-                on_path[v] = len(path)
-                path.append(choice[v])
-                v = choice[v].tgt
-            if v in on_path:
-                cycles.append(path[on_path[v]:])
-            done.update(on_path)
-        yield choice, cycles
 
 
 def _cycles_of(perm):

@@ -13,7 +13,6 @@ from _helpers import (
 from test_acceptance import _random_submarkov
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.blockdet import (
-    PERM_SUM_CAP,
     ScalarDiagBlockMatrix,
     _block_quiver,
     charpoly_block,
@@ -42,7 +41,8 @@ from holodet.ring import (
     to_complex,
 )
 from holodet.taudet import block_tau_context, block_word_matrix, det_tau, word_concat
-from holodet.walks import candidate_gcycles, cycle_types, permutations_within, walk_quiver
+from holodet.walks import PERM_SUM_CAP, candidate_gcycles, cycle_types
+from holodet.walks import permutations_within, walk_quiver
 
 
 def random_block_matrix(rng, part):

