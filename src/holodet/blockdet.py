@@ -11,8 +11,14 @@ from __future__ import annotations
 from math import factorial, prod
 
 from .errors import HolodetError, InvariantViolation
-from .linalg import block_walk_traces, product_traces
-from .ring import int_div, is_exact, to_complex, z_power
+from .linalg import (
+    GaussianMatrix,
+    block_walk_traces,
+    exact_factors,
+    exact_form,
+    product_traces,
+)
+from .ring import gaussian_scalar, int_div, is_exact, to_complex, z_power
 from .walks import (
     check_perm_sum_slots,
     cycle_cover_sum,
@@ -77,19 +83,40 @@ class ScalarDiagBlockMatrix:
 
 def det_perm_traces(m):
     """Average over permutations of sign times the product of Tr(M^len)
-    over the permutation's cycles, summed by cycle type."""
+    over the permutation's cycles, summed by cycle type.  Only the powers
+    up to M^h, h = ceil(n/2), are formed: each Tr(M^k) with k > h closes
+    M^h with M^(k-h), not forming their product.  When exact_factors
+    admits M, the powers are Gaussian integers over d^k (exact_form) and
+    so is the sum over d^n, made a scalar once; otherwise they are Matrix
+    powers, each trace summed as (M^a * M^(k-a)).trace() sums it."""
     if not m.is_square:
         raise HolodetError("square matrix required")
     n = m.rows
     check_perm_sum_slots(n)
-    # Tr(M^k) for k = 1..n, with M^n closed as a trace and never formed
-    power_trace = product_traces({0: m})
-    powers = {k: power_trace((0,) * k) for k in range(1, n + 1)}
+    h = (n + 1) // 2
+    exact = exact_factors([m])
+    base = exact_form(m) if exact else m
+    powers = [base]
+    for _ in range(1, h):
+        powers.append(powers[-1] * base)
+    right = GaussianMatrix.factor if exact else (lambda power: power)
+    traces = [None, *(p.trace() for p in powers)]
+    traces += [powers[-1].close(right(powers[k - h - 1])) for k in range(h + 1, n + 1)]
+    if exact:
+        re = im = 0
+        for lengths, count in cycle_types(n):
+            a, b = count, 0
+            for k in lengths:
+                c, e = traces[k]
+                a, b = a * c - b * e, a * e + b * c
+            re += a
+            im += b
+        return gaussian_scalar(re, im, base.d ** n * factorial(n), max(1, base.kind))
     total = 0
     for lengths, count in cycle_types(n):
         term = 1
         for k in lengths:
-            term = term * powers[k]
+            term = term * traces[k]
         total = total + count * term
     return int_div(total, factorial(n))
 

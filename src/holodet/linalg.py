@@ -577,6 +577,23 @@ class GaussianMatrix:
             raise ValueError(f"{self._shape()} times {last._shape()} has no trace")
         return int_close(rows, cols)
 
+    def trace(self):
+        """The int parts (re, im) of the trace, over self.d."""
+        rows, c = self.rows, len(self.rows[0]) >> self.complex
+        return (sum([row[i] for i, row in enumerate(rows)]),
+                sum([row[c + i] for i, row in enumerate(rows)]) if self.complex else 0)
+
+    def factor(self):
+        """self with its cols, so that it can stand on the right; a
+        product holds none until asked."""
+        if self.cols is not None:
+            return self
+        c = len(self.rows[0]) >> self.complex
+        re = [x for row in self.rows for x in row[:c]]
+        im = [x for row in self.rows for x in row[c:]] if self.complex else None
+        return _gaussian(self.rows, self.d, self.kind, self.complex,
+                         _int_form(c, re, im, (False, True))[1])
+
 
 def _gaussian(rows, d, kind, complex, cols=None):
     got = object.__new__(GaussianMatrix)
@@ -651,7 +668,7 @@ def exact_forms(factors, weights=None):
     return d, kind, forms
 
 
-def product_traces(factors):
+def product_traces(factors, pairs=False):
     """trace(seq): the trace of factors[seq[0]] * ... * factors[seq[-1]]
     for a closed key sequence over the dict factors of Matrix values,
     multiplied left to right.
@@ -670,7 +687,13 @@ def product_traces(factors):
     entry of prefix x last summed in Matrix.__mul__'s order and the
     entries in trace()'s, so its value equals the full product's trace()
     exactly, floats included; an int 0 entry times a Poly one is the int 0
-    (ring.Poly), so no zero Poly is formed."""
+    (ring.Poly), so no zero Poly is formed.
+
+    With pairs, for factors exact_factors admits, the trace of a sequence
+    of two or more keys is left as the Gaussian integer that the exact
+    path forms: (re, im, d, kind), the trace being (re + im i)/d, d the
+    product of the denominators of the factors along seq and kind the
+    widest of their kinds."""
     exact = exact_factors(factors.values())
     prods = {}
     traces = {}
@@ -704,7 +727,9 @@ def product_traces(factors):
                 pre, last = prefix(seq[:-1]), form(seq[-1])
                 got = close(pre, last)
                 if exact:
-                    got = gaussian_scalar(*got, pre.d * last.d, max(pre.kind, last.kind))
+                    got = (*got, pre.d * last.d, max(pre.kind, last.kind))
+                    if not pairs:
+                        got = gaussian_scalar(*got)
             traces[seq] = got
         return got
 

@@ -10,8 +10,8 @@ from functools import partial
 from math import factorial, prod
 
 from .errors import HolodetError, MethodRefusal
-from .linalg import product_traces
-from .ring import int_div
+from .linalg import exact_factors, product_traces
+from .ring import gaussian_ints, gaussian_scalar, int_div
 from .walks import min_rotation, permutations_within
 
 DEFAULT_TERM_BUDGET = 10_000_000
@@ -51,7 +51,11 @@ def _stack_sum(lap, cost, budget, terms):
     targets[i] is the block that xi[i] points to, lists pairs (stat,
     cycles) once per target vector; inner sums stat times the product
     over cycles of -Tr of the holonomy along xi's edges on the cycle, each
-    distinct cycle weighed once per stack."""
+    distinct cycle weighed once per stack and each word read once.
+
+    When linalg.exact_factors admits the edge maps and ring.gaussian_ints
+    the weights, the sum runs on Gaussian integers (_exact_stack_sum);
+    otherwise, for Poly and float values, on scalars."""
     budget = DEFAULT_TERM_BUDGET if budget is None else budget
     if cost > budget:
         raise MethodRefusal(
@@ -59,20 +63,23 @@ def _stack_sum(lap, cost, budget, terms):
         )
     if cost == 0:
         return 0
-    tgt = {e.id: e.tgt for e in lap.quiver.edges}
-    trace = product_traces(lap.rep.matrices)
-    plans = {}
+    maps = lap.rep.matrices
+    ints = gaussian_ints(list(lap.weights.values())) if exact_factors(maps.values()) else None
+    if ints is not None:
+        return _exact_stack_sum(lap, terms, ints)
+    trace = product_traces(maps)
+    read = {}
     total = 0
-    for xi in stacks(lap):
+    for xi, words, stats in _stack_plans(lap, terms, 1):
         xw = 1
         for eid in xi:
             xw = xw * lap.weights[eid]
-        targets = tuple(tgt[eid] for eid in xi)
-        plan = plans.get(targets)
-        if plan is None:
-            plan = plans[targets] = _plan(terms(targets))
-        cycles, stats = plan
-        weights = [-trace(min_rotation(tuple(xi[i] for i in cyc))) for cyc in cycles]
+        weights = []
+        for word in words:
+            got = read.get(word)
+            if got is None:
+                got = read[word] = -trace(min_rotation(word))
+            weights.append(got)
         inner = 0
         for stat, idx in stats:
             term = 1
@@ -83,12 +90,76 @@ def _stack_sum(lap, cost, budget, terms):
     return int_div(total, prod(map(factorial, lap.ranks)))
 
 
-def _plan(terms):
+def _exact_stack_sum(lap, terms, ints):
+    """_stack_sum on Gaussian integers: with every weight over wd and
+    every edge map over md (gaussian_ints' common denominators), a stack's
+    weight monomial is a Gaussian integer over wd^n, a cycle's trace along
+    k edges one over md^k (product_traces' own pair, brought to md^k) and
+    a stat, scaled by md^(n - moved slots), makes each term one over
+    md^n, so the sum needs no reduction until it becomes a scalar, of the
+    kind that the scalar sum would have: the widest among the weights and
+    the traces read, and at least a Fraction, as int_div makes one."""
+    maps = lap.rep.matrices
+    md = gaussian_ints(list(itertools.chain.from_iterable(m.data for m in maps.values())))[0]
+    wd, re, im, kind = ints
+    pair = dict(zip(lap.weights, zip(re, im or [0] * len(re))))
+    trace = product_traces(maps, pairs=True)
+    read = {}
+    total_re = total_im = 0
+    for xi, words, stats in _stack_plans(lap, terms, md):
+        a, b = 1, 0
+        for eid in xi:
+            c, e = pair[eid]
+            a, b = a * c - b * e, a * e + b * c
+        weights = []
+        for word in words:
+            got = read.get(word)
+            if got is None:
+                tr, ti, td, tkind = trace(min_rotation(word))
+                s = -(md ** len(word) // td)
+                got = read[word] = s * tr, s * ti, tkind
+            weights.append(got)
+        inner_re = inner_im = 0
+        for stat, idx in stats:
+            term_re, term_im = stat, 0
+            for k in idx:
+                c, e, _ = weights[k]
+                term_re, term_im = term_re * c - term_im * e, term_re * e + term_im * c
+            inner_re += term_re
+            inner_im += term_im
+        total_re += a * inner_re - b * inner_im
+        total_im += a * inner_im + b * inner_re
+    kind = max(1, kind, *(tkind for *_, tkind in read.values()))
+    d = (wd * md) ** len(lap.block.slots) * prod(map(factorial, lap.ranks))
+    return gaussian_scalar(total_re, total_im, d, kind)
+
+
+def _stack_plans(lap, terms, md):
+    """Per stack xi: xi, the words its edges read along the distinct
+    cycles of its target vector's terms, and the terms' stats, each with
+    the indices of its cycles and scaled by md^(n - moved slots); each
+    target vector is planned once."""
+    tgt = {e.id: e.tgt for e in lap.quiver.edges}
+    n = len(lap.block.slots)
+    plans = {}
+    for xi in stacks(lap):
+        targets = tuple(tgt[eid] for eid in xi)
+        plan = plans.get(targets)
+        if plan is None:
+            plan = plans[targets] = _plan(terms(targets), n, md)
+        cycles, stats = plan
+        yield xi, [tuple(map(xi.__getitem__, cyc)) for cyc in cycles], stats
+
+
+def _plan(terms, n, md):
     """The distinct cycles of terms, pairs (stat, cycles), and each pair's
-    stat with its cycles as indices into them."""
+    stat times md^(n - its moved slots) with its cycles as indices into
+    them."""
     index = {}
-    stats = [(stat, [index.setdefault(c, len(index)) for c in cycles])
-             for stat, cycles in terms]
+    stats = []
+    for stat, cycles in terms:
+        moved = sum(map(len, cycles))
+        stats.append((stat * md ** (n - moved), [index.setdefault(c, len(index)) for c in cycles]))
     return list(index), stats
 
 

@@ -29,7 +29,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, inf, isqrt, lcm, prod
 from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
@@ -46,6 +46,11 @@ from .ring import (
 
 # search states a prime-cycle search visits before it refuses
 PRIME_SEARCH_NODES = 2_000_000
+# a search with no visit bound that has pushed 1/PRIME_COUNT_SHARE of its
+# node budget counts the primes it must reach, and refuses at once when
+# they pass the budget; the answered euler-truncated ops of the benchmark
+# push fewer than 7,812 states (seeds 1-30), a quarter of 31,250
+PRIME_COUNT_SHARE = 64
 # steps, cells walked plus pulls, a cycle expansion's fold may take
 # before it refuses; complete (2,)*8 takes 1.68M steps, folded in 1.4 to
 # 2.0 s on a shared 2-CPU Xeon under Python 3.11
@@ -683,7 +688,13 @@ def cycle_words(quiver, max_len, vertex_budget=None, node_budget=None,
     a_1 ... a_t of period p extends by an edge b >= a_(t+1-p), keeping p
     when b = a_(t+1-p), else taking t + 1.  A chained one that returns to
     the source of a_1 is a cycle when p divides its length n, of valuation
-    n / p.  The stack is explicit, so a long walk needs no deep recursion."""
+    n / p.  The stack is explicit, so a long walk needs no deep recursion.
+
+    Every prime up to max_len is a state the search pushes, so without a
+    visit bound a search that pushes 1/PRIME_COUNT_SHARE of its node
+    budget also counts the primes (prime_count_past), at no more work than
+    the nodes it has left, and refuses at once when they pass the budget,
+    as it would after pushing it all."""
     edges = ranked_edges(quiver)
     srcs = [e.src for e in edges]
     tgts = [e.tgt for e in edges]
@@ -694,6 +705,8 @@ def cycle_words(quiver, max_len, vertex_budget=None, node_budget=None,
     # a walk within max_len visits no vertex more than max_len times
     budget = list(vertex_budget or [max_len] * quiver.p)
     nodes = 0
+    count_at = (node_budget // PRIME_COUNT_SHARE
+                if node_budget is not None and vertex_budget is None else inf)
     # the word's edge ranks, the period of each of its prefixes, the
     # untried next edges after each prefix (the first: any edge), and the
     # least length the word has had since the last yield: the prefix the
@@ -715,6 +728,14 @@ def cycle_words(quiver, max_len, vertex_budget=None, node_budget=None,
         if not budget[srcs[b]]:
             continue
         nodes += 1
+        if nodes > count_at:
+            count_at = inf
+            past = prime_count_past(quiver, max_len, node_budget, node_budget - nodes)
+            if past is not None:
+                raise MethodRefusal(
+                    f"cycle search would exceed its node budget of {node_budget}: "
+                    f"the quiver has {past[1]} primes of length at most {past[0]}"
+                )
         if node_budget is not None and nodes > node_budget:
             raise MethodRefusal(
                 f"cycle search exceeded its node budget of {node_budget}"
@@ -732,6 +753,49 @@ def cycle_words(quiver, max_len, vertex_budget=None, node_budget=None,
             shared = n
         nxt = outs[cur] if n < max_len and budget[cur] else []
         stack.append(iter(nxt[bisect_left(nxt, word[n - per]):]))
+
+
+def prime_count_past(quiver, max_len, budget, work=None):
+    """(L, N) for the least length L <= max_len at which the quiver has
+    N > budget primes of length at most L, else None.  With A the vertex
+    adjacency matrix counting parallel edges, Tr(A^k) counts the closed
+    edge walks of length k, each a rotation of a prime of length d | k
+    repeated, d rotations per prime: Tr(A^k) = sum_(d | k) d N_d, so N_k
+    follows from the N_d before it.  A quiver with a finite prime set
+    (prime_finiteness) has at most p of them, vertex-disjoint and of length
+    at most p, and is counted no further.  A length costs its p^3 product
+    and its divisor scan up to sqrt(k); work, when given, caps their sum,
+    and the count gives None before a length that would pass it."""
+    p = quiver.p
+    if prime_finiteness(quiver).finite:
+        if p <= budget:
+            return None
+        max_len = min(max_len, p)
+    adj = [[0] * p for _ in range(p)]
+    for e in quiver.edges:
+        adj[e.src][e.tgt] += 1
+    cols = [list(col) for col in zip(*adj)]
+    power, primes, total, spent = adj, [0], 0, 0
+    for k in range(1, max_len + 1):
+        spent += p ** 3 + isqrt(k)
+        if work is not None and spent > work:
+            return None
+        if k > 1:
+            power = int_product(power, cols)
+        closed = sum(power[i][i] for i in range(p))
+        for d in range(1, isqrt(k) + 1):
+            if not k % d:
+                # the divisors d <= sqrt(k) <= k / d, but k itself
+                f = k // d
+                if d < k:
+                    closed -= d * primes[d]
+                if d < f < k:
+                    closed -= f * primes[f]
+        primes.append(closed // k)
+        total += primes[k]
+        if total > budget:
+            return k, total
+    return None
 
 
 def closed_edge_walks(quiver, max_len, vertex_budget=None, node_budget=None,
@@ -934,9 +998,11 @@ def cycle_cover_sum(allowed, weight):
     return cover((1 << len(options)) - 1)
 
 
+@lru_cache(maxsize=None)
 def cycle_types(n):
     """Each cycle type of the permutations of range(n), as a nonincreasing
-    tuple of cycle lengths, with its sign times its class size n!/z."""
+    tuple of cycle lengths, with its sign times its class size n!/z; a
+    tuple, made once per n."""
 
     def parts(rest, largest):
         if not rest:
@@ -945,9 +1011,11 @@ def cycle_types(n):
             for tail in parts(rest - k, k):
                 yield (k,) + tail
 
-    for lam in parts(n, n):
+    def counted(lam):
         z = 1
         for k in set(lam):
             m = lam.count(k)
             z *= k ** m * factorial(m)
-        yield lam, (-1) ** (n - len(lam)) * (factorial(n) // z)
+        return lam, (-1) ** (n - len(lam)) * (factorial(n) // z)
+
+    return tuple(map(counted, parts(n, n)))

@@ -89,24 +89,48 @@ def test_det_perm_traces_matches_oracle():
 
 
 def test_det_perm_traces_float_bit_identical_to_repeated_products():
-    # the power traces come from the product-trace kernel, which must sum in
-    # the order of Matrix.__mul__ and then trace(), so floats agree exactly
+    # only the powers up to h = ceil(n/2) are formed: Tr(M^k) is
+    # (P_(k-1) * P_1).trace() up to h and (P_h * P_(k-h)).trace() past it,
+    # P_a the repeated product M * ... * M, each bit for bit
     rng = random.Random(7)
     for n in range(1, PERM_SUM_CAP + 1):
         m = Matrix(n, n, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                           for _ in range(n * n)])
-        powers = {1: m.trace()}
-        acc = m
+        h = (n + 1) // 2
+        powers = {1: m}
+        for k in range(2, h + 1):
+            powers[k] = powers[k - 1] * m
+        traces = {1: m.trace()}
         for k in range(2, n + 1):
-            acc = acc * m
-            powers[k] = acc.trace()
+            a = k - 1 if k <= h else h
+            traces[k] = (powers[a] * powers[k - a]).trace()
         total = 0
         for lengths, count in cycle_types(n):
             term = 1
             for k in lengths:
-                term = term * powers[k]
+                term = term * traces[k]
             total = total + count * term
         assert det_perm_traces(m) == total / factorial(n)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda rng: rng.randint(-3, 3),
+    lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    gauss_rat,
+])
+def test_exact_det_perm_traces_match_the_matrix_powers(monkeypatch, entry):
+    # the Gaussian-integer powers give the value and type of the Matrix
+    # powers, which run when exact_factors turns the matrix away
+    from holodet import blockdet
+    rng = random.Random(41)
+    mats = [Matrix(n, n, [entry(rng) for _ in range(n * n)])
+            for n in range(1, PERM_SUM_CAP + 1)]
+    got = [det_perm_traces(m) for m in mats]
+    monkeypatch.setattr(blockdet, "exact_factors", lambda _: False)
+    for m, g in zip(mats, got):
+        want = det_perm_traces(m)
+        assert g == want == det_oracle(m)
+        assert type(g) is type(want)
 
 
 def test_det_perm_traces_size_refusal():

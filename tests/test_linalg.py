@@ -22,7 +22,7 @@ from holodet.linalg import (
     product_traces,
 )
 from holodet.quiver import Representation
-from holodet.ring import GaussianRational, Poly, Symbols, scalars_close, to_complex
+from holodet.ring import GaussianRational, Poly, Symbols, gaussian_scalar, scalars_close, to_complex
 from holodet.vectorfields import det_vector_fields
 from holodet.walks import CyclicWalk
 
@@ -489,12 +489,17 @@ def test_product_traces_exact_chains_match_left_to_right(family):
         mats = {key: Matrix(r, c, [_exact_entry(rng, family) for _ in range(r * c)])
                 for key, (r, c) in shapes.items()}
         mats[(2, 3, 1)] = Matrix(2, 3, [0] * 6)
-        trace = product_traces(mats)
+        trace, pairs = product_traces(mats), product_traces(mats, pairs=True)
         for seq in _closed_sequences(rng, shapes, 60):
             want = _left_to_right_trace(mats, seq)
             got = trace(seq)
             assert got == want, seq
             assert type(got) is type(want), seq
+            if len(seq) > 1:
+                # the Gaussian integer over the product of the denominators
+                re, im, d, kind = pairs(seq)
+                assert d == math.prod(linalg.exact_form(mats[key]).d for key in seq)
+                assert gaussian_scalar(re, im, d, kind) == want, seq
 
 
 def test_product_traces_mixed_exact_and_complex_stay_bit_identical():

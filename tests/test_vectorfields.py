@@ -11,6 +11,8 @@ from holodet.errors import MethodRefusal
 from holodet.laplacian import build_laplacian, det_laplacian_cycles
 from holodet.linalg import Matrix, det_oracle
 from holodet.quiver import Edge, Quiver, Representation, gen_example
+from holodet.ring import GaussianRational, scalar_str
+from holodet import vectorfields
 from holodet.vectorfields import (
     _chained_terms,
     _sigma_prime_terms,
@@ -92,6 +94,78 @@ def test_variants_agree_with_base_sum():
         assert det_vector_fields(lap) == oracle
         assert det_vector_fields_variant(lap, "sigma_prime") == oracle
         assert det_vector_fields_variant(lap, "beta") == oracle
+
+
+_ENTRIES = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "gaussian": lambda rng: GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                             Fraction(rng.randint(-3, 3), rng.randint(1, 4))),
+}
+_WEIGHTS = {
+    "int": lambda rng: rng.randint(1, 4),
+    "fraction": lambda rng: Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+    # complex weights, which only the Python API takes
+    "gaussian": lambda rng: GaussianRational(Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+                                             rng.choice([-2, -1, 1, 2])),
+}
+# (quiver, ranks): a rank-3 block; a vertex with no out-edge, so no
+# stack; and two cycles joined by one edge 1 -> 2 that lies on none
+_VF_SHAPES = {
+    "rank3": (Quiver(3, [Edge("a", 0, 1), Edge("b", 0, 2), Edge("c", 1, 2),
+                         Edge("d", 2, 0), Edge("e", 2, 1)]), (1, 2, 3)),
+    "sink": (Quiver(3, [Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 1, 2)]), (2, 1, 1)),
+    "bridge": (Quiver(4, [Edge("a", 0, 1), Edge("b", 1, 0), Edge("c", 1, 2),
+                          Edge("d", 2, 3), Edge("e", 3, 2)]), (1, 2, 1, 1)),
+}
+
+
+def _vf_instance(rng, shape, entry, weight, bridge=None):
+    """A Laplacian of the shape with every map entry drawn by entry and
+    every weight by weight; the bridge edge's map, if given, by bridge."""
+    q, ranks = _VF_SHAPES[shape]
+    draw = lambda e: _ENTRIES[bridge if e.id == "c" and bridge else entry]
+    mats = {e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                         [draw(e)(rng) for _ in range(ranks[e.src] * ranks[e.tgt])])
+            for e in q.edges}
+    return build_laplacian(q, Representation(ranks, mats),
+                           {e.id: _WEIGHTS[weight](rng) for e in q.edges})
+
+
+_SUMS = (det_vector_fields,
+         lambda lap: det_vector_fields_variant(lap, "sigma_prime"),
+         lambda lap: det_vector_fields_variant(lap, "beta"))
+
+
+@pytest.mark.parametrize("shape, entry, weight, bridge", [
+    *(("rank3", e, w, None) for e in _ENTRIES for w in _WEIGHTS),
+    ("sink", "gaussian", "gaussian", None),
+    ("bridge", "int", "int", "gaussian"),
+    ("bridge", "fraction", "int", "gaussian"),
+    ("bridge", "int", "gaussian", "fraction"),
+])
+def test_exact_stack_sums_match_the_scalar_sum(monkeypatch, shape, entry, weight, bridge):
+    # the Gaussian-integer sum gives the value, type and text of the
+    # scalar loop, which runs when exact_factors turns the maps away; a
+    # map on no cycle is never read, so it widens no type
+    rng = random.Random(f"{shape}{entry}{weight}{bridge}")
+    lap = _vf_instance(rng, shape, entry, weight, bridge)
+    want = det_oracle(lap.matrix)
+    ran = []
+    exact = vectorfields._exact_stack_sum
+    monkeypatch.setattr(vectorfields, "_exact_stack_sum", lambda *a: ran.append(a) or exact(*a))
+    got = [f(lap) for f in _SUMS]
+    assert len(ran) == (0 if shape == "sink" else 3)
+    monkeypatch.setattr(vectorfields, "exact_factors", lambda _: False)
+    scalar = [f(lap) for f in _SUMS]
+    for g, s in zip(got, scalar):
+        assert g == s == want
+        assert type(g) is type(s)
+        assert scalar_str(g) == scalar_str(s)
+    if shape == "sink":
+        assert got == [0, 0, 0]
+    elif bridge == "gaussian":
+        assert type(got[0]) is Fraction
 
 
 def test_rank_one_sigma_prime_equals_sigma():

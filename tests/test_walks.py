@@ -245,6 +245,90 @@ def test_prime_search_keeps_valuation_one():
     assert len(primes) < len(every)
 
 
+def test_prime_count_matches_the_prime_search():
+    # no self-loops, so every prime has length >= 2, as the search yields
+    # them; parallel edges count as distinct letters
+    rng = random.Random(3511)
+    for case in range(40):
+        p = rng.randint(2, 4)
+        edges = []
+        for i in range(rng.randint(p, 2 * p + 2)):
+            src = rng.randrange(p)
+            tgt = rng.choice([t for t in range(p) if t != src])
+            edges.append(Edge(f"e{i}", src, tgt))
+        twin = rng.choice(edges)
+        edges.append(Edge(f"{twin.id}'", twin.src, twin.tgt))
+        q = Quiver(p, edges)
+        max_len = rng.randint(2, 7)
+        counts = [0] * (max_len + 1)
+        for c in closed_edge_walks(q, max_len, primes=True):
+            counts[len(c)] += 1
+        total = 0
+        for k in range(2, max_len + 1):
+            # below the count at length k, the count reaches past it there
+            if counts[k]:
+                assert walks.prime_count_past(q, max_len, total + counts[k] - 1) == (k, total + counts[k]), case
+            total += counts[k]
+        assert walks.prime_count_past(q, max_len, total) is None, case
+
+
+def test_prime_search_refuses_once_the_primes_pass_its_budget(monkeypatch, capsys):
+    # a random instance whose primes of length <= 50 pass 2,000,000: with
+    # the budget at 6,400 the search counts them after 100 states and
+    # refuses then, with one count, not after pushing all 6,400
+    import json
+    from holodet import cli
+    monkeypatch.setattr(walks, "PRIME_SEARCH_NODES", 6400)
+    counted = []
+    count = walks.prime_count_past
+    monkeypatch.setattr(walks, "prime_count_past", lambda *a: counted.append(a) or count(*a))
+    yielded = []
+    search = walks.cycle_words
+
+    def cycle_words(*args, **kwargs):
+        for word, shared in search(*args, **kwargs):
+            yielded.append(len(word))
+            yield word, shared
+    monkeypatch.setattr("holodet.euler.cycle_words", cycle_words)
+    argv = ["det", "--method", "euler-truncated", "--mode", "float", "--kappa", "4",
+            "--example", "random", "--seed", "1"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    error = json.loads(err)["error"]
+    assert out == "" and error["type"] == "refusal"
+    assert error["message"].startswith("cycle search would exceed its node budget of 6400: ")
+    assert len(counted) == 1 and len(yielded) < 100
+    # a search that pushes past 100 states but has one prime counts it
+    # and goes on to answer
+    q = Quiver(2, [Edge("a", 0, 1), Edge("b", 1, 0)])
+    assert [c.edges for c in prime_cycles(q, 300)] == [("a", "b")]
+    assert len(counted) == 2
+
+
+def test_prime_count_costs_no_more_than_the_search_left(monkeypatch, capsys):
+    # two_cycle has one prime: its search pushes about max_len states, and
+    # its count, at 31,250 of them, forms no power at all
+    from holodet import cli
+    products = []
+    product = walks.int_product
+    monkeypatch.setattr(walks, "int_product", lambda *a: products.append(1) or product(*a))
+    counted = []
+    count = walks.prime_count_past
+    monkeypatch.setattr(walks, "prime_count_past", lambda *a: counted.append(a) or count(*a))
+    argv = ["primes", "--example", "two_cycle", "--mode", "symbolic", "--max-len", "100000"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "e1,e2\n"
+    assert len(counted) == 1 and products == []
+    # a doubled 2-cycle has 2^(k/2)/k or so primes of length k: counted in
+    # full it passes 2,000,000 at length 50; held to work 100 it forms a
+    # few powers and gives up, the p^3 = 8 a length costs it counted
+    q = Quiver(2, [Edge("a", 0, 1), Edge("a'", 0, 1), Edge("b", 1, 0)])
+    assert count(q, 10 ** 6, 2_000_000) == (50, 2_807_196)
+    del products[:]
+    assert count(q, 10 ** 6, 2_000_000, 100) is None
+    assert 0 < len(products) <= 100 // 8
+
+
 def test_walk_quiver_filter_and_edges():
     q = walk_quiver(3, lambda a, b: b == (a + 1) % 3)
     assert [(e.id, e.src, e.tgt) for e in q.edges] == [
