@@ -13,7 +13,6 @@ from math import factorial, prod
 from .errors import HolodetError, InvariantViolation
 from .linalg import (
     GaussianMatrix,
-    block_walk_traces,
     exact_factors,
     exact_form,
     product_traces,
@@ -124,25 +123,27 @@ def det_perm_traces(m):
 def det_block_perm(bm):
     """Signed sum over permutations through nonzero blocks, each cycle
     contributing the trace of the block product it traverses, normalized
-    by the block-size factorials; folded over cycle covers of the slots
-    (cycle_cover_sum), each block word's trace kept by the word as read.
-    Past PERM_SUM_CAP slots it refuses before forming any trace."""
+    by the block-size factorials; folded over the slots each block has
+    left (cycle_cover_sum, the blocks as its classes), each block word's
+    trace read once.  When exact_factors admits the blocks, the traces
+    are Gaussian integers over d^len (product_traces with pairs) and the
+    sum becomes a scalar once.  Past PERM_SUM_CAP slots it refuses before
+    forming any trace."""
     n = bm.n
     check_perm_sum_slots(n)
-    trace = block_walk_traces(bm)
-    bl = bm.slots
-    allowed = [[j for j in range(n) if not bm.is_zero_block(bl[i], bl[j])]
-               for i in range(n)]
-    read = {}
+    d, trace = product_traces(bm.blocks(), pairs=True)
+    allowed = [[b for b in range(bm.p) if not bm.is_zero_block(a, b)] for a in range(bm.p)]
 
-    def weight(cyc):
-        word = tuple(bl[i] for i in cyc)
-        got = read.get(word)
-        if got is None:
-            got = read[word] = trace(min_rotation(word))
-        return got
+    def weight(word):
+        word = min_rotation(word)
+        return trace(tuple(zip(word, word[1:] + word[:1])))
 
-    return int_div(cycle_cover_sum(allowed, weight), prod(map(factorial, bm.part)))
+    total = cycle_cover_sum(bm.part, allowed, weight, d is not None)
+    scale = prod(map(factorial, bm.part))
+    if d is None:
+        return int_div(total, scale)
+    re, im, kind = total
+    return gaussian_scalar(re, im, d ** n * scale, max(1, kind))
 
 
 def det_trace_formal(bm):

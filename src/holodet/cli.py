@@ -330,19 +330,26 @@ def cmd_compare(args):
         if not math.isfinite(abs_tol):
             raise MethodRefusal("the Hadamard floor overflows, so any two values would agree")
     rows = []
+    left_out = []
     for method in methods:
         try:
-            rows.append(_run_route(method, lap, args))
+            row = _run_route(method, lap, args)
         except MethodRefusal as exc:
-            # a route run unasked that refuses is left out
-            if wanted:
-                rows.append({"method": method, "skipped": str(exc)})
+            row = {"method": method, "skipped": str(exc)}
+            # a route run unasked that refuses is left out of the rows
+            if not wanted:
+                left_out.append(row)
+                continue
+        rows.append(row)
+    answered = [row["method"] for row in rows if "value" in row]
+    if len(answered) < 2:
+        # an agreement needs two answers; the refusal gives every other
+        # route's reason, asked or not
+        reasons = "; ".join(f"{row['method']}: {row['skipped']}" for row in rows + left_out
+                            if "skipped" in row)
+        head = f"only {answered[0]} answers" if answered else "no route answers"
+        raise MethodRefusal(f"{head} ({reasons})" if reasons else head)
     values = [row["value"] for row in rows if "value" in row]
-    if not values:
-        # with no value there is nothing to agree on
-        skipped = "; ".join(f"{row['method']}: {row['skipped']}" for row in rows)
-        raise MethodRefusal(f"no route answers ({skipped})" if rows else
-                            f"no route fits this instance in {args.mode} mode")
     # written once every route has run, so a value past the digit limit
     # refuses the command as det's does, not the route that gave it
     written = [row if "skipped" in row else _written_row(row, args.mode) for row in rows]

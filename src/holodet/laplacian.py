@@ -34,7 +34,8 @@ SYMBOLIC_TERM_CAP = 2 ** 14
 PERM_TERM_CAP = 2 ** 16
 # slots of a symbolic perm, block-perm or trace-formal run: no monomial
 # bound caps folds of polynomial traces times polynomial partial sums
-# (block-perm took 42 s at M = 1,225); at n <= 5 the slowest took 3.7 s
+# (on two vertices with parallel symbolic edges each way, block-perm took
+# 1.2 s at M = 1,225 and n = 8, and 3.0 s at M = 28,392 and n = 5)
 SYMBOLIC_SLOT_CAP = 5
 # symbolic charpoly runs only while det(tI + L) may have at most this many
 # monomials (monomial_bound, shifted): with one symbol per edge it took

@@ -689,16 +689,21 @@ def product_traces(factors, pairs=False):
     exactly, floats included; an int 0 entry times a Poly one is the int 0
     (ring.Poly), so no zero Poly is formed.
 
-    With pairs, for factors exact_factors admits, the trace of a sequence
-    of two or more keys is left as the Gaussian integer that the exact
-    path forms: (re, im, d, kind), the trace being (re + im i)/d, d the
-    product of the denominators of the factors along seq and kind the
-    widest of their kinds."""
+    With pairs it returns (d, trace) instead.  For factors exact_factors
+    admits, d is the lcm of their entries' denominators, and trace(seq)
+    is left as a Gaussian integer over d^len(seq): (re, im, kind), the
+    trace being (re + im i)/d^len(seq) and kind the one its scalar would
+    have (ring.gaussian_ints' kinds).  Otherwise d is None and trace gives
+    scalars, as without pairs."""
     exact = exact_factors(factors.values())
     prods = {}
     traces = {}
+    d = None
     if exact:
         forms = {}
+        if pairs:
+            d = lcm(*{x.d if type(x) is GaussianRational else x.denominator
+                      for m in factors.values() for x in m.data})
 
         def form(key):
             got = forms.get(key)
@@ -723,21 +728,21 @@ def product_traces(factors, pairs=False):
         if got is None:
             if len(seq) == 1:
                 got = factors[seq[0]].trace()
+                if d is not None:
+                    td, (re,), im, kind = gaussian_ints((got,))
+                    got = re * (d // td), im[0] * (d // td) if im else 0, kind
             else:
                 pre, last = prefix(seq[:-1]), form(seq[-1])
                 got = close(pre, last)
                 if exact:
-                    got = (*got, pre.d * last.d, max(pre.kind, last.kind))
-                    if not pairs:
-                        got = gaussian_scalar(*got)
+                    kind = max(pre.kind, last.kind)
+                    if d is None:
+                        got = gaussian_scalar(*got, pre.d * last.d, kind)
+                    else:
+                        s = d ** len(seq) // (pre.d * last.d)
+                        got = got[0] * s, got[1] * s, kind
             traces[seq] = got
         return got
 
-    return trace
+    return (d, trace) if pairs else trace
 
-
-def block_walk_traces(bm):
-    """trace(seq): the trace of the block product along a closed sequence
-    of block indices, (s0, s1) (s1, s2) ... (s_last, s0); base-point free."""
-    trace = product_traces(bm.blocks())
-    return lambda seq: trace(tuple(zip(seq, seq[1:] + seq[:1])))

@@ -262,12 +262,12 @@ def gaussian_ints(entries):
 def gaussian_scalar(a, b, d, kind):
     """The canonical scalar (a + bi)/d of gaussian_ints' kind, for ints
     with d > 0: a GaussianRational for kind 2, else a Fraction for kind 1
-    (b is 0), else the int a (b is 0 and d is 1)."""
+    (b is 0), else the int a/d (b is 0 and d divides a)."""
     if kind == 2:
         return _reduced(a, b, d)
     if kind == 1:
         return Fraction(a, d)
-    return a
+    return a // d
 
 
 def _add(x, a, b, d):

@@ -91,19 +91,17 @@ def _stack_sum(lap, cost, budget, terms):
 
 
 def _exact_stack_sum(lap, terms, ints):
-    """_stack_sum on Gaussian integers: with every weight over wd and
-    every edge map over md (gaussian_ints' common denominators), a stack's
-    weight monomial is a Gaussian integer over wd^n, a cycle's trace along
-    k edges one over md^k (product_traces' own pair, brought to md^k) and
-    a stat, scaled by md^(n - moved slots), makes each term one over
-    md^n, so the sum needs no reduction until it becomes a scalar, of the
-    kind that the scalar sum would have: the widest among the weights and
-    the traces read, and at least a Fraction, as int_div makes one."""
-    maps = lap.rep.matrices
-    md = gaussian_ints(list(itertools.chain.from_iterable(m.data for m in maps.values())))[0]
+    """_stack_sum on Gaussian integers: with every weight over wd
+    (gaussian_ints' common denominator) and every edge map over md
+    (product_traces' with pairs), a stack's weight monomial is a Gaussian
+    integer over wd^n, a cycle's trace along k edges one over md^k and a
+    stat, scaled by md^(n - moved slots), makes each term one over md^n,
+    so the sum needs no reduction until it becomes a scalar, of the kind
+    that the scalar sum would have: the widest among the weights and the
+    traces read, and at least a Fraction, as int_div makes one."""
+    md, trace = product_traces(lap.rep.matrices, pairs=True)
     wd, re, im, kind = ints
     pair = dict(zip(lap.weights, zip(re, im or [0] * len(re))))
-    trace = product_traces(maps, pairs=True)
     read = {}
     total_re = total_im = 0
     for xi, words, stats in _stack_plans(lap, terms, md):
@@ -115,9 +113,8 @@ def _exact_stack_sum(lap, terms, ints):
         for word in words:
             got = read.get(word)
             if got is None:
-                tr, ti, td, tkind = trace(min_rotation(word))
-                s = -(md ** len(word) // td)
-                got = read[word] = s * tr, s * ti, tkind
+                tr, ti, tkind = trace(min_rotation(word))
+                got = read[word] = -tr, -ti, tkind
             weights.append(got)
         inner_re = inner_im = 0
         for stat, idx in stats:

@@ -959,43 +959,84 @@ def permutations_within(allowed):
             stack.append(iter(options[i + 1]))
 
 
-def cycle_cover_sum(allowed, weight):
-    """Sum over the permutations perm with perm[i] in allowed[i] of sign
-    times the product of weight(cyc) over their cycles (i, perm[i], ...),
-    each from its least slot, fixed points included.  On the set S of
-    slots not yet covered, f(S) sums (-1)^(|C|-1) weight(C) f(S - C) over
-    the cycles C through min S inside S; it is memoized on S, and a zero
-    f(S - C) or weight(C) cuts off every permutation below it.  Past
-    PERM_SUM_CAP slots it refuses before reading any weight."""
-    check_perm_sum_slots(len(allowed))
+def cycle_cover_sum(sizes, allowed, weight, pairs=False):
+    """Sum over the permutations of n slots in classes, sizes[c] slots in
+    class c, where a slot of class c may go to any slot of a class b in
+    allowed[c], of sign times the product of weight(word) over their
+    cycles, word the classes along the cycle as a tuple.  weight must not
+    depend on where the word is read from (a trace, or a central tau), as
+    each cycle is read from a slot of its first class with slots left.
+
+    Slots of one class are interchangeable, so the fold is memoized on how
+    many slots each class has left to cover, keyed by one mixed-radix int,
+    which is the bitmask of the slots left when every class has one slot.
+    For the counts k left, f(k) sums, over the class words C from the
+    first class a with k_a > 0, (-1)^(|C|-1) weight(C) f(k - C) times the
+    number of slot cycles C stands for: the product over its steps of the
+    slots its class still has, the first slot of a taken.  Each word is
+    weighed once, and a zero f(k - C) or weight(C) cuts off everything
+    below it.
+
+    With pairs, weight(word) is a Gaussian integer (re, im, kind) over
+    D^len(word), for one D, and so is the sum, over D^n, of the widest
+    kind among the weights and partial sums it adds; otherwise weights are
+    scalars.  Past PERM_SUM_CAP slots it refuses before reading any weight."""
+    check_perm_sum_slots(sum(sizes))
+    radix, full, step = [], 0, 1
+    for r in sizes:
+        radix.append(step)
+        full += r * step
+        step *= r + 1
     options = [sorted(set(a)) for a in allowed]
-    memo = {0: 1}
+    read = {}
+    memo = {0: (1, 0, 0) if pairs else 1}
 
-    def cover(left):
-        if left in memo:
-            return memo[left]
-        start = (left & -left).bit_length() - 1
-        path = [start]
-        total = 0
+    def cover(key, counts):
+        # f(key), for counts not yet in memo
+        left = list(counts)
+        start = 0
+        while not left[start]:
+            start += 1
+        left[start] -= 1
+        word = [start]
+        total = re = im = kind = 0
 
-        def extend(v, free):
-            nonlocal total
-            for j in options[v]:
-                if j == start:
-                    rest = cover(free)
-                    w = rest and weight(tuple(path))
-                    if w:
-                        total = total + w * rest if len(path) % 2 else total - w * rest
-                elif free >> j & 1:
-                    path.append(j)
-                    extend(j, free & ~(1 << j))
-                    path.pop()
+        def extend(v, rest_key, mult):
+            nonlocal total, re, im, kind
+            for b in options[v]:
+                if b == start:
+                    rest = memo.get(rest_key)
+                    if rest is None:
+                        rest = cover(rest_key, left)
+                    if (rest[0] or rest[1]) if pairs else rest:
+                        # each word is weighed once, here, where it closes
+                        cyc = tuple(word)
+                        w = read.get(cyc)
+                        if w is None:
+                            w = read[cyc] = weight(cyc)
+                        if not pairs:
+                            if w:
+                                t = w * rest if mult == 1 else mult * w * rest
+                                total = total + t if len(cyc) % 2 else total - t
+                        elif w[0] or w[1]:
+                            (wr, wi, wk), (rr, ri, rk) = w, rest
+                            s = mult if len(cyc) % 2 else -mult
+                            re += s * (wr * rr - wi * ri)
+                            im += s * (wr * ri + wi * rr)
+                            kind = max(kind, wk, rk)
+                k = left[b]
+                if k:
+                    left[b] = k - 1
+                    word.append(b)
+                    extend(b, rest_key - radix[b], mult * k)
+                    word.pop()
+                    left[b] = k
 
-        extend(start, left & ~(1 << start))
-        memo[left] = total
-        return total
+        extend(start, key - radix[start], 1)
+        got = memo[key] = (re, im, kind) if pairs else total
+        return got
 
-    return cover((1 << len(options)) - 1)
+    return memo[0] if not full else cover(full, sizes)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -10,6 +11,7 @@ from _helpers import (
     random_invertible_exact,
     random_symbolic_instance,
 )
+from _references import block_walk_traces, slot_cover_sum
 from test_acceptance import _random_submarkov
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.blockdet import (
@@ -27,7 +29,6 @@ from holodet.laplacian import build_laplacian
 from holodet.linalg import (
     BlockMatrix,
     Matrix,
-    block_walk_traces,
     charpoly_oracle,
     det_oracle,
 )
@@ -40,9 +41,15 @@ from holodet.ring import (
     scalars_close,
     to_complex,
 )
-from holodet.taudet import block_tau_context, block_word_matrix, det_tau, word_concat
+from holodet.taudet import (
+    TauContext,
+    block_tau_context,
+    block_word_matrix,
+    det_tau,
+    word_concat,
+)
 from holodet.walks import PERM_SUM_CAP, candidate_gcycles, cycle_types
-from holodet.walks import permutations_within, walk_quiver
+from holodet.walks import min_rotation, permutations_within, walk_quiver
 
 
 def random_block_matrix(rng, part):
@@ -192,6 +199,93 @@ def test_cycle_cover_routes_match_a_permutation_sum():
         assert det_tau(entries, ctx) == want
 
 
+def _typed_entry(rng, family, x):
+    """One entry of a block matrix of the given family; mixed draws an
+    int, a Fraction or a GaussianRational per entry."""
+    if family == "mixed":
+        family = rng.choice(("int", "fraction", "gaussian"))
+    if family == "int":
+        return rng.randint(-3, 3)
+    if family == "fraction":
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if family == "gaussian":
+        return gauss_rat(rng)
+    return rng.randint(-1, 1) * x + rng.randint(-2, 2)
+
+
+@pytest.mark.parametrize("family", ["int", "fraction", "gaussian", "mixed", "poly"])
+def test_block_routes_equal_the_slot_fold_in_value_and_type(family):
+    # block-perm and trace-formal against the slot fold they replaced, with
+    # block-perm's old weight, on blocks of 1 to 4 slots, some of them zero
+    rng = random.Random(f"block-routes:{family}")
+    x = Poly.variable(Symbols(("x",)), "x")
+    parts = [(4, 4), (2, 2, 2, 2), (1, 3), (3, 1, 2), (2, 1, 1, 2), (1, 1, 1), (4,)]
+    if family == "poly":
+        parts = [part for part in parts if sum(part) <= 5]
+    for part in parts:
+        n = sum(part)
+        bm = BlockMatrix(Matrix(n, n, [_typed_entry(rng, family, x) for _ in range(n * n)]), part)
+        zero = {(a, b) for a in range(len(part)) for b in range(len(part)) if rng.random() < 0.3}
+        rows = bm.base.to_rows()
+        for i in range(n):
+            for j in range(n):
+                if (bm.bl(i), bm.bl(j)) in zero:
+                    rows[i][j] = 0
+        bm = BlockMatrix(Matrix.from_rows(rows), part)
+        bl = bm.slots
+        trace = block_walk_traces(bm)
+        allowed = [[j for j in range(n) if not bm.is_zero_block(bl[i], bl[j])] for i in range(n)]
+        want = int_div(slot_cover_sum(allowed, lambda cyc: trace(min_rotation(
+            tuple(bl[i] for i in cyc)))), prod(map(factorial, part)))
+        for route in (det_block_perm, det_trace_formal):
+            got = route(bm)
+            assert got == want and type(got) is type(want), (route.__name__, part, zero)
+
+
+class _CountingTau(TauContext):
+    """A TauContext that counts each word whose tau det_tau reads."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.reads = Counter()
+
+    def pair(self, word):
+        self.reads[word] += 1
+        return super().pair(word)
+
+    def tau(self, word):
+        self.reads[word] += 1
+        return super().tau(word)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "poly"])
+def test_det_tau_reads_each_class_word_once(family):
+    # exact blocks are read as pairs, Poly ones as scalars; either way
+    # each class word's tau is read once, where the slot fold read the
+    # same word once per slot cycle it stood for
+    rng = random.Random(f"tau-reads:{family}")
+    x = Poly.variable(Symbols(("x",)), "x")
+    part = (2, 2) if family == "poly" else (4, 4)
+    n = sum(part)
+    bm = BlockMatrix(Matrix(n, n, [_typed_entry(rng, family, x) for _ in range(n * n)]), part)
+    ctx = _CountingTau(bm.blocks())
+    entries = block_word_matrix(bm)
+    got = det_tau(entries, ctx)
+    assert ctx.reads and max(ctx.reads.values()) == 1
+    assert (ctx.d is None) == (family == "poly")
+    assert got == prod(map(factorial, part)) * det_oracle(bm.base)
+    slot_reads = Counter()
+    plain = block_tau_context(bm)
+
+    def slot_weight(cyc):
+        word = word_concat(*(entries[i][j] for i, j in zip(cyc, cyc[1:] + cyc[:1])))
+        slot_reads[word] += 1
+        return plain.tau(word)
+
+    slot_cover_sum([range(n)] * n, slot_weight)
+    assert set(slot_reads) >= set(ctx.reads) and max(slot_reads.values()) > 1
+
+
 def test_float_cycle_cover_routes_hold_compare_tolerance():
     # 30 sink-free criterion-6 shapes: block-perm and trace-formal on the
     # float Laplacian against Bareiss on the exact rationals of its entries
@@ -286,7 +380,6 @@ def test_fold_order_independence():
     # summing the expansion terms in shuffled order changes nothing (exact)
     from holodet.walks import enumerate_walk_multisets
     from holodet.ring import int_div
-    from holodet.linalg import block_walk_traces
 
     rng = random.Random(131)
     sd = random_scalar_diag(rng, (2, 2))

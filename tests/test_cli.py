@@ -153,6 +153,7 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
         assert f"capped at {cap} monomials" in error["message"]
     # compare leaves both out of its default set, as every other route
     # refuses too, and skips them when named; with no value left, it refuses
+    # with every route's reason, asked or not
     start = time.perf_counter()
     code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
                               "--format", "json"], capsys)
@@ -160,7 +161,9 @@ def test_symbolic_routes_refuse_past_the_monomial_cap_up_front(tmp_path, capsys)
     assert code == 3 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "refusal"
-    assert error["message"] == "no route fits this instance in symbolic mode"
+    assert error["message"].startswith("no route answers (oracle: symbolic determinant capped")
+    assert [m for m, route in ROUTES.items() if f"{m}: " in error["message"]] == [
+        m for m, route in ROUTES.items() if route.unasked]
     code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
                               "--methods", "oracle,cycles", "--format", "json"], capsys)
     assert code == 3 and out == ""
@@ -332,13 +335,13 @@ def test_symbolic_permutation_sums_refuse_past_five_slots(tmp_path, capsys):
         error = json.loads(err)["error"]
         assert error == {"type": "refusal",
                          "message": "symbolic permutation sum capped at n<=5, got 7"}
+    # one answer is no agreement: compare refuses, with the other's reason
     code, out, err = run_cli(["compare", "--input", str(path), "--mode", "symbolic",
                               "--methods", "oracle,block-perm", "--format", "json"], capsys)
-    assert code == 0 and err == ""
-    oracle, block_perm = json.loads(out)["methods"]
-    assert oracle["value"] == scalar_str(det_oracle(lap.matrix))
-    assert block_perm == {"method": "block-perm",
-                          "skipped": "symbolic permutation sum capped at n<=5, got 7"}
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {
+        "type": "refusal",
+        "message": "only oracle answers (block-perm: symbolic permutation sum capped at n<=5, got 7)"}
 
 
 def test_compare_leaves_out_permutation_sums_past_the_monomial_cap(tmp_path, capsys):
@@ -359,7 +362,14 @@ def test_compare_leaves_out_permutation_sums_past_the_monomial_cap(tmp_path, cap
                               "--format", "json"], capsys)
     assert code == 3 and out == ""
     assert json.loads(err)["error"]["message"] == (
-        "no route fits this instance in symbolic mode")
+        "no route answers (oracle: symbolic determinant capped at 16384 monomials, this one"
+        " may have 28392; cycles: symbolic determinant capped at 16384 monomials, this one"
+        " may have 28392; perm: symbolic Tr(L^k) capped at 65536 monomials, this one may"
+        " have 98280; block-perm: symbolic determinant capped at 16384 monomials, this one"
+        " may have 28392; trace-formal: symbolic determinant capped at 16384 monomials,"
+        " this one may have 28392; vector-fields: stack sum needs about 29859840 elementary"
+        " terms, budget is 10000000; euler-finite: infinitely many prime cycles; use the"
+        " truncated product instead)")
 
 
 @pytest.mark.parametrize("p,rank", [(8, 1), (4, 2)])
@@ -491,8 +501,14 @@ def test_compare_lists_cycles_exactly_when_its_kernel_answers(tmp_path, capsys, 
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance_to_json(*inst)))
     code, out, err = run_cli(["compare", "--input", str(path), "--format", "json"], capsys)
-    assert code == 0, err
-    assert ("cycles" in [row["method"] for row in json.loads(out)["methods"]]) is answers
+    if answers:
+        assert code == 0, err
+        assert "cycles" in [row["method"] for row in json.loads(out)["methods"]]
+    else:
+        # only the oracle answers these, which is no agreement
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["message"].startswith(
+            "only oracle answers (cycles: cycle expansion capped at 2097152 fold steps")
 
 
 def test_cycles_route_answers_and_refuses_on_either_side_of_the_cap(monkeypatch):
@@ -581,13 +597,23 @@ def test_compare_lists_exactly_the_routes_det_answers(tmp_path, capsys, name):
         argv = ["--input", str(path), "--mode", mode]
     argv = [*argv, "--format", "json"]
     want = {}
+    refusals = []
     for method in ROUTES:
         if method != "euler-truncated":
             code, out, err = run_cli(["det", *argv, "--method", method], capsys)
             assert code in (0, 3), (method, err)
             if code == 0:
                 want[method] = json.loads(out)["value"]
+            else:
+                refusals.append(f"{method}: {json.loads(err)['error']['message']}")
     code, out, err = run_cli(["compare", *argv], capsys)
+    if len(want) < 2:
+        # one answer is no agreement: compare refuses with each other
+        # route's own refusal, as det gives it
+        assert code == 3 and out == ""
+        head = f"only {next(iter(want))} answers" if want else "no route answers"
+        assert json.loads(err)["error"]["message"] == f"{head} ({'; '.join(refusals)})"
+        return
     assert code == 0, err
     doc = json.loads(out)
     assert [(row["method"], row.get("value")) for row in doc["methods"]] == list(want.items())
@@ -1067,7 +1093,7 @@ def test_compare_runs_euler_truncated_unshifted(capsys):
 
 def test_euler_truncated_refuses_a_negative_weight(tmp_path, capsys):
     # a negative weight is outside the sub-Markov hypothesis: det refuses
-    # (exit 3), and compare skips the route and answers with the oracle
+    # (exit 3), and compare skips the route and answers with the others
     path = tmp_path / "negative.json"
     path.write_text(json.dumps({"p": 2, "ranks": [1, 1], "edges": [
         {"id": "e", "src": 1, "tgt": 2, "weight": "-1", "matrix": [["0.5"]]},
@@ -1078,13 +1104,20 @@ def test_euler_truncated_refuses_a_negative_weight(tmp_path, capsys):
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == {"type": "refusal",
                                         "message": "edge weights must be nonnegative reals"}
-    code, out, err = run_cli(["compare", "--methods", "oracle,euler-truncated", *base], capsys)
+    code, out, err = run_cli(["compare", "--methods", "oracle,cycles,euler-truncated", *base],
+                             capsys)
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["methods"] == [
         {"method": "oracle", "value": {"re": -1.5, "im": 0.0}},
+        {"method": "cycles", "value": {"re": -1.5, "im": 0.0}, "terms": 1},
         {"method": "euler-truncated", "skipped": "edge weights must be nonnegative reals"}]
     assert doc["agree"] is True
+    # with the oracle alone left there is no agreement
+    code, out, err = run_cli(["compare", "--methods", "oracle,euler-truncated", *base], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["message"] == (
+        "only oracle answers (euler-truncated: edge weights must be nonnegative reals)")
 
 
 FUZZ_VALUES = ("abc", "1/0", "", -1, 0, 2, 3, 1.5, True, None, [], {}, [1, 2, 3],

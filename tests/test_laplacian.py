@@ -10,6 +10,7 @@ from _helpers import (
     random_invertible_exact,
     random_symbolic_instance,
 )
+from _references import block_walk_traces
 from test_acceptance import _random_submarkov
 from holodet.blockdet import ScalarDiagBlockMatrix, det_scalar_diag
 from holodet.cli import _hadamard_bound
@@ -28,7 +29,6 @@ from holodet import linalg
 from holodet.vectorfields import stacks
 from holodet.linalg import (
     Matrix,
-    block_walk_traces,
     charpoly_oracle,
     det_oracle,
     product_traces,

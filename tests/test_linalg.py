@@ -7,6 +7,7 @@ from operator import add, mul
 import pytest
 
 from _helpers import gauss_rat, random_exact_instance, random_quiver, random_symbolic_instance
+from _references import block_walk_traces
 from holodet import linalg
 from holodet.blockdet import det_block_perm, det_perm_traces, det_trace_formal
 from holodet.errors import HolodetError, MethodRefusal
@@ -17,7 +18,6 @@ from holodet.linalg import (
     GaussianMatrix,
     Matrix,
     charpoly_oracle,
-    block_walk_traces,
     det_oracle,
     product_traces,
 )
@@ -489,17 +489,19 @@ def test_product_traces_exact_chains_match_left_to_right(family):
         mats = {key: Matrix(r, c, [_exact_entry(rng, family) for _ in range(r * c)])
                 for key, (r, c) in shapes.items()}
         mats[(2, 3, 1)] = Matrix(2, 3, [0] * 6)
-        trace, pairs = product_traces(mats), product_traces(mats, pairs=True)
+        trace = product_traces(mats)
+        # the Gaussian integer over a power of the factors' one denominator
+        d, pairs = product_traces(mats, pairs=True)
+        assert d == math.lcm(*(linalg.exact_form(m).d for m in mats.values()))
         for seq in _closed_sequences(rng, shapes, 60):
             want = _left_to_right_trace(mats, seq)
             got = trace(seq)
             assert got == want, seq
             assert type(got) is type(want), seq
-            if len(seq) > 1:
-                # the Gaussian integer over the product of the denominators
-                re, im, d, kind = pairs(seq)
-                assert d == math.prod(linalg.exact_form(mats[key]).d for key in seq)
-                assert gaussian_scalar(re, im, d, kind) == want, seq
+            re, im, kind = pairs(seq)
+            got = gaussian_scalar(re, im, d ** len(seq), kind)
+            assert got == want, seq
+            assert type(got) is type(want), seq
 
 
 def test_product_traces_mixed_exact_and_complex_stay_bit_identical():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -11,7 +12,7 @@ from holodet.blockdet import det_trace_formal
 from holodet.laplacian import build_laplacian
 from holodet.linalg import BlockMatrix, Matrix, det_oracle, product_traces
 from holodet.quiver import Representation, bidirected
-from holodet.ring import int_div, scalars_close
+from holodet.ring import Poly, Symbols, int_div, scalars_close
 from holodet.taudet import (
     TauContext,
     block_tau_context,
@@ -76,6 +77,48 @@ def test_det_tau_block_word_equals_scaled_det():
             scale *= factorial(na)
         assert value == scale * det_oracle(bm.base)
         assert det_trace_formal(bm) == det_oracle(bm.base)
+
+
+@pytest.mark.parametrize("family", ["fraction", "poly"])
+def test_det_tau_on_alike_slots_is_the_permutation_sum(family):
+    # entry (i, j) is table[row[i]][col[j]] over 2x2 blocks, so slots share
+    # entry rows, entry columns or both, in runs or scattered; only slots
+    # alike in both may share a class.  Exact blocks are read as pairs,
+    # Poly ones as scalars; either way det_tau is the signed sum over every
+    # permutation of tau along its cycles
+    rng = random.Random(f"alike-slots:{family}")
+    x = Poly.variable(Symbols(("x",)), "x")
+
+    def entry():
+        if family == "fraction":
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randint(-1, 1) * x + rng.randint(-2, 2)
+
+    blocks = {(a, b): Matrix(2, 2, [entry() for _ in range(4)]) for a in range(2) for b in range(2)}
+    ctx = TauContext(blocks)
+    assert (ctx.d is None) == (family == "poly")
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        table = [[None if rng.random() < 0.2 else ((a, b),) for b in range(2)] for a in range(2)]
+        row = [rng.randrange(2) for _ in range(n)]
+        col = [rng.randrange(2) for _ in range(n)]
+        entries = [[table[row[i]][col[j]] for j in range(n)] for i in range(n)]
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            if any(entries[i][perm[i]] is None for i in range(n)):
+                continue
+            seen, term, sign = set(), 1, 1
+            for i in range(n):
+                if i not in seen:
+                    cyc = [i]
+                    while perm[cyc[-1]] != i:
+                        cyc.append(perm[cyc[-1]])
+                    seen.update(cyc)
+                    sign *= -1 if len(cyc) % 2 == 0 else 1
+                    term = term * ctx.tau(word_concat(
+                        *(entries[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))))
+            want = want + sign * term
+        assert det_tau(entries, ctx) == want, (row, col, table)
 
 
 def test_tau_centrality_spot_checks():

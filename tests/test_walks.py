@@ -5,12 +5,20 @@ from math import factorial, prod
 
 import pytest
 from _helpers import gauss_rat
-from _references import closed_walk_factors, vertex_fields
+from _references import closed_walk_factors, slot_cover_sum, vertex_fields
 
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.linalg import Matrix
 from holodet.quiver import Edge, Quiver, gen_example
-from holodet.ring import GaussianRational, Poly, Symbols, gaussian_ints, int_div, scalars_close
+from holodet.ring import (
+    GaussianRational,
+    Poly,
+    Symbols,
+    gaussian_ints,
+    gaussian_scalar,
+    int_div,
+    scalars_close,
+)
 from holodet import walks
 from holodet.walks import (
     PERM_SUM_CAP,
@@ -972,38 +980,93 @@ def test_permutations_within_matches_filtered_brute_force():
         assert list(permutations_within(allowed)) == want
 
 
+def _class_partition(rng, n, scattered):
+    """Class sizes of 1 to 4 slots summing to n, and each slot's class:
+    consecutive slots per class, or the slots shuffled among the classes."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(4, n - sum(sizes))))
+    cls = [c for c, r in enumerate(sizes) for _ in range(r)]
+    if scattered:
+        rng.shuffle(cls)
+    return sizes, cls
+
+
 def test_cycle_cover_sum_matches_signed_permutation_sum():
-    # int cycle weights, a third of them 0, drawn per cycle from its slots
+    # random class partitions, contiguous and scattered, with int weights
+    # drawn per word up to rotation (a central weight), a third of them 0:
+    # the class fold equals the slot fold it replaced and, up to 7 slots,
+    # the signed sum over every permutation; each class word is weighed once
     rng = random.Random(409)
-    for trial in range(80):
-        n = trial % 8
+    for trial in range(120):
+        n = trial % 9
+        sizes, cls = _class_partition(rng, n, scattered=trial % 2)
         density = rng.random()
-        allowed = [[j for j in range(n) if rng.random() < density] for _ in range(n)]
+        allowed = [[b for b in range(len(sizes)) if rng.random() < density] for _ in sizes]
+        slot_allowed = [[j for j in range(n) if cls[j] in allowed[cls[i]]] for i in range(n)]
 
-        drawn = {}
+        def weight(word):
+            return random.Random(f"{trial}:{min_rotation(word)}").choice((0, 0, 1, -1, 2, -3))
 
-        def weight(cyc):
-            if cyc not in drawn:
-                drawn[cyc] = random.Random(f"{trial}:{cyc}").choice((0, 0, 1, -1, 2, -3))
-            return drawn[cyc]
+        def slot_weight(cyc):
+            return weight(tuple(cls[i] for i in cyc))
 
-        want = 0
-        for perm in itertools.permutations(range(n)):
-            if all(perm[i] in allowed[i] for i in range(n)):
-                cycles, sign = _cycles_and_sign(perm)
-                want += sign * prod(map(weight, cycles))
-        assert cycle_cover_sum(allowed, weight) == want, (allowed, trial)
+        weighed = []
+
+        def counted(word):
+            weighed.append(word)
+            return weight(word)
+
+        got = cycle_cover_sum(sizes, allowed, counted)
+        assert len(weighed) == len(set(weighed)), (sizes, allowed)
+        assert got == slot_cover_sum(slot_allowed, slot_weight), (sizes, cls, allowed)
+        if n <= 7:
+            want = 0
+            for perm in itertools.permutations(range(n)):
+                if all(perm[i] in slot_allowed[i] for i in range(n)):
+                    cycles, sign = _cycles_and_sign(perm)
+                    want += sign * prod(map(slot_weight, cycles))
+            assert got == want, (sizes, cls, allowed)
+
+
+def test_cycle_cover_sum_on_pairs_is_its_scalar_sum():
+    # Gaussian-integer weights over D^len(word) of kinds 0-2: the pair sum
+    # over D^n is the scalar fold's value, of its type
+    rng = random.Random(419)
+    for trial in range(80):
+        n = trial % 9
+        sizes, _ = _class_partition(rng, n, scattered=False)
+        allowed = [[b for b in range(len(sizes)) if rng.random() < 0.7] for _ in sizes]
+        d = rng.choice((1, 3))
+
+        def pair(word):
+            draw = random.Random(f"{trial}:{min_rotation(word)}")
+            kind = draw.choice((0, 1, 2) if d == 1 else (1, 2))
+            re = draw.choice((0, 1, -2, 5))
+            return re, draw.choice((0, 1, -4)) if kind == 2 else 0, kind
+
+        def scalar(word):
+            return gaussian_scalar(*pair(word)[:2], d ** len(word), pair(word)[2])
+
+        want = cycle_cover_sum(sizes, allowed, scalar)
+        re, im, kind = cycle_cover_sum(sizes, allowed, pair, pairs=True)
+        got = gaussian_scalar(re, im, d ** n, kind)
+        assert got == want and type(got) is type(want), (sizes, allowed, d)
 
 
 def test_cycle_cover_sum_refuses_past_its_cap_before_reading_a_weight():
     # the one cap of block-perm's and trace-formal's fold, which
-    # det_perm_traces reads too
-    def weight(cyc):
+    # det_perm_traces reads too: it counts slots, not classes
+    def weight(word):
         raise AssertionError("a weight was read")
 
     assert PERM_SUM_CAP == 8
-    with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
-        cycle_cover_sum([range(9)] * 9, weight)
+    for sizes in ([1] * 9, [4, 5]):
+        allowed = [range(len(sizes))] * len(sizes)
+        with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
+            cycle_cover_sum(sizes, allowed, weight)
+        with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
+            cycle_cover_sum(sizes, allowed, weight, pairs=True)
 
 
 def test_cycle_types_are_conjugacy_classes():
