@@ -22,7 +22,6 @@ from .walks import (
     check_perm_sum_slots,
     cycle_cover_sum,
     cycle_series,
-    cycle_types,
     enumerate_gcycle_multisets,
     min_rotation,
     shifted_visit_sum,
@@ -82,12 +81,14 @@ class ScalarDiagBlockMatrix:
 
 def det_perm_traces(m):
     """Average over permutations of sign times the product of Tr(M^len)
-    over the permutation's cycles, summed by cycle type.  Only the powers
-    up to M^h, h = ceil(n/2), are formed: each Tr(M^k) with k > h closes
-    M^h with M^(k-h), not forming their product.  When exact_factors
-    admits M, the powers are Gaussian integers over d^k (exact_form) and
-    so is the sum over d^n, made a scalar once; otherwise they are Matrix
-    powers, each trace summed as (M^a * M^(k-a)).trace() sums it."""
+    over the permutation's cycles: cycle_cover_sum with one class of n
+    slots, which folds Newton's identity k e_k = sum (-1)^(L-1) p_L e_(k-L)
+    scaled by k!, in O(n^2) steps.  Only the powers up to M^h,
+    h = ceil(n/2), are formed: each Tr(M^k) with k > h closes M^h with
+    M^(k-h), not forming their product.  When exact_factors admits M, the
+    powers are Gaussian integers over d^k (exact_form) and so is the sum
+    over d^n, made a scalar once; otherwise they are Matrix powers, each
+    trace summed as (M^a * M^(k-a)).trace() sums it."""
     if not m.is_square:
         raise HolodetError("square matrix required")
     n = m.rows
@@ -102,22 +103,12 @@ def det_perm_traces(m):
     traces = [None, *(p.trace() for p in powers)]
     traces += [powers[-1].close(right(powers[k - h - 1])) for k in range(h + 1, n + 1)]
     if exact:
-        re = im = 0
-        for lengths, count in cycle_types(n):
-            a, b = count, 0
-            for k in lengths:
-                c, e = traces[k]
-                a, b = a * c - b * e, a * e + b * c
-            re += a
-            im += b
-        return gaussian_scalar(re, im, base.d ** n * factorial(n), max(1, base.kind))
-    total = 0
-    for lengths, count in cycle_types(n):
-        term = 1
-        for k in lengths:
-            term = term * traces[k]
-        total = total + count * term
-    return int_div(total, factorial(n))
+        traces = [None, *((c, e, base.kind) for c, e in traces[1:])]
+    total = cycle_cover_sum((n,), ((0,),), lambda word: traces[len(word)], exact)
+    if not exact:
+        return int_div(total, factorial(n))
+    re, im, _ = total
+    return gaussian_scalar(re, im, base.d ** n * factorial(n), max(1, base.kind))
 
 
 def det_block_perm(bm):

@@ -107,6 +107,6 @@ def block_word_matrix(block_matrix):
     return [[words[a][b] for b in block_matrix.slots] for a in block_matrix.slots]
 
 
-def block_tau_context(block_matrix, tau_one=None):
-    return TauContext(block_matrix.blocks(), tau_one=tau_one)
+def block_tau_context(block_matrix):
+    return TauContext(block_matrix.blocks())
 

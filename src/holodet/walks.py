@@ -66,7 +66,9 @@ SUBBOX_COST = 2.5
 # has at most this many cells per key
 BOX_WALK_RATIO = 8
 # slots of a permutation sum: block-perm's and trace-formal's cycle-cover
-# folds take about 0.35 s on exact complete (1,)*8 (shared 2-CPU Xeon)
+# folds take 0.14 to 0.28 s on exact complete (1,)*8 (shared 2-CPU Xeon,
+# Python 3.11); perm's fold has one class and O(n^2) steps, so this cost
+# argues for the cap only in those two
 PERM_SUM_CAP = 8
 
 
@@ -1037,26 +1039,3 @@ def cycle_cover_sum(sizes, allowed, weight, pairs=False):
         return got
 
     return memo[0] if not full else cover(full, sizes)
-
-
-@lru_cache(maxsize=None)
-def cycle_types(n):
-    """Each cycle type of the permutations of range(n), as a nonincreasing
-    tuple of cycle lengths, with its sign times its class size n!/z; a
-    tuple, made once per n."""
-
-    def parts(rest, largest):
-        if not rest:
-            yield ()
-        for k in range(min(rest, largest), 0, -1):
-            for tail in parts(rest - k, k):
-                yield (k,) + tail
-
-    def counted(lam):
-        z = 1
-        for k in set(lam):
-            m = lam.count(k)
-            z *= k ** m * factorial(m)
-        return lam, (-1) ** (n - len(lam)) * (factorial(n) // z)
-
-    return tuple(map(counted, parts(n, n)))

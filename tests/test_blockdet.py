@@ -48,7 +48,7 @@ from holodet.taudet import (
     det_tau,
     word_concat,
 )
-from holodet.walks import PERM_SUM_CAP, candidate_gcycles, cycle_types
+from holodet.walks import PERM_SUM_CAP, candidate_gcycles, cycle_cover_sum
 from holodet.walks import min_rotation, permutations_within, walk_quiver
 
 
@@ -82,6 +82,9 @@ def test_det_perm_traces_small_cases():
         [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     ).map(Fraction)
     assert det_perm_traces(nilpotent) == 0
+    # float power traces that are all 0 sum to Fraction(0), as in block-perm
+    got = det_perm_traces(nilpotent.map(float))
+    assert got == 0 and type(got) is Fraction
 
 
 def test_det_perm_traces_matches_oracle():
@@ -98,7 +101,8 @@ def test_det_perm_traces_matches_oracle():
 def test_det_perm_traces_float_bit_identical_to_repeated_products():
     # only the powers up to h = ceil(n/2) are formed: Tr(M^k) is
     # (P_(k-1) * P_1).trace() up to h and (P_h * P_(k-h)).trace() past it,
-    # P_a the repeated product M * ... * M, each bit for bit
+    # P_a the repeated product M * ... * M, each bit for bit, summed by the
+    # one-class cycle_cover_sum over those traces
     rng = random.Random(7)
     for n in range(1, PERM_SUM_CAP + 1):
         m = Matrix(n, n, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -111,12 +115,7 @@ def test_det_perm_traces_float_bit_identical_to_repeated_products():
         for k in range(2, n + 1):
             a = k - 1 if k <= h else h
             traces[k] = (powers[a] * powers[k - a]).trace()
-        total = 0
-        for lengths, count in cycle_types(n):
-            term = 1
-            for k in lengths:
-                term = term * traces[k]
-            total = total + count * term
+        total = cycle_cover_sum((n,), [[0]], lambda word: traces[len(word)])
         assert det_perm_traces(m) == total / factorial(n)
 
 
@@ -140,8 +139,15 @@ def test_exact_det_perm_traces_match_the_matrix_powers(monkeypatch, entry):
         assert type(g) is type(want)
 
 
-def test_det_perm_traces_size_refusal():
-    with pytest.raises(MethodRefusal):
+def test_det_perm_traces_size_refusal(monkeypatch):
+    # past 8 slots perm refuses before it looks at an entry or forms a power
+    from holodet import blockdet
+
+    def unreachable(_):
+        raise AssertionError("a power was formed")
+
+    monkeypatch.setattr(blockdet, "exact_factors", unreachable)
+    with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
         det_perm_traces(Matrix.identity(9))
 
 
@@ -287,8 +293,8 @@ def test_det_tau_reads_each_class_word_once(family):
 
 
 def test_float_cycle_cover_routes_hold_compare_tolerance():
-    # 30 sink-free criterion-6 shapes: block-perm and trace-formal on the
-    # float Laplacian against Bareiss on the exact rationals of its entries
+    # 30 sink-free criterion-6 shapes: block-perm, trace-formal and perm on
+    # the float Laplacian against Bareiss on the exact rationals of its entries
     rng = random.Random(20240606)
     for _ in range(30):
         q, rep, w, _kappa = _random_submarkov(rng)
@@ -299,7 +305,8 @@ def test_float_cycle_cover_routes_hold_compare_tolerance():
                                                           to_complex(x).imag))
         want = to_complex(det_oracle(exact))
         tol = FLOAT_ABS_TOL * max(1.0, _hadamard_bound(lap.matrix))
-        for got in (det_block_perm(lap.block), det_trace_formal(lap.block)):
+        for got in (det_block_perm(lap.block), det_trace_formal(lap.block),
+                    det_perm_traces(lap.matrix)):
             assert scalars_close(got, want, abs_=tol), (got, want)
 
 

@@ -158,7 +158,7 @@ def appendixA_special_check(quiver, rep, weights, N):
     lap = build_laplacian(quiver, rep, weights)
     m = quiver.p
 
-    ctx = block_tau_context(lap.block, tau_one=N)
+    ctx = TauContext(lap.block.blocks(), tau_one=N)
     entries = [[((a, b),) for b in range(m)] for a in range(m)]
     det_tau_blocks = det_tau(entries, ctx)
 

@@ -29,7 +29,6 @@ from holodet.walks import (
     closed_edge_walks,
     cycle_cover_sum,
     cycle_series,
-    cycle_types,
     enumerate_gcycle_multisets,
     enumerate_walk_multisets,
     fold_refusal,
@@ -1027,6 +1026,20 @@ def test_cycle_cover_sum_matches_signed_permutation_sum():
                     cycles, sign = _cycles_and_sign(perm)
                     want += sign * prod(map(slot_weight, cycles))
             assert got == want, (sizes, cls, allowed)
+    # one class of n slots, larger than _class_partition draws, weighed by
+    # the word's length alone, as det_perm_traces reads its power traces:
+    # the signed sum over every permutation of its cycle lengths
+    traces = (-2, 3, 0, 1, -1, 5, 4)
+
+    def by_length(word):
+        return traces[len(word) - 1]
+
+    for n in range(8):
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            cycles, sign = _cycles_and_sign(perm)
+            want += sign * prod(map(by_length, cycles))
+        assert cycle_cover_sum((n,), [[0]], by_length) == want, n
 
 
 def test_cycle_cover_sum_on_pairs_is_its_scalar_sum():
@@ -1067,17 +1080,6 @@ def test_cycle_cover_sum_refuses_past_its_cap_before_reading_a_weight():
             cycle_cover_sum(sizes, allowed, weight)
         with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
             cycle_cover_sum(sizes, allowed, weight, pairs=True)
-
-
-def test_cycle_types_are_conjugacy_classes():
-    for n in range(1, 7):
-        counts = {}
-        for perm in itertools.permutations(range(n)):
-            cycles, sign = _cycles_and_sign(perm)
-            lam = tuple(sorted((len(c) for c in cycles), reverse=True))
-            counts[lam] = counts.get(lam, 0) + sign
-        assert dict(cycle_types(n)) == counts
-    assert len(list(cycle_types(8))) == 22
 
 
 def test_vertex_fields_limit_cycles():
