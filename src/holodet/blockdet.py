@@ -17,13 +17,12 @@ from .linalg import (
     exact_form,
     product_traces,
 )
-from .ring import gaussian_scalar, int_div, is_exact, to_complex, z_power
+from .ring import int_div, is_exact, to_complex, z_power
 from .walks import (
     check_perm_sum_slots,
     cycle_cover_sum,
     cycle_series,
     enumerate_gcycle_multisets,
-    min_rotation,
     shifted_visit_sum,
     walk_quiver,
 )
@@ -86,9 +85,9 @@ def det_perm_traces(m):
     scaled by k!, in O(n^2) steps.  Only the powers up to M^h,
     h = ceil(n/2), are formed: each Tr(M^k) with k > h closes M^h with
     M^(k-h), not forming their product.  When exact_factors admits M, the
-    powers are Gaussian integers over d^k (exact_form) and so is the sum
-    over d^n, made a scalar once; otherwise they are Matrix powers, each
-    trace summed as (M^a * M^(k-a)).trace() sums it."""
+    powers are Gaussian integers over d^k (exact_form), which the fold
+    makes a scalar once; otherwise they are Matrix powers, each trace
+    summed as (M^a * M^(k-a)).trace() sums it."""
     if not m.is_square:
         raise HolodetError("square matrix required")
     n = m.rows
@@ -104,11 +103,9 @@ def det_perm_traces(m):
     traces += [powers[-1].close(right(powers[k - h - 1])) for k in range(h + 1, n + 1)]
     if exact:
         traces = [None, *((c, e, base.kind) for c, e in traces[1:])]
-    total = cycle_cover_sum((n,), ((0,),), lambda word: traces[len(word)], exact)
-    if not exact:
-        return int_div(total, factorial(n))
-    re, im, _ = total
-    return gaussian_scalar(re, im, base.d ** n * factorial(n), max(1, base.kind))
+    total = cycle_cover_sum((n,), ((0,),), lambda word: traces[len(word)],
+                            base.d if exact else None)
+    return int_div(total, factorial(n))
 
 
 def det_block_perm(bm):
@@ -117,24 +114,18 @@ def det_block_perm(bm):
     by the block-size factorials; folded over the slots each block has
     left (cycle_cover_sum, the blocks as its classes), each block word's
     trace read once.  When exact_factors admits the blocks, the traces
-    are Gaussian integers over d^len (product_traces with pairs) and the
-    sum becomes a scalar once.  Past PERM_SUM_CAP slots it refuses before
-    forming any trace."""
-    n = bm.n
-    check_perm_sum_slots(n)
+    are Gaussian integers over d^len (product_traces with pairs), which
+    the fold makes a scalar once.  Past PERM_SUM_CAP slots it refuses
+    before forming any trace."""
+    check_perm_sum_slots(bm.n)
     d, trace = product_traces(bm.blocks(), pairs=True)
     allowed = [[b for b in range(bm.p) if not bm.is_zero_block(a, b)] for a in range(bm.p)]
 
     def weight(word):
-        word = min_rotation(word)
         return trace(tuple(zip(word, word[1:] + word[:1])))
 
-    total = cycle_cover_sum(bm.part, allowed, weight, d is not None)
-    scale = prod(map(factorial, bm.part))
-    if d is None:
-        return int_div(total, scale)
-    re, im, kind = total
-    return gaussian_scalar(re, im, d ** n * scale, max(1, kind))
+    total = cycle_cover_sum(bm.part, allowed, weight, d)
+    return int_div(total, prod(map(factorial, bm.part)))
 
 
 def det_trace_formal(bm):

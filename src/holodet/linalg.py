@@ -668,15 +668,33 @@ def exact_forms(factors, weights=None):
     return d, kind, forms
 
 
+def _least_rotation(seq):
+    """Start of the first lexicographically least rotation of seq.  It
+    starts at an occurrence of the least entry, so only those compete."""
+    m = min(seq)
+    best = seq.index(m)
+    if seq.count(m) > 1:
+        for r in range(best + 1, len(seq)):
+            if seq[r] == m and seq[r:] + seq[:r] < seq[best:] + seq[:best]:
+                best = r
+    return best
+
+
+def min_rotation(seq):
+    r = _least_rotation(seq)
+    return seq[r:] + seq[:r] if r else seq
+
+
 def product_traces(factors, pairs=False):
     """trace(seq): the trace of factors[seq[0]] * ... * factors[seq[-1]]
-    for a closed key sequence over the dict factors of Matrix values,
-    multiplied left to right.
+    for a closed key sequence over the dict factors of Matrix values, read
+    at its least rotation (min_rotation) and multiplied left to right.
 
     Every proper-prefix product is kept, keyed by its prefix, so sequences
-    that share a prefix share its products; every trace is kept by its
-    sequence.  The last factor is never multiplied in: the trace closes
-    the prefix with it (close).
+    that share a prefix share its products, and all rotations of a
+    sequence share one chain; every trace is kept by its least rotation.
+    The last factor is never multiplied in: the trace closes the prefix
+    with it (close).
 
     One decision covers every factor.  When exact_factors admits them,
     each key's factor is kept, once a product first needs it, as its
@@ -724,6 +742,7 @@ def product_traces(factors, pairs=False):
         return got
 
     def trace(seq):
+        seq = min_rotation(seq)
         got = traces.get(seq)
         if got is None:
             if len(seq) == 1:

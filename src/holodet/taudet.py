@@ -4,8 +4,8 @@ entries live in a monoid of words, evaluated through a central map tau.
 Words are tuples of block-index pairs; the zero element is None.  tau of a
 word multiplies the concrete blocks it names and takes the trace, returning
 0 when a pair names no block or the blocks do not chain into a square
-product.  tau is central, so a word is read as its least rotation, whose
-trace linalg.product_traces keeps.
+product.  tau is central, and linalg.product_traces reads each word at
+its least rotation, so all rotations of a word share one trace.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MethodRefusal
 from .linalg import product_traces
-from .ring import gaussian_scalar
-from .walks import cycle_cover_sum, min_rotation
+from .walks import check_perm_sum_slots, cycle_cover_sum
 
 
 @dataclass
@@ -29,12 +28,14 @@ class TauContext:
 
     def __post_init__(self):
         self.d, self._trace = product_traces(self.blocks, pairs=True)
+        # tau's kernel: for exact blocks a scalar one, built on first read
+        self._scalar = self._trace if self.d is None else None
 
     def pair(self, word):
         """tau of a nonempty word, for exact blocks: the Gaussian integer
         (re, im, kind) over d^len(word) that product_traces gives."""
         try:
-            return self._trace(min_rotation(word))
+            return self._trace(word)
         except (KeyError, ValueError):  # a pair with no block, or no chain
             return 0, 0, 0
 
@@ -45,11 +46,10 @@ class TauContext:
             if self.tau_one is None:
                 raise MethodRefusal("tau of the empty word is not declared")
             return self.tau_one
-        if self.d is not None:
-            re, im, kind = self.pair(word)
-            return gaussian_scalar(re, im, self.d ** len(word), kind)
+        if self._scalar is None:
+            self._scalar = product_traces(self.blocks)
         try:
-            return self._trace(min_rotation(word))
+            return self._scalar(word)
         except (KeyError, ValueError):
             return 0
 
@@ -70,11 +70,13 @@ def det_tau(entries, ctx):
     passes, so the sum is folded over the slots each class has left
     (cycle_cover_sum), and each class word's tau is read once.  When ctx's
     blocks are exact and every entry names one block, each tau is read as
-    a Gaussian integer over d^len (TauContext.pair) and the sum becomes a
-    scalar once."""
+    a Gaussian integer over d^len (TauContext.pair), which the fold makes
+    a scalar once.  Past PERM_SUM_CAP slots it refuses before reading any
+    tau."""
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise MethodRefusal("tau-determinant needs a square array")
+    check_perm_sum_slots(n)
     sizes, reps = [], []
     for i, row in enumerate(entries):
         if i and row == entries[i - 1] and all(r[i] == r[i - 1] for r in entries):
@@ -92,11 +94,7 @@ def det_tau(entries, ctx):
     def weight(word):
         return read(word_concat(*(words[c][b] for c, b in zip(word, word[1:] + word[:1]))))
 
-    total = cycle_cover_sum(sizes, allowed, weight, pairs)
-    if not pairs:
-        return total
-    re, im, kind = total
-    return gaussian_scalar(re, im, ctx.d ** n, kind)
+    return cycle_cover_sum(sizes, allowed, weight, ctx.d if pairs else None)
 
 
 def block_word_matrix(block_matrix):

@@ -12,7 +12,7 @@ from math import factorial, prod
 from .errors import HolodetError, MethodRefusal
 from .linalg import exact_factors, product_traces
 from .ring import gaussian_ints, gaussian_scalar, int_div
-from .walks import min_rotation, permutations_within
+from .walks import permutations_within
 
 DEFAULT_TERM_BUDGET = 10_000_000
 
@@ -78,7 +78,7 @@ def _stack_sum(lap, cost, budget, terms):
         for word in words:
             got = read.get(word)
             if got is None:
-                got = read[word] = -trace(min_rotation(word))
+                got = read[word] = -trace(word)
             weights.append(got)
         inner = 0
         for stat, idx in stats:
@@ -113,7 +113,7 @@ def _exact_stack_sum(lap, terms, ints):
         for word in words:
             got = read.get(word)
             if got is None:
-                tr, ti, tkind = trace(min_rotation(word))
+                tr, ti, tkind = trace(word)
                 got = read[word] = -tr, -ti, tkind
             weights.append(got)
         inner_re = inner_im = 0

@@ -33,7 +33,7 @@ from math import factorial, inf, isqrt, lcm, prod
 from operator import add, mul
 
 from .errors import HolodetError, MethodRefusal
-from .linalg import exact_forms, int_close, int_product, int_sum
+from .linalg import _least_rotation, exact_forms, int_close, int_product, int_sum
 from .quiver import Edge, Quiver
 from .ring import (
     Poly,
@@ -65,10 +65,12 @@ SUBBOX_COST = 2.5
 # a fold walks its whole box, not the closure of its keys, when the box
 # has at most this many cells per key
 BOX_WALK_RATIO = 8
-# slots of a permutation sum: block-perm's and trace-formal's cycle-cover
-# folds take 0.14 to 0.28 s on exact complete (1,)*8 (shared 2-CPU Xeon,
-# Python 3.11); perm's fold has one class and O(n^2) steps, so this cost
-# argues for the cap only in those two
+# slots of a permutation sum, checked by det_perm_traces, det_block_perm,
+# det_trace_formal and det_tau before their first product, not by the
+# fold: block-perm's and trace-formal's cycle-cover folds take 0.14 to
+# 0.28 s on exact complete (1,)*8 (shared 2-CPU Xeon, Python 3.11);
+# perm's fold has one class and O(n^2) steps, so this cost argues for the
+# cap only in those two
 PERM_SUM_CAP = 8
 
 
@@ -76,23 +78,6 @@ def check_perm_sum_slots(n):
     """Refuse a sum over the permutations of n slots past PERM_SUM_CAP."""
     if n > PERM_SUM_CAP:
         raise MethodRefusal(f"permutation sum capped at n<={PERM_SUM_CAP}, got {n}")
-
-
-def _least_rotation(seq):
-    """Start of the first lexicographically least rotation of seq.  It
-    starts at an occurrence of the least entry, so only those compete."""
-    m = min(seq)
-    best = seq.index(m)
-    if seq.count(m) > 1:
-        for r in range(best + 1, len(seq)):
-            if seq[r] == m and seq[r:] + seq[:r] < seq[best:] + seq[:best]:
-                best = r
-    return best
-
-
-def min_rotation(seq):
-    r = _least_rotation(seq)
-    return seq[r:] + seq[:r] if r else seq
 
 
 class GCycle:
@@ -607,8 +592,7 @@ def fold_refusal(quiver, bound):
     whose every cell pulls its whole sub-box fits is admitted at once;
     past it, fold_work is counted on the key set of a run of the transfer
     with no maps, which forms no product and stops past COUNT_STATE_CAP
-    states."""
-    bound = _visit_bound(quiver, bound)
+    states.  bound is a tuple that _visit_bound has checked."""
     if _pull_bound(bound) <= FOLD_WORK_CAP:
         return None
     return _counted_refusal(quiver, bound, FOLD_WORK_CAP, COUNT_STATE_CAP)
@@ -961,7 +945,7 @@ def permutations_within(allowed):
             stack.append(iter(options[i + 1]))
 
 
-def cycle_cover_sum(sizes, allowed, weight, pairs=False):
+def cycle_cover_sum(sizes, allowed, weight, d=None):
     """Sum over the permutations of n slots in classes, sizes[c] slots in
     class c, where a slot of class c may go to any slot of a class b in
     allowed[c], of sign times the product of weight(word) over their
@@ -979,11 +963,13 @@ def cycle_cover_sum(sizes, allowed, weight, pairs=False):
     weighed once, and a zero f(k - C) or weight(C) cuts off everything
     below it.
 
-    With pairs, weight(word) is a Gaussian integer (re, im, kind) over
-    D^len(word), for one D, and so is the sum, over D^n, of the widest
-    kind among the weights and partial sums it adds; otherwise weights are
-    scalars.  Past PERM_SUM_CAP slots it refuses before reading any weight."""
-    check_perm_sum_slots(sum(sizes))
+    With d, weight(word) is a Gaussian integer (re, im, kind) over
+    d^len(word), and so is the sum, over d^n, made the scalar of the
+    widest kind among the weights and partial sums it adds
+    (ring.gaussian_scalar); otherwise weights and the sum are scalars.
+    It holds no cap: each route that calls it checks its slots
+    (check_perm_sum_slots) before forming any weight."""
+    pairs = d is not None
     radix, full, step = [], 0, 1
     for r in sizes:
         radix.append(step)
@@ -1038,4 +1024,5 @@ def cycle_cover_sum(sizes, allowed, weight, pairs=False):
         got = memo[key] = (re, im, kind) if pairs else total
         return got
 
-    return memo[0] if not full else cover(full, sizes)
+    total = memo[0] if not full else cover(full, sizes)
+    return gaussian_scalar(total[0], total[1], d ** sum(sizes), total[2]) if pairs else total

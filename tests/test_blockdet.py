@@ -31,6 +31,7 @@ from holodet.linalg import (
     Matrix,
     charpoly_oracle,
     det_oracle,
+    min_rotation,
 )
 from holodet.ring import (
     FLOAT_ABS_TOL,
@@ -49,7 +50,7 @@ from holodet.taudet import (
     word_concat,
 )
 from holodet.walks import PERM_SUM_CAP, candidate_gcycles, cycle_cover_sum
-from holodet.walks import min_rotation, permutations_within, walk_quiver
+from holodet.walks import permutations_within, walk_quiver
 
 
 def random_block_matrix(rng, part):
@@ -131,6 +132,14 @@ def test_exact_det_perm_traces_match_the_matrix_powers(monkeypatch, entry):
     rng = random.Random(41)
     mats = [Matrix(n, n, [entry(rng) for _ in range(n * n)])
             for n in range(1, PERM_SUM_CAP + 1)]
+    # strictly upper triangular, so every power trace is 0: the determinant
+    # is Fraction(0) whatever the entry type
+    nilpotent = [Matrix(n, n, [entry(rng) if j > i else 0 for i in range(n) for j in range(n)])
+                 for n in range(2, 5)]
+    for m in nilpotent:
+        got = det_perm_traces(m)
+        assert got == 0 and type(got) is Fraction
+    mats += nilpotent
     got = [det_perm_traces(m) for m in mats]
     monkeypatch.setattr(blockdet, "exact_factors", lambda _: False)
     for m, g in zip(mats, got):
@@ -149,6 +158,30 @@ def test_det_perm_traces_size_refusal(monkeypatch):
     monkeypatch.setattr(blockdet, "exact_factors", unreachable)
     with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
         det_perm_traces(Matrix.identity(9))
+
+
+def test_block_perm_sums_refuse_past_their_cap_before_any_trace(monkeypatch):
+    # the fold holds no cap: block-perm, trace-formal and the
+    # tau-determinant each refuse 9 slots, in 9 classes or in 2, before
+    # they ask for a trace
+    from holodet import blockdet, taudet
+
+    def unreachable(*_, **__):
+        raise AssertionError("a trace was formed")
+
+    contexts = {}
+    for part in ((1,) * 9, (4, 5)):
+        bm = BlockMatrix(Matrix.identity(9), part)
+        contexts[part] = bm, block_word_matrix(bm), block_tau_context(bm)
+    for module in (blockdet, taudet):
+        monkeypatch.setattr(module, "product_traces", unreachable)
+    monkeypatch.setattr(TauContext, "pair", unreachable)
+    monkeypatch.setattr(TauContext, "tau", unreachable)
+    for bm, entries, ctx in contexts.values():
+        for run in (lambda: det_block_perm(bm), lambda: det_trace_formal(bm),
+                    lambda: det_tau(entries, ctx)):
+            with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
+                run()
 
 
 def test_det_block_perm_extreme_partitions():

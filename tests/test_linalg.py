@@ -19,6 +19,7 @@ from holodet.linalg import (
     Matrix,
     charpoly_oracle,
     det_oracle,
+    min_rotation,
     product_traces,
 )
 from holodet.quiver import Representation
@@ -195,6 +196,29 @@ def test_product_traces_share_prefix_products(monkeypatch):
                 calls.clear()
                 assert trace(seq) == want
                 assert calls == products, (entry, seq)
+
+
+def test_product_traces_read_every_rotation_on_one_chain(monkeypatch):
+    # a float word and each of its rotations give the bits of the least
+    # rotation's left-to-right product, which multiplies its proper
+    # prefixes and closes once; the other rotations form nothing
+    rng = random.Random(71)
+    mats = {k: Matrix(2, 2, [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)])
+            for k in "abc"}
+    word = ("c", "a", "b", "a", "b")
+    rotations = [word[i:] + word[:i] for i in range(len(word))]
+    want = _left_to_right_trace(mats, min_rotation(word))
+    # the rotations' own products round apart, so reading them is what agrees
+    assert len({repr(_left_to_right_trace(mats, seq)) for seq in rotations}) > 1
+    calls = []
+    for name in ("__mul__", "close"):
+        def counted(self, other, name=name, real=getattr(Matrix, name)):
+            calls.append(name)
+            return real(self, other)
+        monkeypatch.setattr(Matrix, name, counted)
+    trace = product_traces(mats)
+    assert [repr(trace(seq)) for seq in rotations] == [repr(want)] * len(word)
+    assert calls == ["__mul__", "__mul__", "__mul__", "close"]
 
 
 def test_product_traces_refuse_a_product_without_trace():
@@ -518,7 +542,8 @@ def test_product_traces_mixed_exact_and_complex_stay_bit_identical():
     for seq in [("x", "y"), ("x", "y", "z"), ("x", "z", "y"), ("z", "x", "y", "x"),
                 ("x", "y", "x", "z"), ("y", "y", "z", "x"), ("w", "w"), ("w", "z"),
                 ("z", "w", "w"), ("w", "x", "w", "z")]:
-        want = _left_to_right_trace(mats, seq)
+        # a sequence is read at its least rotation
+        want = _left_to_right_trace(mats, min_rotation(seq))
         got = trace(seq)
         assert type(got) is type(want)
         assert repr(got) == repr(want), seq
@@ -575,7 +600,7 @@ def test_poly_product_traces_match_dense_products_with_float_coefficients():
     trace = product_traces(mats)
     seqs = [seq for n in range(1, 5) for seq in itertools.product("abc", repeat=n)]
     for seq in seqs:
-        want = _left_to_right_trace(mats, seq)
+        want = _left_to_right_trace(mats, min_rotation(seq))
         got = trace(seq)
         assert got == want, seq
         if isinstance(got, Poly) and isinstance(want, Poly):

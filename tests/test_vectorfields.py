@@ -9,7 +9,7 @@ from _helpers import random_exact_instance, random_symbolic_instance
 from _references import vertex_field_sum
 from holodet.errors import MethodRefusal
 from holodet.laplacian import build_laplacian, det_laplacian_cycles
-from holodet.linalg import Matrix, det_oracle
+from holodet.linalg import Matrix, det_oracle, min_rotation
 from holodet.quiver import Edge, Quiver, Representation, gen_example
 from holodet.ring import GaussianRational, scalar_str
 from holodet import vectorfields
@@ -20,7 +20,7 @@ from holodet.vectorfields import (
     det_vector_fields_variant,
     stacks,
 )
-from holodet.walks import min_rotation, permutations_within
+from holodet.walks import permutations_within
 
 
 def det_forman_classic(lap):

@@ -7,8 +7,8 @@ import pytest
 from _helpers import gauss_rat
 from _references import closed_walk_factors, slot_cover_sum, vertex_fields
 
-from holodet.errors import HolodetError, MethodRefusal
-from holodet.linalg import Matrix
+from holodet.errors import HolodetError
+from holodet.linalg import Matrix, det_oracle, min_rotation, product_traces
 from holodet.quiver import Edge, Quiver, gen_example
 from holodet.ring import (
     GaussianRational,
@@ -33,7 +33,6 @@ from holodet.walks import (
     enumerate_walk_multisets,
     fold_refusal,
     fold_work,
-    min_rotation,
     permutations_within,
     prime_cycles,
     prime_finiteness,
@@ -1043,8 +1042,8 @@ def test_cycle_cover_sum_matches_signed_permutation_sum():
 
 
 def test_cycle_cover_sum_on_pairs_is_its_scalar_sum():
-    # Gaussian-integer weights over D^len(word) of kinds 0-2: the pair sum
-    # over D^n is the scalar fold's value, of its type
+    # Gaussian-integer weights over d^len(word) of kinds 0-2: with d, the
+    # fold's scalar is the scalar fold's sum, in value and in type
     rng = random.Random(419)
     for trial in range(80):
         n = trial % 9
@@ -1062,24 +1061,22 @@ def test_cycle_cover_sum_on_pairs_is_its_scalar_sum():
             return gaussian_scalar(*pair(word)[:2], d ** len(word), pair(word)[2])
 
         want = cycle_cover_sum(sizes, allowed, scalar)
-        re, im, kind = cycle_cover_sum(sizes, allowed, pair, pairs=True)
-        got = gaussian_scalar(re, im, d ** n, kind)
+        got = cycle_cover_sum(sizes, allowed, pair, d)
         assert got == want and type(got) is type(want), (sizes, allowed, d)
 
 
-def test_cycle_cover_sum_refuses_past_its_cap_before_reading_a_weight():
-    # the one cap of block-perm's and trace-formal's fold, which
-    # det_perm_traces reads too: it counts slots, not classes
-    def weight(word):
-        raise AssertionError("a weight was read")
-
+def test_one_class_fold_holds_no_cap():
+    # the fold checks no slot count: one class of n = 9..16 slots weighed
+    # by Tr(M^len), as scalars and as pairs over d^len, is n! det M
     assert PERM_SUM_CAP == 8
-    for sizes in ([1] * 9, [4, 5]):
-        allowed = [range(len(sizes))] * len(sizes)
-        with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
-            cycle_cover_sum(sizes, allowed, weight)
-        with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
-            cycle_cover_sum(sizes, allowed, weight, pairs=True)
+    rng = random.Random(421)
+    for n in range(PERM_SUM_CAP + 1, 17):
+        m = Matrix(n, n, [gauss_rat(rng) for _ in range(n * n)])
+        want = factorial(n) * det_oracle(m)
+        trace = product_traces({0: m})
+        d, pair = product_traces({0: m}, pairs=True)
+        assert cycle_cover_sum((n,), [[0]], lambda word: trace((0,) * len(word))) == want, n
+        assert cycle_cover_sum((n,), [[0]], lambda word: pair((0,) * len(word)), d) == want, n
 
 
 def test_vertex_fields_limit_cycles():
