@@ -129,13 +129,11 @@ def det_block_perm(bm):
 
 
 def det_trace_formal(bm):
-    """Trace-determinant of the block-symbol word matrix divided by the
-    block-size factorials; past PERM_SUM_CAP slots it refuses before
-    forming the matrix."""
+    """Trace-determinant of the block-symbol word matrix, the blocks its
+    classes, divided by the block-size factorials; past PERM_SUM_CAP slots
+    it refuses before forming the matrix or any trace."""
     check_perm_sum_slots(bm.n)
-    ctx = taudet.block_tau_context(bm)
-    entries = taudet.block_word_matrix(bm)
-    value = taudet.det_tau(entries, ctx)
+    value = taudet.det_tau(taudet.block_word_matrix(bm), taudet.block_tau_context(bm))
     return int_div(value, prod(map(factorial, bm.part)))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import MethodRefusal
 from .linalg import product_traces
+from .ring import gaussian_scalar
 from .walks import check_perm_sum_slots, cycle_cover_sum
 
 
@@ -28,8 +29,6 @@ class TauContext:
 
     def __post_init__(self):
         self.d, self._trace = product_traces(self.blocks, pairs=True)
-        # tau's kernel: for exact blocks a scalar one, built on first read
-        self._scalar = self._trace if self.d is None else None
 
     def pair(self, word):
         """tau of a nonempty word, for exact blocks: the Gaussian integer
@@ -40,18 +39,21 @@ class TauContext:
             return 0, 0, 0
 
     def tau(self, word):
+        """tau of a word as a scalar; for exact blocks, that of its pair."""
         if word is None:
             return 0
         if not word:
             if self.tau_one is None:
                 raise MethodRefusal("tau of the empty word is not declared")
             return self.tau_one
-        if self._scalar is None:
-            self._scalar = product_traces(self.blocks)
         try:
-            return self._scalar(word)
+            value = self._trace(word)
         except (KeyError, ValueError):
             return 0
+        if self.d is None:
+            return value
+        re, im, kind = value
+        return gaussian_scalar(re, im, self.d ** len(word), kind)
 
 
 def word_concat(*words):
@@ -60,33 +62,24 @@ def word_concat(*words):
     return tuple(x for w in words for x in w)
 
 
-def det_tau(entries, ctx):
-    """Sum over permutations through non-None entries (None is the zero
-    word) of sign times tau of the entry word multiplied along each cycle.
+def det_tau(word_matrix, ctx):
+    """Sum over permutations of the slots of word_matrix through non-None
+    entries of sign times tau of the entry word multiplied along each cycle.
 
-    Slots whose entry rows and entry columns are equal are alike, and a
-    run of consecutive alike slots is one class (a block of
-    block_word_matrix): a cycle's word depends only on the classes it
+    word_matrix is (sizes, words): class c holds sizes[c] alike slots, and
+    words[c][b] is the entry between any slot of class c and any slot of
+    class b, None the zero word; a plain n x n array of entries is
+    ([1] * n, entries).  A cycle's word depends only on the classes it
     passes, so the sum is folded over the slots each class has left
-    (cycle_cover_sum), and each class word's tau is read once.  When ctx's
-    blocks are exact and every entry names one block, each tau is read as
-    a Gaussian integer over d^len (TauContext.pair), which the fold makes
-    a scalar once.  Past PERM_SUM_CAP slots it refuses before reading any
-    tau."""
-    n = len(entries)
-    if any(len(row) != n for row in entries):
+    (cycle_cover_sum), and each class word's tau is read once.  When
+    ctx's blocks are exact and every entry names one block, each tau is
+    read as a Gaussian integer over d^len (TauContext.pair), which the
+    fold makes a scalar once.  Past PERM_SUM_CAP slots it refuses before
+    reading any tau."""
+    sizes, words = word_matrix
+    if len(words) != len(sizes) or any(len(row) != len(sizes) for row in words):
         raise MethodRefusal("tau-determinant needs a square array")
-    check_perm_sum_slots(n)
-    sizes, reps = [], []
-    for i, row in enumerate(entries):
-        if i and row == entries[i - 1] and all(r[i] == r[i - 1] for r in entries):
-            sizes[-1] += 1
-        else:
-            sizes.append(1)
-            reps.append(i)
-    # the entry between two classes, which every slot pair of theirs has:
-    # the entries themselves when no class has two slots
-    words = entries if len(reps) == n else [[entries[i][j] for j in reps] for i in reps]
+    check_perm_sum_slots(sum(sizes))
     allowed = [[b for b, w in enumerate(row) if w is not None] for row in words]
     pairs = ctx.d is not None and all(w is None or len(w) == 1 for row in words for w in row)
     read = ctx.pair if pairs else ctx.tau
@@ -98,13 +91,13 @@ def det_tau(entries, ctx):
 
 
 def block_word_matrix(block_matrix):
-    """The size-n array whose (i, j) entry is the single-symbol word naming
-    the block containing position (i, j), or None when that block is zero."""
+    """The word matrix with the blocks as its classes: words[a][b] is the
+    single-symbol word naming block (a, b), or None when that block is
+    zero."""
     p = range(block_matrix.p)
     words = [[None if block_matrix.is_zero_block(a, b) else ((a, b),) for b in p] for a in p]
-    return [[words[a][b] for b in block_matrix.slots] for a in block_matrix.slots]
+    return block_matrix.part, words
 
 
 def block_tau_context(block_matrix):
     return TauContext(block_matrix.blocks())
-

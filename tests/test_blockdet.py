@@ -32,6 +32,7 @@ from holodet.linalg import (
     charpoly_oracle,
     det_oracle,
     min_rotation,
+    product_traces,
 )
 from holodet.ring import (
     FLOAT_ABS_TOL,
@@ -148,6 +149,11 @@ def test_exact_det_perm_traces_match_the_matrix_powers(monkeypatch, entry):
         assert type(g) is type(want)
 
 
+def test_det_perm_traces_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(HolodetError, match="square matrix required"):
+        det_perm_traces(Matrix(2, 3, [Fraction(1)] * 6))
+
+
 def test_det_perm_traces_size_refusal(monkeypatch):
     # past 8 slots perm refuses before it looks at an entry or forms a power
     from holodet import blockdet
@@ -177,9 +183,9 @@ def test_block_perm_sums_refuse_past_their_cap_before_any_trace(monkeypatch):
         monkeypatch.setattr(module, "product_traces", unreachable)
     monkeypatch.setattr(TauContext, "pair", unreachable)
     monkeypatch.setattr(TauContext, "tau", unreachable)
-    for bm, entries, ctx in contexts.values():
+    for bm, word_matrix, ctx in contexts.values():
         for run in (lambda: det_block_perm(bm), lambda: det_trace_formal(bm),
-                    lambda: det_tau(entries, ctx)):
+                    lambda: det_tau(word_matrix, ctx)):
             with pytest.raises(MethodRefusal, match="permutation sum capped at n<=8, got 9"):
                 run()
 
@@ -228,14 +234,16 @@ def test_cycle_cover_routes_match_a_permutation_sum():
         bm = build_laplacian(*inst).block
         bl = bm.slots
         trace = block_walk_traces(bm)
-        entries = block_word_matrix(bm)
+        _, words = block_word_matrix(bm)
+        entries = [[words[a][b] for b in bl] for a in bl]
         ctx = block_tau_context(bm)
         allowed = [[j for j, w in enumerate(row) if w is not None] for row in entries]
         want = _permutation_sum(allowed, lambda cyc: trace(tuple(bl[i] for i in cyc)))
         assert det_block_perm(bm) == int_div(want, prod(map(factorial, bm.part)))
         want = _permutation_sum(allowed, lambda cyc: ctx.tau(word_concat(
             *(entries[i][j] for i, j in zip(cyc, cyc[1:] + cyc[:1])))))
-        assert det_tau(entries, ctx) == want
+        assert det_tau(([1] * bm.n, entries), ctx) == want
+        assert det_tau(block_word_matrix(bm), ctx) == want
 
 
 def _typed_entry(rng, family, x):
@@ -308,11 +316,13 @@ def test_det_tau_reads_each_class_word_once(family):
     n = sum(part)
     bm = BlockMatrix(Matrix(n, n, [_typed_entry(rng, family, x) for _ in range(n * n)]), part)
     ctx = _CountingTau(bm.blocks())
-    entries = block_word_matrix(bm)
-    got = det_tau(entries, ctx)
+    word_matrix = block_word_matrix(bm)
+    got = det_tau(word_matrix, ctx)
     assert ctx.reads and max(ctx.reads.values()) == 1
     assert (ctx.d is None) == (family == "poly")
     assert got == prod(map(factorial, part)) * det_oracle(bm.base)
+    _, words = word_matrix
+    entries = [[words[a][b] for b in bm.slots] for a in bm.slots]
     slot_reads = Counter()
     plain = block_tau_context(bm)
 
@@ -323,6 +333,43 @@ def test_det_tau_reads_each_class_word_once(family):
 
     slot_cover_sum([range(n)] * n, slot_weight)
     assert set(slot_reads) >= set(ctx.reads) and max(slot_reads.values()) > 1
+
+
+def test_det_tau_reads_each_multi_symbol_class_word_once():
+    # two-symbol entries on exact blocks are read through tau, not as
+    # pairs; tau reads the one kernel itself, so each class word is still
+    # read once, and the value is the slot-level array's
+    rng = random.Random("tau-reads:words")
+    part = (2, 2)
+    bm = random_block_matrix(rng, part)
+    ctx = _CountingTau(bm.blocks())
+    words = [[((a, b), (b, b)) for b in range(2)] for a in range(2)]
+    got = det_tau((part, words), ctx)
+    assert ctx.d is not None and ctx.reads and max(ctx.reads.values()) == 1
+    entries = [[words[a][b] for b in bm.slots] for a in bm.slots]
+    assert got == det_tau(([1] * bm.n, entries), block_tau_context(bm))
+
+
+@pytest.mark.parametrize("family", ["int", "fraction", "gaussian", "mixed"])
+def test_tau_on_exact_blocks_is_the_scalar_trace_in_value_and_type(family):
+    # tau makes the scalar of its pair, which is the scalar trace kernel's
+    # value and type; a pair with no block or no chain reads the int 0
+    rng = random.Random(f"tau-scalar:{family}")
+    part = (2, 1, 2)
+    n = sum(part)
+    bm = BlockMatrix(Matrix(n, n, [_typed_entry(rng, family, None) for _ in range(n * n)]), part)
+    ctx = block_tau_context(bm)
+    assert ctx.d is not None
+    scalar = product_traces(bm.blocks())
+    names = [(a, b) for a in range(4) for b in range(3)]
+    for _ in range(200):
+        word = tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+        try:
+            want = scalar(word)
+        except (KeyError, ValueError):
+            want = 0
+        got = ctx.tau(word)
+        assert got == want and type(got) is type(want), (word, got, want)
 
 
 def test_float_cycle_cover_routes_hold_compare_tolerance():

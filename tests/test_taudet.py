@@ -30,12 +30,12 @@ def scalar_context(values):
 
 def test_det_tau_single_entry():
     ctx = scalar_context({(0, 0): Fraction(7)})
-    assert det_tau([[((0, 0),)]], ctx) == 7
+    assert det_tau(([1], [[((0, 0),)]]), ctx) == 7
 
 
 def test_det_tau_zero_words():
     ctx = scalar_context({(0, 0): Fraction(1)})
-    assert det_tau([[None, None], [None, None]], ctx) == 0
+    assert det_tau(([1, 1], [[None, None], [None, None]]), ctx) == 0
 
 
 def test_det_tau_scalar_entries_is_leibniz():
@@ -45,7 +45,7 @@ def test_det_tau_scalar_entries_is_leibniz():
     ctx = scalar_context(vals)
     entries = [[((i, j),) for j in range(n)] for i in range(n)]
     plain = Matrix.from_rows([[vals[(i, j)] for j in range(n)] for i in range(n)])
-    assert det_tau(entries, ctx) == det_oracle(plain)
+    assert det_tau(([1] * n, entries), ctx) == det_oracle(plain)
 
 
 def test_det_tau_refuses_an_undeclared_empty_word():
@@ -53,8 +53,8 @@ def test_det_tau_refuses_an_undeclared_empty_word():
     blocks = {(0, 0): Matrix(1, 1, [Fraction(1)])}
     for entries in ([[()]], [[None, ()], [(), None]]):
         with pytest.raises(MethodRefusal, match="empty word is not declared"):
-            det_tau(entries, TauContext(blocks))
-    assert det_tau([[None, ()], [(), None]], TauContext(blocks, tau_one=3)) == -3
+            det_tau(([1] * len(entries), entries), TauContext(blocks))
+    assert det_tau(([1, 1], [[None, ()], [(), None]]), TauContext(blocks, tau_one=3)) == -3
 
 
 def test_det_tau_size_refusal():
@@ -62,7 +62,7 @@ def test_det_tau_size_refusal():
     # the cycle-cover fold's cap, shared with block-perm, admits 8 slots
     entries = [[((0, 0),)] * 9 for _ in range(9)]
     with pytest.raises(MethodRefusal, match="capped at n<=8, got 9"):
-        det_tau(entries, ctx)
+        det_tau(([1] * 9, entries), ctx)
 
 
 def test_det_tau_block_word_equals_scaled_det():
@@ -79,13 +79,41 @@ def test_det_tau_block_word_equals_scaled_det():
         assert det_trace_formal(bm) == det_oracle(bm.base)
 
 
+def _slot_entries(sizes, words):
+    """The slot-level array of a word matrix given by its classes."""
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    return [[words[a][b] for b in cls] for a in cls]
+
+
+def _slot_sum(entries, ctx):
+    """Sign times tau along the cycles, summed over every permutation of
+    the slots through non-None entries."""
+    n = len(entries)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        if any(entries[i][perm[i]] is None for i in range(n)):
+            continue
+        seen, term, sign = set(), 1, 1
+        for i in range(n):
+            if i not in seen:
+                cyc = [i]
+                while perm[cyc[-1]] != i:
+                    cyc.append(perm[cyc[-1]])
+                seen.update(cyc)
+                sign *= -1 if len(cyc) % 2 == 0 else 1
+                term = term * ctx.tau(word_concat(
+                    *(entries[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))))
+        total = total + sign * term
+    return total
+
+
 @pytest.mark.parametrize("family", ["fraction", "poly"])
 def test_det_tau_on_alike_slots_is_the_permutation_sum(family):
-    # entry (i, j) is table[row[i]][col[j]] over 2x2 blocks, so slots share
-    # entry rows, entry columns or both, in runs or scattered; only slots
-    # alike in both may share a class.  Exact blocks are read as pairs,
-    # Poly ones as scalars; either way det_tau is the signed sum over every
-    # permutation of tau along its cycles
+    # class sizes and a class table over 2x2 blocks, its words one symbol
+    # or, in every other trial, sometimes two.  Exact blocks with
+    # one-symbol words are read as pairs, otherwise as scalars; either way
+    # det_tau is the signed sum over every permutation of the expanded
+    # slots of tau along its cycles
     rng = random.Random(f"alike-slots:{family}")
     x = Poly.variable(Symbols(("x",)), "x")
 
@@ -95,30 +123,46 @@ def test_det_tau_on_alike_slots_is_the_permutation_sum(family):
         return rng.randint(-1, 1) * x + rng.randint(-2, 2)
 
     blocks = {(a, b): Matrix(2, 2, [entry() for _ in range(4)]) for a in range(2) for b in range(2)}
+    symbols = list(blocks)
     ctx = TauContext(blocks)
     assert (ctx.d is None) == (family == "poly")
     for trial in range(40):
-        n = rng.randint(1, 6)
-        table = [[None if rng.random() < 0.2 else ((a, b),) for b in range(2)] for a in range(2)]
-        row = [rng.randrange(2) for _ in range(n)]
-        col = [rng.randrange(2) for _ in range(n)]
-        entries = [[table[row[i]][col[j]] for j in range(n)] for i in range(n)]
-        want = 0
-        for perm in itertools.permutations(range(n)):
-            if any(entries[i][perm[i]] is None for i in range(n)):
-                continue
-            seen, term, sign = set(), 1, 1
-            for i in range(n):
-                if i not in seen:
-                    cyc = [i]
-                    while perm[cyc[-1]] != i:
-                        cyc.append(perm[cyc[-1]])
-                    seen.update(cyc)
-                    sign *= -1 if len(cyc) % 2 == 0 else 1
-                    term = term * ctx.tau(word_concat(
-                        *(entries[a][b] for a, b in zip(cyc, cyc[1:] + cyc[:1]))))
-            want = want + sign * term
-        assert det_tau(entries, ctx) == want, (row, col, table)
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        while sum(sizes) > 6:
+            sizes.pop()
+        longest = 1 + trial % 2
+        table = [[None if rng.random() < 0.2 else
+                  tuple(rng.choice(symbols) for _ in range(rng.randint(1, longest)))
+                  for _ in sizes] for _ in sizes]
+        want = _slot_sum(_slot_entries(sizes, table), ctx)
+        assert det_tau((sizes, table), ctx) == want, (sizes, table)
+
+
+def test_det_tau_reads_zero_for_a_word_with_no_block_or_no_chain():
+    # exact blocks of part (2, 1), one-symbol words, so each tau is read as
+    # a pair: a cycle through class 2 names the pair (0, 2), which has no
+    # block, and the cycle 1 -> 2 -> 1 steps from a 2x2 block into a 1x1
+    # one; both read 0, and det_tau is still the permutation sum
+    rng = random.Random(167)
+    bm = BlockMatrix(Matrix(3, 3, [gauss_rat(rng) for _ in range(9)]), (2, 1))
+    ctx = block_tau_context(bm)
+    assert ctx.d is not None
+    sizes = [2, 1, 1]
+    table = [[((0, 0),), ((0, 1),), ((0, 2),)],
+             [((1, 0),), ((1, 1),), ((0, 0),)],
+             [((1, 0),), ((1, 1),), ((1, 1),)]]
+    assert ctx.pair(((0, 2), (1, 0))) == ctx.pair(((0, 0), (1, 1))) == (0, 0, 0)
+    want = _slot_sum(_slot_entries(sizes, table), ctx)
+    assert want != 0
+    assert det_tau((sizes, table), ctx) == want
+
+
+def test_det_tau_refuses_a_word_matrix_that_is_not_square():
+    ctx = scalar_context({(0, 0): Fraction(1)})
+    w = ((0, 0),)
+    for word_matrix in (([1, 1], [[w, w]]), ([1, 1], [[w], [w]]), ([2], [[w, w]])):
+        with pytest.raises(MethodRefusal, match="tau-determinant needs a square array"):
+            det_tau(word_matrix, ctx)
 
 
 def test_tau_centrality_spot_checks():
@@ -160,7 +204,7 @@ def appendixA_special_check(quiver, rep, weights, N):
 
     ctx = TauContext(lap.block.blocks(), tau_one=N)
     entries = [[((a, b),) for b in range(m)] for a in range(m)]
-    det_tau_blocks = det_tau(entries, ctx)
+    det_tau_blocks = det_tau(([1] * m, entries), ctx)
 
     trace = product_traces(rep.matrices)
 
