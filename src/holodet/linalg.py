@@ -4,7 +4,17 @@ for every identity in the package.
 
 Dispatch: LU with partial pivoting for floats, fraction-free Bareiss
 elimination for exact scalars, and memoized cofactor expansion for
-polynomial entries (capped at size 8).
+polynomial entries (capped at size 8).  Bareiss runs on bare Gaussian
+integers: each row is cleared by the lcm of its own entries'
+denominators, read from the entries themselves, and the division by the
+previous pivot is exact in Z[i].  It shares no conversion with the routes
+it checks.
+
+The routes' exact products use the same encoding through their own
+conversion: a Matrix keeps its ring.gaussian_ints conversion and its
+GaussianMatrix factor (exact_form) once either is first asked for, so the
+routes of one command that read the same edge maps, blocks or Laplacian
+convert each of them once.
 """
 
 from __future__ import annotations
@@ -107,7 +117,11 @@ def _int_sum(n, k):
 class Matrix:
     """Immutable row-major dense matrix."""
 
-    __slots__ = ("rows", "cols", "data")
+    # _ints and _form, the Matrix's gaussian_ints and exact_form, are made
+    # when first read (_ints_of, exact_form); __init__ sets them to None,
+    # as reading a slot never set raises, which costs microseconds, and
+    # _matrix sets nothing, so a kernel product pays only if converted
+    __slots__ = ("rows", "cols", "data", "_ints", "_form")
 
     def __init__(self, rows, cols, data):
         data = tuple(data)
@@ -116,6 +130,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+        self._ints = self._form = None
 
     @classmethod
     def from_rows(cls, rows):
@@ -366,34 +381,69 @@ def _det_lu_rows(a):
     return det
 
 
+def _exact_parts(x):
+    """(a, b, d), x = (a + bi)/d, read from the exact entry itself: a
+    GaussianRational's triple, an int's or a Fraction's numerator and
+    denominator, and those of Fraction(x) for any other type."""
+    t = type(x)
+    if t is int:
+        return x, 0, 1
+    if t is Fraction:
+        return x.numerator, 0, x.denominator
+    if isinstance(x, GaussianRational):
+        return x.a, x.b, x.d
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator
+
+
 def _det_bareiss(m):
+    """Fraction-free elimination on Gaussian-integer pairs (re, im).  Row
+    i is cleared by the lcm L_i of its own entries' denominators, and each
+    step's entries are divided by the previous pivot exactly: times its
+    conjugate, then floor-divided by its norm, which a unit pivot skips.
+    The determinant is the last pivot over the product of the L_i: a
+    GaussianRational when an entry is one, else a Fraction, the zero of an
+    all-zero pivot column and the empty product Fraction(1) included."""
     n = m.rows
-    if any(isinstance(x, GaussianRational) for x in m.data):
-        a = [[x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row]
-             for row in m.to_rows()]
-        zero = GaussianRational(0)
-    else:
-        a = [[Fraction(x) for x in row] for row in m.to_rows()]
-        zero = Fraction(0)
+    data = m.data
+    kind = 2 if any(isinstance(x, GaussianRational) for x in data) else 1
+    scale = 1
+    re, im = [], []
+    for i in range(n):
+        parts = [_exact_parts(x) for x in data[i * n:(i + 1) * n]]
+        row_d = lcm(*(d for _, _, d in parts))
+        scale *= row_d
+        re.append([a * (row_d // d) for a, _, d in parts])
+        im.append([b * (row_d // d) for _, b, d in parts])
     sign = 1
-    prev = 1
+    # the previous pivot qr + qi i and its norm
+    qr, qi, norm = 1, 0, 1
     for k in range(n - 1):
-        if a[k][k] == zero:
+        if not (re[k][k] or im[k][k]):
             for i in range(k + 1, n):
-                if a[i][k] != zero:
-                    a[k], a[i] = a[i], a[k]
+                if re[i][k] or im[i][k]:
+                    re[k], re[i] = re[i], re[k]
+                    im[k], im[i] = im[i], im[k]
                     sign = -sign
                     break
             else:
-                return zero
-        pivot = a[k][k]
+                return gaussian_scalar(0, 0, 1, kind)
+        rk, ik = re[k], im[k]
+        pr, pi = rk[k], ik[k]
         for i in range(k + 1, n):
+            ri, ii = re[i], im[i]
+            br, bi = ri[k], ii[k]
             for j in range(k + 1, n):
-                num = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num / prev if prev != 1 else num
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+                xr, xi, yr, yi = ri[j], ii[j], rk[j], ik[j]
+                nr = pr * xr - pi * xi - br * yr + bi * yi
+                ni = pr * xi + pi * xr - br * yi - bi * yr
+                if norm == 1:
+                    ri[j], ii[j] = nr * qr + ni * qi, ni * qr - nr * qi
+                else:
+                    ri[j], ii[j] = (nr * qr + ni * qi) // norm, (ni * qr - nr * qi) // norm
+        qr, qi, norm = pr, pi, pr * pr + pi * pi
+    a, b = (re[-1][-1], im[-1][-1]) if n else (1, 0)
+    return gaussian_scalar(sign * a, sign * b, scale, kind)
 
 
 def _det_cofactor(m):
@@ -630,11 +680,29 @@ def exact_factors(matrices):
             and set(map(type, chain.from_iterable(m.data for m in matrices))) <= EXACT_TYPES)
 
 
+def _ints_of(m):
+    """gaussian_ints(m.data), converted on first read and kept by m."""
+    try:
+        got = m._ints
+    except AttributeError:  # a kernel product (_matrix)
+        got = None
+    if got is None:
+        got = m._ints = gaussian_ints(m.data)
+    return got
+
+
 def exact_form(m):
-    """m, a matrix exact_factors admits, as a GaussianMatrix factor."""
-    d, re, im, kind = gaussian_ints(m.data)
-    rows, cols = _int_form(m.cols, re, im, (False, True))
-    return _gaussian(rows, d, kind, im is not None, cols)
+    """m, a matrix exact_factors admits, as a GaussianMatrix factor, made
+    on first read from _ints_of(m) and kept by m."""
+    try:
+        got = m._form
+    except AttributeError:  # a kernel product (_matrix)
+        got = None
+    if got is None:
+        d, re, im, kind = _ints_of(m)
+        rows, cols = _int_form(m.cols, re, im, (False, True))
+        got = m._form = _gaussian(rows, d, kind, im is not None, cols)
+    return got
 
 
 def exact_forms(factors, weights=None):
@@ -643,9 +711,9 @@ def exact_forms(factors, weights=None):
     is, so that products along walks of one length add, and of
     gaussian_ints' kind; None, before any map is scaled or converted, when
     exact_factors rejects them or a weight is not in ring.EXACT_TYPES.
-    Each goes through gaussian_ints once: an int or Fraction weight's
-    numerator scales its ints and its denominator joins d; another weight
-    scales the map once."""
+    Each map's ints are _ints_of(m), converted once per Matrix: an int or
+    Fraction weight's numerator scales them and its denominator joins d;
+    another weight scales the map once, and the scaled map is converted."""
     if not exact_factors(factors.values()) or (
             weights is not None and not {type(weights[key]) for key in factors} <= EXACT_TYPES):
         return None
@@ -654,7 +722,7 @@ def exact_forms(factors, weights=None):
         w = 1 if weights is None else weights[key]
         if type(w) not in (int, Fraction):
             m, w = m.scale(w), 1
-        got = gaussian_ints(m.data)
+        got = _ints_of(m)
         kind = max(kind, got[3], 1 if type(w) is Fraction else 0)
         parts[key] = got[0] * w.denominator, w.numerator, got[1], got[2]
     d = lcm(*(fd for fd, *_ in parts.values()))
@@ -697,37 +765,33 @@ def product_traces(factors, pairs=False):
     with it (close).
 
     One decision covers every factor.  When exact_factors admits them,
-    each key's factor is kept, once a product first needs it, as its
-    GaussianMatrix (exact_form, over its own denominator), and only traces
-    become scalars again: a GaussianRational if a factor holds one, else a
-    Fraction if a factor holds one, else an int, as the dense product
-    gives.  Otherwise every product is a Matrix product, each diagonal
+    each key's factor is read, once a product first needs it, as its
+    GaussianMatrix (exact_form, over its own denominator and kept by the
+    Matrix, so another kernel on the same matrices converts none again),
+    and only traces become scalars again: a GaussianRational if a factor
+    holds one, else a Fraction if a factor holds one, else an int, as the
+    dense product gives.  Otherwise every product is a Matrix product, each diagonal
     entry of prefix x last summed in Matrix.__mul__'s order and the
     entries in trace()'s, so its value equals the full product's trace()
     exactly, floats included; an int 0 entry times a Poly one is the int 0
     (ring.Poly), so no zero Poly is formed.
 
     With pairs it returns (d, trace) instead.  For factors exact_factors
-    admits, d is the lcm of their entries' denominators, and trace(seq)
-    is left as a Gaussian integer over d^len(seq): (re, im, kind), the
-    trace being (re + im i)/d^len(seq) and kind the one its scalar would
-    have (ring.gaussian_ints' kinds).  Otherwise d is None and trace gives
-    scalars, as without pairs."""
+    admits, d is the lcm of their own denominators (_ints_of), and
+    trace(seq) is left as a Gaussian integer over d^len(seq): (re, im,
+    kind), the trace being (re + im i)/d^len(seq) and kind the one its
+    scalar would have (ring.gaussian_ints' kinds).  Otherwise d is None
+    and trace gives scalars, as without pairs."""
     exact = exact_factors(factors.values())
     prods = {}
     traces = {}
     d = None
     if exact:
-        forms = {}
         if pairs:
-            d = lcm(*{x.d if type(x) is GaussianRational else x.denominator
-                      for m in factors.values() for x in m.data})
+            d = lcm(*(_ints_of(m)[0] for m in factors.values()))
 
         def form(key):
-            got = forms.get(key)
-            if got is None:
-                got = forms[key] = exact_form(factors[key])
-            return got
+            return exact_form(factors[key])
         close = GaussianMatrix.close
     else:
         form, close = factors.__getitem__, Matrix.close

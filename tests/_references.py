@@ -2,10 +2,11 @@
 against, and that no route runs."""
 
 import itertools
+from fractions import Fraction
 from math import prod
 
 from holodet.linalg import product_traces
-from holodet.ring import gaussian_scalar, int_div
+from holodet.ring import GaussianRational, gaussian_scalar, int_div
 from holodet.walks import _walk_totals, check_perm_sum_slots
 
 
@@ -106,3 +107,38 @@ def slot_cover_sum(allowed, weight):
         return total
 
     return cover((1 << len(options)) - 1)
+
+
+def bareiss_on_scalars(m):
+    """Determinant of a square exact matrix of order at least 1 by
+    fraction-free Bareiss elimination on GaussianRational objects when an
+    entry is one, else on Fractions, each product and quotient a reduced
+    scalar: the elimination linalg.det_oracle ran before it moved to
+    Gaussian-integer pairs, kept as its reference."""
+    n = m.rows
+    if any(isinstance(x, GaussianRational) for x in m.data):
+        a = [[x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row]
+             for row in m.to_rows()]
+        zero = GaussianRational(0)
+    else:
+        a = [[Fraction(x) for x in row] for row in m.to_rows()]
+        zero = Fraction(0)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == zero:
+            for i in range(k + 1, n):
+                if a[i][k] != zero:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = pivot * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = num / prev if prev != 1 else num
+        prev = pivot
+    d = a[n - 1][n - 1]
+    return -d if sign < 0 else d

@@ -1,15 +1,18 @@
 import itertools
+import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from operator import add, mul
 
 import pytest
 
 from _helpers import gauss_rat, random_exact_instance, random_quiver, random_symbolic_instance
-from _references import block_walk_traces
-from holodet import linalg
+from _references import bareiss_on_scalars, block_walk_traces
+from holodet import linalg, ring
 from holodet.blockdet import det_block_perm, det_perm_traces, det_trace_formal
+from holodet.cli import main
 from holodet.errors import HolodetError, MethodRefusal
 from holodet.euler import det_euler_finite
 from holodet.laplacian import build_laplacian, charpoly_laplacian, det_laplacian_cycles
@@ -22,7 +25,7 @@ from holodet.linalg import (
     min_rotation,
     product_traces,
 )
-from holodet.quiver import Representation
+from holodet.quiver import Representation, instance_to_json
 from holodet.ring import GaussianRational, Poly, Symbols, gaussian_scalar, scalars_close, to_complex
 from holodet.vectorfields import det_vector_fields
 from holodet.walks import CyclicWalk
@@ -69,6 +72,160 @@ def test_det_bareiss_singular():
         [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     )
     assert det_oracle(m) == 0
+
+
+def test_det_oracle_of_the_empty_matrix_is_the_empty_product():
+    got = det_oracle(Matrix(0, 0, ()))
+    assert got == 1 and type(got) is Fraction
+
+
+def _oracle_entry(rng, family):
+    """_exact_entry's scalar of the family, or for "mixed" sometimes a
+    bool or a Decimal, which the oracle reads through Fraction."""
+    if family == "mixed" and rng.random() < 0.4:
+        return rng.random() < 0.5 if rng.random() < 0.5 else Decimal(rng.randint(-20, 20)) / 4
+    return _exact_entry(rng, family)
+
+
+def _assert_oracle_is_the_reference(m):
+    got, want = det_oracle(m), bareiss_on_scalars(m)
+    assert got == want and type(got) is type(want), m
+
+
+@pytest.mark.parametrize("family", ["int", "fraction", "gaussian", "mixed"])
+def test_exact_det_oracle_is_the_reference_bareiss(family):
+    # value and type, a zero entry in one of three places, so that some
+    # pivots need a row swap
+    rng = random.Random(f"oracle:{family}")
+    for n in range(1, 8):
+        for _ in range(40 if n < 6 else 10):
+            m = Matrix(n, n, [0 if rng.random() < 0.3 else _oracle_entry(rng, family)
+                              for _ in range(n * n)])
+            _assert_oracle_is_the_reference(m)
+
+
+@pytest.mark.parametrize("entry", [int, Fraction, GaussianRational])
+def test_exact_det_oracle_swaps_rows_and_stops_at_a_zero_pivot_column(entry):
+    swap = [[0, 1, 2], [3, 4, 5], [6, 7, 9]]
+    # column 0 is zero, or column 1 is zero below the pivot after step 0
+    zero_first = [[0, 1, 2], [0, 4, 5], [0, 7, 9]]
+    zero_later = [[1, 2, 3], [2, 4, 5], [3, 6, 7]]
+    # the last pivot is zero
+    zero_last = [[1, 2], [2, 4]]
+    for rows in (swap, zero_first, zero_later, zero_last):
+        m = Matrix.from_rows([[entry(x) for x in row] for row in rows])
+        _assert_oracle_is_the_reference(m)
+    assert det_oracle(Matrix.from_rows([[entry(x) for x in row] for row in swap])) == -3
+    for rows in (zero_first, zero_later, zero_last):
+        got = det_oracle(Matrix.from_rows([[entry(x) for x in row] for row in rows]))
+        assert got == 0
+        assert type(got) is (GaussianRational if entry is GaussianRational else Fraction)
+
+
+def test_exact_det_oracle_divides_by_unit_pivots():
+    # L U with L unit lower triangular and U's diagonal in {1, -1, i, -i}:
+    # every leading minor, and so every pivot, is a unit
+    rng = random.Random(71)
+    units = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+             GaussianRational(0, -1)]
+    for n in range(2, 7):
+        for _ in range(20):
+            low = Matrix(n, n, [1 if i == j else GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                                if i > j else 0 for i in range(n) for j in range(n)])
+            up = Matrix(n, n, [rng.choice(units) if i == j else GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                               if i < j else 0 for i in range(n) for j in range(n)])
+            m = low * up
+            _assert_oracle_is_the_reference(m)
+            assert det_oracle(m) == math.prod(up.at(i, i) for i in range(n))
+
+
+def test_exact_det_oracle_clears_each_row_by_its_own_denominators():
+    # each row over its own large prime, so that the per-row lcms differ
+    # from one lcm of all entries, beside Gaussian and int rows
+    rng = random.Random(73)
+    primes = [1_000_003, 1_000_033, 1_000_037, 1_000_039, 1_000_081, 1_000_099]
+    for n in range(2, 7):
+        for trial in range(10):
+            rows = []
+            for i in range(n):
+                q = primes[i]
+                if trial % 3 == 1 and i % 2:
+                    row = [GaussianRational(Fraction(rng.randint(-9, 9), q), Fraction(rng.randint(-9, 9), q))
+                           for _ in range(n)]
+                elif trial % 3 == 2 and i == n - 1:
+                    row = [rng.randint(-9, 9) for _ in range(n)]
+                else:
+                    row = [Fraction(rng.randint(-9, 9) * q + rng.randint(1, 9), q) for _ in range(n)]
+                rows.append(row)
+            _assert_oracle_is_the_reference(Matrix.from_rows(rows))
+
+
+def test_det_oracle_shares_no_conversion_with_the_routes(monkeypatch):
+    rng = random.Random(79)
+    mats = [Matrix(n, n, [_oracle_entry(rng, family) for _ in range(n * n)])
+            for family in ("int", "fraction", "gaussian", "mixed") for n in range(1, 7)]
+    wants = [bareiss_on_scalars(m) for m in mats]
+
+    def no_route_conversion(*_):
+        raise AssertionError("the oracle read a route's exact conversion")
+
+    monkeypatch.setattr(ring, "gaussian_ints", no_route_conversion)
+    for name in ("gaussian_ints", "_ints_of", "exact_form", "exact_forms"):
+        monkeypatch.setattr(linalg, name, no_route_conversion)
+    for m, want in zip(mats, wants):
+        got = det_oracle(m)
+        assert got == want and type(got) is type(want)
+
+
+def test_an_exact_matrix_keeps_its_one_form():
+    rng = random.Random(83)
+    m = Matrix(2, 3, [gauss_rat(rng) for _ in range(6)])
+    assert linalg.exact_form(m) is linalg.exact_form(m)
+    assert linalg._ints_of(m) is linalg._ints_of(m)
+    # a product of small matrices is made without __init__ and converts
+    # nothing until a form is asked for
+    product = Matrix(2, 2, [1, 2, 3, 4]) * Matrix(2, 2, [5, 6, 7, 8])
+    assert not hasattr(product, "_ints") and not hasattr(product, "_form")
+    assert linalg.exact_form(product) is linalg.exact_form(product)
+    assert linalg.exact_form(product).rows == [[19, 22], [43, 50]]
+
+
+def test_one_exact_compare_converts_each_matrix_once(tmp_path, capsys, monkeypatch):
+    # cycles and vector-fields read the same edge maps, block-perm and
+    # trace-formal the same blocks: each Matrix's entries go through
+    # gaussian_ints at most once in one compare; the entries are kept, so
+    # no id is reused
+    rng = random.Random(89)
+    real = linalg.gaussian_ints
+    seen = []
+
+    def counted(entries):
+        seen.append(entries)
+        return real(entries)
+
+    monkeypatch.setattr(linalg, "gaussian_ints", counted)
+    for i in range(8):
+        q, rep, w = random_exact_instance(rng, p_max=4, rank_max=3, edge_max=6,
+                                          total_rank_max=6, vf_cost_max=80_000)
+        path = tmp_path / f"inst{i}.json"
+        path.write_text(json.dumps(instance_to_json(q, rep, w)))
+        seen.clear()
+        assert main(["compare", "--input", str(path), "--mode", "exact", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["agree"] is True
+        ids = [id(entries) for entries in seen]
+        assert len(ids) >= len(q.edges) and len(set(ids)) == len(ids), i
+
+
+def test_a_float_euler_truncated_det_converts_nothing(capsys, monkeypatch):
+    def no_conversion(*_):
+        raise AssertionError("a float op took an exact conversion")
+
+    monkeypatch.setattr(ring, "gaussian_ints", no_conversion)
+    for name in ("gaussian_ints", "_ints_of", "exact_form", "exact_forms"):
+        monkeypatch.setattr(linalg, name, no_conversion)
+    assert main(["det", "--example", "random", "--seed", "2", "--mode", "float",
+                 "--method", "euler-truncated", "--kappa", "4"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_charpoly_trivial_cases():
@@ -468,10 +625,13 @@ def test_a_shape_past_the_bound_takes_the_loop(monkeypatch):
 
 def _exact_entry(rng, family):
     """A random exact scalar: an int, a Fraction or a GaussianRational for
-    "mixed", the same with no imaginary parts for "real", an int for "int"."""
+    "mixed", the same with no imaginary parts for "real", an int for "int",
+    a Fraction for "fraction", a GaussianRational for "gaussian"."""
     if family == "int":
         return rng.randint(-4, 4)
-    kind = rng.randrange(3)
+    kind = {"fraction": 1, "gaussian": 2}.get(family)
+    if kind is None:
+        kind = rng.randrange(3)
     if kind == 0:
         return rng.randint(-4, 4)
     if kind == 1:
