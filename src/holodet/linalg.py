@@ -777,18 +777,20 @@ def product_traces(factors, pairs=False):
     (ring.Poly), so no zero Poly is formed.
 
     With pairs it returns (d, trace) instead.  For factors exact_factors
-    admits, d is the lcm of their own denominators (_ints_of), and
-    trace(seq) is left as a Gaussian integer over d^len(seq): (re, im,
-    kind), the trace being (re + im i)/d^len(seq) and kind the one its
-    scalar would have (ring.gaussian_ints' kinds).  Otherwise d is None
-    and trace gives scalars, as without pairs."""
+    admits, d is the lcm of their own denominators (_ints_of), read from
+    the factors that are not all zero, and trace(seq) is left as a
+    Gaussian integer over d^len(seq): (re, im, kind), the trace being
+    (re + im i)/d^len(seq) and kind the one its scalar would have
+    (ring.gaussian_ints' kinds).  Otherwise d is None and trace gives
+    scalars, as without pairs."""
     exact = exact_factors(factors.values())
     prods = {}
     traces = {}
     d = None
     if exact:
         if pairs:
-            d = lcm(*(_ints_of(m)[0] for m in factors.values()))
+            # an all-zero factor's denominator is 1: it is not converted
+            d = lcm(*(_ints_of(m)[0] for m in factors.values() if any(m.data)))
 
         def form(key):
             return exact_form(factors[key])

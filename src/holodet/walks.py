@@ -17,18 +17,22 @@ order, so every multiset within the visit bound appears exactly once.  The
 generating series of those multisets, graded by visit vector, is the
 truncated exponential that ``cycle_series`` folds without listing them,
 from the cycle factors summed by visit vector, which a closed-walk
-transfer takes without listing a cycle.  The fold walks only the cells of
-the visit box that sums of those visit vectors reach, in Gaussian
-integers when the factors are exact, and is refused before any product
-when ``fold_refusal`` counts more steps than ``FOLD_WORK_CAP``.
+transfer takes without listing a cycle.  A visit vector is one packed int
+(``_Packing``) from the transfer's states to the fold's cells: a step is
+one addition, a bound test one mask, and the fold takes the transfer's
+keys as they are.  The fold reaches only the cells of the visit box that
+sums of those keys reach, each cell pushing its value to the cells its
+keys lead to, in Gaussian integers when the factors are exact, and is
+refused before any product when ``fold_refusal`` counts more steps than
+``FOLD_WORK_CAP``.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import factorial, inf, isqrt, lcm, prod
 from operator import add, mul
 
@@ -51,20 +55,20 @@ PRIME_SEARCH_NODES = 2_000_000
 # they pass the budget; the answered euler-truncated ops of the benchmark
 # push fewer than 7,812 states (seeds 1-30), a quarter of 31,250
 PRIME_COUNT_SHARE = 64
-# steps, cells walked plus pulls, a cycle expansion's fold may take
-# before it refuses; complete (2,)*8 takes 1.68M steps, folded in 1.4 to
-# 2.0 s on a shared 2-CPU Xeon under Python 3.11
+# steps, cells reached plus keys scanned or sub-box cells looked up, a
+# cycle expansion's fold may take before it refuses; complete (2,)*8,
+# admitted by the closed form at 1.68M steps, folds in 1.1 to 1.5 s and
+# answers in 1.6 to 3.0 s on a shared 2-CPU Xeon under Python 3.11
 FOLD_WORK_CAP = 2 ** 21
 # frontier states the boolean transfer that counts a fold's steps may
 # hold: complete (2,)*8, the largest complete digraph of rank 2 that the
 # closed-form bound admits, holds 31,508
 COUNT_STATE_CAP = 2 ** 15
-# what a sub-box pull costs per cell it looks at, in key pulls: 2.3 to
-# 3.4 in fits over the cells of complete digraphs of total rank 5 to 12
-SUBBOX_COST = 2.5
-# a fold walks its whole box, not the closure of its keys, when the box
-# has at most this many cells per key
-BOX_WALK_RATIO = 8
+# a fold cell whose key scan is at most this long takes it without sizing
+# its slack sub-box: sizing every one took the 120 folds of a cycles pass
+# from 15.9 to 20.0 ms, and sizing none took those of complete (2,)*7,
+# (1,)*10 and (1,)*12 from 0.52 to 0.96 s (same host)
+SUBBOX_SCAN = 32
 # slots of a permutation sum, checked by det_perm_traces, det_block_perm,
 # det_trace_formal and det_tau before their first product, not by the
 # fold: block-perm's and trace-formal's cycle-cover folds take 0.14 to
@@ -233,27 +237,32 @@ def _visit_bound(quiver, bound):
 
 
 def _transfer(quiver, bound, maps, state_cap=None):
-    """{u: (closes, u_s)} over the visit vectors u on which a closed walk
-    closes: closes lists m.close(f) for the walks with visit vector u that
-    start at s, the root of u, and stay on vertices at or after s, m the
-    product of maps along the walk but its last edge and f the last edge's
-    map; None once the frontiers have held more than state_cap states in
-    all.  On bare int forms (linalg.exact_forms) closes is their sum, an
-    int pair (re, im).  With every map None, no state holds a product and
-    every close is None: the run finds the keys alone.
+    """{u: (closes, |u|, u_s)} over the visit vectors u, packed by
+    _packing(bound), on which a closed walk closes: closes lists
+    m.close(f) for the walks with visit vector u that start at s, the root
+    of u, and stay on vertices at or after s, m the product of maps along
+    the walk but its last edge and f the last edge's map; None once the
+    frontiers have held more than state_cap states in all.  On bare int
+    forms (linalg.exact_forms) closes is their sum, an int pair (re, im).
+    With every map None, no state holds a product and every close is None:
+    the run finds the keys alone.
 
     The root of u is the first vertex u visits in the order of (bound,
     index): a frontier product costs r_s r_cur r_next at a root of rank
     r_s, and walks come back to s up to bound_s times.  Visits are counted
     at each edge's source, as candidate_gcycles counts them, and the
     quiver has no self-loops.  No cycle is listed: for each root s, a
-    frontier keyed by (current vertex, visits so far) holds the sum of the
-    products over the walks that reach that state.  A step is taken only
-    while its source is under its bound, so a state whose vertex has no
-    visit left is not kept.  Each step back to s adds Tr(state x map) to
-    the sum of the visit vector it closes on, without forming that
-    product."""
+    frontier keyed by (visits so far, current vertex) holds the sum of the
+    products over the walks that reach that state.  A state is one int:
+    the visits in the packed fields, each biased by its vertex's slack so
+    that the field's guard bit is set exactly when the vertex has no
+    visit left, above the current vertex in the low bits.  A step along
+    an edge adds one int, the source's unit and the change of vertex, and
+    is taken only while its target's guard bit is clear.  Each step back
+    to s adds Tr(state x map) to the sum of the visit vector it closes on,
+    without forming that product."""
     p = quiver.p
+    pack = _packing(bound)
     exact = type(next(iter(maps.values()), None)) is tuple
     times, plus = mul, add
     if exact:
@@ -261,7 +270,15 @@ def _transfer(quiver, bound, maps, state_cap=None):
     else:
         # a Matrix map is its own rows and its own columns
         maps = {key: (m, m) for key, m in maps.items()}
-    outs = [[(e.tgt, *maps[e.id]) for e in quiver.out_edges(v)] for v in range(p)]
+    low = max(p - 1, 1).bit_length()
+    mask = (1 << low) - 1
+    units = [1 << (s + low) for s in pack.shifts]
+    full = [pack.top << (s + low) for s in pack.shifts]
+    # the visits of no walk, biased: bound_a below vertex a's guard bit
+    base = pack.guards - pack.full
+    # each out-edge with the int its step adds and its target's guard bit
+    outs = [[(e.tgt, *maps[e.id], units[v] + e.tgt - v, full[e.tgt])
+             for e in quiver.out_edges(v)] for v in range(p)]
     order = sorted(range(p), key=lambda a: (bound[a], a))
     pos = [order.index(a) for a in range(p)]
     out = {}
@@ -269,44 +286,47 @@ def _transfer(quiver, bound, maps, state_cap=None):
     for s in order:
         if not bound[s]:
             continue
-        closes = {}
-        # the state before the first step holds no product
-        level = {(s, (0,) * p): None}
+        # the edges a walk rooted at s takes: back to s, or on to a vertex
+        # after s
+        steps = [[e for e in edges if pos[e[0]] >= pos[s]] for edges in outs]
+        level = {base << low | s: None}
+        size = 0
         while level:
+            size += 1
+            closes = {}
             nxt = {}
-            for (cur, v), m in level.items():
-                w = v[:cur] + (v[cur] + 1,) + v[cur + 1:]
-                for t, rows, cols in outs[cur]:
+            for key, m in level.items():
+                for t, rows, cols, step, guard in steps[key & mask]:
+                    w = key + step
                     if t == s:
                         if exact:
                             closes[w] = int_close(m, cols, *closes.get(w, (0, 0)))
                         else:
                             closes.setdefault(w, []).append(m and m.close(cols))
-                        if w[s] == bound[s]:
-                            continue
-                    elif pos[t] < pos[s] or w[t] == bound[t]:
+                    if w & guard:
                         continue
                     got = rows if m is None else times(m, cols)
-                    key = (t, w)
-                    prev = nxt.get(key)
-                    nxt[key] = got if prev is None else plus(prev, got)
+                    prev = nxt.get(w)
+                    nxt[w] = got if prev is None else plus(prev, got)
             level = nxt
             states += len(level)
             if state_cap is not None and states > state_cap:
                 return None
-        for u, total in closes.items():
-            out[u] = total, u[s]
+            for w, total in closes.items():
+                u = (w >> low) - base
+                out[u] = total, size, u >> pack.shifts[s] & pack.top - 1
     return out
 
 
 def _walk_totals(quiver, bound, maps, weights=None):
-    """The checked bound, d, kind and {u: (total, u_s)}: total the sum of
-    the transfer's closes on u, over the maps times their weights (none
-    when weights is None).  When linalg.exact_forms admits them, d is
-    their common denominator, kind at least 1, as an int sum divided by a
-    count is a Fraction, and total the int pair (re, im) of a Gaussian
-    integer over d^|u|; otherwise d and kind are None and total a scalar.
-    Refused, before any product, past the fold's work cap."""
+    """The checked bound, d, kind and {u: (total, |u|, u_s)} over the
+    transfer's packed keys u: total the sum of its closes on u, over the
+    maps times their weights (none when weights is None).  When
+    linalg.exact_forms admits them, d is their common denominator, kind at
+    least 1, as an int sum divided by a count is a Fraction, and total the
+    int pair (re, im) of a Gaussian integer over d^|u|; otherwise d and
+    kind are None and total a scalar.  Refused, before any product, past
+    the fold's work cap."""
     bound = _visit_bound(quiver, bound)
     why = fold_refusal(quiver, bound)
     if why is not None:
@@ -316,7 +336,7 @@ def _walk_totals(quiver, bound, maps, weights=None):
         if weights is not None:
             maps = {key: m.scale(weights[key]) for key, m in maps.items()}
         totals = _transfer(quiver, bound, maps)
-        return bound, None, None, {u: (sum(c), q) for u, (c, q) in totals.items()}
+        return bound, None, None, {u: (sum(c), k, q) for u, (c, k, q) in totals.items()}
     d, kind, forms = forms
     return bound, d, max(1, kind), _transfer(quiver, bound, forms)
 
@@ -330,7 +350,8 @@ def cycle_series(quiver, bound, maps, weights=None):
     cycle of valuation m that visits s u_s times has u_s/m rotations that
     start at s, so F_u is the sum of (-1)^(len-1) Tr W(c) / val(c) over
     the cycles c that candidate_gcycles lists with visit vector u,
-    whichever vertex roots u; a u whose sum is 0 keeps its key.
+    whichever vertex roots u; a u whose sum is 0 keeps its key.  The
+    transfer's packed keys, with their |u|, go to the fold as they are.
 
     Exact factors are never made scalars: with D the transfer's common
     denominator and L = lcm(1 .. max bound), each
@@ -338,39 +359,36 @@ def cycle_series(quiver, bound, maps, weights=None):
     Gaussian integer, since u_s <= max bound divides L."""
     bound, d, kind, totals = _walk_totals(quiver, bound, maps, weights)
     if d is None:
-        return _dense_series({u: sum(u) * int_div(t if sum(u) % 2 else -t, q)
-                              for u, (t, q) in totals.items()}, bound)
+        return _dense_series({u: (k * int_div(t if k % 2 else -t, q), k)
+                              for u, (t, k, q) in totals.items()}, bound)
     ell = lcm(*range(1, max(bound, default=0) + 1))
     scaled = {}
-    for u, ((a, b), q) in totals.items():
-        k = sum(u)
+    for u, ((a, b), k, q) in totals.items():
         c = k * ell ** k // q
         if not k % 2:
             c = -c
-        scaled[u] = c * a, c * b
+        scaled[u] = (c * a, c * b), k
     return _exact_series(scaled, bound, d * ell, kind)
 
 
 def _exact_series(scaled, bound, lam, kind):
-    """The VisitSeries of Gaussian-integer s_u = |u| lam^|u| F_u.  It holds
-    H_v = N! lam^|v| G_v for N = |bound|: H_0 = N!, and the Euler operator
+    """The VisitSeries of Gaussian-integer s_u = |u| lam^|u| F_u, scaled
+    = {u: (s_u, |u|)} over packed keys u.  It holds H_v = N! lam^|v| G_v
+    for N = |bound|: H_0 = N!, and the Euler operator
     |v| G_v = sum_u |u| F_u G_(v-u) becomes |v| H_v = sum_u s_u H_(v-u),
     whose sum |v| divides exactly, since H_v is a Gaussian integer: it is
     N! / |v|! times the sum, over the multisets of keys with total v, of
     |v|! / prod_u m_u! times prod_u (lam^|u| F_u)^m_u, and sum_u m_u <= |v|.
     The s_u and H_v are (re, im) pairs."""
-    values = _fold(scaled, bound, (factorial(sum(bound)), 0), _gaussian_pull)
+    values = _fold(scaled, bound, (factorial(sum(bound)), 0))
     return VisitSeries(bound, len(scaled), values, lam, kind)
 
 
 def _dense_series(scaled, bound):
+    """The VisitSeries of scalar s_u = |u| F_u, scaled = {u: (s_u, |u|)}
+    over packed keys u."""
     return VisitSeries(bound, len(scaled),
                        _fold(scaled, bound, int_div(1, 1), _scalar_pull))
-
-
-def _gaussian_pull(terms, size):
-    return (sum([a * c - b * d for (a, b), (c, d) in terms]) // size,
-            sum([a * d + b * c for (a, b), (c, d) in terms]) // size)
 
 
 def _scalar_pull(terms, size):
@@ -444,14 +462,10 @@ class VisitSeries:
         return gaussian_scalar(acc_re, acc_im, den, kind)
 
 
-def visit_box_cells(bound):
-    """Cells of the visit box prod_a [0, bound_a]."""
-    return prod(b + 1 for b in bound)
-
-
 def _pull_bound(bound):
-    """sum over the visit box of prod_a (v_a + 1): the steps of a fold in
-    which every cell pulls over its whole sub-box, itself left out."""
+    """sum over the visit box of prod_a (bound_a - v_a + 1), which is
+    sum over the box of prod_a (v_a + 1): the steps of a fold in which
+    every cell walks its whole slack sub-box, itself counted."""
     return prod((b + 1) * (b + 2) // 2 for b in bound)
 
 
@@ -462,15 +476,22 @@ class _Packing:
     v - u borrows its guard exactly when u_a > v_a, and no borrow crosses a
     field; so keying cells with their guards set, v - u is a cell's key
     only when u <= v, and then it is the key of v - u.  Packed order is
-    lexicographic order on visit vectors."""
+    lexicographic order on visit vectors.
+
+    A slack's sub-box, the cells x <= slack, is the sum of the spans of
+    its first half of fields and of the rest; each half's span and cell
+    count is kept, so the folds on one bound share them (_packing)."""
 
     def __init__(self, bound):
-        self.bound = bound
         p = len(bound)
         width = max(bound, default=0).bit_length() + 1
         self.shifts = [width * (p - 1 - a) for a in range(p)]
         self.top = 1 << (width - 1)
         self.guards = sum(self.top << s for s in self.shifts)
+        self.full = self.pack(bound)
+        half = p // 2
+        self.cut = self.shifts[half - 1] if half else width * p
+        self.spans, self.counts = {}, {}
 
     def pack(self, v):
         return sum(x << s for x, s in zip(v, self.shifts))
@@ -479,120 +500,168 @@ class _Packing:
         mask = self.top - 1
         return tuple((key >> s) & mask for s in self.shifts)
 
-    def cells(self, keys, budget=None):
-        """(guarded key, v) of each cell a fold over the packed factor keys
-        walks, increasing: the cells that sums of keys reach, taken as a
-        closure from 0, unless the box has at most BOX_WALK_RATIO cells per
-        key and one more, or the closure pushes more often than walking the
-        box would pull, and then the whole box.  With a budget, None when
-        the closure passes it and the box has more cells than it."""
-        bound, shifts, top, guards = self.bound, self.shifts, self.top, self.guards
-        box = visit_box_cells(bound)
-        if box > BOX_WALK_RATIO * (len(keys) + 1):
-            limit = min(box * (len(keys) + 1), _pull_bound(bound))
-            if budget is not None:
-                limit = min(limit, budget)
-            # each reached cell's slack bound_a - v_a, guarded: u fits on v
-            # when taking it from v's slack borrows no guard
-            seen = {guards: sum((top | b) << s for b, s in zip(bound, shifts))}
-            todo = [guards]
-            pushes = 0
-            while todo and pushes <= limit:
-                key = todo.pop()
-                slack = seen[key]
-                pushes += len(keys)
-                for u in [u for u in keys if (slack - u) & guards == guards]:
-                    if key + u not in seen:
-                        seen[key + u] = slack - u
-                        todo.append(key + u)
-            if not todo:
-                return [(key, self.unpack(key)) for key in sorted(seen)]
-        if budget is not None and box > budget:
-            return None
-        return list(zip(
-            map(sum, itertools.product(*([(top | x) << s for x in range(b + 1)]
-                                         for b, s in zip(bound, shifts)))),
-            itertools.product(*(range(b + 1) for b in bound))))
+    def box(self, slack):
+        """The number of cells x <= slack, 0 and slack included."""
+        hi = slack >> self.cut << self.cut
+        return self._count(hi) * self._count(slack - hi)
+
+    def sub_box(self, slack):
+        """The spans of slack's first half of fields and of the rest: the
+        packed cells x <= slack, 0 included, are the sums h + t of one of
+        each."""
+        hi = slack >> self.cut << self.cut
+        return self._span(hi), self._span(slack - hi)
+
+    def _count(self, part):
+        got = self.counts.get(part)
+        if got is None:
+            got = self.counts[part] = prod(x + 1 for x in self.unpack(part))
+        return got
+
+    def _span(self, part):
+        got = self.spans.get(part)
+        if got is None:
+            got = [0]
+            for x, s in zip(self.unpack(part), self.shifts):
+                if x:
+                    steps = [j << s for j in range(x + 1)]
+                    got = [w + d for w in got for d in steps]
+            self.spans[part] = got
+        return got
 
 
-def _span(v, shifts):
-    """The packed keys of the cells w <= v, increasing, for v's fields at
-    shifts."""
-    got = [0]
-    for x, s in zip(v, shifts):
-        if x:
-            steps = [j << s for j in range(x + 1)]
-            got = [w + d for w in got for d in steps]
-    return got
+@lru_cache(maxsize=64)
+def _packing(bound):
+    """The packing of bound, one per bound: besides the bound it holds only
+    the spans and cell counts it has worked out, which depend on the bound
+    alone, so the transfer and the folds on one bound share them."""
+    return _Packing(bound)
 
 
-def _fold(scaled, bound, one, pull):
+def _fold(scaled, bound, one, pull=None):
     """{v: value} over the cells v that sums of the keys of scaled = {u:
-    s_u} reach, increasing: one at 0, and at any other such v, pull(terms,
-    |v|), where terms holds (s_u, value at v - u) for each key u <= v whose
-    v - u is reached, in decreasing u.
+    (s_u, |u|)}, packed by _packing(bound), reach, increasing: one at 0,
+    and at any other such v the sum of s_u times the value at v - u over
+    the keys u <= v whose v - u is reached, over |v|: floor-divided, on
+    (re, im) int pairs, when pull is None, else pull(terms, |v|) with terms
+    those (s_u, value at v - u) in decreasing u.
 
-    The cells are walked in packed order, so each v - u is done before v.
-    Each cell pulls over the factor keys or over the cells w of its
-    sub-box, whichever costs less: a sub-box pull looks up both w and
-    v - w, and costs about SUBBOX_COST key pulls per cell.  Both give the
-    same terms in the same order, so a float sum is the same either way.
-    A sub-box is the sum of the spans of its first half of fields and of
-    the rest, each kept for the fold."""
-    if not scaled:
-        return {(0,) * len(bound): one}
-    pack = _Packing(bound)
-    keyed = sorted(((pack.pack(u), f) for u, f in scaled.items()), reverse=True)
-    by_key = dict(keyed)
-    n_keys = len(keyed)
-    cells = pack.cells(list(by_key))
-    half = len(bound) // 2
-    heads, tails = {}, {}
-    reached = {cells[0][0]: one}
-    out = {cells[0][1]: one}
-    for key, v in cells[1:]:
-        # a sub-box below v holds at least one cell
-        if n_keys > SUBBOX_COST and SUBBOX_COST * (prod(x + 1 for x in v) - 1) < n_keys:
-            head = heads.get(v[:half])
-            if head is None:
-                head = heads[v[:half]] = [pack.guards + w for w in _span(v[:half], pack.shifts)]
-            tail = tails.get(v[half:])
-            if tail is None:
-                tail = tails[v[half:]] = _span(v[half:], pack.shifts[half:])
-            terms = [(f, g) for w in [h + t for h in head for t in tail]
-                     if (f := by_key.get(key - w)) is not None
-                     and (g := reached.get(w)) is not None]
+    The fold pushes.  It takes the reached cells in increasing packed
+    order, from a heap, and each sends its value to v + u for the keys u
+    that fit its slack bound - v: a cell's terms come from its cells v - u
+    in increasing order, which is decreasing u, and all are in before the
+    cell is taken.  With the cell keyed by its guards set, its slack is one
+    subtraction, and u fits when taking it from the guarded slack borrows
+    no guard.  The keys that fit are found by scanning the keys up to the
+    slack in packed order, a bisection away, or by looking up each cell of
+    the slack's sub-box, when it has fewer cells than that scan has keys;
+    a scan of at most SUBBOX_SCAN keys is taken without sizing the sub-box.
+    Exact pairs are summed as they arrive; other terms are kept, in
+    decreasing u, and handed to pull, so a float sum adds them in the order
+    of a fold that pulls each cell's terms over decreasing keys."""
+    pack = _packing(bound)
+    guards = pack.guards
+    # a cell's slack, taken from the packed bound with its guards set
+    top = pack.full + guards
+    keys = sorted(scaled)
+    entries = [(u, scaled[u]) for u in keys]
+    heap = [guards]
+    sizes = {guards: 0}
+    pending = {}
+    out = {}
+    while heap:
+        key = heappop(heap)
+        n = sizes.pop(key)
+        if not n:
+            value = one
+        elif pull is None:
+            re, im = pending.pop(key)
+            value = re // n, im // n
         else:
-            terms = [(f, g) for u, f in keyed if (g := reached.get(key - u)) is not None]
-        if terms:
-            reached[key] = out[v] = pull(terms, sum(v))
-    return out
+            value = pull(pending.pop(key), n)
+        out[key] = value
+        slack = top - key
+        scan = bisect_right(keys, slack)
+        if not scan:
+            continue
+        if scan > SUBBOX_SCAN and pack.box(slack) <= scan:
+            heads, tails = pack.sub_box(slack)
+            fits = [(u, f) for h in heads for t in tails
+                    if (f := scaled.get(u := h + t)) is not None]
+        else:
+            room = slack + guards
+            fits = [e for e in entries[:scan] if (room - e[0]) & guards == guards]
+        if pull is None:
+            a, b = value
+            for u, ((c, d), k) in fits:
+                t = key + u
+                acc = pending.get(t)
+                if acc is None:
+                    pending[t] = [a * c - b * d, a * d + b * c]
+                    sizes[t] = n + k
+                    heappush(heap, t)
+                else:
+                    acc[0] += a * c - b * d
+                    acc[1] += a * d + b * c
+        else:
+            for u, (f, k) in fits:
+                t = key + u
+                terms = pending.get(t)
+                if terms is None:
+                    pending[t] = [(f, value)]
+                    sizes[t] = n + k
+                    heappush(heap, t)
+                else:
+                    terms.append((f, value))
+    unpack = pack.unpack
+    return {unpack(key): value for key, value in out.items()}
 
 
 def fold_work(keys, bound, cap=None):
-    """The steps a fold over the visit vectors keys within bound takes:
-    the cells it walks, and at each the smaller of its key count and its
-    sub-box; past cap, any count above cap."""
-    pack = _Packing(bound)
-    cells = pack.cells([pack.pack(u) for u in keys], cap)
-    if cells is None:
-        return cap + 1
-    n_keys = len(keys)
+    """The steps a fold over the visit vectors keys, packed by
+    _packing(bound), takes: the cells it reaches, and at each the smaller
+    of its key scan and the cells of its slack sub-box but 0; past cap, any
+    count above cap.  The cells are walked from 0 by the fold's own key
+    scans and sub-boxes, with no value formed."""
+    pack = _packing(bound)
+    keys = sorted(keys)
+    found = set(keys)
+    guards = pack.guards
+    top = pack.full + guards
+    seen = {guards}
+    todo = [guards]
     work = 0
-    for _, v in cells:
-        work += 1 + min(n_keys, prod(x + 1 for x in v) - 1)
+    while todo:
+        key = todo.pop()
+        slack = top - key
+        scan = bisect_right(keys, slack)
+        box = pack.box(slack) - 1 if scan else 0
+        work += 1 + min(scan, box)
         if cap is not None and work > cap:
             break
+        if not scan:
+            continue
+        if box < scan:
+            heads, tails = pack.sub_box(slack)
+            fits = [h + t for h in heads for t in tails if h + t in found]
+        else:
+            room = slack + guards
+            fits = [u for u in keys[:scan] if (room - u) & guards == guards]
+        for u in fits:
+            if key + u not in seen:
+                seen.add(key + u)
+                todo.append(key + u)
     return work
 
 
 def fold_refusal(quiver, bound):
     """Why a cycle expansion on the quiver within bound is refused, or None
     when its fold fits FOLD_WORK_CAP steps.  A bound on which even a fold
-    whose every cell pulls its whole sub-box fits is admitted at once;
-    past it, fold_work is counted on the key set of a run of the transfer
-    with no maps, which forms no product and stops past COUNT_STATE_CAP
-    states.  bound is a tuple that _visit_bound has checked."""
+    whose every cell walks its whole slack sub-box fits is admitted at
+    once; past it, fold_work is counted on the packed keys of a run of the
+    transfer with no maps, which forms no product and stops past
+    COUNT_STATE_CAP states.  bound is a tuple that _visit_bound has
+    checked."""
     if _pull_bound(bound) <= FOLD_WORK_CAP:
         return None
     return _counted_refusal(quiver, bound, FOLD_WORK_CAP, COUNT_STATE_CAP)

@@ -4,10 +4,12 @@ against, and that no route runs."""
 import itertools
 from fractions import Fraction
 from math import prod
+from operator import add, mul
 
-from holodet.linalg import product_traces
+from holodet.errors import MethodRefusal
+from holodet.linalg import exact_forms, int_close, int_product, int_sum, product_traces
 from holodet.ring import GaussianRational, gaussian_scalar, int_div
-from holodet.walks import _walk_totals, check_perm_sum_slots
+from holodet.walks import _visit_bound, check_perm_sum_slots, fold_refusal
 
 
 def closed_walk_factors(quiver, bound, maps):
@@ -16,17 +18,74 @@ def closed_walk_factors(quiver, bound, maps):
     walks.cycle_series folds: F_u = (-1)^(|u|-1) Tr(sum_w W(w)) / u_s over
     the walks w that the transfer closes on u from its root s, W(w) the
     product of maps[e.id] along w.  Exact totals are made canonical
-    scalars over the transfer's common denominator.  Refused, before any
-    product, when walks.fold_refusal refuses the bound."""
-    bound, d, kind, totals = _walk_totals(quiver, bound, maps)
+    scalars over the maps' common denominator (linalg.exact_forms).
+    Refused, before any product, when walks.fold_refusal refuses the
+    bound.  The sums come from tuple_transfer, not from walks._transfer."""
+    bound = _visit_bound(quiver, bound)
+    why = fold_refusal(quiver, bound)
+    if why is not None:
+        raise MethodRefusal(why)
+    forms = exact_forms(maps)
+    d = kind = None
+    if forms is not None:
+        d, kind, maps = forms
+        kind = max(1, kind)
     out = {}
-    for u, (total, q) in totals.items():
+    for u, (closes, q) in tuple_transfer(quiver, bound, maps).items():
         k = sum(u)
         if d is None:
+            total = sum(closes)
             out[u] = int_div(total if k % 2 else -total, q)
         else:
             sign = 1 if k % 2 else -1
-            out[u] = gaussian_scalar(sign * total[0], sign * total[1], d ** k * q, kind)
+            out[u] = gaussian_scalar(sign * closes[0], sign * closes[1], d ** k * q, kind)
+    return out
+
+
+def tuple_transfer(quiver, bound, maps):
+    """{u: (closes, u_s)} over the visit vectors u, as tuples, on which a
+    closed walk closes from its root s, the first vertex of u in the order
+    of (bound, index), staying on vertices at or after s: closes lists
+    m.close(f) over those walks, m the product of the maps along the walk
+    but its last edge and f the last edge's map, or, on bare int forms,
+    sums them to an int pair.  Frontiers are keyed by (current vertex,
+    visits so far), the visits a tuple: the transfer walks._transfer ran
+    before its states were packed into one int, kept as its reference."""
+    p = quiver.p
+    exact = type(next(iter(maps.values()), None)) is tuple
+    times, plus = (int_product, int_sum) if exact else (mul, add)
+    if not exact:
+        maps = {key: (m, m) for key, m in maps.items()}
+    outs = [[(e.tgt, *maps[e.id]) for e in quiver.out_edges(v)] for v in range(p)]
+    order = sorted(range(p), key=lambda a: (bound[a], a))
+    pos = [order.index(a) for a in range(p)]
+    out = {}
+    for s in order:
+        if not bound[s]:
+            continue
+        closes = {}
+        level = {(s, (0,) * p): None}
+        while level:
+            nxt = {}
+            for (cur, v), m in level.items():
+                w = v[:cur] + (v[cur] + 1,) + v[cur + 1:]
+                for t, rows, cols in outs[cur]:
+                    if t == s:
+                        if exact:
+                            closes[w] = int_close(m, cols, *closes.get(w, (0, 0)))
+                        else:
+                            closes.setdefault(w, []).append(m and m.close(cols))
+                        if w[s] == bound[s]:
+                            continue
+                    elif pos[t] < pos[s] or w[t] == bound[t]:
+                        continue
+                    got = rows if m is None else times(m, cols)
+                    key = (t, w)
+                    prev = nxt.get(key)
+                    nxt[key] = got if prev is None else plus(prev, got)
+            level = nxt
+        for u, total in closes.items():
+            out[u] = total, u[s]
     return out
 
 

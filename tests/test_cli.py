@@ -517,7 +517,9 @@ def test_cycles_route_answers_and_refuses_on_either_side_of_the_cap(monkeypatch)
     # answer, and one below it both refuse
     lap = build_laplacian(*_bidirected_ring(12))
     maps = {e.id: lap.rep.matrices[e.id].scale(-lap.weights[e.id]) for e in lap.quiver.edges}
-    work = fold_work(list(closed_walk_factors(lap.quiver, lap.ranks, maps)), lap.ranks)
+    pack = walks._packing(lap.ranks)
+    work = fold_work([pack.pack(u) for u in closed_walk_factors(lap.quiver, lap.ranks, maps)],
+                     lap.ranks)
     args = SimpleNamespace(mode="exact")
     for cap, answers in ((work, True), (work - 1, False)):
         monkeypatch.setattr(walks, "FOLD_WORK_CAP", cap)

@@ -5,12 +5,13 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 
 from _helpers import gauss_rat, random_exact_instance, random_quiver, random_symbolic_instance
 from _references import bareiss_on_scalars, block_walk_traces
-from holodet import linalg, ring
+from holodet import cli, linalg, ring
 from holodet.blockdet import det_block_perm, det_perm_traces, det_trace_formal
 from holodet.cli import main
 from holodet.errors import HolodetError, MethodRefusal
@@ -29,6 +30,8 @@ from holodet.quiver import Representation, instance_to_json
 from holodet.ring import GaussianRational, Poly, Symbols, gaussian_scalar, scalars_close, to_complex
 from holodet.vectorfields import det_vector_fields
 from holodet.walks import CyclicWalk
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_det_identity_and_permutation():
@@ -686,6 +689,50 @@ def test_product_traces_exact_chains_match_left_to_right(family):
             got = gaussian_scalar(re, im, d ** len(seq), kind)
             assert got == want, seq
             assert type(got) is type(want), seq
+
+
+def test_pair_traces_take_d_from_the_nonzero_factors_alone():
+    # an all-zero factor's denominator is 1, so d is the same without it,
+    # and it is converted only when a trace reads it
+    rng = random.Random(29)
+    zeros = {"z1": Matrix(1, 1, [0]), "z2": Matrix(2, 2, [Fraction(0)] * 4),
+             "z3": Matrix(2, 1, [GaussianRational(0)] * 2)}
+    mats = {"a": Matrix(2, 2, [gauss_rat(rng) for _ in range(4)]),
+            "b": Matrix(2, 1, [Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(2)]),
+            "c": Matrix(1, 2, [gauss_rat(rng) for _ in range(2)]), **zeros}
+    d, pairs = product_traces(mats, pairs=True)
+    assert d == math.lcm(*(linalg.exact_form(mats[key]).d for key in "abc"))
+    assert all(m._ints is None for m in zeros.values())
+    for seq in [("a",), ("a", "b", "c"), ("z2", "a"), ("b", "c", "z2")]:
+        re, im, kind = pairs(seq)
+        want = _left_to_right_trace(mats, seq)
+        got = gaussian_scalar(re, im, d ** len(seq), kind)
+        assert got == want and type(got) is type(want), seq
+
+
+def test_crosscheck_pass_converts_no_zero_matrix(monkeypatch, tmp_path):
+    # one pass of the benchmark's crosscheck workload at seed 11: block-perm
+    # and trace-formal read no zero block's trace, so no matrix of more
+    # than one entry that is all zero is converted (295 were, when pair
+    # traces took d from every block), and every op answers its reference
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import run
+    import workloads
+
+    zero = []
+    real = linalg.gaussian_ints
+
+    def counted(entries):
+        if len(entries) > 1 and not any(entries):
+            zero.append(entries)
+        return real(entries)
+
+    ops = workloads.build("crosscheck", 11, str(tmp_path))
+    monkeypatch.setattr(linalg, "gaussian_ints", counted)
+    for op in ops:
+        rc, text, _ = run.run_op(cli, op)
+        assert run.verify(op, rc, text)[0] == "verified", op.argv
+    assert zero == []
 
 
 def test_product_traces_mixed_exact_and_complex_stay_bit_identical():

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, inf, prod
 
 import pytest
 from _helpers import gauss_rat
@@ -544,7 +544,8 @@ def test_closed_walk_factors_match_cycle_sums(quiver, ranks, bound, zero, entry)
 
 def visit_series(factors, bound):
     """exp(sum_u F_u y^u) over the visit box prod_a [0, bound_a], for
-    factors = {u: F_u}, as a VisitSeries.  Exact factors all of one ring
+    factors = {u: F_u}, as a VisitSeries, the keys packed as the
+    transfer packs them.  Exact factors all of one ring
     (GaussianRational, or int and Fraction) fold as Gaussian integers over
     the lcm lam of their denominators, s_u = |u| lam^|u| F_u; any other
     mix folds as scalars, since a cell's type then depends on which
@@ -553,13 +554,15 @@ def visit_series(factors, bound):
     values = list(factors.values())
     got = (gaussian_ints(values)
            if len({type(f) is GaussianRational for f in values}) < 2 else None)
+    pack = walks._packing(bound)
     if got is None:
-        return walks._dense_series({u: sum(u) * f for u, f in factors.items()}, bound)
+        return walks._dense_series({pack.pack(u): (sum(u) * f, sum(u))
+                                    for u, f in factors.items()}, bound)
     lam, re, im, kind = got
     scaled = {}
     for u, a, b in zip(factors, re, im or [0] * len(re)):
         c = sum(u) * (lam ** sum(u) // lam)
-        scaled[u] = c * a, c * b
+        scaled[pack.pack(u)] = (c * a, c * b), sum(u)
     return walks._exact_series(scaled, bound, lam, max(1, kind))
 
 
@@ -635,21 +638,27 @@ def _vertex_zs(rng, entry, bound, syms):
 
 
 # a bound of 7 fills a 3-bit field under its guard; rank-1 boxes of 2^10
-# and 2^12 cells with a few keys are walked as closures
+# and 2^12 cells with a few keys are reached sparsely
 _FOLD_BOUNDS = [(7, 0, 3, 1), (3, 3), (1,) * 6, (2, 5, 1), (4, 1, 1, 2, 0),
                 (1,) * 10, (7,), (2, 1) * 4]
 
 
+# the ids name the arm each run forces: "sub-box, closure" sizes every
+# cell's slack sub-box and looks its cells up wherever it is no larger
+# than the key scan, "keys, box" scans the keys at every cell; every fold
+# reaches only the closure of its keys
 @pytest.mark.parametrize("pulls", ["measured", "sub-box, closure", "keys, box"])
 @pytest.mark.parametrize("entry", sorted(_SCALARS))
 def test_visit_series_matches_reference_fold(monkeypatch, entry, pulls):
     """Seeded factor sets, sparse and dense, against the whole-box fold:
     equal key sets, values and value types, floats bit for bit, and the
-    visit sum likewise, whichever pull and walk the fold takes."""
+    visit sum likewise, whichever way the fold finds the keys that fit."""
+    boxes = []
     if pulls != "measured":
-        cost = 0 if pulls.startswith("sub-box") else float("inf")
-        monkeypatch.setattr(walks, "SUBBOX_COST", cost)
-        monkeypatch.setattr(walks, "BOX_WALK_RATIO", cost)
+        monkeypatch.setattr(walks, "SUBBOX_SCAN", 0 if pulls.startswith("sub-box") else inf)
+        real = walks._Packing.sub_box
+        monkeypatch.setattr(walks._Packing, "sub_box",
+                            lambda pack, slack: boxes.append(slack) or real(pack, slack))
     rng = random.Random(f"fold:{entry}")
     syms = Symbols(("s",))
     for bound in _FOLD_BOUNDS:
@@ -667,6 +676,8 @@ def test_visit_series_matches_reference_fold(monkeypatch, entry, pulls):
             total = series.visit_sum(zs)
             ref = _visit_sum_reference(want, zs, bound)
             assert type(total) is type(ref) and total == ref
+    if pulls != "measured":
+        assert bool(boxes) == pulls.startswith("sub-box")
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))
@@ -769,33 +780,119 @@ def test_transfer_products_do_not_depend_on_vertex_labels(monkeypatch):
                              [gauss_rat(rng) for _ in range(moved[e.src] * moved[e.tgt])])
                 for e in quiver.edges}
         calls.clear()
-        closed_walk_factors(quiver, moved, maps)
+        cycle_series(quiver, moved, maps)
         counts.add(len(calls))
     assert counts == {9}
 
 
+def _fold_work(keys, bound, cap=None):
+    """fold_work on visit vectors given as tuples."""
+    return fold_work(list(map(walks._packing(bound).pack, keys)), bound, cap)
+
+
 def test_fold_work_counts_cells_and_the_smaller_pull():
-    # three keys on a box of 3 x 2 x 2 cells: walked whole, each cell
-    # pulling the smaller of 3 keys and its sub-box below it
+    # three keys on a box of 3 x 2 x 2 cells reach 0 and the keys alone;
+    # each cell counts one step and the smaller of its key scan, the keys
+    # up to its slack in packed order, and its slack sub-box but 0: at 0
+    # all 3 keys against 11 cells, at (0, 1, 1), slack (2, 0, 0), the keys
+    # (0, 1, 1) and (1, 1, 0) against 2 cells, at (1, 1, 0), slack
+    # (1, 0, 1), the key (0, 1, 1) against 3 cells, and at (2, 0, 1), slack
+    # (0, 1, 0), no key against 1 cell
     keys = [(1, 1, 0), (0, 1, 1), (2, 0, 1)]
-    want = sum(1 + min(3, (a + 1) * (b + 1) * (c + 1) - 1)
-               for a in range(3) for b in range(2) for c in range(2))
-    assert fold_work(keys, (2, 1, 1)) == want
+    assert _fold_work(keys, (2, 1, 1)) == (1 + 3) + (1 + 2) + (1 + 1) + (1 + 0)
     # a rank-1 ring's one key reaches one cell past 0, whatever the box
-    assert fold_work([(1,) * 40], (1,) * 40) == 1 + 2
-    assert fold_work([(1,) * 40], (1,) * 40, cap=2) == 3
+    assert _fold_work([(1,) * 40], (1,) * 40) == 1 + 2
+    assert _fold_work([(1,) * 40], (1,) * 40, cap=2) == 3
+
+
+def _ring(n, both):
+    """The rank-1 ring on n vertices, each edge a -> a+1 and, when both,
+    a+1 -> a beside it."""
+    return Quiver(n, [Edge(f"e{a}{d}", a if d == "f" else (a + 1) % n,
+                           (a + 1) % n if d == "f" else a)
+                      for a in range(n) for d in ("fr" if both else "f")])
 
 
 def test_fold_refusal_admits_by_closed_form_and_counts_the_rest():
-    # complete (2,)*8: every cell pulling its whole sub-box is 6^8 steps,
-    # within the cap, so nothing is counted; (2,)*9 counts and refuses
+    # complete (2,)*8: every cell walking its whole slack sub-box is 6^8
+    # steps, within the cap, so nothing is counted; (2,)*9 counts and
+    # refuses; of the rank-1 rings, the bidirected one of 12 vertices is
+    # within the closed form, and the rest are counted on the transfer's
+    # packed keys, only the bidirected one of 24 vertices refused
+    capped = f"cycle expansion capped at {walks.FOLD_WORK_CAP} fold steps; "
     assert walks._pull_bound((2,) * 8) <= walks.FOLD_WORK_CAP
     assert fold_refusal(_complete_quiver(8), (2,) * 8) is None
-    assert fold_refusal(_complete_quiver(9), (2,) * 9).endswith(
-        f"counting them passed {walks.COUNT_STATE_CAP} transfer states")
-    ring = Quiver(40, [Edge(f"e{a}", a, (a + 1) % 40) for a in range(40)])
-    assert walks._pull_bound((1,) * 40) > walks.FOLD_WORK_CAP
-    assert fold_refusal(ring, (1,) * 40) is None
+    assert fold_refusal(_complete_quiver(9), (2,) * 9) == (
+        capped + f"counting them passed {walks.COUNT_STATE_CAP} transfer states")
+    for n, both, why in ((12, True, None), (14, True, None),
+                         (24, True, capped + "its fold takes more"), (40, False, None)):
+        assert (walks._pull_bound((1,) * n) > walks.FOLD_WORK_CAP) == (n > 12)
+        assert fold_refusal(_ring(n, both), (1,) * n) == why
+
+
+def _transfer_keys(quiver, bound):
+    return list(walks._transfer(quiver, bound, {e.id: None for e in quiver.edges}))
+
+
+def test_closed_form_bounds_the_counted_fold():
+    # each reached cell counts one step and at most the cells of its slack
+    # sub-box but 0, so the sum over the box of prod(slack_a + 1), the
+    # closed form, bounds the count: on the transfer's key sets of
+    # complete digraphs, rings and seeded quivers, and on seeded dense and
+    # sparse key sets of the fold bounds
+    cases = [(_complete_quiver(p), (r,) * p) for p, r in ((3, 3), (4, 2), (5, 2), (6, 1), (8, 1))]
+    cases += [(_ring(n, True), (1,) * n) for n in (6, 10, 13)]
+    cases += [(_fold_quiver(), b) for b in ((7, 0, 3, 1), (3, 2, 3, 1), (2, 5, 4, 2))]
+    rng = random.Random("closed-form")
+    counted = [(_transfer_keys(q, b), b) for q, b in cases]
+    for bound in _FOLD_BOUNDS:
+        box = [v for v in itertools.product(*(range(b + 1) for b in bound)) if any(v)]
+        pack = walks._packing(bound)
+        for share in (0.9, 0.3, 0.05):
+            keys = [pack.pack(v) for v in box if rng.random() < share] or [pack.pack(box[0])]
+            counted.append((keys, bound))
+    for keys, bound in counted:
+        work = fold_work(keys, bound)
+        assert len(keys) < work <= walks._pull_bound(bound), bound
+
+
+@pytest.mark.parametrize("entry", ["gaussian", "fraction", "float", "poly"])
+@pytest.mark.parametrize("quiver,ranks,bound", [
+    # 7 fills a 3-bit field up to its guard, and a 0 bound leaves a vertex
+    # no visit to give
+    (_fold_quiver(), (2, 1, 2, 1), (7, 0, 3, 1)),
+    (_fold_quiver(), (1, 2, 1, 2), (1, 3, 7, 0)),
+    (_complete_quiver(3), (1, 1, 1), (7, 4, 3)),
+    (_complete_quiver(3), (2, 1, 1), (0, 7, 3)),
+    (_complete_quiver(4), (1, 1, 1, 1), (2, 1, 2, 1)),
+])
+def test_packed_transfer_matches_the_tuple_transfer(quiver, ranks, bound, entry):
+    """The transfer's packed keys, |u| and u_s against the tuple-keyed
+    transfer behind closed_walk_factors: the same visit vectors in the
+    same order, and the same factors, floats bit for bit."""
+    rng = random.Random(f"packed:{bound}:{entry}")
+    syms = Symbols(("s",))
+    maps = {e.id: Matrix(ranks[e.src], ranks[e.tgt],
+                         [_ENTRIES[entry](rng, syms)
+                          for _ in range(ranks[e.src] * ranks[e.tgt])])
+            for e in quiver.edges}
+    want = closed_walk_factors(quiver, bound, maps)
+    _, d, kind, totals = walks._walk_totals(quiver, bound, maps)
+    pack = walks._packing(bound)
+    got = {}
+    for u, (total, k, q) in totals.items():
+        v = pack.unpack(u)
+        root = min((a for a in range(len(v)) if v[a]), key=lambda a: (bound[a], a))
+        assert pack.pack(v) == u and k == sum(v) and q == v[root]
+        sign = 1 if k % 2 else -1
+        got[v] = (int_div(sign * total, q) if d is None
+                  else gaussian_scalar(sign * total[0], sign * total[1], d ** k * q, kind))
+    assert want and list(got) == list(want)
+    for v in want:
+        assert type(got[v]) is type(want[v]) and got[v] == want[v], v
+    # some visit vector fills a field to its bound: on complete (1, 1, 1),
+    # (7, 4, 3) itself
+    assert any(x == b for v in want for x, b in zip(v, bound) if b)
 
 
 def test_gcycle_multisets_figure5_all_ones():
